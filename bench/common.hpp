@@ -106,23 +106,30 @@ class Cell {
   std::uint64_t next_id_ = 1;
 };
 
+/// Right-aligns `v` in a 14-column cell. An 18-character fingerprint
+/// ("0x" + 16 hex digits) cannot fit, so it gets one separating space
+/// instead of running into its neighbour. Other text keeps the classic
+/// fixed cell: the figure benches' archived output is byte-compared.
+inline std::string table_text(const std::string& v) {
+  if (v.size() > 14 && v.rfind("0x", 0) == 0) return " " + v;
+  char cell[64];
+  std::snprintf(cell, sizeof cell, "%14s", v.c_str());
+  return cell;
+}
+
 /// Prints a table header + separator: title, then column names.
 inline void table_header(const std::string& title,
                          const std::vector<std::string>& columns) {
   std::printf("\n### %s\n", title.c_str());
   std::string line;
-  for (const auto& c : columns) {
-    char cell[64];
-    std::snprintf(cell, sizeof cell, "%14s", c.c_str());
-    line += cell;
-  }
+  for (const auto& c : columns) line += table_text(c);
   std::printf("%s\n", line.c_str());
   std::printf("%s\n", std::string(line.size(), '-').c_str());
 }
 
 inline void table_cell(double v) { std::printf("%14.4g", v); }
 inline void table_cell(const std::string& v) {
-  std::printf("%14s", v.c_str());
+  std::printf("%s", table_text(v).c_str());
 }
 inline void table_end_row() { std::printf("\n"); }
 

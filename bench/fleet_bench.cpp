@@ -1,11 +1,11 @@
 // FLEET — multi-world scaling benchmark for the fleet engine.
 //
 // The LPC model's unit of analysis is one room; production questions are
-// about buildings. This bench runs N independent rooms ("shards"), each a
-// full Environment -> Intentional stack — CSMA radios under contention,
-// Jini discovery, the Smart Projector with a live RFB session, and a user
-// agent running the documented procedure — across the work-stealing pool,
-// and reports:
+// about buildings. This bench runs N independent rooms ("shards"), each one
+// shard of the compiled scenarios/smart_projector.scn — a full Environment
+// -> Intentional stack: CSMA radios under contention, Jini discovery, the
+// Smart Projector with a live RFB session, and a user agent running the
+// documented procedure — across the work-stealing pool, and reports:
 //
 //  * aggregate throughput (events/s) per (shards, workers) point and the
 //    scaling efficiency against a single worker,
@@ -22,7 +22,8 @@
 //  * scale-out — ~1M micro-rooms (256 shards x 4096 rooms) swept at 1/2/4/8
 //    worker processes, gated on fingerprint equality with a straight
 //    single-process run and across every worker count,
-//  * proc equivalence — Room shards with telemetry at 1 vs 2 workers:
+//  * proc equivalence — room shards with telemetry at 1 vs 2 workers (the
+//    coordinator ships the compiled scenario to each worker once):
 //    fingerprints, event totals, and the merged obs registry (HDR
 //    percentiles included) must be bit-identical,
 //  * migration — forced live migrations mid-run, latency p50/p99 from the
@@ -54,9 +55,7 @@
 #include <string>
 #include <vector>
 
-#include "app/projector.hpp"
 #include "bench/common.hpp"
-#include "disco/jini.hpp"
 #include "fleet/coordinator.hpp"
 #include "fleet/micro.hpp"
 #include "fleet/wire.hpp"
@@ -64,12 +63,6 @@
 #include "obs/hdr.hpp"
 #include "obs/metrics.hpp"
 #include "snap/snapshot.hpp"
-#include "env/environment.hpp"
-#include "env/mobility.hpp"
-#include "net/stack.hpp"
-#include "phys/device.hpp"
-#include "phys/profile.hpp"
-#include "rfb/workload.hpp"
 #include "scn/blob.hpp"
 #include "scn/compiler.hpp"
 #include "scn/runtime.hpp"
@@ -78,7 +71,6 @@
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "sim/world.hpp"
-#include "user/agent.hpp"
 
 // ---------------------------------------------------------------------------
 // Global heap-allocation counter. Replacing operator new is how the arena's
@@ -128,158 +120,23 @@ namespace {
 using namespace aroma;
 
 // ---------------------------------------------------------------------------
-// One room: the Smart Projector case study at fleet scale. Heterogeneous on
-// purpose — shard k hosts k%5 extra laptops pinging the hub and runs a
-// proportionally longer meeting, so static round-robin placement straggles
-// and stealing has something to win.
+// One room: the Smart Projector case study at fleet scale, compiled from
+// scenarios/smart_projector.scn. Heterogeneous on purpose — shard k hosts
+// k%5 extra laptops pinging the hub and runs a proportionally longer
+// meeting, so static round-robin placement straggles and stealing has
+// something to win.
 
 struct RoomResult {
   std::uint64_t fingerprint = 0;
   std::uint64_t events = 0;
-  std::uint64_t transmissions = 0;
   sim::Arena::Stats arena;
 };
 
-RoomResult run_room(std::size_t shard_id, std::uint64_t seed, bool use_arena) {
-  sim::World world(seed);
-  // Must happen before any component draws from the arena: blocks must be
-  // recycled in the mode they were allocated in.
-  world.arena().set_enabled(use_arena);
-  env::Environment::Params eparams;
-  eparams.path_loss.seed = seed;
-  env::Environment env(world, eparams);
-
-  std::vector<std::unique_ptr<phys::Device>> devices;
-  std::vector<std::unique_ptr<net::NetStack>> stacks;
-  auto add = [&](phys::DeviceProfile profile, env::Vec2 pos) {
-    const std::uint64_t id = devices.size() + 1;
-    phys::Device::Options opt;
-    opt.channel = 6;
-    devices.push_back(std::make_unique<phys::Device>(
-        world, env, id, std::move(profile),
-        std::make_unique<env::StaticMobility>(pos), opt));
-    stacks.push_back(
-        std::make_unique<net::NetStack>(world, devices.back()->mac()));
-    return stacks.size() - 1;
-  };
-
-  const std::size_t reg = add(phys::profiles::desktop_pc_with_radio(), {0, 12});
-  const std::size_t adapter = add(phys::profiles::aroma_adapter(), {0, 0});
-  const std::size_t laptop = add(phys::profiles::laptop(), {8, 0});
-  const std::size_t extras = shard_id % 5;
-  std::vector<std::size_t> extra_nodes;
-  for (std::size_t i = 0; i < extras; ++i) {
-    extra_nodes.push_back(add(
-        phys::profiles::laptop(),
-        {3.0 + 2.5 * static_cast<double>(i), 6.0}));
-  }
-
-  std::uint64_t pings = 0;
-  constexpr net::Port kPingPort = 7777;
-  stacks[reg]->bind(kPingPort, [&](const net::Datagram&) { ++pings; });
-
-  disco::JiniRegistrar registrar(world, *stacks[reg]);
-  app::SmartProjector projector(world, *stacks[adapter]);
-  disco::JiniClient adapter_jini(world, *stacks[adapter]);
-  disco::JiniClient laptop_jini(world, *stacks[laptop]);
-  app::PresenterDisplay display(world, *stacks[laptop], 64, 48);
-  projector.export_services(adapter_jini, {});
-  world.sim().run_until(sim::Time::sec(3.0));
-
-  app::ProjectorClient proj_client(world, *stacks[laptop],
-                                   stacks[adapter]->node_id(),
-                                   app::kProjectionPort);
-  rfb::SlideDeckWorkload deck(3);
-  user::UserAgent presenter(world, "presenter",
-                            user::personas::computer_scientist());
-
-  std::vector<user::ProcedureStep> procedure;
-  procedure.push_back({"start-vnc-server",
-                       [&](std::function<void(bool)> done) {
-                         display.start_server();
-                         deck.step(display.screen());
-                         done(true);
-                       },
-                       0.4, false});
-  procedure.push_back({"discover-service",
-                       [&](std::function<void(bool)> done) {
-                         laptop_jini.lookup(
-                             disco::ServiceTemplate{app::kProjectionType, {}},
-                             [done](std::vector<disco::ServiceDescription> s) {
-                               done(!s.empty());
-                             });
-                       },
-                       0.5, false});
-  procedure.push_back({"acquire-projection",
-                       [&](std::function<void(bool)> done) {
-                         proj_client.acquire(done);
-                       },
-                       0.5, false});
-  procedure.push_back({"start-projection",
-                       [&](std::function<void(bool)> done) {
-                         proj_client.start_projection(
-                             stacks[laptop]->node_id(), done);
-                       },
-                       0.6, false});
-  user::TaskOutcome outcome;
-  presenter.attempt(procedure,
-                    [&](const user::TaskOutcome& o) { outcome = o; });
-  // Let the procedure finish (user think time dominates: tens of simulated
-  // seconds) before the meeting starts.
-  world.sim().run_until(sim::Time::sec(45.0));
-
-  std::vector<std::unique_ptr<sim::PeriodicTimer>> pingers;
-  for (std::size_t i = 0; i < extra_nodes.size(); ++i) {
-    net::NetStack& s = *stacks[extra_nodes[i]];
-    pingers.push_back(std::make_unique<sim::PeriodicTimer>(
-        world.sim(), sim::Time::sec(0.4 + 0.1 * static_cast<double>(i)),
-        [&s, hub = stacks[reg]->node_id()] {
-          s.send({hub, kPingPort}, kPingPort,
-                 std::vector<std::byte>(24, std::byte{0x5a}), {});
-        }));
-    pingers.back()->start();
-  }
-  sim::PeriodicTimer slides(world.sim(), sim::Time::sec(4.0),
-                            [&] { display.apply(deck); });
-  slides.start();
-
-  const double horizon = 55.0 + 10.0 * static_cast<double>(extras);
-  world.sim().run_until(sim::Time::sec(horizon));
-  slides.stop();
-  for (auto& p : pingers) p->stop();
-  world.sim().run_until(sim::Time::sec(horizon + 2.0));
-
-  RoomResult r;
-  r.events = world.sim().executed();
-  const env::MediumStats& m = env.medium().stats();
-  r.transmissions = m.transmissions;
-  r.arena = world.arena().stats();
-  std::uint64_t fp = sim::mix_hash(seed, r.events);
-  fp = sim::mix_hash(fp, m.transmissions);
-  fp = sim::mix_hash(fp, m.deliveries_attempted);
-  fp = sim::mix_hash(fp, m.deliveries_decodable);
-  fp = sim::mix_hash(fp, m.losses_sinr);
-  fp = sim::mix_hash(fp, m.losses_half_duplex);
-  fp = sim::mix_hash(fp, pings);
-  fp = sim::mix_hash(fp, registrar.registered_count());
-  fp = sim::mix_hash(fp, outcome.success ? 1 : 0);
-  fp = sim::mix_hash(fp, outcome.steps_completed);
-  fp = sim::mix_hash(fp, outcome.errors);
-  fp = sim::mix_hash(
-      fp, projector.viewer() ? projector.viewer()->stats().updates_received
-                             : 0);
-  r.fingerprint = fp;
-  if (std::getenv("FLEET_DEBUG_ROOM")) {
-    std::printf(
-        "room %zu: events=%llu tx=%llu success=%d steps=%zu viewer=%llu\n",
-        shard_id, (unsigned long long)r.events,
-        (unsigned long long)m.transmissions, outcome.success ? 1 : 0,
-        outcome.steps_completed,
-        (unsigned long long)(projector.viewer()
-                                 ? projector.viewer()->stats().updates_received
-                                 : 0));
-  }
-  return r;
+RoomResult run_shard(const scn::Scenario& room, std::size_t shard_id,
+                    std::uint64_t seed, bool use_arena) {
+  scn::ScenarioInstance inst(room, shard_id, seed, {.use_arena = use_arena});
+  inst.run();
+  return {inst.fingerprint(), inst.events(), inst.world().arena().stats()};
 }
 
 // ---------------------------------------------------------------------------
@@ -295,14 +152,14 @@ struct FleetRun {
   sim::WorkStealingPool::Stats sched;
 };
 
-FleetRun run_fleet(std::size_t shards, std::size_t workers,
-                   std::uint64_t seed, bool use_arena) {
+FleetRun run_fleet(const scn::Scenario& room, std::size_t shards,
+                   std::size_t workers, std::uint64_t seed, bool use_arena) {
   sim::FleetEngine engine(workers);
   const std::uint64_t heap0 = g_heap_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
   const std::vector<RoomResult> rooms = engine.run<RoomResult>(
-      shards, seed, [use_arena](const sim::ShardContext& ctx) {
-        return run_room(ctx.shard_id, ctx.seed, use_arena);
+      shards, seed, [&room, use_arena](const sim::ShardContext& ctx) {
+        return run_shard(room, ctx.shard_id, ctx.seed, use_arena);
       });
   const auto t1 = std::chrono::steady_clock::now();
 
@@ -534,10 +391,22 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
   bool ok = true;
 
+  const std::string room_path =
+      std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
+  std::vector<std::uint8_t> room_blob;
+  scn::Scenario room;
+  try {
+    room_blob = scn::compile_file(room_path);
+    room = scn::decode(room_blob);
+  } catch (const scn::ScnError& e) {
+    std::fprintf(stderr, "FAIL: %s: %s\n", room_path.c_str(), e.what());
+    return 1;
+  }
+
   // --- Allocation A/B: same fleet, arena off vs on. -----------------------
   const std::size_t ab_shards = max_shards < 8 ? max_shards : 8;
-  const FleetRun heap_mode = run_fleet(ab_shards, 1, seed, false);
-  const FleetRun arena_mode = run_fleet(ab_shards, 1, seed, true);
+  const FleetRun heap_mode = run_fleet(room, ab_shards, 1, seed, false);
+  const FleetRun arena_mode = run_fleet(room, ab_shards, 1, seed, true);
   const bool alloc_match = heap_mode.fingerprint == arena_mode.fingerprint;
   if (!alloc_match) {
     std::fprintf(stderr,
@@ -557,51 +426,6 @@ int main(int argc, char** argv) {
                       static_cast<double>(arena_mode.arena.allocations),
                       static_cast<double>(arena_mode.arena.recycled),
                       hex64(arena_mode.fingerprint));
-
-  // --- Compiled-scenario oracle: the declarative Smart Projector. ---------
-  // scenarios/smart_projector.scn compiled through the scn pass pipeline
-  // and fleet-run must reproduce run_room's fleet fingerprint bit-exactly —
-  // the scenario compiler's executable artifact is interchangeable with the
-  // handwritten room.
-  benchsup::Json scn_oracle = benchsup::Json::object();
-  try {
-    const std::string scn_path =
-        std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
-    const scn::Scenario compiled_room =
-        scn::decode(scn::compile_file(scn_path, {}));
-    const scn::FleetResult compiled =
-        scn::run_fleet(compiled_room, ab_shards, seed, 1);
-    const bool scn_match = compiled.fleet_fp == arena_mode.fingerprint;
-    if (!scn_match) {
-      std::fprintf(stderr,
-                   "FAIL: compiled scenario diverged from run_room "
-                   "(%s vs %s)\n",
-                   hex64(compiled.fleet_fp).c_str(),
-                   hex64(arena_mode.fingerprint).c_str());
-      ok = false;
-    }
-    benchsup::table_header(
-        "Compiled scenario oracle (" + std::to_string(ab_shards) + " shards)",
-        {"source", "events", "fingerprint", "match"});
-    benchsup::table_row(std::string("run_room"),
-                        static_cast<double>(arena_mode.events),
-                        hex64(arena_mode.fingerprint), std::string("-"));
-    benchsup::table_row(std::string("compiled"),
-                        static_cast<double>(compiled.events),
-                        hex64(compiled.fleet_fp),
-                        std::string(scn_match ? "yes" : "NO"));
-    scn_oracle.set("scenario", scn_path);
-    scn_oracle.set("shards", static_cast<std::uint64_t>(ab_shards));
-    scn_oracle.set("compiled_fingerprint", hex64(compiled.fleet_fp));
-    scn_oracle.set("run_room_fingerprint", hex64(arena_mode.fingerprint));
-    scn_oracle.set("events_compiled", compiled.events);
-    scn_oracle.set("events_run_room", arena_mode.events);
-    scn_oracle.set("fingerprint_match", scn_match);
-  } catch (const scn::ScnError& e) {
-    std::fprintf(stderr, "FAIL: compiled scenario oracle: %s\n", e.what());
-    scn_oracle.set("error", std::string(e.what()));
-    ok = false;
-  }
 
   // --- Scaling sweep. -----------------------------------------------------
   // Every shard count runs at every distinct worker count in {1, 2, 4, hw}:
@@ -623,7 +447,7 @@ int main(int argc, char** argv) {
     std::uint64_t expect_fp = 0;
     for (const std::size_t workers : worker_counts) {
       if (workers > shards && workers != 1) continue;  // clamp would repeat
-      const FleetRun r = run_fleet(shards, workers, seed, true);
+      const FleetRun r = run_fleet(room, shards, workers, seed, true);
       const double rate =
           r.wall_s > 0.0 ? static_cast<double>(r.events) / r.wall_s : 0.0;
       if (workers == 1) {
@@ -763,7 +587,7 @@ int main(int argc, char** argv) {
     scale.set("runs", std::move(scale_runs));
     proc.set("scale_out", std::move(scale));
 
-    // Proc equivalence: Room shards with telemetry at 1 vs 2 workers. The
+    // Proc equivalence: room shards with telemetry at 1 vs 2 workers. The
     // merged obs registry (counters, gauges, HDR percentiles) must be
     // bit-identical, not just the fingerprint.
     fleet::FleetOptions eq;
@@ -771,6 +595,7 @@ int main(int argc, char** argv) {
     eq.shards = 2;
     eq.seed = seed;
     eq.kind = fleet::ShardKind::kRoom;
+    eq.scenario = room_blob;
     eq.cadence_ns = sim::Time::sec(4.0).count();
     eq.telemetry = true;
     eq.worker_argv = worker_argv();
@@ -947,7 +772,6 @@ int main(int argc, char** argv) {
   alloc.set("arena_chunks", arena_mode.arena.chunks);
   alloc.set("fingerprint_match", alloc_match);
   doc.set("alloc", std::move(alloc));
-  doc.set("scn_oracle", std::move(scn_oracle));
   doc.set("runs", std::move(runs));
   benchsup::Json determinism = benchsup::Json::object();
   {

@@ -1,9 +1,10 @@
 // OBS — always-on observability plane benchmark.
 //
 // The plane (obs/flight.hpp + obs/watchdog.hpp + obs/sampler.hpp) rides the
-// kernel's observation-only event tap, so it must be cheap enough to leave
+// kernel's observation-only trace slot, so it must be cheap enough to leave
 // on everywhere and must never perturb the run. This bench proves both, at
-// fleet scale, and exercises the black-box workflow end to end:
+// fleet scale on the compiled scenarios/smart_projector.scn, and exercises
+// the black-box workflow end to end:
 //
 //  * overhead sweep: for each shard count, a telemetry fleet runs with the
 //    plane detached and attached (flight recorder + watchdogs + sampler on
@@ -19,7 +20,7 @@
 //    blob to its flight recorder, then a fault is injected — a runaway
 //    zero-delay event chain (sim-time stall) in one leg, an RF jammer on
 //    the room's channel (retry storm) in the other. The matching watchdog
-//    must fire, its dump hook captures the black box, and a fresh room
+//    must fire, its dump hook captures the black box, and a fresh instance
 //    restored from the dump's embedded checkpoint — with a ReplayHarness
 //    attached and the same injection re-applied — must execute the exact
 //    (when, id, seq) event the dump identifies as the last kernel event
@@ -51,16 +52,23 @@
 #include "obs/sampler.hpp"
 #include "obs/telemetry.hpp"
 #include "obs/watchdog.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
 #include "snap/checkpoint.hpp"
 #include "snap/replay.hpp"
-#include "snap/room.hpp"
+
+#ifndef AROMA_SCENARIO_DIR
+#define AROMA_SCENARIO_DIR "scenarios"
+#endif
 
 namespace benchsup = aroma::benchsup;
 
 namespace {
 
+using aroma::scn::ScenarioInstance;
 using aroma::sim::Time;
 
 std::string hex64(std::uint64_t v) {
@@ -96,21 +104,17 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-aroma::snap::RoomOptions telemetry_room() {
-  aroma::snap::RoomOptions opt;
-  opt.telemetry = true;
-  return opt;
-}
+constexpr aroma::scn::RunOptions kTelemetry{.telemetry = true};
 
-// The full plane on one room: flight recorder on the kernel tap, watchdogs
-// and sampler chained behind it, span edges forwarded from the tracer.
-// Construct after the Room and destroy before it; the destructor detaches
-// everything it attached.
+// The full plane on one shard: flight recorder on the kernel trace slot,
+// watchdogs and sampler chained behind it, span edges forwarded from the
+// tracer. Construct after the instance and destroy before it; the
+// destructor detaches everything it attached.
 struct Plane {
   aroma::obs::FlightRecorder rec;
   aroma::obs::WatchdogSet dogs;
   aroma::obs::TimeseriesSampler sampler;
-  aroma::snap::Room& room;
+  ScenarioInstance& room;
 
   // The fleet-wide always-on configuration keeps the ring small enough to
   // stay L1-resident next to the sim's own hot set, samples at a coarse
@@ -128,7 +132,7 @@ struct Plane {
     return w;
   }
 
-  Plane(aroma::snap::Room& r, std::uint32_t shard, std::size_t capacity,
+  Plane(ScenarioInstance& r, std::uint32_t shard, std::size_t capacity,
         Time sample_period, aroma::obs::WatchdogOptions wopts = {})
       : rec(capacity, shard),
         dogs(r.world(), wopts),
@@ -143,10 +147,7 @@ struct Plane {
     rec.attach(r.world().sim());
     rec.set_span_source(&r.telemetry()->spans());
   }
-  ~Plane() {
-    rec.detach(room.world().sim());
-
-  }
+  ~Plane() { rec.detach(room.world().sim()); }
 };
 
 // The mid-meeting capture target; see snap_bench.cpp.
@@ -169,20 +170,21 @@ struct PairResult {
 // not an operating cost. When `merged` is given, each shard's kernel
 // counters are snapshotted and its registry (HDRs included) merged in
 // shard order.
-PairResult run_fleet_pair(std::size_t shards, std::size_t workers,
+PairResult run_fleet_pair(const aroma::scn::Scenario& scn,
+                          std::size_t shards, std::size_t workers,
                           std::uint64_t seed,
                           aroma::obs::MetricsRegistry* merged,
                           std::vector<std::uint64_t>& off_walls,
                           std::vector<std::uint64_t>& on_walls) {
   std::vector<std::uint64_t> off_fps(shards, 0);
   std::vector<std::uint64_t> on_fps(shards, 0);
-  std::vector<std::unique_ptr<aroma::snap::Room>> keep;
+  std::vector<std::unique_ptr<ScenarioInstance>> keep;
   if (merged != nullptr) keep.resize(shards);
   aroma::sim::WorkStealingPool::run(
       workers, shards, [&](std::size_t i, std::size_t) {
         auto leg = [&](bool plane_on) {
-          auto room = std::make_unique<aroma::snap::Room>(
-              i, aroma::sim::shard_seed(seed, i), telemetry_room());
+          auto room = std::make_unique<ScenarioInstance>(
+              scn, i, aroma::sim::shard_seed(seed, i), kTelemetry);
           room->warmup();
           std::unique_ptr<Plane> plane;
           if (plane_on) {
@@ -190,13 +192,13 @@ PairResult run_fleet_pair(std::size_t shards, std::size_t workers,
                 *room, static_cast<std::uint32_t>(i), Plane::kFleetRing,
                 Time::sec(Plane::kFleetSamplePeriodSec),
                 Plane::fleet_watchdogs());
-            plane->sampler.take_sample(room->now());  // boot: build tracks
+            plane->sampler.take_sample(room->world().now());  // boot
           }
           const auto s0 = std::chrono::steady_clock::now();
           room->finish();
           (plane_on ? on_walls : off_walls)[i] =
               static_cast<std::uint64_t>(seconds_since(s0) * 1e6);
-          if (plane) plane->sampler.take_sample(room->now());
+          if (plane) plane->sampler.take_sample(room->world().now());
           (plane_on ? on_fps : off_fps)[i] = room->fingerprint();
           return room;
         };
@@ -245,7 +247,7 @@ struct FaultInjection {
   // Schedules the fault strictly after `base` (the checkpoint instant).
   // Called identically in the faulting run and the replay, so both runs
   // issue the same schedule calls from the same kernel state.
-  std::function<void(aroma::snap::Room&, Time)> inject;
+  std::function<void(ScenarioInstance&, Time)> inject;
   aroma::obs::Watchdog expect;
   const char* name;
 };
@@ -263,22 +265,22 @@ struct FaultResult {
 
 // Fault leg: checkpoint mid-meeting, hand the blob to the flight recorder,
 // inject, let the watchdog's dump hook capture the black box; then restore
-// the dump's checkpoint into a fresh room, re-inject, and drive a
+// the dump's checkpoint into a fresh instance, re-inject, and drive a
 // ReplayHarness to the faulting event. `trace_path`, when set, receives
 // the faulting run's span timeline + sampler counter tracks.
-FaultResult run_fault(std::uint64_t seed, const FaultInjection& fault,
+FaultResult run_fault(const aroma::scn::Scenario& scn, std::uint64_t seed,
+                      const FaultInjection& fault,
                       const std::string& trace_path) {
   FaultResult out;
   aroma::obs::WatchdogOptions wopts;
   wopts.stall_run_limit = kStallRunLimit;
   wopts.retry_storm_limit = kRetryStormLimit;
 
-  aroma::snap::Room room(kFaultShard,
-                         aroma::sim::shard_seed(seed, kFaultShard),
-                         telemetry_room());
+  ScenarioInstance room(scn, kFaultShard,
+                        aroma::sim::shard_seed(seed, kFaultShard), kTelemetry);
   room.warmup();
   Plane plane(room, kFaultShard, Plane::kDeepRing, Time::ms(250), wopts);
-  room.run_until(Time::sec(kCheckpointAtSec));
+  room.world().sim().run_until(Time::sec(kCheckpointAtSec));
   aroma::snap::CheckpointManager cm(room.world(), room.registry());
   const aroma::snap::Checkpoint ck = cm.take_full();
   plane.rec.note_checkpoint(ck.id, ck.captured_at, ck.blob);
@@ -292,7 +294,7 @@ FaultResult run_fault(std::uint64_t seed, const FaultInjection& fault,
   });
   fault.inject(room, ck.captured_at);
   room.finish();
-  plane.sampler.take_sample(room.now());
+  plane.sampler.take_sample(room.world().now());
 
   out.fires = plane.dogs.fired(fault.expect);
   out.fired = out.fires > 0 && !out.dump.empty();
@@ -321,17 +323,17 @@ FaultResult run_fault(std::uint64_t seed, const FaultInjection& fault,
     return out;
   }
 
-  // Time travel: fresh room, restore the embedded checkpoint, re-apply the
-  // injection, and watch the harness execute the dump's faulting event.
-  aroma::snap::Room replay(kFaultShard,
-                           aroma::sim::shard_seed(seed, kFaultShard),
-                           telemetry_room());
+  // Time travel: fresh instance, restore the embedded checkpoint, re-apply
+  // the injection, and watch the harness execute the dump's faulting event.
+  ScenarioInstance replay(scn, kFaultShard,
+                          aroma::sim::shard_seed(seed, kFaultShard),
+                          kTelemetry);
   replay.warmup();
   replay.restore(dump.checkpoint, Time::sec(0.0));
   aroma::snap::ReplayHarness harness;
   harness.attach(replay.world().sim());
   fault.inject(replay, Time::ns(dump.checkpoint_at_ns));
-  replay.run_until(Time::ns(out.fire_at_ns) + Time::sec(1.0));
+  replay.world().sim().run_until(Time::ns(out.fire_at_ns) + Time::sec(1.0));
   harness.detach(replay.world().sim());
 
   const aroma::snap::EventId want{Time::ns(target->t_ns), target->a,
@@ -425,6 +427,16 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(seed), max_overhead_pct);
   bool ok = true;
 
+  const std::string scn_path =
+      std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
+  aroma::scn::Scenario scn;
+  try {
+    scn = aroma::scn::decode(aroma::scn::compile_file(scn_path));
+  } catch (const aroma::scn::ScnError& e) {
+    std::fprintf(stderr, "FAIL: %s: %s\n", scn_path.c_str(), e.what());
+    return 1;
+  }
+
   // --- Overhead + perturbation sweep. -------------------------------------
   benchsup::table_header(
       "Plane overhead (per-shard best of " + std::to_string(reps) + ")",
@@ -451,8 +463,9 @@ int main(int argc, char** argv) {
       // Merge metrics on the last rep of the largest count only (keeps
       // every other rep pure timing).
       const bool collect = is_largest && r == reps - 1;
-      const PairResult pair = run_fleet_pair(
-          shards, hw, seed, collect ? &merged : nullptr, off_walls, on_walls);
+      const PairResult pair =
+          run_fleet_pair(scn, shards, hw, seed, collect ? &merged : nullptr,
+                         off_walls, on_walls);
       for (std::size_t i = 0; i < shards; ++i) {
         best_off[i] = std::min(best_off[i], off_walls[i]);
         best_on[i] = std::min(best_on[i], on_walls[i]);
@@ -536,15 +549,15 @@ int main(int argc, char** argv) {
 
   // --- Fault legs: detect, dump, time-travel. -----------------------------
   const FaultInjection stall_fault{
-      [](aroma::snap::Room& room, Time base) {
+      [](ScenarioInstance& room, Time base) {
         arm_stall_chain(room.world().sim(), base + Time::sec(1.0),
                         kStallChainLen);
       },
       aroma::obs::Watchdog::kSimStall, "sim-stall"};
   const FaultInjection jam_fault{
-      [](aroma::snap::Room& room, Time base) {
-        // Channel 6 is the room's radio channel (snap/room.cpp); 30 dBm in
-        // the middle of the floor plan flattens the SINR of every link.
+      [](ScenarioInstance& room, Time base) {
+        // Channel 6 is the room's radio channel (the .scn default); 30 dBm
+        // in the middle of the floor plan flattens the SINR of every link.
         // The start/stop closures keep the jammer alive; its own scheduled
         // bursts hold only a liveness guard, so teardown is clean.
         auto jammer = std::make_shared<aroma::diag::Jammer>(
@@ -560,8 +573,8 @@ int main(int argc, char** argv) {
       },
       aroma::obs::Watchdog::kRetryStorm, "rf-jam"};
 
-  const FaultResult stall = run_fault(seed, stall_fault, trace_path);
-  const FaultResult jam = run_fault(seed, jam_fault, "");
+  const FaultResult stall = run_fault(scn, seed, stall_fault, trace_path);
+  const FaultResult jam = run_fault(scn, seed, jam_fault, "");
   benchsup::table_header(
       "Fault legs (checkpoint @ " + std::to_string(kCheckpointAtSec) + " s)",
       {"fault", "fires", "dump-KiB", "replayed", "replay-events"});

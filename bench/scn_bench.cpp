@@ -4,10 +4,9 @@
 // -> versioned blob -> fleet execution) and gates on the properties the
 // compiler promises:
 //
-//  * oracle — scenarios/smart_projector.scn compiled and fleet-run must
-//    land on the handwritten room's fleet fingerprint bit-exactly at every
-//    shard count checked (the handwritten side is snap::Room, which
-//    reproduces bench/fleet_bench.cpp's run_room),
+//  * goldens — scenarios/smart_projector.scn compiled and fleet-run at seed
+//    2026 must land on the pinned fleet fingerprints and event counts (the
+//    same values tests/scn_test.cpp pins) at every shard count checked,
 //  * determinism — compiling the same source twice is byte-identical, and
 //    dump -> recompile converges: after one canonicalizing round, further
 //    dump/recompile rounds are byte-stable,
@@ -33,7 +32,6 @@
 #include "scn/compiler.hpp"
 #include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
-#include "snap/room.hpp"
 
 #ifndef AROMA_SCENARIO_DIR
 #define AROMA_SCENARIO_DIR "scenarios"
@@ -71,22 +69,24 @@ std::vector<std::size_t> parse_csv(const char* s) {
   return out;
 }
 
-/// The handwritten Smart Projector shard: snap::Room's warmup + finish is
-/// bench/fleet_bench.cpp's run_room, fingerprint chain included.
-std::uint64_t handwritten_room_fp(std::size_t shard_id, std::uint64_t seed) {
-  snap::Room room(shard_id, seed);
-  room.warmup();
-  room.finish();
-  return room.fingerprint();
-}
+/// Pinned smart_projector fleet results at kGoldenSeed.
+constexpr std::uint64_t kGoldenSeed = 2026;
+struct Golden {
+  std::size_t shards;
+  std::uint64_t fleet_fp;
+  std::uint64_t events;
+};
+constexpr Golden kGoldens[] = {
+    {1, 0x3d292f0faab19f39, 2251},
+    {8, 0x24b052fcb82e2c8c, 68412},
+    {64, 0x8ad24b882b02659a, 662084},
+};
 
-std::uint64_t handwritten_fleet_fp(std::size_t shards, std::uint64_t seed) {
-  std::vector<std::uint64_t> fps;
-  fps.reserve(shards);
-  for (std::size_t k = 0; k < shards; ++k) {
-    fps.push_back(handwritten_room_fp(k, sim::shard_seed(seed, k)));
+const Golden* golden_for(std::size_t shards) {
+  for (const Golden& g : kGoldens) {
+    if (g.shards == shards) return &g;
   }
-  return sim::fleet_fingerprint(fps);
+  return nullptr;
 }
 
 struct TimedFleet {
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   std::string json_path = "BENCH_scn.json";
   std::string kernel_json = "BENCH_kernel.json";
   std::uint64_t seed = 2026;
-  std::vector<std::size_t> oracle_shards = {1, 8, 64};
+  std::vector<std::size_t> golden_shards = {1, 8, 64};
   std::size_t library_shards = 4;
   std::vector<std::size_t> library_workers = {1, 2, 4};
   for (int i = 1; i < argc; ++i) {
@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
       kernel_json = need("--kernel-json");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       seed = std::strtoull(need("--seed"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--oracle-shards") == 0) {
-      oracle_shards = parse_csv(need("--oracle-shards"));
+    } else if (std::strcmp(argv[i], "--golden-shards") == 0) {
+      golden_shards = parse_csv(need("--golden-shards"));
     } else if (std::strcmp(argv[i], "--library-shards") == 0) {
       library_shards = std::strtoull(need("--library-shards"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--library-workers") == 0) {
@@ -139,15 +139,22 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: scn_bench [--scn-dir path] [--json path] "
-                   "[--kernel-json path] [--seed n] [--oracle-shards n,n,...] "
+                   "[--kernel-json path] [--seed n] [--golden-shards n,n,...] "
                    "[--library-shards n] [--library-workers n,n,...]\n");
       return 2;
     }
   }
-  if (oracle_shards.empty() || library_workers.empty() ||
+  if (golden_shards.empty() || library_workers.empty() ||
       library_shards == 0) {
     std::fprintf(stderr, "shard/worker lists must be non-empty\n");
     return 2;
+  }
+  for (const std::size_t shards : golden_shards) {
+    if (golden_for(shards) == nullptr) {
+      std::fprintf(stderr, "no pinned golden at %zu shards (have 1, 8, 64)\n",
+                   shards);
+      return 2;
+    }
   }
 
   bool ok = true;
@@ -231,39 +238,43 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Oracle leg: compiled smart_projector vs the handwritten room. -------
-  benchsup::table_header("Oracle: compiled vs handwritten Smart Projector",
-                         {"shards", "compiled-fp", "handwritten-fp", "match"});
-  benchsup::Json oracle_runs = benchsup::Json::array();
-  bool oracle_ok = true;
-  const scn::Scenario& sp = compiled[0];
-  for (const std::size_t shards : oracle_shards) {
-    if (sp.entities.empty()) {
-      oracle_ok = false;
-      break;
-    }
-    const TimedFleet c = timed_fleet(sp, shards, seed, 1);
-    const std::uint64_t hand = handwritten_fleet_fp(shards, seed);
-    const bool match = c.result.fleet_fp == hand;
-    if (!match) {
+  // --- Golden leg: compiled smart_projector vs its pinned fingerprints. ---
+  // Gated at the golden seed only; any other seed reports the fleet
+  // fingerprints without a reference.
+  const bool golden_gated = seed == kGoldenSeed;
+  benchsup::table_header("Goldens: compiled smart_projector",
+                         {"shards", "events", "fingerprint", "golden", "match"});
+  benchsup::Json golden_runs = benchsup::Json::array();
+  bool golden_ok = !compiled[0].entities.empty();
+  for (const std::size_t shards : golden_shards) {
+    if (!golden_ok) break;
+    const Golden& g = *golden_for(shards);
+    const TimedFleet c = timed_fleet(compiled[0], shards, seed, 1);
+    const bool match =
+        c.result.fleet_fp == g.fleet_fp && c.result.events == g.events;
+    if (golden_gated && !match) {
       std::fprintf(stderr,
-                   "FAIL: oracle drift at %zu shards (%s compiled vs %s)\n",
+                   "FAIL: golden drift at %zu shards (%s / %llu events vs "
+                   "pinned %s / %llu)\n",
                    shards, hex64(c.result.fleet_fp).c_str(),
-                   hex64(hand).c_str());
-      oracle_ok = false;
+                   (unsigned long long)c.result.events,
+                   hex64(g.fleet_fp).c_str(), (unsigned long long)g.events);
+      golden_ok = false;
       ok = false;
     }
     benchsup::table_row(static_cast<double>(shards),
-                        hex64(c.result.fleet_fp), hex64(hand),
-                        std::string(match ? "yes" : "NO"));
+                        static_cast<double>(c.result.events),
+                        hex64(c.result.fleet_fp), hex64(g.fleet_fp),
+                        std::string(!golden_gated ? "-" : match ? "yes" : "NO"));
     benchsup::Json row = benchsup::Json::object();
     row.set("shards", static_cast<std::uint64_t>(shards));
-    row.set("compiled_fingerprint", hex64(c.result.fleet_fp));
-    row.set("handwritten_fingerprint", hex64(hand));
+    row.set("fingerprint", hex64(c.result.fleet_fp));
     row.set("events", c.result.events);
+    row.set("golden_fingerprint", hex64(g.fleet_fp));
+    row.set("golden_events", g.events);
     row.set("wall_s", c.wall_s);
     row.set("match", match);
-    oracle_runs.push(std::move(row));
+    golden_runs.push(std::move(row));
   }
 
   // --- Trains leg: stadium with the pipeline on vs off. --------------------
@@ -392,15 +403,13 @@ int main(int argc, char** argv) {
   doc.set("cost_model", cost_mode);
   doc.set("compile", std::move(compile_rows));
   {
-    benchsup::Json oracle = benchsup::Json::object();
-    benchsup::Json sh = benchsup::Json::array();
-    for (const std::size_t s : oracle_shards) {
-      sh.push(static_cast<std::uint64_t>(s));
-    }
-    oracle.set("shards_checked", std::move(sh));
-    oracle.set("runs", std::move(oracle_runs));
-    oracle.set("ok", oracle_ok);
-    doc.set("oracle", std::move(oracle));
+    benchsup::Json golden = benchsup::Json::object();
+    golden.set("scenario", library[0]);
+    golden.set("seed", kGoldenSeed);
+    golden.set("gated", golden_gated);
+    golden.set("runs", std::move(golden_runs));
+    golden.set("ok", golden_ok);
+    doc.set("golden", std::move(golden));
   }
   doc.set("trains", std::move(trains));
   {

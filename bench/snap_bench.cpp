@@ -2,16 +2,16 @@
 //
 // The fleet engine (bench/fleet_bench.cpp) proves that shard k is a pure
 // function of shard_seed(seed, k). This bench proves the stronger durable
-// form: a shard can be checkpointed mid-meeting, its process thrown away,
-// and a fresh process — running under a *different* worker count — can
-// restore the blob and resume to a bit-identical fleet fingerprint. It
-// reports:
+// form on the compiled scenarios/smart_projector.scn: a shard can be
+// checkpointed mid-meeting, its process thrown away, and a fresh process —
+// running under a *different* worker count — can restore the blob and
+// resume to a bit-identical fleet fingerprint. It reports:
 //
 //  * restore-then-resume equality per shard count: an uninterrupted
 //    reference fleet, a checkpointed fleet (full checkpoint taken at
-//    t=50 s, then resumed in-process), and a restored fleet (fresh rooms,
-//    warmup + restore(blob) under a different worker count) must all land
-//    on the same fleet fingerprint,
+//    t=50 s, then resumed in-process), and a restored fleet (fresh
+//    instances, warmup + restore(blob) under a different worker count)
+//    must all land on the same fleet fingerprint,
 //  * full-vs-incremental checkpoint sizes on the steady-state projector
 //    workload at a sub-second cadence (the pixel section only churns on
 //    slide flips, so incrementals must be at least --min-incr-ratio times
@@ -35,15 +35,22 @@
 #include <vector>
 
 #include "bench/common.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
 #include "snap/checkpoint.hpp"
-#include "snap/room.hpp"
+
+#ifndef AROMA_SCENARIO_DIR
+#define AROMA_SCENARIO_DIR "scenarios"
+#endif
 
 namespace benchsup = aroma::benchsup;
 
 namespace {
 
+using aroma::scn::ScenarioInstance;
 using aroma::sim::Time;
 
 std::string hex64(std::uint64_t v) {
@@ -90,15 +97,14 @@ struct PassResult {
 };
 
 // Uninterrupted reference fleet: warmup + finish, no checkpoint.
-PassResult run_reference(std::size_t shards, std::size_t workers,
-                         std::uint64_t seed) {
+PassResult run_reference(const aroma::scn::Scenario& scn, std::size_t shards,
+                         std::size_t workers, std::uint64_t seed) {
   std::vector<std::uint64_t> fps(shards, 0);
   const auto t0 = std::chrono::steady_clock::now();
   aroma::sim::WorkStealingPool::run(
       workers, shards, [&](std::size_t i, std::size_t) {
-        aroma::snap::Room room(i, aroma::sim::shard_seed(seed, i));
-        room.warmup();
-        room.finish();
+        ScenarioInstance room(scn, i, aroma::sim::shard_seed(seed, i));
+        room.run();
         fps[i] = room.fingerprint();
       });
   return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
@@ -106,17 +112,17 @@ PassResult run_reference(std::size_t shards, std::size_t workers,
 
 // Checkpointed fleet: full checkpoint at the capture target, then resume
 // in-process to the end. Returns the per-shard blobs for the restore pass.
-PassResult run_capture(std::size_t shards, std::size_t workers,
-                       std::uint64_t seed,
+PassResult run_capture(const aroma::scn::Scenario& scn, std::size_t shards,
+                       std::size_t workers, std::uint64_t seed,
                        std::vector<std::vector<std::uint8_t>>& blobs) {
   std::vector<std::uint64_t> fps(shards, 0);
   blobs.assign(shards, {});
   const auto t0 = std::chrono::steady_clock::now();
   aroma::sim::WorkStealingPool::run(
       workers, shards, [&](std::size_t i, std::size_t) {
-        aroma::snap::Room room(i, aroma::sim::shard_seed(seed, i));
+        ScenarioInstance room(scn, i, aroma::sim::shard_seed(seed, i));
         room.warmup();
-        room.run_until(Time::sec(kCheckpointAtSec));
+        room.world().sim().run_until(Time::sec(kCheckpointAtSec));
         aroma::snap::CheckpointManager cm(room.world(), room.registry());
         blobs[i] = cm.take_full().blob;
         room.finish();
@@ -125,16 +131,16 @@ PassResult run_capture(std::size_t shards, std::size_t workers,
   return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
 }
 
-// Restored fleet: fresh rooms (structural rebuild), overwrite from the
+// Restored fleet: fresh instances (structural rebuild), overwrite from the
 // blobs, resume to the end — under a different worker count.
-PassResult run_restore(std::size_t shards, std::size_t workers,
-                       std::uint64_t seed,
+PassResult run_restore(const aroma::scn::Scenario& scn, std::size_t shards,
+                       std::size_t workers, std::uint64_t seed,
                        const std::vector<std::vector<std::uint8_t>>& blobs) {
   std::vector<std::uint64_t> fps(shards, 0);
   const auto t0 = std::chrono::steady_clock::now();
   aroma::sim::WorkStealingPool::run(
       workers, shards, [&](std::size_t i, std::size_t) {
-        aroma::snap::Room room(i, aroma::sim::shard_seed(seed, i));
+        ScenarioInstance room(scn, i, aroma::sim::shard_seed(seed, i));
         room.warmup();
         room.restore(blobs[i], Time::sec(0.0));
         room.finish();
@@ -190,6 +196,16 @@ int main(int argc, char** argv) {
               hw, static_cast<unsigned long long>(seed), kCheckpointAtSec);
   bool ok = true;
 
+  const std::string scn_path =
+      std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
+  aroma::scn::Scenario scn;
+  try {
+    scn = aroma::scn::decode(aroma::scn::compile_file(scn_path));
+  } catch (const aroma::scn::ScnError& e) {
+    std::fprintf(stderr, "FAIL: %s: %s\n", scn_path.c_str(), e.what());
+    return 1;
+  }
+
   // --- Restore-then-resume equality sweep. --------------------------------
   benchsup::table_header(
       "Restore-then-resume equality",
@@ -199,11 +215,11 @@ int main(int argc, char** argv) {
   bool fingerprints_match = true;
   for (const std::size_t shards : shard_counts) {
     std::vector<std::vector<std::uint8_t>> blobs;
-    const PassResult ref = run_reference(shards, capture_workers, seed);
+    const PassResult ref = run_reference(scn, shards, capture_workers, seed);
     const PassResult cap =
-        run_capture(shards, capture_workers, seed, blobs);
+        run_capture(scn, shards, capture_workers, seed, blobs);
     const PassResult res =
-        run_restore(shards, restore_workers, seed, blobs);
+        run_restore(scn, shards, restore_workers, seed, blobs);
     std::uint64_t blob_total = 0;
     for (const auto& b : blobs) blob_total += b.size();
     const double blob_avg =
@@ -249,16 +265,16 @@ int main(int argc, char** argv) {
   }
 
   // --- Full vs incremental cadence. ---------------------------------------
-  // One steady-state room, checkpointed every `cadence_s`. The control
+  // One steady-state shard, checkpointed every `cadence_s`. The control
   // sections (RFB client state, stream timers) churn every damage poll;
   // the pixel section only churns when a slide flips (every 4 s), so the
   // dirty-section delta must shrink the average blob by at least the gate.
   constexpr std::size_t kCadenceShard = 1;
   constexpr int kCadenceCycles = 16;
-  aroma::snap::Room cadence_room(
-      kCadenceShard, aroma::sim::shard_seed(seed, kCadenceShard));
+  ScenarioInstance cadence_room(scn, kCadenceShard,
+                                aroma::sim::shard_seed(seed, kCadenceShard));
   cadence_room.warmup();
-  cadence_room.run_until(Time::sec(46.0));
+  cadence_room.world().sim().run_until(Time::sec(46.0));
   aroma::snap::CheckpointManager::Options cadence_opts;
   cadence_opts.full_every = 1u << 30;  // never cycle back to full on its own
   aroma::snap::CheckpointManager cadence_cm(
@@ -267,7 +283,8 @@ int main(int argc, char** argv) {
   std::vector<std::uint8_t> materialized = base_full.blob;
   std::uint64_t incr_total = 0, incr_max = 0;
   for (int c = 0; c < kCadenceCycles; ++c) {
-    cadence_room.run_until(cadence_room.now() + Time::sec(cadence_s));
+    cadence_room.world().sim().run_until(cadence_room.world().now() +
+                                         Time::sec(cadence_s));
     const aroma::snap::Checkpoint incr = cadence_cm.take_incremental();
     incr_total += incr.blob.size();
     incr_max = std::max<std::uint64_t>(incr_max, incr.blob.size());
@@ -275,7 +292,7 @@ int main(int argc, char** argv) {
         materialized, incr.blob);
   }
   // The overlay chain must land on the byte-identical full blob for the
-  // final instant (the room is still at that instant: take it directly).
+  // final instant (the shard is still at that instant: take it directly).
   const bool chain_ok = materialized == cadence_room.checkpoint();
   if (!chain_ok) {
     std::fprintf(stderr,
@@ -308,7 +325,7 @@ int main(int argc, char** argv) {
                       static_cast<double>(cstats.deferral_steps));
 
   // --- Save / restore throughput. -----------------------------------------
-  // The cadence room sits at a quiescent instant; serialize and restore the
+  // The cadence shard sits at a quiescent instant; serialize and restore the
   // same state repeatedly and report blob MB/s. Restoring with a zero gap
   // onto the capture instant is idempotent, so every iteration does the
   // full parse + rebase + overwrite work.

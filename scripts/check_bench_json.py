@@ -136,6 +136,32 @@ def check_fingerprint(value, what):
         fail(f"{what} fingerprint is not hex: {value!r}")
 
 
+# Pinned fleet results of scenarios/smart_projector.scn at GOLDEN_SEED:
+# shards -> (fleet fingerprint, executed events). tests/scn_test.cpp pins
+# the same values; fleet, snap and scn artifacts recorded at this seed must
+# reproduce them.
+GOLDEN_SEED = 2026
+SMART_PROJECTOR_GOLDENS = {
+    1: ("0x3d292f0faab19f39", 2251),
+    8: ("0x24b052fcb82e2c8c", 68412),
+    64: ("0x8ad24b882b02659a", 662084),
+    256: ("0xc089195a869c8415", 2606367),
+}
+
+
+def check_golden(doc, shards, fingerprint, events, what):
+    """Fails when a smart_projector fleet result at the golden seed drifts
+    from its pinned value. Returns True when a golden applied."""
+    golden = SMART_PROJECTOR_GOLDENS.get(shards)
+    if doc.get("seed") != GOLDEN_SEED or golden is None:
+        return False
+    if fingerprint != golden[0]:
+        fail(f"{what}: fingerprint {fingerprint} != pinned {golden[0]}")
+    if events is not None and events != golden[1]:
+        fail(f"{what}: {events} events != pinned {golden[1]}")
+    return True
+
+
 def check_kernel(doc):
     scenarios = doc.get("scenarios")
     if not isinstance(scenarios, list) or not scenarios:
@@ -256,29 +282,16 @@ def check_fleet(doc):
     if not isinstance(det, dict) or not det.get("fingerprints_identical"):
         fail('"determinism.fingerprints_identical" is not true')
 
-    # The scenario-compiler oracle: the compiled smart_projector blob must
-    # reproduce run_room's arena-mode fleet fingerprint bit-exactly.
-    scn = doc.get("scn_oracle")
-    if not isinstance(scn, dict):
-        fail('top-level "scn_oracle" missing')
-    if "error" in scn:
-        fail(f'scenario-compiler oracle leg aborted: {scn["error"]!r}')
-    check_keys(scn, {"scenario": str, "shards": int,
-                     "compiled_fingerprint": str,
-                     "run_room_fingerprint": str,
-                     "events_compiled": int, "events_run_room": int,
-                     "fingerprint_match": bool}, '"scn_oracle"')
-    check_fingerprint(scn["compiled_fingerprint"], "scn_oracle compiled")
-    check_fingerprint(scn["run_room_fingerprint"], "scn_oracle run_room")
-    if scn["compiled_fingerprint"] != scn["run_room_fingerprint"]:
-        fail("compiled smart_projector diverged from run_room "
-             f'({scn["compiled_fingerprint"]} vs '
-             f'{scn["run_room_fingerprint"]})')
-    if not scn["fingerprint_match"]:
-        fail('"scn_oracle.fingerprint_match" contradicts the fingerprints')
-    if scn["events_compiled"] != scn["events_run_room"]:
-        fail(f'scn_oracle executed {scn["events_compiled"]} events vs '
-             f'run_room {scn["events_run_room"]}')
+    # The in-process fleet runs the compiled smart_projector scenario: at
+    # the golden seed every pinned shard count must land on its golden.
+    goldens_hit = 0
+    for r in runs:
+        goldens_hit += check_golden(
+            doc, r["shards"], r["fleet_fingerprint"], r["events"],
+            f'run shards={r["shards"]} workers={r["workers"]}')
+    if doc.get("seed") == GOLDEN_SEED and goldens_hit == 0:
+        fail("no fleet run at a pinned shard count "
+             f"{sorted(SMART_PROJECTOR_GOLDENS)}")
 
     # Multi-process legs (src/fleet): scale-out across worker processes,
     # 1-vs-N equivalence, live migration, kill recovery, zero-alloc
@@ -566,6 +579,8 @@ def check_snap(doc):
             fail(f"{what}: restored fleet diverged from the reference")
         if not (r["checkpoint_match"] and r["restore_match"]):
             fail(f"{what}: match flags contradict the fingerprints")
+        check_golden(doc, r["shards"], r["reference_fingerprint"], None,
+                     what)
 
     incr = doc.get("incremental")
     if not isinstance(incr, dict):
@@ -861,11 +876,12 @@ SCN_COMPILE_KEYS = {
     "compile_twice_identical": bool,
     "dump_recompile_stable": bool,
 }
-SCN_ORACLE_RUN_KEYS = {
+SCN_GOLDEN_RUN_KEYS = {
     "shards": int,
-    "compiled_fingerprint": str,
-    "handwritten_fingerprint": str,
+    "fingerprint": str,
     "events": int,
+    "golden_fingerprint": str,
+    "golden_events": int,
     "wall_s": float,
     "match": bool,
 }
@@ -919,29 +935,30 @@ def check_scn(doc):
         fail("no scenario train-lowered any traffic -- the trains pass is "
              "not wired in")
 
-    # The oracle: the compiled smart_projector scenario must reproduce the
-    # handwritten room (snap::Room warmup+finish) bit-exactly per shard.
-    oracle = doc.get("oracle")
-    if not isinstance(oracle, dict):
-        fail('top-level "oracle" missing')
-    runs = oracle.get("runs")
+    # The goldens: at the golden seed the compiled smart_projector fleet
+    # must land on its pinned fingerprints and event counts.
+    golden = doc.get("golden")
+    if not isinstance(golden, dict):
+        fail('top-level "golden" missing')
+    runs = golden.get("runs")
     if not isinstance(runs, list) or not runs:
-        fail('"oracle.runs" missing or empty')
+        fail('"golden.runs" missing or empty')
+    gated = doc.get("seed") == GOLDEN_SEED
+    if golden.get("gated") is not gated:
+        fail(f'"golden.gated" should be {gated} at seed {doc.get("seed")}')
     for r in runs:
-        what = f'oracle run shards={r.get("shards")}'
-        check_keys(r, SCN_ORACLE_RUN_KEYS, what)
-        check_fingerprint(r["compiled_fingerprint"], what)
-        check_fingerprint(r["handwritten_fingerprint"], what)
-        if r["compiled_fingerprint"] != r["handwritten_fingerprint"]:
-            fail(f"{what}: compiled scenario diverged from the handwritten "
-                 f'room ({r["compiled_fingerprint"]} vs '
-                 f'{r["handwritten_fingerprint"]})')
-        if not r["match"]:
+        what = f'golden run shards={r.get("shards")}'
+        check_keys(r, SCN_GOLDEN_RUN_KEYS, what)
+        check_fingerprint(r["fingerprint"], what)
+        pinned = SMART_PROJECTOR_GOLDENS.get(r["shards"])
+        if pinned != (r["golden_fingerprint"], r["golden_events"]):
+            fail(f"{what}: reports golden {r['golden_fingerprint']} / "
+                 f"{r['golden_events']}, pinned is {pinned}")
+        check_golden(doc, r["shards"], r["fingerprint"], r["events"], what)
+        if gated and not r["match"]:
             fail(f'{what}: "match" contradicts the fingerprints')
-        if r["events"] <= 0:
-            fail(f"{what} executed no events")
-    if oracle.get("ok") is not True:
-        fail('"oracle.ok" is not true')
+    if golden.get("ok") is not True:
+        fail('"golden.ok" is not true')
 
     # Train lowering efficacy: the full pipeline must absorb events into
     # kernel trains; with the pass disabled nothing may be absorbed.
@@ -998,8 +1015,8 @@ def check_scn(doc):
         fail('top-level "ok" is not true')
 
     print(f"check_bench_json: OK (scn: {len(compiles)} scenarios compiled, "
-          f"{lowered_total} traffic decls train-lowered, oracle matched at "
-          f"{len(runs)} shard counts, "
+          f"{lowered_total} traffic decls train-lowered, goldens "
+          f"{'matched' if gated else 'reported'} at {len(runs)} shard counts, "
           f'{trains["absorbed_per_event_full"]*100:.1f}% of trains-leg '
           f"events absorbed, {len(lib_runs)} library runs)")
 

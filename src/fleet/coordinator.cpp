@@ -56,6 +56,10 @@ FleetReport Coordinator::run() {
   const FleetOptions& opt = options_;
   if (opt.workers == 0) throw FleetError("fleet needs at least one worker");
   if (opt.shards == 0) throw FleetError("fleet needs at least one shard");
+  const bool ship_scenario = opt.kind == ShardKind::kRoom;
+  if (ship_scenario && opt.scenario.empty()) {
+    throw FleetError("a room fleet needs a compiled scenario blob");
+  }
 
   FleetReport report;
   obs::Counter& c_migrations =
@@ -147,6 +151,51 @@ FleetReport Coordinator::run() {
         slot.handshaken = true;
         slot.pid = hello.pid;
         slot.last_frame_ns = monotonic_ns();
+        --pending;
+      }
+    }
+  }
+
+  // ----------------------------------------------------------- scenario
+  // Room fleets: every worker decodes the compiled scenario before any
+  // shard moves. One rejection fails the run here, with nothing assigned.
+  if (ship_scenario) {
+    for (WorkerSlot& slot : workers) {
+      slot.proc->channel().send(
+          MsgType::kScenario, [&](WireWriter& w) { w.bytes(opt.scenario); });
+    }
+    const std::int64_t deadline = monotonic_ns() + kHandshakeDeadlineNs;
+    std::size_t pending = opt.workers;
+    std::vector<bool> acked(opt.workers, false);
+    while (pending > 0) {
+      if (monotonic_ns() > deadline) {
+        throw FleetError("worker scenario acknowledgement timed out");
+      }
+      for (std::size_t w = 0; w < opt.workers; ++w) {
+        if (acked[w]) continue;
+        Frame f;
+        const RecvStatus st = workers[w].proc->channel().recv(f, kPollMs);
+        if (st == RecvStatus::kEof) {
+          throw FleetError("worker " + std::to_string(w) +
+                           " died before acknowledging the scenario");
+        }
+        if (st != RecvStatus::kFrame) continue;
+        if (f.type != MsgType::kScenarioAck) {
+          if (f.flags & kIgnorable || f.type == MsgType::kHeartbeat) continue;
+          throw FleetError("worker " + std::to_string(w) +
+                           " answered the scenario with frame type " +
+                           std::to_string(static_cast<int>(f.type)));
+        }
+        WireReader r(f.body);
+        const bool ok = r.u8() != 0;
+        const std::string why = r.str();
+        r.expect_end();
+        if (!ok) {
+          throw FleetError("worker " + std::to_string(w) +
+                           " rejected the scenario blob: " + why);
+        }
+        acked[w] = true;
+        workers[w].last_frame_ns = monotonic_ns();
         --pending;
       }
     }

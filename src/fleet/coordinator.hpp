@@ -2,7 +2,9 @@
 //
 // run() spawns N worker processes, performs the versioned handshake
 // (rejecting protocol/snap-version/endianness mismatches before any blob
-// moves), deals shards round-robin, and drives the run to completion while
+// moves), ships room fleets' compiled scenario to every worker (a blob a
+// worker cannot decode fails the run before any shard is assigned), deals
+// shards round-robin, and drives the run to completion while
 // servicing a declarative fault plan:
 //
 //   * migrations — after a shard's Nth streamed checkpoint, quiesce it on
@@ -55,9 +57,12 @@ struct FleetOptions {
   std::size_t shards = 8;
   std::uint64_t seed = 42;
   ShardKind kind = ShardKind::kRoom;
+  /// The AROMSCEN blob (scn::compile output) room shards run; shipped to
+  /// every worker once. Required when kind == kRoom.
+  std::vector<std::uint8_t> scenario;
   std::uint32_t micro_rooms = 1024;   // rooms per shard when kind == kMicro
   std::int64_t cadence_ns = 0;        // checkpoint cadence (0: none)
-  bool telemetry = false;             // Room shards carry obs registries
+  bool telemetry = false;             // room shards carry obs registries
   int heartbeat_interval_ms = 50;
   /// Silence on a worker's channel for this long is a presumed death.
   int heartbeat_timeout_ms = 2000;

@@ -9,8 +9,7 @@ namespace {
 // room over a 55–95 s horizon's final 50 s of activity.
 constexpr std::int64_t kMinPeriodNs = 200'000'000;
 constexpr std::int64_t kPeriodSpanNs = 600'000'000;
-// Beacon trains start after the fleet-wide setup phase, like snap::Room.
-constexpr std::int64_t kStartNs = 45'000'000'000;
+const std::int64_t kStartNs = MicroShard::setup_time().count();
 }  // namespace
 
 MicroShard::MicroShard(std::size_t shard_id, std::uint64_t seed,
@@ -35,7 +34,7 @@ MicroShard::MicroShard(std::size_t shard_id, std::uint64_t seed,
       [this](snap::SectionWriter& w) {
         // Absolute capture clock first, so restore() can learn the capture
         // instant before constructing the rebased readers (same layout rule
-        // as snap::Room's SIM! section).
+        // as the scenario runtime's SIM! section).
         w.duration(now_);
         w.u64(events_);
         w.u64(rooms_.size());

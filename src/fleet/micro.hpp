@@ -1,11 +1,12 @@
 // MicroShard — the ~1M-room scale-out unit.
 //
-// A snap::Room is the full Environment -> Intentional stack: CSMA radios,
-// Jini discovery, sessioned services, a live RFB stream. Faithful, but at
-// milliseconds of wall time per room a million of them is hours — useless
-// for a scale-out sweep. The paper's scale story ("thousands of rooms,
-// millions of users") is about breadth, not per-room depth, so the sweep
-// needs a unit whose cost is dominated by count.
+// A scenario room (scn::ScenarioInstance) is the full Environment ->
+// Intentional stack: CSMA radios, Jini discovery, sessioned services, a
+// live RFB stream. Faithful, but at milliseconds of wall time per room a
+// million of them is hours — useless for a scale-out sweep. The paper's
+// scale story ("thousands of rooms, millions of users") is about breadth,
+// not per-room depth, so the sweep needs a unit whose cost is dominated by
+// count.
 //
 // A MicroShard packs thousands of micro-rooms into one checkpointable
 // shard. Each micro-room is a beacon train: a splitmix-derived period and
@@ -47,8 +48,13 @@ class MicroShard {
   void run_until(sim::Time t);
   sim::Time now() const { return now_; }
 
-  /// Shared meeting horizon; heterogeneous across shards like snap::Room
-  /// (55 s + 10 s * (shard % 5)), so work stealing stays meaningful.
+  /// Beacon trains start at the fleet-wide setup instant (45 s, the
+  /// smart_projector meeting start); cadenced checkpoints count from it.
+  static sim::Time setup_time() { return sim::Time::sec(45.0); }
+
+  /// Shared meeting horizon; heterogeneous across shards like the
+  /// smart_projector scenario (55 s + 10 s * (shard % 5)), so work
+  /// stealing stays meaningful.
   sim::Time horizon() const { return horizon_; }
 
   /// Runs every beacon train to the horizon.

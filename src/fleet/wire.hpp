@@ -44,7 +44,9 @@ class FleetError : public std::runtime_error {
 };
 
 inline constexpr std::uint32_t kWireMagic = 0x544c4641u;  // "AFLT"
-inline constexpr std::uint16_t kProtocolVersion = 1;
+/// 2: room shards run a compiled scenario shipped once per worker
+/// (kScenario / kScenarioAck).
+inline constexpr std::uint16_t kProtocolVersion = 2;
 /// Frames larger than this are a protocol error, not an allocation request.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
@@ -83,6 +85,13 @@ enum class MsgType : std::uint16_t {
   // (migrations, kills) land deterministically — the shard cannot race
   // ahead of the decision.
   kCheckpointAck = 16,  // coord -> worker
+  // Room shards run a compiled scenario. The coordinator ships its AROMSCEN
+  // blob once per worker, after the handshake and before any kAssign; the
+  // worker decodes it (scn::decode rejects damage with a typed error) and
+  // answers ok, or not-ok with the decoder's reason — in which case the
+  // coordinator fails the run before a single shard is assigned.
+  kScenario = 17,     // coord -> worker: the AROMSCEN blob
+  kScenarioAck = 18,  // worker -> coord: u8 ok, str reason
 };
 
 /// Frame flag: receivers that do not recognize the type may skip the frame.
@@ -94,8 +103,9 @@ enum class KillMode : std::uint8_t {
   kHang = 1,  // stop responding, keep the fd open: heartbeat timeout path
 };
 
-/// What a shard runs: a full checkpointable Smart Projector room, or a
-/// block of micro-rooms (the ~1M-room scale-out unit; see fleet/micro.hpp).
+/// What a shard runs: one shard of the fleet's compiled scenario (a full
+/// checkpointable scn::ScenarioInstance), or a block of micro-rooms (the
+/// ~1M-room scale-out unit; see fleet/micro.hpp).
 enum class ShardKind : std::uint8_t { kRoom = 0, kMicro = 1 };
 
 // ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "fleet/micro.hpp"
 #include "fleet/wire.hpp"
 #include "obs/telemetry.hpp"
+#include "scn/blob.hpp"
+#include "scn/runtime.hpp"
 #include "snap/checkpoint.hpp"
-#include "snap/room.hpp"
+#include "snap/snapshot.hpp"
 
 namespace aroma::fleet {
 
@@ -19,28 +22,42 @@ namespace {
 /// One shard this worker owns. Exactly one of room/micro is set.
 struct Owned {
   ShardSpec spec;
-  std::unique_ptr<snap::Room> room;
+  std::unique_ptr<scn::ScenarioInstance> room;
   std::unique_ptr<snap::CheckpointManager> mgr;
   std::unique_ptr<MicroShard> micro;
   std::uint64_t next_ckpt = 1;  // index of the next cadence point
   bool done = false;
 
   std::uint64_t events() const {
-    return micro ? micro->events() : room->world().sim().executed();
+    return micro ? micro->events() : room->events();
+  }
+  sim::Time now() const {
+    return micro ? micro->now() : room->world().now();
+  }
+  sim::Time horizon() const {
+    return micro ? micro->horizon() : room->horizon_time();
+  }
+  /// Cadence points count from the meeting start.
+  sim::Time setup() const {
+    return micro ? MicroShard::setup_time() : room->meeting_time();
   }
 };
 
-Owned make_shard(const ShardSpec& spec) {
+Owned make_shard(const ShardSpec& spec,
+                 const std::optional<scn::Scenario>& scenario) {
   Owned o;
   o.spec = spec;
   if (spec.kind == ShardKind::kMicro) {
     o.micro = std::make_unique<MicroShard>(
         static_cast<std::size_t>(spec.shard_id), spec.seed, spec.micro_rooms);
   } else {
-    snap::RoomOptions ropts;
+    if (!scenario) {
+      throw FleetError("room shard assigned before a scenario was shipped");
+    }
+    scn::RunOptions ropts;
     ropts.telemetry = spec.telemetry;
-    o.room = std::make_unique<snap::Room>(
-        static_cast<std::size_t>(spec.shard_id), spec.seed, ropts);
+    o.room = std::make_unique<scn::ScenarioInstance>(
+        *scenario, static_cast<std::size_t>(spec.shard_id), spec.seed, ropts);
     o.room->warmup();
     snap::CheckpointManager::Options copts;
     copts.full_every = 1;  // migration and recovery need restorable blobs
@@ -54,13 +71,9 @@ Owned make_shard(const ShardSpec& spec) {
 /// The next cadence point: setup + k * cadence (cadence_ns == 0: never).
 sim::Time next_cadence_point(const Owned& o) {
   if (o.spec.cadence_ns <= 0) return sim::Time::ns(INT64_MAX);
-  return sim::Time::ns(snap::Room::setup_time().count() +
+  return sim::Time::ns(o.setup().count() +
                        o.spec.cadence_ns *
                            static_cast<std::int64_t>(o.next_ckpt));
-}
-
-sim::Time shard_horizon(const Owned& o) {
-  return o.micro ? o.micro->horizon() : o.room->horizon();
 }
 
 class Worker {
@@ -72,7 +85,7 @@ class Worker {
     if (!handshake()) return rejected_ ? 2 : 1;
     last_hb_ns_ = monotonic_ns();
     while (!shutdown_) {
-      if (!drain_messages()) return 1;
+      if (!drain_messages()) return rejected_ ? 2 : 1;
       maybe_heartbeat();
       if (running_) run_slice();
     }
@@ -122,11 +135,13 @@ class Worker {
 
   bool dispatch(const Frame& f) {
     switch (f.type) {
+      case MsgType::kScenario:
+        return handle_scenario(f);
       case MsgType::kAssign: {
         WireReader r(f.body);
         const ShardSpec spec = ShardSpec::decode(r);
         r.expect_end();
-        shards_.push_back(make_shard(spec));
+        shards_.push_back(make_shard(spec, scenario_));
         return true;
       }
       case MsgType::kRestore:
@@ -158,6 +173,30 @@ class Worker {
     }
   }
 
+  /// Decodes the fleet's compiled scenario. A blob scn::decode rejects is
+  /// answered with the decoder's reason and ends the worker cleanly: the
+  /// coordinator fails the run before assigning anything.
+  bool handle_scenario(const Frame& f) {
+    WireReader r(f.body);
+    const std::span<const std::uint8_t> blob = r.bytes();
+    r.expect_end();
+    std::string why;
+    try {
+      scenario_.emplace(scn::decode(blob));
+    } catch (const scn::ScnError& e) {
+      why = e.what();
+    }
+    const bool sent = chan_.send(MsgType::kScenarioAck, [&](WireWriter& w) {
+      w.u8(why.empty() ? 1 : 0);
+      w.str(why);
+    });
+    if (!why.empty()) {
+      rejected_ = true;
+      return false;
+    }
+    return sent;
+  }
+
   bool handle_restore(const Frame& f) {
     WireReader r(f.body);
     const ShardSpec spec = ShardSpec::decode(r);
@@ -165,7 +204,7 @@ class Worker {
     const bool has_blob = r.u8() != 0;
     const std::span<const std::uint8_t> blob = r.bytes();
     r.expect_end();
-    Owned o = make_shard(spec);
+    Owned o = make_shard(spec, scenario_);
     if (has_blob) {
       const sim::Time gap = sim::Time::ns(gap_ns);
       if (o.micro) {
@@ -176,8 +215,7 @@ class Worker {
       // Resume the cadence after the capture instant, not from scratch —
       // the checkpoint stream must look the same as if the shard had never
       // moved.
-      const sim::Time now = o.micro ? o.micro->now() : o.room->now();
-      while (next_cadence_point(o) <= now) ++o.next_ckpt;
+      while (next_cadence_point(o) <= o.now()) ++o.next_ckpt;
     }
     const std::uint64_t shard_id = spec.shard_id;
     shards_.push_back(std::move(o));
@@ -200,7 +238,7 @@ class Worker {
         captured_ns = o.micro->now().count();
       } else {
         const snap::Checkpoint ckpt = o.mgr->take_full();
-        scratch_.blob = ckpt.blob;  // copy; Room blobs are not gated
+        scratch_.blob = ckpt.blob;  // copy; room blobs are not gated
         captured_ns = ckpt.captured_at.count();
       }
       const bool ok = chan_.send(MsgType::kMigrated, [&](WireWriter& w) {
@@ -229,7 +267,7 @@ class Worker {
     for (Owned& o : shards_) {
       if (o.done) continue;
       const sim::Time cp = next_cadence_point(o);
-      if (cp < shard_horizon(o)) {
+      if (cp < o.horizon()) {
         advance_and_checkpoint(o, cp);
       } else {
         finish_shard(o);
@@ -245,7 +283,7 @@ class Worker {
       o.micro->checkpoint_into(scratch_);
       captured_ns = o.micro->now().count();
     } else {
-      o.room->run_until(cp);
+      o.room->world().sim().run_until(cp);
       const snap::Checkpoint ckpt = o.mgr->take_full();
       scratch_.blob = ckpt.blob;
       captured_ns = ckpt.captured_at.count();
@@ -270,7 +308,7 @@ class Worker {
       fp = o.room->fingerprint();
     }
     const std::uint64_t events = o.events();
-    const sim::Time now = o.micro ? o.micro->now() : o.room->now();
+    const sim::Time now = o.now();
     o.done = true;
     chan_.send(MsgType::kResult, [&](WireWriter& w) {
       w.u64(o.spec.shard_id);
@@ -312,6 +350,7 @@ class Worker {
 
   Channel chan_;
   WorkerOptions options_;
+  std::optional<scn::Scenario> scenario_;
   std::vector<Owned> shards_;
   snap::SaveScratch scratch_;
   bool running_ = false;

@@ -2,25 +2,26 @@
 // dumpable as a versioned binary black box.
 //
 // The recorder is the observability plane's kernel attachment point: it
-// implements sim::Simulator::EventTap, so every executed event writes one
-// 32-byte record into the ring (a store and an increment — near-zero
-// steady-state cost) and then forwards to the attached watchdogs and
-// timeseries sampler. Span edges arrive via SpanTracer::set_flight_recorder
+// lends its ring to the kernel's inline trace slot (Simulator::TraceHot),
+// so every executed event writes one 32-byte record into the ring (a store
+// and an increment — near-zero steady-state cost), and stall/wake
+// thresholds call back into the attached watchdogs and timeseries
+// sampler. Span edges arrive via SpanTracer::set_flight_recorder
 // and metric deltas via the sampler, so the ring interleaves the last N
 // kernel events with what the components were doing at the time.
 //
 // Everything in the ring is driven by simulated behavior, so the ring
 // contents — and any dump — are a deterministic function of the seed, and
-// attaching the recorder never changes the executed-event stream (the tap
-// is observation-only; see simulator.hpp).
+// attaching the recorder never changes the executed-event stream (the
+// trace slot is observation-only; see simulator.hpp).
 //
 // A dump is a snap container (same magic/CRC framing as checkpoints) with
 // flight-specific sections, bundling the latest full checkpoint blob the
 // owner handed to note_checkpoint(). That makes a dump self-contained for
 // post-mortem time travel: restore the embedded checkpoint into a fresh
-// warmed-up snap::Room, attach a snap::ReplayHarness, run forward, and the
-// faulting event (identified by its (when, id, seq) ring record) is
-// reached bit-exactly.
+// warmed-up scn::ScenarioInstance of the same scenario, shard and seed,
+// attach a snap::ReplayHarness, run forward, and the faulting event
+// (identified by its (when, id, seq) ring record) is reached bit-exactly.
 #pragma once
 
 #include <cstdint>
@@ -73,8 +74,7 @@ static_assert(std::is_trivially_copyable_v<FlightRecord> &&
                   sizeof(FlightRecord) == 32,
               "flight records are fixed 32-byte POD");
 
-class FlightRecorder final : public sim::Simulator::EventTap,
-                             public sim::Simulator::TraceSlowPath {
+class FlightRecorder final : public sim::Simulator::TraceSlowPath {
  public:
   /// `capacity` is rounded up to a power of two so the hot-path ring index
   /// is a mask, not a division.
@@ -84,36 +84,10 @@ class FlightRecorder final : public sim::Simulator::EventTap,
   /// Attaches to the kernel's inline trace ring: the simulator writes the
   /// per-event record and maintains the stall/wake mirrors itself, with no
   /// virtual hop; this recorder is called back (TraceSlowPath) only when a
-  /// stall run or wake deadline actually trips. This is the fast path the
-  /// fleet uses; the virtual EventTap below stays equivalent for manual
-  /// feeding.
+  /// stall run or wake deadline actually trips.
   void attach(sim::Simulator& sim) { sim.set_event_trace(&hot_); }
   void detach(sim::Simulator& sim) {
     if (sim.event_trace() == &hot_) sim.set_event_trace(nullptr);
-  }
-
-  // sim::Simulator::EventTap — the virtual-tap variant of the same entry
-  // point, sharing the TraceHot state so both paths are bit-identical.
-  void on_event(sim::Time when, std::uint64_t id, std::uint64_t seq,
-                sim::EventCategory category) override {
-    const std::int64_t t = when.count();
-    FlightRecord& r = ring_[static_cast<std::size_t>(hot_.total) & hot_.mask];
-    r.t_ns = t;
-    r.kind = static_cast<std::uint16_t>(FlightKind::kKernelEvent);
-    r.code = static_cast<std::uint16_t>(category);
-    r.shard = hot_.shard;
-    r.a = id;
-    r.b = seq;
-    ++hot_.total;
-    if (t == hot_.last_t_ns) {
-      if (++hot_.run_len == hot_.stall_run_limit) {
-        on_trace_stall(when, hot_.run_len);
-      }
-    } else {
-      hot_.last_t_ns = t;
-      hot_.run_len = 1;
-    }
-    if (t >= hot_.next_wake_ns) wake(when);
   }
 
   // sim::Simulator::TraceSlowPath — rare-threshold callbacks from the

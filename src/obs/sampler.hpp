@@ -1,9 +1,9 @@
 // Periodic timeseries sampler: counter/gauge tracks over simulated time.
 //
 // Snapshots are cheap but instantaneous; a timeline needs samples. The
-// sampler piggybacks on the flight recorder's kernel tap — one integer
-// compare per event — and, whenever an event's timestamp crosses the next
-// due instant, walks the registry and appends a (t, value) sample to each
+// sampler piggybacks on the flight recorder's kernel trace slot — its due
+// instant folds into the slot's wake deadline — and, whenever an event's
+// timestamp crosses it, walks the registry and appends a (t, value) sample to each
 // counter/gauge track that changed. No kernel event is ever scheduled, so
 // sampling cannot perturb the run; sample instants are event timestamps
 // and therefore deterministic.
@@ -61,20 +61,13 @@ class TimeseriesSampler {
   /// counter sample (optional).
   void set_recorder(FlightRecorder* recorder) { recorder_ = recorder; }
 
-  /// Called from the flight recorder's kernel tap. Steady-state cost: one
-  /// integer compare.
-  void on_event(sim::Time when) {
-    if (when.count() < next_due_ns_) return;
-    take_sample(when);
-  }
-
-  /// Forces a sample at `when` (the tap calls this on cadence; owners call
-  /// it once more at the end of a run to close every track).
+  /// Forces a sample at `when` (the recorder calls this on cadence; owners
+  /// call it once more at the end of a run to close every track).
   void take_sample(sim::Time when);
 
   /// Next sample deadline (ns). The flight recorder folds this into its
-  /// unified wake deadline so the steady-state tap never touches the
-  /// sampler at all.
+  /// unified wake deadline so the steady-state event path never touches
+  /// the sampler at all.
   std::int64_t next_due_ns() const { return next_due_ns_; }
 
   const std::vector<Track>& tracks() const { return tracks_; }

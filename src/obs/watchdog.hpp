@@ -1,10 +1,11 @@
 // Deterministic anomaly watchdogs.
 //
-// A WatchdogSet rides the kernel's event tap (fed by obs::FlightRecorder):
-// every executed event costs it a couple of integer compares, and all
-// thresholds are evaluated against simulated state — event timestamps, the
-// pending-event count, telemetry counters — so whether (and exactly when) a
-// watchdog fires is a pure function of the seed. Firing never schedules a
+// A WatchdogSet rides the kernel's trace slot via obs::FlightRecorder,
+// which mirrors the stall-run counter and window deadline into the ring
+// state and calls in here only when one trips. All thresholds are
+// evaluated against simulated state — event timestamps, the pending-event
+// count, telemetry counters — so whether (and exactly when) a watchdog
+// fires is a pure function of the seed. Firing never schedules a
 // kernel event; a fire emits a classified warning instant through the span
 // tracer (mined into an lpc issue by SpanIssueMiner's layer classifier),
 // stamps a record into the flight recorder, and invokes the dump hook so
@@ -85,20 +86,6 @@ class WatchdogSet {
     hook_ = std::move(hook);
   }
 
-  /// Per-event evaluation, called from the flight recorder's kernel tap.
-  /// Steady-state cost: two integer compares.
-  void on_event(sim::Time when, sim::EventCategory category) {
-    (void)category;
-    const std::int64_t t = when.count();
-    if (t == last_when_ns_) {
-      if (++run_len_ == options_.stall_run_limit) stall_fire(when, run_len_);
-    } else {
-      last_when_ns_ = t;
-      run_len_ = 1;
-    }
-    if (t >= next_window_ns_) window_checks(when);
-  }
-
   const WatchdogOptions& options() const { return options_; }
   const std::vector<WatchdogFire>& fires() const { return fires_; }
   std::uint64_t fired(Watchdog w) const {
@@ -108,8 +95,8 @@ class WatchdogSet {
 
  private:
   // The flight recorder mirrors the stall-run counter and window deadline
-  // into its own hot state so the per-event tap stays on one cache line; it
-  // calls back in here only when a threshold actually trips.
+  // into the kernel's hot trace state so the per-event write stays on one
+  // cache line; it calls back in here only when a threshold actually trips.
   friend class FlightRecorder;
 
   void stall_fire(sim::Time when, std::uint64_t run_len);
@@ -126,8 +113,6 @@ class WatchdogSet {
   FlightRecorder* recorder_ = nullptr;
   std::function<void(const WatchdogFire&)> hook_;
 
-  std::int64_t last_when_ns_ = -1;
-  std::uint64_t run_len_ = 0;
   std::int64_t next_window_ns_ = 0;
 
   std::uint64_t last_dropped_ = 0;

@@ -5,8 +5,8 @@
 // user goals, traffic, and the phase timeline. The parser lowers the text
 // into the Scenario IR below; the pass pipeline (scn/passes.hpp) rewrites
 // it; the blob encoder (scn/blob.hpp) serializes it; and the runtime
-// (scn/runtime.hpp) instantiates a world from it — the same world, in the
-// same construction order, as the hand-written rooms it replaces.
+// (scn/runtime.hpp) instantiates a world from it in a fixed construction
+// order.
 //
 // Expressions are tiny arithmetic trees over two free variables:
 //   shard — the shard index of the instantiating fleet task,

@@ -110,8 +110,6 @@ bool Simulator::step() {
       h.run_len = 1;
     }
     if (t >= h.next_wake_ns) h.slow->on_trace_wake(now_);
-  } else if (tap_) {
-    tap_->on_event(now_, id, seq, meta.category);
   }
   // The event's category and causal context hold while it executes, so
   // anything it schedules (or any span it opens) inherits its cause.

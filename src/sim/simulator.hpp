@@ -147,31 +147,14 @@ class Simulator {
   using EventObserver = std::function<void(Time, std::uint64_t, std::uint64_t)>;
   void set_event_observer(EventObserver obs) { observer_ = std::move(obs); }
 
-  /// Second observation slot: a virtual tap seeing every executed event's
-  /// (when, id, seq, category). Observation-only like the observer above —
-  /// a tap must never schedule or cancel events (that would perturb event
-  /// identities and break fingerprint equality with the tap off). The
-  /// observer slot belongs to snap::ReplayHarness; this one belongs to the
-  /// observability plane (obs::FlightRecorder), so replay and the flight
-  /// recorder can watch the same kernel simultaneously.
-  class EventTap {
-   public:
-    virtual ~EventTap() = default;
-    virtual void on_event(Time when, std::uint64_t id, std::uint64_t seq,
-                          EventCategory category) = 0;
-  };
-  void set_event_tap(EventTap* tap) { tap_ = tap; }
-  EventTap* event_tap() const { return tap_; }
-
-  /// Inline trace ring: the zero-virtual-hop variant of the tap slot.
-  /// When a TraceHot descriptor is attached the kernel itself writes one
-  /// POD TraceRecord per executed event into the owner's ring and
-  /// maintains the owner's stall-run counter and wake deadline, calling
-  /// back through the TraceSlowPath virtuals only when a threshold
-  /// actually crosses (rare by construction). Observation-only, exactly
-  /// like the tap: the slow path must never schedule or cancel events.
-  /// The trace slot supersedes the virtual tap — when both are attached
-  /// only the trace ring sees events.
+  /// Inline trace ring, the observability plane's slot (obs::FlightRecorder
+  /// attaches here). When a TraceHot descriptor is attached the kernel
+  /// itself writes one POD TraceRecord per executed event into the owner's
+  /// ring and maintains the owner's stall-run counter and wake deadline,
+  /// calling back through the TraceSlowPath virtuals only when a threshold
+  /// actually crosses (rare by construction). Observation-only: the slow
+  /// path must never schedule or cancel events (that would perturb event
+  /// identities and break fingerprint equality with the ring off).
   struct TraceRecord {
     std::int64_t t_ns = 0;
     std::uint16_t kind = 0;  // 0 = kernel event; owners add other kinds
@@ -243,7 +226,6 @@ class Simulator {
   std::uint64_t trace_ctx_ = 0;
   EventCategory current_category_ = EventCategory::kNone;
   EventObserver observer_;
-  EventTap* tap_ = nullptr;
   TraceHot* trace_ = nullptr;
 };
 

@@ -1,6 +1,7 @@
 // Multi-process fleet tests: wire framing, short-read recovery, forward
-// compatibility, handshake version/endianness rejection, checkpoint
-// migration, worker-kill recovery, and 1-vs-N-process bit-identity.
+// compatibility, handshake version/endianness rejection, scenario-blob
+// rejection, checkpoint migration, worker-kill recovery, and 1-vs-N-process
+// bit-identity.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -16,8 +17,15 @@
 #include "fleet/proc.hpp"
 #include "fleet/wire.hpp"
 #include "fleet/worker.hpp"
+#include "scn/ast.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
-#include "snap/room.hpp"
+
+#ifndef AROMA_SCENARIO_DIR
+#define AROMA_SCENARIO_DIR "scenarios"
+#endif
 
 namespace aroma::fleet {
 namespace {
@@ -265,6 +273,98 @@ TEST(FleetWorker, SkipsUnknownIgnorableFrames) {
 }
 
 // ---------------------------------------------------------------------------
+// Scenario shipping: the worker decodes the coordinator's AROMSCEN blob with
+// scn::decode, so a damaged blob is a typed rejection, never a crash.
+
+std::vector<std::uint8_t> room_blob() {
+  return scn::compile_file(std::string(AROMA_SCENARIO_DIR) +
+                           "/smart_projector.scn");
+}
+
+std::vector<std::uint8_t> truncated(std::vector<std::uint8_t> blob) {
+  blob.resize(blob.size() / 2);
+  return blob;
+}
+
+std::vector<std::uint8_t> crc_damaged(std::vector<std::uint8_t> blob) {
+  blob[blob.size() / 2] ^= 0x01;
+  return blob;
+}
+
+TEST(FleetWorker, RejectsDamagedScenarioBlobWithTypedReason) {
+  for (const auto& bad : {truncated(room_blob()), crc_damaged(room_blob())}) {
+    std::string decoder_says;
+    try {
+      scn::decode(bad);
+    } catch (const scn::ScnError& e) {
+      decoder_says = e.what();
+    }
+    ASSERT_FALSE(decoder_says.empty());
+
+    WorkerProcess wp =
+        WorkerProcess::spawn([](int fd) { return worker_main(fd); });
+    Channel& chan = wp.channel();
+    Frame f;
+    ASSERT_EQ(chan.recv(f, 10000), RecvStatus::kFrame);
+    ASSERT_EQ(f.type, MsgType::kHello);
+    ASSERT_TRUE(chan.send(MsgType::kHelloAck, [](WireWriter&) {}));
+    ASSERT_TRUE(chan.send(MsgType::kScenario,
+                          [&](WireWriter& w) { w.bytes(bad); }));
+
+    bool answered = false;
+    for (int i = 0; i < 200 && !answered; ++i) {
+      const RecvStatus st = chan.recv(f, 100);
+      ASSERT_NE(st, RecvStatus::kEof) << "worker died without answering";
+      if (st != RecvStatus::kFrame || f.type != MsgType::kScenarioAck) continue;
+      WireReader r(f.body);
+      EXPECT_EQ(r.u8(), 0) << "damaged blob accepted";
+      EXPECT_EQ(r.str(), decoder_says);
+      r.expect_end();
+      answered = true;
+    }
+    ASSERT_TRUE(answered);
+    // A clean rejection exit, not a crash.
+    const int status = wp.wait();
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 2);
+  }
+}
+
+// The coordinator fails the run on the first rejection, before any kAssign:
+// the error names the worker and the decoder's reason, and a good blob on
+// the same options then runs to completion.
+TEST(FleetProc, DamagedScenarioBlobFailsRunBeforeAssignment) {
+  FleetOptions opt;
+  opt.workers = 2;
+  opt.shards = 2;
+  opt.seed = 7;
+  opt.kind = ShardKind::kRoom;
+  opt.heartbeat_timeout_ms = 60000;
+  for (const auto& bad : {truncated(room_blob()), crc_damaged(room_blob())}) {
+    opt.scenario = bad;
+    Coordinator coord(opt);
+    try {
+      coord.run();
+      FAIL() << "damaged scenario blob accepted";
+    } catch (const FleetError& e) {
+      EXPECT_NE(std::string(e.what()).find("rejected the scenario blob"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  opt.scenario.clear();
+  EXPECT_THROW(Coordinator(opt).run(), FleetError);
+
+  opt.scenario = room_blob();
+  opt.workers = 1;
+  opt.shards = 1;
+  Coordinator good(opt);
+  const FleetReport r = good.run();
+  EXPECT_EQ(r.shards_completed, 1u);
+  EXPECT_EQ(r.lost_shards, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // MicroShard determinism under checkpoint/restore.
 
 TEST(MicroShard, RestoreResumesBitExact) {
@@ -406,15 +506,16 @@ TEST(FleetProc, HungWorkerIsDetectedByHeartbeatWatchdog) {
   EXPECT_TRUE(watchdog_issue);
 }
 
-// Full Smart Projector rooms across processes: fingerprints and merged obs
-// registries (counters + HDR histograms) must be bit-identical between a
-// 1-worker and a 2-worker fleet.
+// Full compiled Smart Projector rooms across processes: fingerprints and
+// merged obs registries (counters + HDR histograms) must be bit-identical
+// between a 1-worker and a 2-worker fleet.
 TEST(FleetProc, RoomFleetMetricsBitIdenticalAcrossWorkerCounts) {
   const std::size_t shards = 2;
   FleetOptions opt;
   opt.shards = shards;
   opt.seed = 7;
   opt.kind = ShardKind::kRoom;
+  opt.scenario = room_blob();
   opt.cadence_ns = 4'000'000'000;
   opt.telemetry = true;
   opt.heartbeat_timeout_ms = 60000;  // rooms are slow under sanitizers
@@ -433,17 +534,39 @@ TEST(FleetProc, RoomFleetMetricsBitIdenticalAcrossWorkerCounts) {
             two.merged_shard_metrics().to_json());
 
   // And the multi-process fingerprint equals the straight in-process run
-  // of the same checkpointed rooms.
-  std::vector<std::uint64_t> fps;
-  for (std::size_t i = 0; i < shards; ++i) {
-    snap::RoomOptions ropts;
-    ropts.telemetry = true;
-    snap::Room room(i, sim::shard_seed(opt.seed, i), ropts);
-    room.warmup();
-    room.finish();
-    fps.push_back(room.fingerprint());
-  }
-  EXPECT_EQ(r1.fleet_fp, sim::fleet_fingerprint(fps));
+  // of the same scenario.
+  const scn::Scenario room = scn::decode(opt.scenario);
+  const scn::FleetResult straight =
+      scn::run_fleet(room, shards, opt.seed, 1, {.telemetry = true});
+  EXPECT_EQ(r1.fleet_fp, straight.fleet_fp);
+}
+
+// Room shards survive the control plane's restore paths: a live migration
+// and a killed worker's recovery from its last streamed checkpoint both
+// land on the straight in-process fingerprint.
+TEST(FleetProc, RoomShardsSurviveMigrationAndWorkerKill) {
+  FleetOptions opt;
+  opt.workers = 3;
+  opt.shards = 4;
+  opt.seed = 11;
+  opt.kind = ShardKind::kRoom;
+  opt.scenario = room_blob();
+  opt.cadence_ns = 4'000'000'000;
+  opt.heartbeat_timeout_ms = 60000;
+  // Shard 0 moves from worker 0 to worker 1; worker 2 (owner of shard 2)
+  // dies, so the migration target is never the dead worker.
+  opt.migrations = {{0, 1}};
+  opt.kill = KillPlan{2, 2, KillMode::kExit};
+  Coordinator coord(opt);
+  const FleetReport r = coord.run();
+  EXPECT_EQ(r.migrations, 1u);
+  EXPECT_EQ(r.worker_deaths, 1u);
+  EXPECT_EQ(r.lost_shards, 0u);
+
+  const scn::FleetResult straight =
+      scn::run_fleet(scn::decode(opt.scenario), opt.shards, opt.seed, 1);
+  EXPECT_EQ(r.fleet_fp, straight.fleet_fp);
+  EXPECT_EQ(r.total_events, straight.events);
 }
 
 }  // namespace

@@ -69,6 +69,13 @@ struct ClassifierCase {
   Layer expected;
 };
 
+// Without a printer gtest shows the raw bytes of the case, whose text
+// pointer moves with address-space randomisation, so every test discovery
+// would give the cases new names.
+void PrintTo(const ClassifierCase& c, std::ostream* os) {
+  *os << to_string(c.expected);
+}
+
 class ClassifierSuite : public ::testing::TestWithParam<ClassifierCase> {};
 
 TEST_P(ClassifierSuite, AssignsExpectedLayer) {

@@ -752,10 +752,13 @@ TEST(HdrHistogram, RegistryJsonAndMergeCarryHdrs) {
 
 TEST(FlightRecorder, RingKeepsTheNewestRecords) {
   FlightRecorder rec(/*capacity=*/8, /*shard=*/3);
+  sim::Simulator s;
+  rec.attach(s);
   for (std::uint64_t i = 0; i < 20; ++i) {
-    rec.on_event(sim::Time::us(i), /*id=*/i + 1, /*seq=*/i,
-                 sim::EventCategory::kMac);
+    s.schedule_at(sim::Time::us(i), sim::EventCategory::kMac, [] {});
   }
+  s.run();  // event ids 1..20
+  rec.detach(s);
   EXPECT_EQ(rec.capacity(), 8u);
   EXPECT_EQ(rec.total(), 20u);
   EXPECT_EQ(rec.size(), 8u);
@@ -773,7 +776,11 @@ TEST(FlightRecorder, RingKeepsTheNewestRecords) {
 
 TEST(FlightRecorder, DumpRoundTripsRecordsNamesAndCheckpoint) {
   FlightRecorder rec(16);
-  rec.on_event(sim::Time::ms(1), 11, 0, sim::EventCategory::kRadio);
+  sim::Simulator s;
+  rec.attach(s);
+  s.schedule_at(sim::Time::ms(1), sim::EventCategory::kRadio, [] {});
+  s.run();  // one kernel event, id 1
+  rec.detach(s);
   rec.record_marker(sim::Time::ms(2), "phase.start");
   SpanRecord span;
   span.id = 42;
@@ -807,7 +814,7 @@ TEST(FlightRecorder, DumpRoundTripsRecordsNamesAndCheckpoint) {
   const FlightRecord* at =
       dump.last_kernel_event_at_or_before(sim::Time::ms(5).count());
   ASSERT_NE(at, nullptr);
-  EXPECT_EQ(at->a, 11u);
+  EXPECT_EQ(at->a, 1u);
   EXPECT_EQ(dump.last_kernel_event_at_or_before(
                 sim::Time::us(500).count()),
             nullptr);
@@ -816,7 +823,11 @@ TEST(FlightRecorder, DumpRoundTripsRecordsNamesAndCheckpoint) {
 TEST(FlightRecorder, AppendShardReinternsAndStamps) {
   FlightRecorder shard(8, 0);
   shard.record_marker(sim::Time::ms(1), "alpha");
-  shard.on_event(sim::Time::ms(2), 1, 0, sim::EventCategory::kApp);
+  sim::Simulator s;
+  shard.attach(s);
+  s.schedule_at(sim::Time::ms(2), sim::EventCategory::kApp, [] {});
+  s.run();
+  shard.detach(s);
 
   FlightRecorder fleet(32, 0);
   fleet.record_marker(sim::Time::ms(1), "beta");  // occupies code 0 here
@@ -841,7 +852,7 @@ TEST(Watchdog, StallFiresExactlyAtRunLimit) {
   FlightRecorder rec(64);
   rec.set_watchdogs(&dogs);
   dogs.set_recorder(&rec);
-  w.sim().set_event_tap(&rec);
+  rec.attach(w.sim());
 
   int fired_hook = 0;
   dogs.set_dump_hook([&](const WatchdogFire& f) {
@@ -866,7 +877,7 @@ TEST(Watchdog, StallFiresExactlyAtRunLimit) {
   EXPECT_EQ(telemetry.metrics().find_counter("obs.watchdog.fires")->value(),
             1u);
   EXPECT_EQ(telemetry.spans().count_with_name("watchdog.sim_stall"), 1u);
-  w.sim().set_event_tap(nullptr);
+  rec.detach(w.sim());
 }
 
 TEST(Watchdog, CounterDeltaWatchdogsFireOncePerWindowBreach) {
@@ -879,7 +890,7 @@ TEST(Watchdog, CounterDeltaWatchdogsFireOncePerWindowBreach) {
   WatchdogSet dogs(w, opt);
   FlightRecorder rec(64);
   rec.set_watchdogs(&dogs);
-  w.sim().set_event_tap(&rec);
+  rec.attach(w.sim());
 
   Counter& grants =
       telemetry.metrics().counter("disco.lease.grants", lpc::Layer::kAbstract);
@@ -894,7 +905,7 @@ TEST(Watchdog, CounterDeltaWatchdogsFireOncePerWindowBreach) {
   EXPECT_EQ(dogs.fired(Watchdog::kLeaseChurn), 1u);
   EXPECT_EQ(dogs.fired(Watchdog::kRetryStorm), 0u);
   EXPECT_EQ(dogs.fired(Watchdog::kQueueDepth), 0u);
-  w.sim().set_event_tap(nullptr);
+  rec.detach(w.sim());
 }
 
 TEST(Watchdog, FiresAreCappedPerWatchdog) {
@@ -907,7 +918,7 @@ TEST(Watchdog, FiresAreCappedPerWatchdog) {
   WatchdogSet dogs(w, opt);
   FlightRecorder rec(64);
   rec.set_watchdogs(&dogs);
-  w.sim().set_event_tap(&rec);
+  rec.attach(w.sim());
 
   telemetry.spans().set_capacity(1);
   telemetry.spans().begin(sim::Time::zero(), "filler",
@@ -921,7 +932,7 @@ TEST(Watchdog, FiresAreCappedPerWatchdog) {
   w.sim().run();
   EXPECT_GT(telemetry.spans().dropped(), 2u);
   EXPECT_EQ(dogs.fired(Watchdog::kSpanDropSurge), opt.max_fires_each);
-  w.sim().set_event_tap(nullptr);
+  rec.detach(w.sim());
 }
 
 TEST(Watchdog, FiresMineIntoClassifiedIssues) {
@@ -935,7 +946,7 @@ TEST(Watchdog, FiresMineIntoClassifiedIssues) {
   WatchdogSet dogs(w, opt);
   FlightRecorder rec(64);
   rec.set_watchdogs(&dogs);
-  w.sim().set_event_tap(&rec);
+  rec.attach(w.sim());
 
   Counter& retries =
       telemetry.metrics().counter("phys.mac.retries", lpc::Layer::kPhysical);
@@ -950,7 +961,7 @@ TEST(Watchdog, FiresMineIntoClassifiedIssues) {
   // reads "interference ... radio band" as an Environment-layer problem.
   EXPECT_TRUE(issue.classified);
   EXPECT_EQ(issue.layer, lpc::Layer::kEnvironment);
-  w.sim().set_event_tap(nullptr);
+  rec.detach(w.sim());
 }
 
 TEST(SpanIssueMiner, WarnsOnceWhenSpansDrop) {
@@ -985,7 +996,7 @@ TEST(TimeseriesSampler, SamplesChangedTracksOnCadence) {
   FlightRecorder rec(64);
   rec.set_sampler(&sampler);
   sampler.set_recorder(&rec);
-  w.sim().set_event_tap(&rec);
+  rec.attach(w.sim());
 
   for (int i = 1; i <= 5; ++i) {
     w.sim().schedule_in(sim::Time::ms(10 * i), [&c] { c.add(3); });
@@ -1013,7 +1024,7 @@ TEST(TimeseriesSampler, SamplesChangedTracksOnCadence) {
   EXPECT_TRUE(std::any_of(snap.begin(), snap.end(), [](const FlightRecord& r) {
     return r.kind == static_cast<std::uint16_t>(FlightKind::kMetricDelta);
   }));
-  w.sim().set_event_tap(nullptr);
+  rec.detach(w.sim());
 }
 
 TEST(TimeseriesSampler, PerTrackCapCountsDrops) {

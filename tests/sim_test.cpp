@@ -670,48 +670,54 @@ TEST(KernelProfiler, TrainAbsorbedEventsKeepTheirCategory) {
 
 namespace {
 
-struct CountingTap final : Simulator::EventTap {
-  void on_event(Time when, std::uint64_t id, std::uint64_t seq,
-                EventCategory category) override {
-    ++events;
-    last_when = when;
-    last_id = id;
-    last_seq = seq;
-    by_category[static_cast<std::size_t>(category)]++;
+/// A kernel trace ring big enough that nothing wraps in these tests. No
+/// slow path: the default stall limit and wake deadline never trip.
+struct TestRing {
+  std::vector<Simulator::TraceRecord> records =
+      std::vector<Simulator::TraceRecord>(1 << 10);
+  Simulator::TraceHot hot;
+  TestRing() {
+    hot.ring = records.data();
+    hot.mask = records.size() - 1;
   }
-  std::uint64_t events = 0;
-  Time last_when = Time::zero();
-  std::uint64_t last_id = 0;
-  std::uint64_t last_seq = 0;
-  std::array<std::uint64_t, kEventCategoryCount> by_category{};
+  std::uint64_t count(EventCategory c) const {
+    std::uint64_t n = 0;
+    for (std::uint64_t i = 0; i < hot.total; ++i) {
+      n += records[i].code == static_cast<std::uint16_t>(c) ? 1 : 0;
+    }
+    return n;
+  }
 };
 
 }  // namespace
 
-TEST(EventTap, SeesEveryExecutedEventWithItsCategory) {
+TEST(TraceRing, SeesEveryExecutedEventWithItsCategory) {
   Simulator s;
-  CountingTap tap;
-  s.set_event_tap(&tap);
+  TestRing ring;
+  s.set_event_trace(&ring.hot);
   s.schedule_in(Time::ms(1), EventCategory::kMac, [] {});
   s.schedule_in(Time::ms(2), EventCategory::kRadio, [&s] {
     s.schedule_in(Time::ms(1), [] {});  // inherits kRadio
   });
   s.run();
-  EXPECT_EQ(tap.events, s.executed());
-  EXPECT_EQ(tap.by_category[static_cast<std::size_t>(EventCategory::kMac)],
-            1u);
-  EXPECT_EQ(tap.by_category[static_cast<std::size_t>(EventCategory::kRadio)],
-            2u);
-  s.set_event_tap(nullptr);
-  EXPECT_EQ(s.event_tap(), nullptr);
+  EXPECT_EQ(ring.hot.total, s.executed());
+  EXPECT_EQ(ring.count(EventCategory::kMac), 1u);
+  EXPECT_EQ(ring.count(EventCategory::kRadio), 2u);
+  // Records carry the event's (t, id, seq) in execution order.
+  EXPECT_EQ(ring.records[2].t_ns, Time::ms(3).count());
+  EXPECT_EQ(ring.records[2].a, 3u);  // the inheriting child's id
+  EXPECT_LT(ring.records[0].b, ring.records[1].b);
+  s.set_event_trace(nullptr);
+  EXPECT_EQ(s.event_trace(), nullptr);
 }
 
-TEST(EventTap, DoesNotPerturbExecutionOrIds) {
-  // The tap is observation-only: an identical seeded workload must execute
-  // the same events in the same order with the tap attached or not.
-  const auto run_one = [](Simulator::EventTap* tap) {
+TEST(TraceRing, DoesNotPerturbExecutionOrIds) {
+  // The ring is observation-only: an identical seeded workload must
+  // execute the same events in the same order with the ring attached or
+  // not.
+  const auto run_one = [](Simulator::TraceHot* ring) {
     Simulator s;
-    s.set_event_tap(tap);
+    s.set_event_trace(ring);
     Rng rng(42);
     std::vector<std::uint64_t> order;
     std::function<void(int)> spawn = [&](int depth) {
@@ -727,12 +733,12 @@ TEST(EventTap, DoesNotPerturbExecutionOrIds) {
     s.run();
     return std::pair{s.executed(), order};
   };
-  CountingTap tap;
-  const auto with = run_one(&tap);
+  TestRing ring;
+  const auto with = run_one(&ring.hot);
   const auto without = run_one(nullptr);
   EXPECT_EQ(with.first, without.first);
   EXPECT_EQ(with.second, without.second);
-  EXPECT_EQ(tap.events, with.first);
+  EXPECT_EQ(ring.hot.total, with.first);
 }
 
 TEST(Simulator, TraceContextPropagatesAcrossScheduling) {

@@ -1,8 +1,8 @@
 // Tests for the snap subsystem: wire format, registry semantics, the
 // checkpoint manager's full/incremental blobs, replay divergence search,
-// and the end-to-end durability property on the Smart Projector room —
-// run(seed, N+M) == run(seed, N) -> checkpoint -> restore -> run(M),
-// bit-equal fingerprints and metrics.
+// and the end-to-end durability property on the compiled Smart Projector
+// scenario — run(seed, N+M) == run(seed, N) -> checkpoint -> restore ->
+// run(M), bit-equal fingerprints and metrics.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -14,12 +14,14 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
+#include "scn/blob.hpp"
+#include "scn/compiler.hpp"
+#include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
 #include "snap/checkpoint.hpp"
 #include "snap/format.hpp"
 #include "snap/replay.hpp"
-#include "snap/room.hpp"
 #include "snap/snapshot.hpp"
 
 namespace {
@@ -357,6 +359,16 @@ TEST(SnapObs, OpenSpansSurviveRestoreAnnotated) {
 
 // --- the room: end-to-end durability ---------------------------------------
 
+using scn::ScenarioInstance;
+
+const scn::Scenario& room_scenario() {
+  static const scn::Scenario s = scn::decode(scn::compile_file(
+      std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn"));
+  return s;
+}
+
+constexpr scn::RunOptions kTelemetry{.telemetry = true};
+
 // Flattens every non-snap metric into comparable strings. snap.* metrics
 // are excluded: the interrupted run legitimately counts its checkpoint and
 // restore activity there, the uninterrupted run has none.
@@ -386,7 +398,7 @@ struct MetricFlattener : obs::MetricsRegistry::Visitor {
   }
 };
 
-std::vector<std::string> flatten_metrics(snap::Room& room) {
+std::vector<std::string> flatten_metrics(ScenarioInstance& room) {
   MetricFlattener f;
   if (room.telemetry() != nullptr) {
     room.telemetry()->metrics().visit(f);
@@ -404,17 +416,16 @@ TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
   const std::uint64_t seed = sim::shard_seed(20260806, kShard);
 
   // Reference: the uninterrupted run.
-  snap::Room ref(kShard, seed, {.use_arena = true, .telemetry = true});
-  ref.warmup();
-  ref.finish();
+  ScenarioInstance ref(room_scenario(), kShard, seed, kTelemetry);
+  ref.run();
   const std::uint64_t fp_ref = ref.fingerprint();
   const std::vector<std::string> metrics_ref = flatten_metrics(ref);
   ASSERT_FALSE(metrics_ref.empty());
 
   // Interrupted: checkpoint mid-meeting, then keep running to the end.
-  snap::Room live(kShard, seed, {.use_arena = true, .telemetry = true});
+  ScenarioInstance live(room_scenario(), kShard, seed, kTelemetry);
   live.warmup();
-  live.run_until(Time::sec(50.0));
+  live.world().sim().run_until(Time::sec(50.0));
   snap::CheckpointManager cm(live.world(), live.registry());
   const snap::Checkpoint cp = cm.take();
   ASSERT_TRUE(cp.full());
@@ -425,10 +436,10 @@ TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
 
   // Restored: a fresh room resumes from the blob and must be
   // indistinguishable from the reference.
-  snap::Room resumed(kShard, seed, {.use_arena = true, .telemetry = true});
+  ScenarioInstance resumed(room_scenario(), kShard, seed, kTelemetry);
   resumed.warmup();
   resumed.restore(cp.blob, Time::zero());
-  EXPECT_EQ(resumed.now(), cp.captured_at);
+  EXPECT_EQ(resumed.world().now(), cp.captured_at);
   resumed.finish();
   EXPECT_EQ(resumed.fingerprint(), fp_ref);
   EXPECT_EQ(flatten_metrics(resumed), metrics_ref);
@@ -439,9 +450,9 @@ TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
 TEST(SnapRoom, RestoredEventStreamMatchesReference) {
   const std::uint64_t seed = sim::shard_seed(99, kShard);
 
-  snap::Room live(kShard, seed, {});
+  ScenarioInstance live(room_scenario(), kShard, seed);
   live.warmup();
-  live.run_until(Time::sec(50.0));
+  live.world().sim().run_until(Time::sec(50.0));
   snap::CheckpointManager cm(live.world(), live.registry());
   const snap::Checkpoint cp = cm.take();
 
@@ -450,7 +461,7 @@ TEST(SnapRoom, RestoredEventStreamMatchesReference) {
   live.finish();
   expected.detach(live.world().sim());
 
-  snap::Room resumed(kShard, seed, {});
+  ScenarioInstance resumed(room_scenario(), kShard, seed);
   resumed.warmup();
   resumed.restore(cp.blob, Time::zero());
   snap::ReplayHarness actual;
@@ -472,18 +483,17 @@ TEST(SnapRoom, RestoredEventStreamMatchesReference) {
 TEST(SnapRoom, TelemetrySectionsAreForwardSkippable) {
   const std::uint64_t seed = sim::shard_seed(424242, kShard);
 
-  snap::Room ref(kShard, seed, {.use_arena = true, .telemetry = false});
-  ref.warmup();
-  ref.finish();
+  ScenarioInstance ref(room_scenario(), kShard, seed);
+  ref.run();
   const std::uint64_t fp_ref = ref.fingerprint();
 
-  snap::Room live(kShard, seed, {.use_arena = true, .telemetry = true});
+  ScenarioInstance live(room_scenario(), kShard, seed, kTelemetry);
   live.warmup();
-  live.run_until(Time::sec(50.0));
+  live.world().sim().run_until(Time::sec(50.0));
   snap::CheckpointManager cm(live.world(), live.registry());
   const snap::Checkpoint cp = cm.take();
 
-  snap::Room resumed(kShard, seed, {.use_arena = true, .telemetry = false});
+  ScenarioInstance resumed(room_scenario(), kShard, seed);
   resumed.warmup();
   resumed.restore(cp.blob, Time::zero());
   resumed.finish();
@@ -492,14 +502,15 @@ TEST(SnapRoom, TelemetrySectionsAreForwardSkippable) {
 
 TEST(SnapRoom, CorruptedAndTruncatedBlobsRejectedBeforeMutation) {
   const std::uint64_t seed = sim::shard_seed(5, 0);
-  snap::Room live(0, seed, {});
+  ScenarioInstance live(room_scenario(), 0, seed);
   live.warmup();
-  live.run_until(Time::sec(50.0));
+  live.world().sim().run_until(Time::sec(50.0));
   snap::CheckpointManager cm(live.world(), live.registry());
   const snap::Checkpoint cp = cm.take();
 
-  snap::Room victim(0, seed, {});
+  ScenarioInstance victim(room_scenario(), 0, seed);
   victim.warmup();
+  const std::uint64_t executed_before = victim.world().sim().executed();
 
   std::vector<std::uint8_t> corrupt = cp.blob;
   corrupt[corrupt.size() / 2] ^= 0x40;
@@ -509,20 +520,22 @@ TEST(SnapRoom, CorruptedAndTruncatedBlobsRejectedBeforeMutation) {
                                       cp.blob.begin() +
                                           static_cast<long>(cp.blob.size() / 2));
   EXPECT_THROW(victim.restore(truncated, Time::zero()), snap::SnapError);
-  EXPECT_EQ(victim.restores(), 0u);
+  // Framing damage is caught before the world moves: no settle step ran.
+  EXPECT_EQ(victim.world().now(), victim.meeting_time());
+  EXPECT_EQ(victim.world().sim().executed(), executed_before);
 }
 
 // --- checkpoint manager ----------------------------------------------------
 
 TEST(CheckpointManager, IncrementalMaterializesToByteIdenticalFull) {
   const std::uint64_t seed = sim::shard_seed(31337, kShard);
-  snap::Room room(kShard, seed, {});
+  ScenarioInstance room(room_scenario(), kShard, seed);
   room.warmup();
-  room.run_until(Time::sec(48.0));
+  room.world().sim().run_until(Time::sec(48.0));
 
   snap::CheckpointManager cm(room.world(), room.registry());
   const snap::Checkpoint base = cm.take_full();
-  room.run_until(room.now() + Time::sec(1.0));
+  room.world().sim().run_until(room.world().now() + Time::sec(1.0));
   const snap::Checkpoint incr = cm.take_incremental();
   ASSERT_FALSE(incr.full());
   EXPECT_EQ(incr.base, base.id);
@@ -535,7 +548,7 @@ TEST(CheckpointManager, IncrementalMaterializesToByteIdenticalFull) {
             full.blob);
 
   // A bare incremental blob is not restorable on its own.
-  snap::Room victim(kShard, seed, {});
+  ScenarioInstance victim(room_scenario(), kShard, seed);
   victim.warmup();
   EXPECT_THROW(victim.restore(incr.blob, Time::zero()), snap::SnapError);
 
@@ -548,9 +561,9 @@ TEST(CheckpointManager, IncrementalMaterializesToByteIdenticalFull) {
 
 TEST(CheckpointManager, CadenceAlternatesFullAndIncremental) {
   const std::uint64_t seed = sim::shard_seed(8, kShard);
-  snap::Room room(kShard, seed, {});
+  ScenarioInstance room(room_scenario(), kShard, seed);
   room.warmup();
-  room.run_until(Time::sec(46.0));
+  room.world().sim().run_until(Time::sec(46.0));
 
   snap::CheckpointManager::Options opts;
   opts.full_every = 4;
@@ -559,7 +572,7 @@ TEST(CheckpointManager, CadenceAlternatesFullAndIncremental) {
   for (int i = 0; i < 8; ++i) {
     const snap::Checkpoint cp = cm.take();
     fulls.push_back(cp.full());
-    room.run_until(room.now() + Time::ms(250));
+    room.world().sim().run_until(room.world().now() + Time::ms(250));
   }
   EXPECT_EQ(fulls, std::vector<bool>(
                        {true, false, false, false, true, false, false, false}));
