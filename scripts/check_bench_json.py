@@ -78,6 +78,7 @@ FLEET_SCALE_RUN_KEYS = {
     "workers": int,
     "wall_s": float,
     "events": int,
+    "rooms_per_s": float,
     "events_per_s": float,
     "efficiency_vs_1_worker": float,
     "control_bytes": int,
@@ -302,19 +303,20 @@ def check_fleet(doc):
     if "error" in proc:
         fail(f'multi-process legs aborted: {proc["error"]!r}')
 
+    # Scale-out runs rooms of one compiled scenario; smart_projector at the
+    # golden seed must land on its pinned fleet result at every worker count.
     scale = proc.get("scale_out")
     if not isinstance(scale, dict):
         fail('"proc.scale_out" missing')
+    check_keys(scale, {"scenario": str, "shards": int,
+                       "single_process_events": int},
+               '"proc.scale_out"')
     for key in ("matches_single_process", "fingerprints_identical",
                 "efficiency_ok"):
         if scale.get(key) is not True:
             fail(f'"proc.scale_out.{key}" is not true')
     check_fingerprint(scale.get("single_process_fingerprint", ""),
                       "proc.scale_out")
-    if scale.get("total_rooms") != (scale.get("shards", 0) *
-                                    scale.get("rooms_per_shard", 0)):
-        fail('"proc.scale_out.total_rooms" does not equal '
-             "shards * rooms_per_shard")
     scale_runs = scale.get("runs")
     if not isinstance(scale_runs, list) or not scale_runs:
         fail('"proc.scale_out.runs" missing or empty')
@@ -322,13 +324,19 @@ def check_fleet(doc):
     for r in scale_runs:
         what = f'scale-out run workers={r.get("workers")}'
         check_keys(r, FLEET_SCALE_RUN_KEYS, what)
-        if r["events"] <= 0 or r["events_per_s"] <= 0:
+        if r["events"] <= 0 or r["events_per_s"] <= 0 or r["rooms_per_s"] <= 0:
             fail(f"{what} reports no throughput")
+        if r["events"] != scale["single_process_events"]:
+            fail(f'{what}: {r["events"]} events != single-process '
+                 f'{scale["single_process_events"]}')
         check_fingerprint(r["fleet_fingerprint"], what)
         scale_fps.add(r["fleet_fingerprint"])
     if scale_fps != {scale["single_process_fingerprint"]}:
         fail(f"scale-out fingerprints {sorted(scale_fps)} != single-process "
              f'{scale["single_process_fingerprint"]}')
+    if scale["scenario"] == "smart_projector":
+        check_golden(doc, scale["shards"], scale["single_process_fingerprint"],
+                     scale["single_process_events"], "proc.scale_out")
 
     equiv = proc.get("equivalence")
     if not isinstance(equiv, dict):
@@ -371,9 +379,15 @@ def check_fleet(doc):
     if recov["issues_filed"] < 1:
         fail("the worker death filed no lpc-classified issue")
 
+    # Gated: the checkpoint serialization and the Channel send the worker
+    # repeats. sim_heap_allocs (the room's simulation between checkpoints)
+    # is reported, not gated: simulation allocates by design.
     za = proc.get("zero_alloc")
     if not isinstance(za, dict):
         fail('"proc.zero_alloc" missing')
+    check_keys(za, {"scenario": str, "iterations": int, "heap_allocs": int,
+                    "sim_heap_allocs": int, "ok": bool},
+               '"proc.zero_alloc"')
     if za.get("ok") is not True or za.get("heap_allocs") != 0:
         fail(f'checkpoint streaming allocated {za.get("heap_allocs")!r} '
              f'times over {za.get("iterations")!r} iterations')
@@ -384,7 +398,8 @@ def check_fleet(doc):
           f"{len(by_shards)} shard counts, arena saved "
           f"{alloc['heap_allocs_arena_off'] - alloc['heap_allocs_arena_on']}"
           f" heap allocs; proc: {len(scale_runs)} scale-out runs over "
-          f'{scale["total_rooms"]} rooms, {mig["migrations"]} migrations '
+          f'{scale["shards"]} {scale["scenario"]} rooms, '
+          f'{mig["migrations"]} migrations '
           f'p99 {lat["p99_ns"]/1e3:.0f}us, recovery '
           f'{recov["recovery_ms"]:.2f}ms, 0 steady-state allocs)')
 

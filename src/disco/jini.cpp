@@ -645,18 +645,18 @@ void JiniRegistrar::save(snap::SectionWriter& w) const {
   w.u64(index_.services().size());
   for (const auto& [id, desc] : index_.services()) {
     w.u64(id);
-    net::ByteWriter bw;
-    desc.serialize(bw);
-    w.bytes(bw.data().data(), bw.data().size());
+    save_scratch_.clear();
+    desc.serialize(save_scratch_);
+    w.bytes(save_scratch_.data().data(), save_scratch_.size());
   }
   w.u64(subscriptions_.size());
   for (const Subscription& sub : subscriptions_) {
     w.u64(sub.id);
     w.u64(sub.listener.node);
     w.u16(sub.listener.port);
-    net::ByteWriter bw;
-    sub.tmpl.serialize(bw);
-    w.bytes(bw.data().data(), bw.data().size());
+    save_scratch_.clear();
+    sub.tmpl.serialize(save_scratch_);
+    w.bytes(save_scratch_.data().data(), save_scratch_.size());
   }
   announcer_->save(w);
   leases_.save(w);
@@ -744,9 +744,9 @@ void JiniClient::save(snap::SectionWriter& w) const {
   for (const auto& [id, held] : held_leases_) {
     w.u64(id);
     w.duration(held.lease);
-    net::ByteWriter bw;
-    held.desc.serialize(bw);
-    w.bytes(bw.data().data(), bw.data().size());
+    save_scratch_.clear();
+    held.desc.serialize(save_scratch_);
+    w.bytes(save_scratch_.data().data(), save_scratch_.size());
   }
   w.u64(renewal_events_.size());
   for (const auto& [id, re] : renewal_events_) {

@@ -170,6 +170,9 @@ class JiniRegistrar {
   int pending_replies_ = 0;
   bool enabled_ = true;
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  // save() serializes each description through this reused buffer, so
+  // steady-state checkpoints do not allocate.
+  mutable net::ByteWriter save_scratch_;
 };
 
 /// Client-side discovery agent: finds registrars, joins services to them
@@ -293,6 +296,7 @@ class JiniClient {
   // blocks checkpointing.
   int outstanding_timeouts_ = 0;
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  mutable net::ByteWriter save_scratch_;  // see JiniRegistrar
 };
 
 }  // namespace aroma::disco

@@ -92,8 +92,8 @@ void LeaseTable::save(snap::SectionWriter& w) const {
   w.u64(expirations_);
   w.u64(prune_visits_);
 
-  std::vector<std::pair<std::uint64_t, const Lease*>> sorted;
-  sorted.reserve(leases_.size());
+  std::vector<std::pair<std::uint64_t, const Lease*>>& sorted = save_leases_;
+  sorted.clear();
   for (const auto& [key, lease] : leases_) sorted.emplace_back(key, &lease);
   std::sort(sorted.begin(), sorted.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -106,12 +106,8 @@ void LeaseTable::save(snap::SectionWriter& w) const {
 
   // Every live check event, stale generations included, with its kernel
   // identity so restore can re-insert it verbatim.
-  struct CheckRec {
-    std::uint64_t key, gen, seq, id;
-    sim::Time when;
-  };
-  std::vector<CheckRec> recs;
-  recs.reserve(checks_.size());
+  std::vector<CheckRec>& recs = save_checks_;
+  recs.clear();
   for (const auto& [key, list] : checks_) {
     for (const PendingCheck& c : list) {
       const auto info = world_.sim().pending_event_info(c.event);

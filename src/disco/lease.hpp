@@ -10,6 +10,7 @@
 #include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/world.hpp"
@@ -78,6 +79,11 @@ class LeaseTable {
     std::uint64_t gen;
     sim::EventHandle event;
   };
+  /// One live check event as save() writes it, ordered by kernel seq.
+  struct CheckRec {
+    std::uint64_t key, gen, seq, id;
+    sim::Time when;
+  };
   void schedule_check(std::uint64_t key, std::uint64_t gen, sim::Time when);
   std::function<void()> make_check(std::uint64_t key, std::uint64_t gen);
 
@@ -98,6 +104,10 @@ class LeaseTable {
   // Expiry events may still sit in the simulator when the table's owner is
   // destroyed mid-run; they check this token and become no-ops.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
+  // save()'s canonical-order buffers, reused so steady-state checkpoints
+  // do not allocate.
+  mutable std::vector<std::pair<std::uint64_t, const Lease*>> save_leases_;
+  mutable std::vector<CheckRec> save_checks_;
 };
 
 }  // namespace aroma::disco

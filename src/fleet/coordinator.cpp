@@ -56,9 +56,8 @@ FleetReport Coordinator::run() {
   const FleetOptions& opt = options_;
   if (opt.workers == 0) throw FleetError("fleet needs at least one worker");
   if (opt.shards == 0) throw FleetError("fleet needs at least one shard");
-  const bool ship_scenario = opt.kind == ShardKind::kRoom;
-  if (ship_scenario && opt.scenario.empty()) {
-    throw FleetError("a room fleet needs a compiled scenario blob");
+  if (opt.scenario.empty()) {
+    throw FleetError("fleet needs a compiled scenario blob");
   }
 
   FleetReport report;
@@ -157,9 +156,9 @@ FleetReport Coordinator::run() {
   }
 
   // ----------------------------------------------------------- scenario
-  // Room fleets: every worker decodes the compiled scenario before any
-  // shard moves. One rejection fails the run here, with nothing assigned.
-  if (ship_scenario) {
+  // Every worker decodes the compiled scenario before any shard moves. One
+  // rejection fails the run here, with nothing assigned.
+  {
     for (WorkerSlot& slot : workers) {
       slot.proc->channel().send(
           MsgType::kScenario, [&](WireWriter& w) { w.bytes(opt.scenario); });
@@ -207,8 +206,6 @@ FleetReport Coordinator::run() {
     ShardState& s = shards[i];
     s.spec.shard_id = i;
     s.spec.seed = sim::shard_seed(opt.seed, i);
-    s.spec.kind = opt.kind;
-    s.spec.micro_rooms = opt.micro_rooms;
     s.spec.cadence_ns = opt.cadence_ns;
     s.spec.telemetry = opt.telemetry;
     s.owner = i % opt.workers;

@@ -2,10 +2,10 @@
 //
 // run() spawns N worker processes, performs the versioned handshake
 // (rejecting protocol/snap-version/endianness mismatches before any blob
-// moves), ships room fleets' compiled scenario to every worker (a blob a
+// moves), ships the fleet's compiled scenario to every worker (a blob a
 // worker cannot decode fails the run before any shard is assigned), deals
-// shards round-robin, and drives the run to completion while
-// servicing a declarative fault plan:
+// shards — rooms of that scenario — round-robin, and drives the run to
+// completion while servicing a declarative fault plan:
 //
 //   * migrations — after a shard's Nth streamed checkpoint, quiesce it on
 //     its owner (kMigrateOut), carry the blob to another worker (kRestore),
@@ -56,13 +56,11 @@ struct FleetOptions {
   std::size_t workers = 2;
   std::size_t shards = 8;
   std::uint64_t seed = 42;
-  ShardKind kind = ShardKind::kRoom;
-  /// The AROMSCEN blob (scn::compile output) room shards run; shipped to
-  /// every worker once. Required when kind == kRoom.
+  /// The AROMSCEN blob (scn::compile output) every shard runs; shipped to
+  /// every worker once. Required: run() throws FleetError when empty.
   std::vector<std::uint8_t> scenario;
-  std::uint32_t micro_rooms = 1024;   // rooms per shard when kind == kMicro
   std::int64_t cadence_ns = 0;        // checkpoint cadence (0: none)
-  bool telemetry = false;             // room shards carry obs registries
+  bool telemetry = false;             // shards carry obs registries
   int heartbeat_interval_ms = 50;
   /// Silence on a worker's channel for this long is a presumed death.
   int heartbeat_timeout_ms = 2000;
@@ -91,8 +89,9 @@ class Coordinator {
  public:
   explicit Coordinator(FleetOptions options);
 
-  /// Executes the whole fleet run. Throws FleetError when the run cannot
-  /// complete (e.g. every worker died).
+  /// Executes the whole fleet run. Throws FleetError when the options are
+  /// unusable (no worker, shard or scenario; checked before anything is
+  /// spawned) or the run cannot complete (e.g. every worker died).
   FleetReport run();
 
   /// fleet.migrations / fleet.worker_deaths / fleet.control_bytes counters

@@ -18,8 +18,9 @@
 //
 // Channel owns reusable tx/rx scratch buffers: steady-state control-plane
 // traffic (heartbeats, checkpoint streams) performs zero heap allocations
-// once the buffers have warmed to their high-water capacity (asserted by
-// fleet_bench's control-plane allocation gate).
+// once the buffers have warmed to their high-water capacity. fleet_bench's
+// zero_alloc gate asserts it for a room shard's checkpoint stream
+// (ScenarioInstance::checkpoint_into -> SaveScratch -> Channel::send).
 #pragma once
 
 #include <concepts>
@@ -46,7 +47,9 @@ class FleetError : public std::runtime_error {
 inline constexpr std::uint32_t kWireMagic = 0x544c4641u;  // "AFLT"
 /// 2: room shards run a compiled scenario shipped once per worker
 /// (kScenario / kScenarioAck).
-inline constexpr std::uint16_t kProtocolVersion = 2;
+/// 3: one shard kind, a room of that scenario; ShardSpec is shard id,
+/// seed, cadence and telemetry flag.
+inline constexpr std::uint16_t kProtocolVersion = 3;
 /// Frames larger than this are a protocol error, not an allocation request.
 inline constexpr std::uint32_t kMaxFrameBytes = 64u << 20;
 
@@ -78,16 +81,16 @@ enum class MsgType : std::uint16_t {
   kHeartbeat = 12,  // worker -> coord: liveness + progress
   kShutdown = 13,   // coord -> worker: finish up and exit
   kBye = 14,        // worker -> coord: clean-exit acknowledgement
-  kKill = 15,       // coord -> worker: fault injection (die or hang)
+  kKill = 15,       // coord -> worker: fault injection (u8 KillMode)
   // Flow control: a worker pauses after streaming a checkpoint until the
   // coordinator acknowledges it. One blob in flight per worker bounds
   // socket buffering, and fault plans keyed on "the Nth checkpoint"
   // (migrations, kills) land deterministically — the shard cannot race
   // ahead of the decision.
   kCheckpointAck = 16,  // coord -> worker
-  // Room shards run a compiled scenario. The coordinator ships its AROMSCEN
-  // blob once per worker, after the handshake and before any kAssign; the
-  // worker decodes it (scn::decode rejects damage with a typed error) and
+  // Every shard is a room of one compiled scenario. The coordinator ships
+  // its AROMSCEN blob once per worker, after the handshake and before any
+  // kAssign; the worker decodes it (scn::decode rejects damage with a typed error) and
   // answers ok, or not-ok with the decoder's reason — in which case the
   // coordinator fails the run before a single shard is assigned.
   kScenario = 17,     // coord -> worker: the AROMSCEN blob
@@ -97,16 +100,12 @@ enum class MsgType : std::uint16_t {
 /// Frame flag: receivers that do not recognize the type may skip the frame.
 inline constexpr std::uint16_t kIgnorable = 1u << 0;
 
-/// Fault-injection modes for kKill.
+/// Fault-injection modes for kKill. Any other mode byte is a protocol
+/// error: the worker exits nonzero rather than guessing.
 enum class KillMode : std::uint8_t {
   kExit = 0,  // _exit immediately: coordinator sees EOF
   kHang = 1,  // stop responding, keep the fd open: heartbeat timeout path
 };
-
-/// What a shard runs: one shard of the fleet's compiled scenario (a full
-/// checkpointable scn::ScenarioInstance), or a block of micro-rooms (the
-/// ~1M-room scale-out unit; see fleet/micro.hpp).
-enum class ShardKind : std::uint8_t { kRoom = 0, kMicro = 1 };
 
 // ---------------------------------------------------------------------------
 // Body encoding: little-endian primitives into a caller-owned buffer, so
@@ -239,20 +238,17 @@ std::string validate_hello(const Hello& hello);
 /// latency measurement only — wall time never feeds simulation state.
 std::int64_t monotonic_ns();
 
-/// One shard assignment, as carried by kAssign and kRestore.
+/// One shard assignment, as carried by kAssign and kRestore: shard
+/// `shard_id` of the shipped scenario, a scn::ScenarioInstance.
 struct ShardSpec {
   std::uint64_t shard_id = 0;
   std::uint64_t seed = 0;
-  ShardKind kind = ShardKind::kRoom;
-  std::uint32_t micro_rooms = 0;     // rooms per shard when kind == kMicro
   std::int64_t cadence_ns = 0;       // 0: no cadenced checkpoints
   bool telemetry = false;
 
   void encode(WireWriter& w) const {
     w.u64(shard_id);
     w.u64(seed);
-    w.u8(static_cast<std::uint8_t>(kind));
-    w.u32(micro_rooms);
     w.i64(cadence_ns);
     w.u8(telemetry ? 1 : 0);
   }
@@ -260,8 +256,6 @@ struct ShardSpec {
     ShardSpec s;
     s.shard_id = r.u64();
     s.seed = r.u64();
-    s.kind = static_cast<ShardKind>(r.u8());
-    s.micro_rooms = r.u32();
     s.cadence_ns = r.i64();
     s.telemetry = r.u8() != 0;
     return s;

@@ -7,71 +7,43 @@
 #include <optional>
 #include <vector>
 
-#include "fleet/micro.hpp"
 #include "fleet/wire.hpp"
 #include "obs/telemetry.hpp"
 #include "scn/blob.hpp"
 #include "scn/runtime.hpp"
-#include "snap/checkpoint.hpp"
 #include "snap/snapshot.hpp"
 
 namespace aroma::fleet {
 
 namespace {
 
-/// One shard this worker owns. Exactly one of room/micro is set.
+/// One shard this worker owns: a warmed-up room of the fleet's scenario.
 struct Owned {
   ShardSpec spec;
   std::unique_ptr<scn::ScenarioInstance> room;
-  std::unique_ptr<snap::CheckpointManager> mgr;
-  std::unique_ptr<MicroShard> micro;
   std::uint64_t next_ckpt = 1;  // index of the next cadence point
   bool done = false;
-
-  std::uint64_t events() const {
-    return micro ? micro->events() : room->events();
-  }
-  sim::Time now() const {
-    return micro ? micro->now() : room->world().now();
-  }
-  sim::Time horizon() const {
-    return micro ? micro->horizon() : room->horizon_time();
-  }
-  /// Cadence points count from the meeting start.
-  sim::Time setup() const {
-    return micro ? MicroShard::setup_time() : room->meeting_time();
-  }
 };
 
 Owned make_shard(const ShardSpec& spec,
                  const std::optional<scn::Scenario>& scenario) {
+  if (!scenario) {
+    throw FleetError("shard assigned before a scenario was shipped");
+  }
   Owned o;
   o.spec = spec;
-  if (spec.kind == ShardKind::kMicro) {
-    o.micro = std::make_unique<MicroShard>(
-        static_cast<std::size_t>(spec.shard_id), spec.seed, spec.micro_rooms);
-  } else {
-    if (!scenario) {
-      throw FleetError("room shard assigned before a scenario was shipped");
-    }
-    scn::RunOptions ropts;
-    ropts.telemetry = spec.telemetry;
-    o.room = std::make_unique<scn::ScenarioInstance>(
-        *scenario, static_cast<std::size_t>(spec.shard_id), spec.seed, ropts);
-    o.room->warmup();
-    snap::CheckpointManager::Options copts;
-    copts.full_every = 1;  // migration and recovery need restorable blobs
-    o.mgr = std::make_unique<snap::CheckpointManager>(o.room->world(),
-                                                      o.room->registry(),
-                                                      copts);
-  }
+  o.room = std::make_unique<scn::ScenarioInstance>(
+      *scenario, static_cast<std::size_t>(spec.shard_id), spec.seed,
+      scn::RunOptions{.telemetry = spec.telemetry});
+  o.room->warmup();
   return o;
 }
 
-/// The next cadence point: setup + k * cadence (cadence_ns == 0: never).
+/// The next cadence point: meeting start + k * cadence (cadence_ns == 0:
+/// never).
 sim::Time next_cadence_point(const Owned& o) {
   if (o.spec.cadence_ns <= 0) return sim::Time::ns(INT64_MAX);
-  return sim::Time::ns(o.setup().count() +
+  return sim::Time::ns(o.room->meeting_time().count() +
                        o.spec.cadence_ns *
                            static_cast<std::int64_t>(o.next_ckpt));
 }
@@ -159,8 +131,14 @@ class Worker {
         return true;
       case MsgType::kKill: {
         WireReader r(f.body);
-        const KillMode mode = static_cast<KillMode>(r.u8());
-        if (mode == KillMode::kExit) ::_exit(3);
+        const std::uint8_t mode = r.u8();
+        r.expect_end();
+        if (mode == static_cast<std::uint8_t>(KillMode::kExit)) ::_exit(3);
+        if (mode != static_cast<std::uint8_t>(KillMode::kHang)) {
+          // A malformed frame is a protocol error: the worker exits
+          // nonzero and the coordinator takes the EOF path.
+          throw FleetError("unknown kill mode " + std::to_string(mode));
+        }
         // Hang: stop participating in the protocol but keep the fd open —
         // the coordinator must detect this through heartbeat silence, not
         // EOF.
@@ -206,16 +184,11 @@ class Worker {
     r.expect_end();
     Owned o = make_shard(spec, scenario_);
     if (has_blob) {
-      const sim::Time gap = sim::Time::ns(gap_ns);
-      if (o.micro) {
-        o.micro->restore(blob, gap);
-      } else {
-        o.room->restore(blob, gap);
-      }
+      o.room->restore(blob, sim::Time::ns(gap_ns));
       // Resume the cadence after the capture instant, not from scratch —
       // the checkpoint stream must look the same as if the shard had never
       // moved.
-      while (next_cadence_point(o) <= o.now()) ++o.next_ckpt;
+      while (next_cadence_point(o) <= o.room->world().now()) ++o.next_ckpt;
     }
     const std::uint64_t shard_id = spec.shard_id;
     shards_.push_back(std::move(o));
@@ -232,15 +205,7 @@ class Worker {
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       Owned& o = shards_[i];
       if (o.spec.shard_id != shard_id || o.done) continue;
-      std::int64_t captured_ns;
-      if (o.micro) {
-        o.micro->checkpoint_into(scratch_);
-        captured_ns = o.micro->now().count();
-      } else {
-        const snap::Checkpoint ckpt = o.mgr->take_full();
-        scratch_.blob = ckpt.blob;  // copy; room blobs are not gated
-        captured_ns = ckpt.captured_at.count();
-      }
+      const std::int64_t captured_ns = checkpoint(o);
       const bool ok = chan_.send(MsgType::kMigrated, [&](WireWriter& w) {
         w.u64(shard_id);
         w.i64(captured_ns);
@@ -267,7 +232,7 @@ class Worker {
     for (Owned& o : shards_) {
       if (o.done) continue;
       const sim::Time cp = next_cadence_point(o);
-      if (cp < o.horizon()) {
+      if (cp < o.room->horizon_time()) {
         advance_and_checkpoint(o, cp);
       } else {
         finish_shard(o);
@@ -276,18 +241,17 @@ class Worker {
     }
   }
 
+  /// Serializes `o`'s full checkpoint into scratch_ (settling to the first
+  /// quiescent instant) and returns the capture instant. Allocation-free
+  /// once scratch_ has warmed to the largest shard's blob.
+  std::int64_t checkpoint(Owned& o) {
+    o.room->checkpoint_into(scratch_);
+    return o.room->world().now().count();
+  }
+
   void advance_and_checkpoint(Owned& o, sim::Time cp) {
-    std::int64_t captured_ns;
-    if (o.micro) {
-      o.micro->run_until(cp);
-      o.micro->checkpoint_into(scratch_);
-      captured_ns = o.micro->now().count();
-    } else {
-      o.room->world().sim().run_until(cp);
-      const snap::Checkpoint ckpt = o.mgr->take_full();
-      scratch_.blob = ckpt.blob;
-      captured_ns = ckpt.captured_at.count();
-    }
+    o.room->world().sim().run_until(cp);
+    const std::int64_t captured_ns = checkpoint(o);
     chan_.send(MsgType::kCheckpoint, [&](WireWriter& w) {
       w.u64(o.spec.shard_id);
       w.i64(captured_ns);
@@ -299,24 +263,15 @@ class Worker {
   }
 
   void finish_shard(Owned& o) {
-    std::uint64_t fp;
-    if (o.micro) {
-      o.micro->finish();
-      fp = o.micro->fingerprint();
-    } else {
-      o.room->finish();
-      fp = o.room->fingerprint();
-    }
-    const std::uint64_t events = o.events();
-    const sim::Time now = o.now();
+    o.room->finish();
+    const sim::Time now = o.room->world().now();
     o.done = true;
     chan_.send(MsgType::kResult, [&](WireWriter& w) {
       w.u64(o.spec.shard_id);
-      w.u64(fp);
-      w.u64(events);
+      w.u64(o.room->fingerprint());
+      w.u64(o.room->events());
       w.i64(now.count());
-      const obs::Telemetry* tel = o.room ? o.room->telemetry() : nullptr;
-      if (tel != nullptr) {
+      if (const obs::Telemetry* tel = o.room->telemetry()) {
         w.u8(1);
         snap::SectionWriter mw(now);
         tel->metrics().save(mw);
@@ -338,7 +293,7 @@ class Worker {
     std::uint64_t events = 0;
     std::uint32_t done = 0;
     for (const Owned& o : shards_) {
-      events += o.events();
+      events += o.room->events();
       done += o.done ? 1 : 0;
     }
     chan_.send(MsgType::kHeartbeat, [&](WireWriter& w) {

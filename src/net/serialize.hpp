@@ -31,6 +31,9 @@ class ByteWriter {
 
   const std::vector<std::byte>& data() const { return buf_; }
   std::vector<std::byte> take() { return std::move(buf_); }
+  /// Empties the buffer but keeps its capacity, so a reused writer stops
+  /// allocating once warmed.
+  void clear() { buf_.clear(); }
   std::size_t size() const { return buf_.size(); }
 
  private:

@@ -290,8 +290,8 @@ void CsmaMac::save(snap::SectionWriter& w) const {
   w.f64(rs.cached_normal);
   w.b(rs.has_cached_normal);
   // Duplicate-suppression map, sorted by sender for a canonical encoding.
-  std::vector<std::pair<MacAddress, std::uint32_t>> seqs(last_seq_from_.begin(),
-                                                         last_seq_from_.end());
+  std::vector<std::pair<MacAddress, std::uint32_t>>& seqs = save_seqs_;
+  seqs.assign(last_seq_from_.begin(), last_seq_from_.end());
   std::sort(seqs.begin(), seqs.end());
   w.u64(seqs.size());
   for (const auto& [src, seq] : seqs) {

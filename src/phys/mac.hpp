@@ -13,6 +13,8 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "phys/transceiver.hpp"
 #include "sim/world.hpp"
@@ -163,6 +165,10 @@ class CsmaMac {
   obs::Counter* m_drops_queue_ = nullptr;
   obs::Gauge* m_queue_peak_ = nullptr;
   obs::HdrHistogram* m_service_ = nullptr;  // enqueue -> cb latency, µs
+
+  // save()'s sorted copy of last_seq_from_, reused so steady-state
+  // checkpoints do not allocate. Last: off the hot members' cache lines.
+  mutable std::vector<std::pair<MacAddress, std::uint32_t>> save_seqs_;
 };
 
 }  // namespace aroma::phys

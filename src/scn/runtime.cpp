@@ -415,8 +415,14 @@ void ScenarioInstance::settle() {
 }
 
 std::vector<std::uint8_t> ScenarioInstance::checkpoint() {
+  snap::SaveScratch scratch;
+  checkpoint_into(scratch);
+  return std::move(scratch.blob);
+}
+
+void ScenarioInstance::checkpoint_into(snap::SaveScratch& scratch) {
   settle();
-  return registry_->save_all(world_->now());
+  registry_->save_all_into(world_->now(), scratch);
 }
 
 void ScenarioInstance::restore(std::span<const std::uint8_t> blob,

@@ -71,6 +71,7 @@ class Telemetry;
 
 namespace aroma::snap {
 class SnapshotRegistry;
+struct SaveScratch;
 }  // namespace aroma::snap
 
 namespace aroma::scn {
@@ -128,11 +129,19 @@ class ScenarioInstance {
   /// True when every registered core is at a quiescent point; `why` names
   /// the first blocking core otherwise.
   bool quiescent(std::string* why = nullptr);
-  /// Advances to the first quiescent instant at or after now(), then
-  /// serializes the full checkpoint blob. Throws snap::SnapError naming
+  /// Advances in 1 ms steps to the first quiescent instant at or after
+  /// now() (no-op when already quiescent). Throws snap::SnapError naming
   /// the blocking core when no quiescent instant exists before the
   /// horizon.
+  void settle();
+  /// settle(), then serializes the full checkpoint blob.
   std::vector<std::uint8_t> checkpoint();
+  /// checkpoint() into `scratch.blob`, byte for byte. Once the scratch
+  /// (and each core's save buffers) have warmed, the serialization makes
+  /// no heap allocation (the simulation settle() runs may): the fleet
+  /// worker streams every cadenced and migration checkpoint through this
+  /// call.
+  void checkpoint_into(snap::SaveScratch& scratch);
   /// Overwrites this warmed-up instance's state from a full checkpoint
   /// blob, resuming at capture-instant + gap. The blob's framing is
   /// validated before anything moves; any other SnapError (counted in
@@ -176,7 +185,6 @@ class ScenarioInstance {
   std::size_t member_count(int entity) const;
   DisplayRuntime* display_on(int entity);
   sim::Time phase(const Expr& e) const;
-  void settle();
   void register_sections();
 
   const Scenario& scn_;

@@ -1,7 +1,9 @@
 // Multi-process fleet tests: wire framing, short-read recovery, forward
-// compatibility, handshake version/endianness rejection, scenario-blob
-// rejection, checkpoint migration, worker-kill recovery, and 1-vs-N-process
-// bit-identity.
+// compatibility, malformed-frame rejection, handshake version/endianness
+// rejection, scenario-blob rejection, checkpoint migration, worker-kill
+// recovery, and 1-vs-N-process bit-identity. Every shard is a room of the
+// compiled scenarios/smart_projector.scn; the reference for each fleet run
+// is the in-process scn::run_fleet.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "fleet/coordinator.hpp"
-#include "fleet/micro.hpp"
 #include "fleet/proc.hpp"
 #include "fleet/wire.hpp"
 #include "fleet/worker.hpp"
@@ -62,8 +63,6 @@ TEST(FleetWire, ShardSpecRoundTrip) {
   ShardSpec spec;
   spec.shard_id = 17;
   spec.seed = 0xFEEDFACEDEADBEEFull;
-  spec.kind = ShardKind::kMicro;
-  spec.micro_rooms = 4096;
   spec.cadence_ns = 2'000'000'000;
   spec.telemetry = true;
 
@@ -75,8 +74,6 @@ TEST(FleetWire, ShardSpecRoundTrip) {
   r.expect_end();
   EXPECT_EQ(back.shard_id, spec.shard_id);
   EXPECT_EQ(back.seed, spec.seed);
-  EXPECT_EQ(back.kind, spec.kind);
-  EXPECT_EQ(back.micro_rooms, spec.micro_rooms);
   EXPECT_EQ(back.cadence_ns, spec.cadence_ns);
   EXPECT_EQ(back.telemetry, spec.telemetry);
 }
@@ -225,18 +222,34 @@ TEST(FleetHandshake, IncompatibleWorkerIsRejectedBeforeAssignment) {
 }
 
 // ---------------------------------------------------------------------------
+// The fleet's scenario: the smallest library room, compiled.
+
+std::vector<std::uint8_t> room_blob() {
+  return scn::compile_file(std::string(AROMA_SCENARIO_DIR) +
+                           "/smart_projector.scn");
+}
+
+/// Spawns an entry-mode worker and completes its handshake.
+WorkerProcess handshaken_worker() {
+  WorkerProcess wp =
+      WorkerProcess::spawn([](int fd) { return worker_main(fd); });
+  Frame f;
+  EXPECT_EQ(wp.channel().recv(f, 10000), RecvStatus::kFrame);
+  EXPECT_EQ(f.type, MsgType::kHello);
+  EXPECT_TRUE(wp.channel().send(MsgType::kHelloAck, [](WireWriter&) {}));
+  return wp;
+}
+
+// ---------------------------------------------------------------------------
 // Forward compatibility: a worker skips unknown-but-ignorable frames and
 // still completes its protocol run.
 
 TEST(FleetWorker, SkipsUnknownIgnorableFrames) {
-  WorkerProcess wp =
-      WorkerProcess::spawn([](int fd) { return worker_main(fd); });
+  WorkerProcess wp = handshaken_worker();
   Channel& chan = wp.channel();
-
-  Frame f;
-  ASSERT_EQ(chan.recv(f, 10000), RecvStatus::kFrame);
-  ASSERT_EQ(f.type, MsgType::kHello);
-  ASSERT_TRUE(chan.send(MsgType::kHelloAck, [](WireWriter&) {}));
+  const std::vector<std::uint8_t> blob = room_blob();
+  ASSERT_TRUE(
+      chan.send(MsgType::kScenario, [&](WireWriter& w) { w.bytes(blob); }));
 
   // A frame type from the future, flagged ignorable: must be skipped.
   ASSERT_TRUE(chan.send(static_cast<MsgType>(0x7777),
@@ -245,12 +258,15 @@ TEST(FleetWorker, SkipsUnknownIgnorableFrames) {
   ShardSpec spec;
   spec.shard_id = 0;
   spec.seed = 99;
-  spec.kind = ShardKind::kMicro;
-  spec.micro_rooms = 16;
   ASSERT_TRUE(
       chan.send(MsgType::kAssign, [&](WireWriter& w) { spec.encode(w); }));
   ASSERT_TRUE(chan.send(MsgType::kRun, [](WireWriter&) {}));
 
+  const scn::Scenario room = scn::decode(blob);
+  scn::ScenarioInstance reference(room, 0, 99);
+  reference.run();
+
+  Frame f;
   bool got_result = false;
   for (int i = 0; i < 1000 && !got_result; ++i) {
     const RecvStatus st = chan.recv(f, 100);
@@ -258,10 +274,8 @@ TEST(FleetWorker, SkipsUnknownIgnorableFrames) {
     if (st == RecvStatus::kFrame && f.type == MsgType::kResult) {
       WireReader r(f.body);
       EXPECT_EQ(r.u64(), 0u);
-      const std::uint64_t fp = r.u64();
-      MicroShard reference(0, 99, 16);
-      reference.finish();
-      EXPECT_EQ(fp, reference.fingerprint());
+      EXPECT_EQ(r.u64(), reference.fingerprint());
+      EXPECT_EQ(r.u64(), reference.events());
       got_result = true;
     }
   }
@@ -272,14 +286,34 @@ TEST(FleetWorker, SkipsUnknownIgnorableFrames) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+// A kKill frame with an unknown mode, or with trailing bytes, is a protocol
+// error: the worker exits with its torn-channel status (1) and the
+// coordinator sees EOF. It must neither hang nor take the kill path.
+TEST(FleetWorker, MalformedKillFrameExitsNonzero) {
+  const std::vector<std::vector<std::uint8_t>> bodies = {{7}, {0, 0}, {}};
+  for (const std::vector<std::uint8_t>& body : bodies) {
+    WorkerProcess wp = handshaken_worker();
+    ASSERT_TRUE(wp.channel().send(MsgType::kKill, 0, body));
+    Frame f;
+    RecvStatus st = RecvStatus::kTimeout;
+    for (int i = 0; i < 100 && st != RecvStatus::kEof; ++i) {
+      st = wp.channel().recv(f, 100);
+    }
+    if (st != RecvStatus::kEof) {
+      wp.kill();
+      wp.wait();
+      FAIL() << "worker still alive 10 s after a malformed kKill (body size "
+             << body.size() << ")";
+    }
+    const int status = wp.wait();
+    ASSERT_TRUE(WIFEXITED(status)) << "body size " << body.size();
+    EXPECT_EQ(WEXITSTATUS(status), 1) << "body size " << body.size();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scenario shipping: the worker decodes the coordinator's AROMSCEN blob with
 // scn::decode, so a damaged blob is a typed rejection, never a crash.
-
-std::vector<std::uint8_t> room_blob() {
-  return scn::compile_file(std::string(AROMA_SCENARIO_DIR) +
-                           "/smart_projector.scn");
-}
 
 std::vector<std::uint8_t> truncated(std::vector<std::uint8_t> blob) {
   blob.resize(blob.size() / 2);
@@ -338,7 +372,6 @@ TEST(FleetProc, DamagedScenarioBlobFailsRunBeforeAssignment) {
   opt.workers = 2;
   opt.shards = 2;
   opt.seed = 7;
-  opt.kind = ShardKind::kRoom;
   opt.heartbeat_timeout_ms = 60000;
   for (const auto& bad : {truncated(room_blob()), crc_damaged(room_blob())}) {
     opt.scenario = bad;
@@ -352,9 +385,6 @@ TEST(FleetProc, DamagedScenarioBlobFailsRunBeforeAssignment) {
           << e.what();
     }
   }
-  opt.scenario.clear();
-  EXPECT_THROW(Coordinator(opt).run(), FleetError);
-
   opt.scenario = room_blob();
   opt.workers = 1;
   opt.shards = 1;
@@ -364,64 +394,41 @@ TEST(FleetProc, DamagedScenarioBlobFailsRunBeforeAssignment) {
   EXPECT_EQ(r.lost_shards, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// MicroShard determinism under checkpoint/restore.
-
-TEST(MicroShard, RestoreResumesBitExact) {
-  MicroShard straight(3, 777, 256);
-  straight.finish();
-  const std::uint64_t expected = straight.fingerprint();
-
-  MicroShard source(3, 777, 256);
-  source.run_until(sim::Time::sec(60.0));
-  const std::vector<std::uint8_t> blob = source.checkpoint();
-
-  MicroShard resumed(3, 777, 256);
-  resumed.restore(blob, sim::Time::zero());
-  EXPECT_EQ(resumed.now().count(), source.now().count());
-  resumed.finish();
-  EXPECT_EQ(resumed.fingerprint(), expected);
-}
-
-TEST(MicroShard, ScratchSerializationMatchesSaveAll) {
-  MicroShard shard(1, 42, 128);
-  shard.run_until(sim::Time::sec(50.0));
-  const std::vector<std::uint8_t> direct = shard.checkpoint();
-  snap::SaveScratch scratch;
-  shard.checkpoint_into(scratch);
-  EXPECT_EQ(scratch.blob, direct);
-  // Re-serialize through the warmed scratch: still byte-identical.
-  shard.checkpoint_into(scratch);
-  EXPECT_EQ(scratch.blob, direct);
-}
-
-// ---------------------------------------------------------------------------
-// Multi-process fleet runs. Expected fingerprints come from straight
-// in-process runs of the same shards.
-
-std::uint64_t straight_micro_fingerprint(std::size_t shards,
-                                         std::uint64_t seed,
-                                         std::uint32_t rooms) {
-  std::vector<std::uint64_t> fps;
-  fps.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    MicroShard m(i, sim::shard_seed(seed, i), rooms);
-    m.finish();
-    fps.push_back(m.fingerprint());
+// Every shard runs the shipped scenario, so a fleet without one is refused
+// up front. The worker command names no binary: had the coordinator spawned
+// anything, the run would fail at the handshake with a different error.
+TEST(FleetProc, EmptyScenarioThrowsBeforeSpawningWorkers) {
+  FleetOptions opt;
+  opt.workers = 2;
+  opt.shards = 2;
+  opt.worker_argv = {"/nonexistent/fleet-worker"};
+  try {
+    Coordinator(opt).run();
+    FAIL() << "fleet without a scenario accepted";
+  } catch (const FleetError& e) {
+    EXPECT_NE(std::string(e.what()).find("compiled scenario"),
+              std::string::npos)
+        << e.what();
   }
-  return sim::fleet_fingerprint(fps);
 }
 
-FleetOptions micro_options(std::size_t workers, std::size_t shards,
-                           std::uint64_t seed, std::uint32_t rooms) {
+// ---------------------------------------------------------------------------
+// Multi-process fleet runs. Expected fingerprints come from the in-process
+// scn::run_fleet of the same scenario, shards and seed.
+
+scn::FleetResult straight_fleet(const FleetOptions& opt) {
+  return scn::run_fleet(scn::decode(opt.scenario), opt.shards, opt.seed, 1);
+}
+
+FleetOptions room_options(std::size_t workers, std::size_t shards,
+                          std::uint64_t seed) {
   FleetOptions opt;
   opt.workers = workers;
   opt.shards = shards;
   opt.seed = seed;
-  opt.kind = ShardKind::kMicro;
-  opt.micro_rooms = rooms;
+  opt.scenario = room_blob();
   opt.cadence_ns = 5'000'000'000;  // checkpoint every 5 simulated seconds
-  opt.heartbeat_timeout_ms = 20000;  // generous: sanitizer-friendly
+  opt.heartbeat_timeout_ms = 60000;  // rooms are slow under sanitizers
   return opt;
 }
 
@@ -430,8 +437,7 @@ FleetOptions micro_options(std::size_t workers, std::size_t shards,
 TEST(FleetProc, MigrationPreservesFingerprintAcrossShardCounts) {
   for (const std::size_t shards : {std::size_t{1}, std::size_t{8},
                                    std::size_t{64}}) {
-    const std::uint64_t seed = 1000 + shards;
-    FleetOptions opt = micro_options(2, shards, seed, 64);
+    FleetOptions opt = room_options(2, shards, 1000 + shards);
     // Migrate the first shard after its first streamed checkpoint (its
     // 55 s horizon only has one 5 s cadence point past the 45 s setup) and,
     // when present, the fifth after its second.
@@ -440,8 +446,9 @@ TEST(FleetProc, MigrationPreservesFingerprintAcrossShardCounts) {
 
     Coordinator coord(opt);
     const FleetReport report = coord.run();
-    EXPECT_EQ(report.fleet_fp, straight_micro_fingerprint(shards, seed, 64))
-        << "shards=" << shards;
+    const scn::FleetResult straight = straight_fleet(opt);
+    EXPECT_EQ(report.fleet_fp, straight.fleet_fp) << "shards=" << shards;
+    EXPECT_EQ(report.total_events, straight.events) << "shards=" << shards;
     EXPECT_EQ(report.shards_completed, shards);
     EXPECT_EQ(report.lost_shards, 0u);
     EXPECT_EQ(report.migrations, shards > 4 ? 2u : 1u);
@@ -458,13 +465,12 @@ TEST(FleetProc, MigrationPreservesFingerprintAcrossShardCounts) {
 
 TEST(FleetProc, WorkerKillExitIsRecoveredFromLastCheckpoint) {
   const std::size_t shards = 8;
-  const std::uint64_t seed = 2024;
-  FleetOptions opt = micro_options(2, shards, seed, 64);
+  FleetOptions opt = room_options(2, shards, 2024);
   opt.kill = KillPlan{1, 3, KillMode::kExit};
 
   Coordinator coord(opt);
   const FleetReport report = coord.run();
-  EXPECT_EQ(report.fleet_fp, straight_micro_fingerprint(shards, seed, 64));
+  EXPECT_EQ(report.fleet_fp, straight_fleet(opt).fleet_fp);
   EXPECT_EQ(report.worker_deaths, 1u);
   EXPECT_EQ(report.lost_shards, 0u);
   EXPECT_EQ(report.shards_completed, shards);
@@ -482,16 +488,14 @@ TEST(FleetProc, WorkerKillExitIsRecoveredFromLastCheckpoint) {
 }
 
 TEST(FleetProc, HungWorkerIsDetectedByHeartbeatWatchdog) {
-  const std::size_t shards = 4;
-  const std::uint64_t seed = 31337;
-  FleetOptions opt = micro_options(2, shards, seed, 512);
+  FleetOptions opt = room_options(2, 4, 31337);
   opt.cadence_ns = 1'000'000'000;  // keep the victim streaming
   opt.heartbeat_timeout_ms = 500;  // hang must be noticed via silence
   opt.kill = KillPlan{0, 2, KillMode::kHang};
 
   Coordinator coord(opt);
   const FleetReport report = coord.run();
-  EXPECT_EQ(report.fleet_fp, straight_micro_fingerprint(shards, seed, 512));
+  EXPECT_EQ(report.fleet_fp, straight_fleet(opt).fleet_fp);
   EXPECT_EQ(report.worker_deaths, 1u);
   EXPECT_EQ(report.lost_shards, 0u);
   const obs::Counter* fires =
@@ -514,7 +518,6 @@ TEST(FleetProc, RoomFleetMetricsBitIdenticalAcrossWorkerCounts) {
   FleetOptions opt;
   opt.shards = shards;
   opt.seed = 7;
-  opt.kind = ShardKind::kRoom;
   opt.scenario = room_blob();
   opt.cadence_ns = 4'000'000'000;
   opt.telemetry = true;
@@ -549,7 +552,6 @@ TEST(FleetProc, RoomShardsSurviveMigrationAndWorkerKill) {
   opt.workers = 3;
   opt.shards = 4;
   opt.seed = 11;
-  opt.kind = ShardKind::kRoom;
   opt.scenario = room_blob();
   opt.cadence_ns = 4'000'000'000;
   opt.heartbeat_timeout_ms = 60000;
@@ -563,8 +565,7 @@ TEST(FleetProc, RoomShardsSurviveMigrationAndWorkerKill) {
   EXPECT_EQ(r.worker_deaths, 1u);
   EXPECT_EQ(r.lost_shards, 0u);
 
-  const scn::FleetResult straight =
-      scn::run_fleet(scn::decode(opt.scenario), opt.shards, opt.seed, 1);
+  const scn::FleetResult straight = straight_fleet(opt);
   EXPECT_EQ(r.fleet_fp, straight.fleet_fp);
   EXPECT_EQ(r.total_events, straight.events);
 }

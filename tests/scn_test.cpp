@@ -2,8 +2,9 @@
 // pipeline (fold, train lowering, strategy classes), blob robustness
 // (truncation, CRC damage, version/section mismatches), compile
 // determinism (compile-twice, dump-recompile fixpoint), the cost model,
-// the pinned smart_projector fleet goldens, and the checkpoint -> restore
-// -> resume differential over every library scenario.
+// the pinned smart_projector fleet goldens, the checkpoint -> restore
+// -> resume differential over every library scenario, and scratch-buffer
+// checkpoint serialization over every checkpointable one.
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -482,6 +483,44 @@ TEST_P(ScnCheckpointDifferential, CheckpointRestoreResumeMatchesUninterrupted) {
 INSTANTIATE_TEST_SUITE_P(
     Library, ScnCheckpointDifferential,
     ::testing::ValuesIn(library_scenarios()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+std::vector<std::string> checkpointable_scenarios() {
+  std::vector<std::string> names = library_scenarios();
+  std::erase_if(names, [](const std::string& n) {
+    return kNeverQuiescent.contains(n);
+  });
+  return names;
+}
+
+class ScnCheckpointScratch : public ::testing::TestWithParam<std::string> {};
+
+// checkpoint_into() streams through recycled buffers the way the fleet
+// worker does: repeated captures into one scratch, across several instants,
+// each equal byte for byte to save_all() at the same instant.
+TEST_P(ScnCheckpointScratch, RepeatedCheckpointIntoMatchesSaveAll) {
+  const scn::Scenario s = scn::decode(scn::compile_file(
+      std::string(AROMA_SCENARIO_DIR) + "/" + GetParam() + ".scn", {}));
+  constexpr std::size_t kShard = 1;
+  scn::ScenarioInstance live(s, kShard, sim::shard_seed(2026, kShard));
+  live.warmup();
+  const sim::Time span = live.horizon_time() - live.meeting_time();
+  snap::SaveScratch scratch;
+  for (int quarter = 1; quarter <= 3; ++quarter) {
+    live.world().sim().run_until(live.meeting_time() + span * quarter / 4);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      live.checkpoint_into(scratch);
+      EXPECT_EQ(scratch.blob, live.registry().save_all(live.world().now()))
+          << "quarter " << quarter << " repeat " << repeat;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Library, ScnCheckpointScratch,
+    ::testing::ValuesIn(checkpointable_scenarios()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
