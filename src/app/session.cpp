@@ -1,5 +1,6 @@
 #include "app/session.hpp"
 
+#include "obs/span.hpp"
 #include "snap/format.hpp"
 
 namespace aroma::app {
@@ -25,9 +26,11 @@ std::optional<SessionToken> SessionManager::acquire(std::uint64_t owner) {
       return current_->token;
     }
     ++stats_.rejections;
-    world_.tracer().log(world_.now(), sim::TraceLevel::kWarn, "session",
-                        "another user attempted to hijack the " + name_ +
-                            " session while it was busy");
+    if (obs::SpanTracer* t = world_.spans(); t != nullptr && t->enabled()) {
+      t->instant(world_.now(), "app.session.hijack_rejected",
+                 lpc::Layer::kAbstract, world_.sim().trace_context(),
+                 sim::TraceLevel::kWarn, {{"session", name_}});
+    }
     return std::nullopt;
   }
   const SessionToken token = next_token_++;

@@ -344,9 +344,8 @@ void JiniClient::send_discovery(int attempt) {
       send_discovery(attempt + 1);
     } else {
       discovering_ = false;
-      world_.tracer().log(world_.now(), sim::TraceLevel::kWarn, "discovery",
-                          "no lookup service answered multicast discovery; "
-                          "the Jini infrastructure is unreachable");
+      obs::emit_instant(world_, "disco.jini.discovery_exhausted",
+                        lpc::Layer::kResource, sim::TraceLevel::kWarn);
       // Fail anything still waiting: node 0 signals "no registrar".
       auto waiting = std::move(waiting_);
       waiting_.clear();

@@ -2,47 +2,6 @@
 
 namespace aroma::lpc {
 
-TraceIssueMiner::TraceIssueMiner(sim::Tracer& tracer, IssueLog& log)
-    : tracer_(tracer), log_(log) {
-  tracer_.set_hook(
-      [this](const sim::TraceRecord& rec) { on_record(rec); });
-}
-
-TraceIssueMiner::~TraceIssueMiner() { tracer_.set_hook({}); }
-
-double TraceIssueMiner::severity_for(sim::TraceLevel level) {
-  switch (level) {
-    case sim::TraceLevel::kError: return 0.8;
-    case sim::TraceLevel::kWarn: return 0.45;
-    default: return 0.2;
-  }
-}
-
-void TraceIssueMiner::on_record(const sim::TraceRecord& record) {
-  if (record.level < sim::TraceLevel::kWarn) return;
-  // The same message repeating is one issue, not many: count occurrences.
-  if (++seen_[record.message] > 1) {
-    ++deduplicated_;
-    return;
-  }
-  Issue issue;
-  issue.description = record.message;
-  issue.entity = record.category;
-  issue.severity = severity_for(record.level);
-  classifier_.assign(issue);
-  log_.add(std::move(issue));
-  ++mined_;
-}
-
-std::map<Layer, std::size_t> TraceIssueMiner::layer_counts() const {
-  std::map<Layer, std::size_t> out;
-  for (const Issue& i : log_.issues()) ++out[i.layer];
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// SpanIssueMiner
-
 SpanIssueMiner::SpanIssueMiner(obs::SpanTracer& spans, IssueLog& log)
     : spans_(spans), log_(log) {
   spans_.set_hook(

@@ -1,11 +1,11 @@
-// Trace-to-issue mining: the model watching a live system.
+// Span-to-issue mining: the model watching a live system.
 //
-// Components emit traces when something layer-relevant happens (retry
-// limits, hijack attempts, depleted batteries, failed discovery). The
-// miner subscribes to a world's tracer, classifies each warning/error into
-// its LPC layer, and accumulates an IssueLog — so a running simulation
-// produces exactly the classified issue inventory the paper's model was
-// designed to organize.
+// Components emit warning/error span instants when something
+// layer-relevant happens (retry limits, hijack attempts, depleted
+// batteries, failed discovery), each tagged with the LPC layer its emitter
+// belongs to. The miner subscribes to a world's span tracer and
+// accumulates an IssueLog — so a running simulation produces exactly the
+// layer-tagged issue inventory the paper's model was designed to organize.
 #pragma once
 
 #include <cstdint>
@@ -14,43 +14,13 @@
 
 #include "lpc/issue.hpp"
 #include "obs/span.hpp"
-#include "sim/trace.hpp"
 
 namespace aroma::lpc {
 
-class TraceIssueMiner {
- public:
-  /// Installs itself as the tracer's hook; the tracer must outlive the
-  /// miner (or the miner must be detached first). Records below kWarn are
-  /// ignored.
-  TraceIssueMiner(sim::Tracer& tracer, IssueLog& log);
-  ~TraceIssueMiner();
-  TraceIssueMiner(const TraceIssueMiner&) = delete;
-  TraceIssueMiner& operator=(const TraceIssueMiner&) = delete;
-
-  std::uint64_t mined() const { return mined_; }
-  std::uint64_t deduplicated() const { return deduplicated_; }
-
-  /// Per-layer counts of mined issues.
-  std::map<Layer, std::size_t> layer_counts() const;
-
- private:
-  void on_record(const sim::TraceRecord& record);
-  static double severity_for(sim::TraceLevel level);
-
-  sim::Tracer& tracer_;
-  IssueLog& log_;
-  IssueClassifier classifier_;
-  std::map<std::string, std::uint64_t> seen_;  // message -> count
-  std::uint64_t mined_ = 0;
-  std::uint64_t deduplicated_ = 0;
-};
-
-/// Structured-event mining: consumes obs::SpanTracer records (warnings and
-/// errors) instead of parsing free-text traces. The layer comes straight
-/// off the record — the emitting component declared it — so no vocabulary
-/// guessing is involved, and issues survive the span buffer's capacity cap
-/// because the hook sees instants past it.
+/// Consumes obs::SpanTracer records (warnings and errors). The layer comes
+/// straight off the record — the emitting component declared it — so no
+/// vocabulary guessing is involved, and issues survive the span buffer's
+/// capacity cap because the hook sees instants past it.
 ///
 /// Two exceptions to "the emitter declared the layer": a record carrying a
 /// "classify" arg (e.g. a watchdog fire, whose layer depends on what the

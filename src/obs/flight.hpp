@@ -6,9 +6,10 @@
 // so every executed event writes one 32-byte record into the ring (a store
 // and an increment — near-zero steady-state cost), and stall/wake
 // thresholds call back into the attached watchdogs and timeseries
-// sampler. Span edges arrive via SpanTracer::set_flight_recorder
-// and metric deltas via the sampler, so the ring interleaves the last N
-// kernel events with what the components were doing at the time.
+// sampler. Metric deltas arrive via the sampler, and dumps merge in the
+// span edges of the ring's time window from the span source, so a black
+// box interleaves the last N kernel events with what the components were
+// doing at the time.
 //
 // Everything in the ring is driven by simulated behavior, so the ring
 // contents — and any dump — are a deterministic function of the seed, and
@@ -84,11 +85,11 @@ class FlightRecorder final : public sim::Simulator::TraceSlowPath {
   /// Attaches to the kernel's inline trace ring: the simulator writes the
   /// per-event record and maintains the stall/wake mirrors itself, with no
   /// virtual hop; this recorder is called back (TraceSlowPath) only when a
-  /// stall run or wake deadline actually trips.
-  void attach(sim::Simulator& sim) { sim.set_event_trace(&hot_); }
-  void detach(sim::Simulator& sim) {
-    if (sim.event_trace() == &hot_) sim.set_event_trace(nullptr);
-  }
+  /// stall run or wake deadline actually trips. The slot has one owner:
+  /// throws std::logic_error while another consumer (a second recorder, a
+  /// snap::ReplayHarness) holds it. detach() clears only this recorder.
+  void attach(sim::Simulator& sim) { sim.attach_event_trace(&hot_); }
+  void detach(sim::Simulator& sim) { sim.detach_event_trace(&hot_); }
 
   // sim::Simulator::TraceSlowPath — rare-threshold callbacks from the
   // kernel's inline ring writer.
@@ -125,18 +126,7 @@ class FlightRecorder final : public sim::Simulator::TraceSlowPath {
   }
   const std::vector<std::string>& names() const { return names_; }
 
-  // Non-kernel sources. Span edges are the other per-event-scale feed, so
-  // the record path is inline and writes every field (no zero-fill).
-  void record_span(const SpanRecord& rec, FlightKind kind) {
-    FlightRecord& r = ring_[static_cast<std::size_t>(hot_.total) & hot_.mask];
-    ++hot_.total;
-    r.t_ns = (kind == FlightKind::kSpanClose ? rec.end : rec.start).count();
-    r.kind = static_cast<std::uint16_t>(kind);
-    r.code = intern(rec.name);
-    r.shard = hot_.shard;
-    r.a = rec.id;
-    r.b = rec.parent;
-  }
+  // Non-kernel sources.
   void record_metric(sim::Time now, std::uint16_t code, std::uint64_t value,
                      std::uint64_t previous);
   void record_watchdog(sim::Time now, std::uint16_t code, std::uint64_t value,
@@ -145,12 +135,10 @@ class FlightRecorder final : public sim::Simulator::TraceSlowPath {
 
   /// Span-edge source for dumps. The tracer already buffers every span it
   /// admits, so rather than paying a per-edge live feed on the hot path,
-  /// an owner can point the recorder at the tracer and dump() will
-  /// reconstruct the open/close/instant edges overlapping the ring's time
-  /// window and merge them chronologically into the record section — the
-  /// black box reads the same, the steady-state cost is zero. The live
-  /// feed (SpanTracer::set_flight_recorder) remains for owners that want
-  /// edges physically resident in the ring between dumps.
+  /// the recorder points at the tracer and dump() reconstructs the
+  /// open/close/instant edges overlapping the ring's time window and
+  /// merges them chronologically into the record section — the
+  /// steady-state cost is zero.
   void set_span_source(const SpanTracer* spans) { span_source_ = spans; }
 
   /// Remembers the latest full checkpoint of the observed world; every

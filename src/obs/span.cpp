@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/flight.hpp"
 #include "snap/format.hpp"
 
 namespace aroma::obs {
@@ -25,7 +24,6 @@ SpanId SpanTracer::begin(sim::Time now, std::string_view name,
   rec.level = level;
   index_.emplace(rec.id, records_.size());
   records_.push_back(std::move(rec));
-  if (flight_) flight_->record_span(records_.back(), FlightKind::kSpanOpen);
   return records_.back().id;
 }
 
@@ -36,7 +34,6 @@ void SpanTracer::end(SpanId id, sim::Time now) {
   SpanRecord& rec = records_[it->second];
   if (!rec.open()) return;
   rec.end = now;
-  if (flight_) flight_->record_span(rec, FlightKind::kSpanClose);
   if (hook_) hook_(rec);
 }
 
@@ -64,14 +61,12 @@ SpanId SpanTracer::instant(
     // Dropped from the buffer but still visible to the hook, so issue
     // mining keeps working on long soak runs.
     ++dropped_;
-    if (flight_) flight_->record_span(rec, FlightKind::kSpanInstant);
     if (hook_) hook_(rec);
     return 0;
   }
   rec.id = next_id_++;
   index_.emplace(rec.id, records_.size());
   records_.push_back(std::move(rec));
-  if (flight_) flight_->record_span(records_.back(), FlightKind::kSpanInstant);
   if (hook_) hook_(records_.back());
   return records_.back().id;
 }

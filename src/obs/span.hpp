@@ -7,10 +7,13 @@
 // inside a MAC receive event parents to the frame that carried it — across
 // net -> disco -> app hops — with no context threaded through any API.
 //
-// Records are structured (name, layer, level, key-value args), superseding
-// raw Tracer strings; exporters serialize them as JSONL and as Chrome
-// trace-event JSON loadable in Perfetto (see obs/export.hpp). The record
-// buffer is capacity-capped with a drop counter so soak runs cannot OOM.
+// Records are structured (name, layer, level, key-value args) and are the
+// one path by which a component reports a layer-relevant warning; the LPC
+// issue miner consumes them through the hook. Exporters serialize them as
+// JSONL and as Chrome trace-event JSON loadable in Perfetto (see
+// obs/export.hpp), and flight-recorder dumps rebuild span edges from the
+// buffer (FlightRecorder::set_span_source). The record buffer is
+// capacity-capped with a drop counter so soak runs cannot OOM.
 #pragma once
 
 #include <cstdint>
@@ -31,8 +34,6 @@ class SectionReader;
 }  // namespace aroma::snap
 
 namespace aroma::obs {
-
-class FlightRecorder;
 
 using SpanId = std::uint64_t;  // 0 = none/dropped
 
@@ -96,12 +97,6 @@ class SpanTracer {
     hook_ = std::move(hook);
   }
 
-  /// Feeds span open/close/instant edges into a flight recorder. A second,
-  /// dedicated slot: the hook above belongs to the issue miner, and the
-  /// recorder must see opens (which the hook never does) so a black box
-  /// can show what was in progress when it was dumped.
-  void set_flight_recorder(FlightRecorder* recorder) { flight_ = recorder; }
-
   /// Appends every record of `other` with its id (and nonzero parent)
   /// relocated into a per-shard id space:
   ///   id' = ((shard_id + 1) << kShardIdShift) | id.
@@ -138,7 +133,6 @@ class SpanTracer {
   std::vector<SpanRecord> records_;
   std::unordered_map<SpanId, std::size_t> index_;  // id -> records_ index
   std::function<void(const SpanRecord&)> hook_;
-  FlightRecorder* flight_ = nullptr;
 };
 
 /// RAII span bound to a world: opens on construction (parenting to the

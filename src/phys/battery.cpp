@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/span.hpp"
 #include "snap/format.hpp"
 
 namespace aroma::phys {
@@ -13,12 +14,7 @@ void Battery::apply_idle() {
     level_j_ = std::max(0.0, level_j_ - p_.idle_power_w * dt);
     last_update_ = now;
   }
-  if (level_j_ <= 0.0 && !notified_) {
-    notified_ = true;
-    world_.tracer().log(world_.now(), sim::TraceLevel::kError, "battery",
-                        "battery depleted: the device hardware lost power");
-    if (on_depleted_) on_depleted_();
-  }
+  notify_if_depleted();
 }
 
 double Battery::level_j() {
@@ -35,10 +31,15 @@ bool Battery::depleted() { return level_j() <= 0.0; }
 void Battery::drain(double joules) {
   apply_idle();
   level_j_ = std::max(0.0, level_j_ - joules);
-  if (level_j_ <= 0.0 && !notified_) {
-    notified_ = true;
-    if (on_depleted_) on_depleted_();
-  }
+  notify_if_depleted();
+}
+
+void Battery::notify_if_depleted() {
+  if (level_j_ > 0.0 || notified_) return;
+  notified_ = true;
+  obs::emit_instant(world_, "phys.battery.depleted", lpc::Layer::kPhysical,
+                    sim::TraceLevel::kError);
+  if (on_depleted_) on_depleted_();
 }
 
 void Battery::save(snap::SectionWriter& w) const {

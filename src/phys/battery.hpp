@@ -53,6 +53,9 @@ class Battery {
 
  private:
   void apply_idle();
+  /// Fires the one-shot depletion signal (span instant + callback) the
+  /// first time the level reaches zero, whichever path drained it.
+  void notify_if_depleted();
 
   sim::World& world_;
   Params p_;

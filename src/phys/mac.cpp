@@ -178,9 +178,6 @@ void CsmaMac::ack_timeout(std::uint64_t gen) {
   if (active_->retries > params_.retry_limit) {
     ++stats_.drops_retry_limit;
     if (m_drops_retry_) m_drops_retry_->add();
-    world_.tracer().log(world_.now(), sim::TraceLevel::kWarn, "mac",
-                        "retry limit exceeded: persistent interference or "
-                        "out-of-range peer on the wireless link");
     obs::emit_instant(world_, "phys.mac.drop_retry_limit",
                       lpc::Layer::kPhysical, sim::TraceLevel::kWarn);
     finish_active(false);

@@ -51,9 +51,7 @@ class KernelProfiler {
   void enable_timing(bool on) { timing_ = on; }
   bool timing_enabled() const { return timing_; }
 
-  void record_execute(EventCategory c) { ++stats_[index(c)].executed; }
-
-  /// As above, also splitting the event into absorbed (popped off a
+  /// Counts one executed event, split into absorbed (popped off a
   /// same-time train, O(1)) vs dispatched (heap pop). Absorbed counts are
   /// deterministic like executed counts and regress in BENCH_kernel.json.
   void record_execute(EventCategory c, bool absorbed) {
@@ -68,17 +66,6 @@ class KernelProfiler {
   const CategoryStats& stats(EventCategory c) const {
     return stats_[index(c)];
   }
-  std::uint64_t total_executed() const {
-    std::uint64_t n = 0;
-    for (const CategoryStats& s : stats_) n += s.executed;
-    return n;
-  }
-  std::uint64_t total_absorbed() const {
-    std::uint64_t n = 0;
-    for (const CategoryStats& s : stats_) n += s.absorbed;
-    return n;
-  }
-  void reset() { stats_ = {}; }
 
  private:
   static std::size_t index(EventCategory c) {

@@ -1,5 +1,7 @@
 #include "sim/simulator.hpp"
 
+#include <stdexcept>
+
 #include "sim/stats.hpp"
 #include "snap/format.hpp"
 
@@ -79,6 +81,14 @@ void Simulator::restore_state(Time now, std::uint64_t next_seq,
   peak_pending_ = peak_pending;
 }
 
+void Simulator::attach_event_trace(TraceHot* trace) {
+  if (trace_ != nullptr && trace_ != trace) {
+    throw std::logic_error(
+        "Simulator: the event trace slot is held by another consumer");
+  }
+  trace_ = trace;
+}
+
 bool Simulator::step() {
   if (queue_.empty()) return false;
   // Move the callback out before invoking: the event may schedule more
@@ -89,7 +99,6 @@ bool Simulator::step() {
   bool from_train;
   now_ = queue_.pop_min(fn, meta, seq, id, from_train);
   ++executed_;
-  if (observer_) observer_(now_, id, seq);
   if (trace_ != nullptr) {
     TraceHot& h = *trace_;
     const std::int64_t t = now_.count();

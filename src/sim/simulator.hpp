@@ -141,20 +141,17 @@ class Simulator {
                      std::uint64_t executed, std::uint64_t cancelled,
                      std::uint64_t stale_rejects, std::size_t peak_pending);
 
-  /// Observation-only per-event hook, called before each event executes
-  /// with its (when, id, seq). Used by snap::ReplayHarness to record the
-  /// executed-event stream; never affects behavior.
-  using EventObserver = std::function<void(Time, std::uint64_t, std::uint64_t)>;
-  void set_event_observer(EventObserver obs) { observer_ = std::move(obs); }
-
-  /// Inline trace ring, the observability plane's slot (obs::FlightRecorder
-  /// attaches here). When a TraceHot descriptor is attached the kernel
-  /// itself writes one POD TraceRecord per executed event into the owner's
-  /// ring and maintains the owner's stall-run counter and wake deadline,
-  /// calling back through the TraceSlowPath virtuals only when a threshold
-  /// actually crosses (rare by construction). Observation-only: the slow
-  /// path must never schedule or cancel events (that would perturb event
-  /// identities and break fingerprint equality with the ring off).
+  /// Inline trace ring: the kernel's one per-event observation slot.
+  /// obs::FlightRecorder attaches here to keep a black box; so does
+  /// snap::ReplayHarness, with a one-record ring and a wake deadline that
+  /// trips on every event, to record the whole executed-event stream. When
+  /// a TraceHot descriptor is attached the kernel itself writes one POD
+  /// TraceRecord per executed event (before the event runs) into the
+  /// owner's ring and maintains the owner's stall-run counter and wake
+  /// deadline, calling back through the TraceSlowPath virtuals only when a
+  /// threshold crosses. Observation-only: the slow path must never
+  /// schedule or cancel events (that would perturb event identities and
+  /// break fingerprint equality with the ring off).
   struct TraceRecord {
     std::int64_t t_ns = 0;
     std::uint16_t kind = 0;  // 0 = kernel event; owners add other kinds
@@ -190,7 +187,15 @@ class Simulator {
   };
   static_assert(offsetof(TraceHot, slow) >= 60 || sizeof(void*) < 8,
                 "hot fields share the first cache line");
-  void set_event_trace(TraceHot* trace) { trace_ = trace; }
+  /// Takes the slot for `trace` (a no-op if it already holds it). The slot
+  /// has one owner at a time: throws std::logic_error while another
+  /// descriptor holds it, so two consumers can never silently overwrite
+  /// each other.
+  void attach_event_trace(TraceHot* trace);
+  /// Frees the slot if `trace` holds it; otherwise leaves it untouched.
+  void detach_event_trace(const TraceHot* trace) {
+    if (trace_ == trace) trace_ = nullptr;
+  }
   TraceHot* event_trace() const { return trace_; }
 
   // --- telemetry hooks ------------------------------------------------------
@@ -225,7 +230,6 @@ class Simulator {
   KernelProfiler* profiler_ = nullptr;
   std::uint64_t trace_ctx_ = 0;
   EventCategory current_category_ = EventCategory::kNone;
-  EventObserver observer_;
   TraceHot* trace_ = nullptr;
 };
 

@@ -1,7 +1,5 @@
 #include "sim/trace.hpp"
 
-#include <cstdio>
-
 namespace aroma::sim {
 
 std::string_view to_string(TraceLevel level) {
@@ -12,32 +10,6 @@ std::string_view to_string(TraceLevel level) {
     case TraceLevel::kError: return "ERROR";
   }
   return "?";
-}
-
-void Tracer::log(Time now, TraceLevel level, std::string_view category,
-                 std::string message) {
-  if (!enabled(level)) return;
-  TraceRecord rec{now, level, std::string(category), std::move(message)};
-  if (to_stderr_) {
-    std::fprintf(stderr, "[%s] %s %s: %s\n", now.to_string().c_str(),
-                 std::string(to_string(level)).c_str(), rec.category.c_str(),
-                 rec.message.c_str());
-  }
-  if (hook_) hook_(rec);
-  if (capture_) {
-    if (records_.size() < capture_limit_) {
-      records_.push_back(std::move(rec));
-    } else {
-      ++dropped_;
-    }
-  }
-}
-
-std::size_t Tracer::count_with_category(std::string_view category) const {
-  std::size_t n = 0;
-  for (const auto& r : records_)
-    if (r.category == category) ++n;
-  return n;
 }
 
 }  // namespace aroma::sim

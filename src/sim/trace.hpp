@@ -1,76 +1,14 @@
-// Lightweight structured tracing for simulated components.
-//
-// Traces are off by default (benches) and can be captured in-memory (tests)
-// or streamed to stderr (debugging). Each record carries the simulated time,
-// a category, and a message.
+// Severity levels shared by the structured observation paths: span
+// records (obs/span.hpp), their checkpoint section and the JSONL exporter.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <string_view>
-#include <vector>
-
-#include "sim/time.hpp"
 
 namespace aroma::sim {
 
 enum class TraceLevel : std::uint8_t { kDebug = 0, kInfo, kWarn, kError };
 
 std::string_view to_string(TraceLevel level);
-
-struct TraceRecord {
-  Time when;
-  TraceLevel level;
-  std::string category;
-  std::string message;
-};
-
-/// Trace sink attached to a simulated world.
-class Tracer {
- public:
-  /// Disabled tracer: records are dropped at the callsite cheaply.
-  Tracer() = default;
-
-  void set_min_level(TraceLevel level) { min_level_ = level; }
-  void enable_capture(bool on) { capture_ = on; }
-  void enable_stderr(bool on) { to_stderr_ = on; }
-
-  /// Caps captured records so long soak runs with capture enabled cannot
-  /// grow without bound; records past the cap still reach the hook and
-  /// stderr but are counted in dropped_records() instead of stored.
-  void set_capture_limit(std::size_t limit) { capture_limit_ = limit; }
-  std::size_t capture_limit() const { return capture_limit_; }
-  std::uint64_t dropped_records() const { return dropped_; }
-
-  bool enabled(TraceLevel level) const {
-    return (capture_ || to_stderr_ || hook_) && level >= min_level_;
-  }
-
-  void log(Time now, TraceLevel level, std::string_view category,
-           std::string message);
-
-  /// Installed hook sees every record (used by the LPC issue classifier to
-  /// mine simulation traces for layer issues).
-  void set_hook(std::function<void(const TraceRecord&)> hook) {
-    hook_ = std::move(hook);
-  }
-
-  const std::vector<TraceRecord>& records() const { return records_; }
-  std::size_t count_with_category(std::string_view category) const;
-  void clear() {
-    records_.clear();
-    dropped_ = 0;
-  }
-
- private:
-  TraceLevel min_level_ = TraceLevel::kInfo;
-  bool capture_ = false;
-  bool to_stderr_ = false;
-  std::size_t capture_limit_ = 1 << 16;
-  std::uint64_t dropped_ = 0;
-  std::vector<TraceRecord> records_;
-  std::function<void(const TraceRecord&)> hook_;
-};
 
 }  // namespace aroma::sim

@@ -1,5 +1,5 @@
-// A World bundles the three services every simulated component needs:
-// the event kernel, the root RNG, and the tracer.
+// A World bundles the services every simulated component needs: the event
+// kernel, the root RNG, the frame arena, and the (optional) telemetry sinks.
 #pragma once
 
 #include <cstdint>
@@ -7,7 +7,6 @@
 #include "sim/arena.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/trace.hpp"
 
 namespace aroma::obs {
 class MetricsRegistry;
@@ -28,8 +27,6 @@ class World {
   Simulator& sim() { return sim_; }
   const Simulator& sim() const { return sim_; }
   Rng& rng() { return rng_; }
-  Tracer& tracer() { return tracer_; }
-  const Tracer& tracer() const { return tracer_; }
 
   Time now() const { return sim_.now(); }
 
@@ -61,7 +58,6 @@ class World {
   Arena arena_;
   Simulator sim_;
   Rng rng_;
-  Tracer tracer_;
   obs::MetricsRegistry* metrics_ = nullptr;
   obs::SpanTracer* spans_ = nullptr;
 };

@@ -18,14 +18,11 @@ std::uint64_t fold(std::uint64_t h, const EventId& e) {
 }  // namespace
 
 void ReplayHarness::attach(sim::Simulator& sim) {
-  sim.set_event_observer(
-      [this](sim::Time when, std::uint64_t id, std::uint64_t seq) {
-        record(when, id, seq);
-      });
+  sim.attach_event_trace(&hot_);
 }
 
 void ReplayHarness::detach(sim::Simulator& sim) {
-  sim.set_event_observer(nullptr);
+  sim.detach_event_trace(&hot_);
 }
 
 void ReplayHarness::clear() {

@@ -3,16 +3,18 @@
 //
 // Determinism debugging needs more than "the fingerprints differ": it needs
 // the exact event where two supposedly-identical runs first disagree. The
-// harness attaches to the kernel's observation-only event hook and records
-// each executed event's identity (when, id, seq) together with a running
-// prefix hash. Because the hash chain is cumulative, prefix i of two
-// recordings matches iff their hashes at i match — so the first divergence
+// harness consumes the kernel's inline trace ring (the one per-event
+// observation slot, see sim/simulator.hpp) and records each executed
+// event's identity (when, id, seq) together with a running prefix hash.
+// Because the hash chain is cumulative, prefix i of two recordings
+// matches iff their hashes at i match — so the first divergence
 // is found with a binary search over the prefix hashes, O(log n) hash
 // compares instead of an O(n) element scan, and the recordings themselves
 // pinpoint the offending event.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -43,14 +45,28 @@ struct Divergence {
   std::optional<EventId> actual;    // event at `index` in the candidate
 };
 
-class ReplayHarness {
+class ReplayHarness final : public sim::Simulator::TraceSlowPath {
  public:
-  /// Starts recording every event `sim` executes. Replaces any previously
-  /// attached observer; only one harness per simulator at a time.
+  ReplayHarness() = default;
+  // The kernel holds pointers into an attached harness.
+  ReplayHarness(const ReplayHarness&) = delete;
+  ReplayHarness& operator=(const ReplayHarness&) = delete;
+
+  /// Starts recording every event `sim` executes by taking its trace slot.
+  /// Throws std::logic_error while another consumer (an
+  /// obs::FlightRecorder, another harness) holds the slot.
   void attach(sim::Simulator& sim);
-  /// Stops recording (clears the simulator's observer). The recording is
-  /// kept for comparison.
+  /// Stops recording and frees the slot if this harness holds it. The
+  /// recording is kept for comparison.
   void detach(sim::Simulator& sim);
+
+  // sim::Simulator::TraceSlowPath. The wake deadline sits at the int64
+  // minimum, so the kernel calls on_trace_wake after writing each event's
+  // record into the one-record ring; the harness appends it there.
+  void on_trace_stall(sim::Time, std::uint64_t) override {}
+  void on_trace_wake(sim::Time when) override {
+    record(when, last_.a, last_.b);
+  }
 
   void clear();
 
@@ -70,6 +86,13 @@ class ReplayHarness {
  private:
   void record(sim::Time when, std::uint64_t id, std::uint64_t seq);
 
+  // The kernel writes each executed event into this one-record ring.
+  sim::Simulator::TraceRecord last_;
+  sim::Simulator::TraceHot hot_{
+      .ring = &last_,
+      .mask = 0,
+      .next_wake_ns = std::numeric_limits<std::int64_t>::min(),
+      .slow = this};
   std::vector<EventId> events_;
   // prefix_hashes_[i] = hash of events_[0..i]; one entry per event.
   std::vector<std::uint64_t> prefix_hashes_;

@@ -2,6 +2,10 @@
 // analyzer, harmony.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "app/session.hpp"
+#include "disco/jini.hpp"
 #include "lpc/analyzer.hpp"
 #include "lpc/constraints.hpp"
 #include "lpc/entity.hpp"
@@ -10,6 +14,9 @@
 #include "lpc/layers.hpp"
 #include "lpc/miner.hpp"
 #include "env/environment.hpp"
+#include "net/stack.hpp"
+#include "obs/telemetry.hpp"
+#include "phys/battery.hpp"
 #include "phys/device.hpp"
 #include "sim/world.hpp"
 
@@ -329,54 +336,68 @@ TEST(CaseStudy, UiLanguagesClearLanguageFindings) {
   EXPECT_EQ(count_language_findings(m), before - 1);
 }
 
-// --- Trace mining ----------------------------------------------------------
+// --- Live issue mining ------------------------------------------------------
 
-TEST(TraceIssueMiner, ClassifiesWarningsIntoLayers) {
-  sim::World w(1);
-  IssueLog log;
-  TraceIssueMiner miner(w.tracer(), log);
-  w.tracer().log(w.now(), sim::TraceLevel::kWarn, "mac",
-                 "retry limit exceeded: persistent interference on the "
-                 "wireless link");
-  w.tracer().log(w.now(), sim::TraceLevel::kError, "battery",
-                 "battery depleted: the device hardware lost power");
-  w.tracer().log(w.now(), sim::TraceLevel::kWarn, "session",
-                 "another user attempted to hijack the projection session");
-  w.tracer().log(w.now(), sim::TraceLevel::kInfo, "noise",
-                 "below-threshold record is ignored");
-  EXPECT_EQ(miner.mined(), 3u);
-  EXPECT_EQ(log.count_at(Layer::kEnvironment), 1u);
-  EXPECT_EQ(log.count_at(Layer::kPhysical), 1u);
-  EXPECT_EQ(log.count_at(Layer::kAbstract), 1u);
-}
-
-TEST(TraceIssueMiner, DeduplicatesRepeats) {
-  sim::World w(1);
-  IssueLog log;
-  TraceIssueMiner miner(w.tracer(), log);
-  for (int i = 0; i < 5; ++i) {
-    w.tracer().log(w.now(), sim::TraceLevel::kWarn, "mac",
-                   "retry limit exceeded: interference on the link");
-  }
-  EXPECT_EQ(miner.mined(), 1u);
-  EXPECT_EQ(miner.deduplicated(), 4u);
-  EXPECT_EQ(log.issues().size(), 1u);
-}
-
-TEST(TraceIssueMiner, MinesALiveFailure) {
-  // Drive a real failure through the stack and check the model catches it:
-  // a MAC talking to nobody exhausts its retries.
+TEST(SpanIssueMiner, MinesFourLiveFailuresAtTheirDeclaredLayers) {
+  // Drive four real failures through the stack. Each emitter declares its
+  // own LPC layer and level on a span instant; the miner files one issue
+  // per failure with the emitter's layer, no text classification involved.
   sim::World w(3);
+  obs::Telemetry telemetry(w);
+  IssueLog log;
+  SpanIssueMiner miner(telemetry.spans(), log);
   env::Environment e(w);
   phys::Device d(w, e, 1, phys::profiles::laptop(),
                  std::make_unique<env::StaticMobility>(env::Vec2{0, 0}));
-  IssueLog log;
-  TraceIssueMiner miner(w.tracer(), log);
-  d.mac().send(99, 800, nullptr);
-  w.sim().run();
-  ASSERT_EQ(miner.mined(), 1u);
-  EXPECT_EQ(log.issues()[0].layer, Layer::kEnvironment);
-  EXPECT_EQ(log.issues()[0].entity, "mac");
+  net::NetStack stack(w, d.mac());
+
+  d.mac().send(99, 800, nullptr);  // a MAC sending to an absent peer
+  phys::Battery battery(w, {.capacity_j = 1.0, .idle_power_w = 1.0});
+  app::SessionManager session(w, "projector");
+  ASSERT_TRUE(session.acquire(1).has_value());
+  EXPECT_FALSE(session.acquire(2).has_value());  // second owner, busy
+  disco::JiniClient jini(w, stack);  // no registrar anywhere
+  jini.discover([](net::NodeId) {});
+  w.sim().run_until(sim::Time::sec(10));
+  EXPECT_TRUE(battery.depleted());  // idle load drained it to zero
+
+  struct Expected {
+    const char* name;
+    Layer layer;
+    sim::TraceLevel level;
+  };
+  const Expected expected[] = {
+      {"phys.mac.drop_retry_limit", Layer::kPhysical, sim::TraceLevel::kWarn},
+      {"phys.battery.depleted", Layer::kPhysical, sim::TraceLevel::kError},
+      {"app.session.hijack_rejected", Layer::kAbstract,
+       sim::TraceLevel::kWarn},
+      {"disco.jini.discovery_exhausted", Layer::kResource,
+       sim::TraceLevel::kWarn},
+  };
+  EXPECT_EQ(miner.mined(), 4u);
+  ASSERT_EQ(log.issues().size(), 4u);
+  for (const Expected& want : expected) {
+    SCOPED_TRACE(want.name);
+    ASSERT_EQ(telemetry.spans().count_with_name(want.name), 1u);
+    const auto span = std::find_if(
+        telemetry.spans().records().begin(), telemetry.spans().records().end(),
+        [&](const obs::SpanRecord& r) { return r.name == want.name; });
+    EXPECT_EQ(span->level, want.level);
+    const auto issue =
+        std::find_if(log.issues().begin(), log.issues().end(),
+                     [&](const Issue& i) { return i.entity == want.name; });
+    ASSERT_NE(issue, log.issues().end());
+    EXPECT_EQ(issue->layer, want.layer);
+    EXPECT_FALSE(issue->classified);  // declared by the emitter, not guessed
+    EXPECT_EQ(issue->severity,
+              want.level == sim::TraceLevel::kError ? 0.8 : 0.45);
+  }
+  // The busy session's name rides along as an arg.
+  const auto hijack =
+      std::find_if(log.issues().begin(), log.issues().end(), [](const Issue& i) {
+        return i.entity == "app.session.hijack_rejected";
+      });
+  EXPECT_NE(hijack->description.find("session=projector"), std::string::npos);
 }
 
 // --- Harmony / adoption ------------------------------------------------

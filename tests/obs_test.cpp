@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "phys/device.hpp"
 #include "sim/world.hpp"
 #include "snap/format.hpp"
+#include "snap/replay.hpp"
 
 namespace aroma::obs {
 namespace {
@@ -782,12 +784,12 @@ TEST(FlightRecorder, DumpRoundTripsRecordsNamesAndCheckpoint) {
   s.run();  // one kernel event, id 1
   rec.detach(s);
   rec.record_marker(sim::Time::ms(2), "phase.start");
-  SpanRecord span;
-  span.id = 42;
-  span.parent = 7;
-  span.start = sim::Time::ms(3);
-  span.name = "rfb.update";
-  rec.record_span(span, FlightKind::kSpanOpen);
+  // Span edges come from the span source at dump time, merged into the
+  // ring's window in time order.
+  SpanTracer spans;
+  const SpanId span = spans.begin(sim::Time::ms(3), "rfb.update",
+                                  lpc::Layer::kAbstract, /*parent=*/7);
+  rec.set_span_source(&spans);
   rec.record_metric(sim::Time::ms(4), rec.intern("phys.mac.retries"), 9, 4);
   rec.record_watchdog(sim::Time::ms(5), rec.intern("watchdog.retry_storm"),
                       70, 64);
@@ -802,7 +804,11 @@ TEST(FlightRecorder, DumpRoundTripsRecordsNamesAndCheckpoint) {
   ASSERT_EQ(dump.records.size(), 6u);  // 5 explicit + kCheckpoint marker
   EXPECT_EQ(dump.records[0].kind,
             static_cast<std::uint16_t>(FlightKind::kKernelEvent));
-  EXPECT_EQ(dump.records[2].a, 42u);  // span id
+  EXPECT_EQ(dump.records[2].kind,
+            static_cast<std::uint16_t>(FlightKind::kSpanOpen));
+  EXPECT_EQ(dump.records[2].t_ns, sim::Time::ms(3).count());
+  EXPECT_EQ(dump.records[2].a, span);
+  EXPECT_EQ(dump.records[2].b, 7u);  // parent
   EXPECT_EQ(dump.names.at(dump.records[2].code), "rfb.update");
   EXPECT_EQ(dump.names.at(dump.records[4].code), "watchdog.retry_storm");
   ASSERT_TRUE(dump.has_checkpoint);
@@ -818,6 +824,37 @@ TEST(FlightRecorder, DumpRoundTripsRecordsNamesAndCheckpoint) {
   EXPECT_EQ(dump.last_kernel_event_at_or_before(
                 sim::Time::us(500).count()),
             nullptr);
+}
+
+TEST(FlightRecorder, SharesTheTraceSlotWithNoOtherConsumer) {
+  // The recorder and a replay harness both consume the kernel's one trace
+  // slot; whichever attaches second is refused rather than silently
+  // overwriting the first.
+  sim::Simulator s;
+  FlightRecorder rec(16);
+  rec.attach(s);
+  rec.attach(s);  // re-attaching the holder is a no-op
+  snap::ReplayHarness harness;
+  EXPECT_THROW(harness.attach(s), std::logic_error);
+  harness.detach(s);  // not the holder: must not free the recorder's slot
+  for (int i = 1; i <= 3; ++i) {
+    s.schedule_at(sim::Time::ms(i), sim::EventCategory::kMac, [] {});
+  }
+  s.run();
+  EXPECT_EQ(rec.total(), 3u);  // the recorder kept recording
+  EXPECT_EQ(harness.size(), 0u);
+  rec.detach(s);
+
+  harness.attach(s);
+  FlightRecorder late(16);
+  EXPECT_THROW(late.attach(s), std::logic_error);
+  late.detach(s);
+  s.schedule_at(sim::Time::ms(5), [] {});
+  s.run();
+  EXPECT_EQ(harness.size(), 1u);
+  EXPECT_EQ(late.total(), 0u);
+  harness.detach(s);
+  EXPECT_EQ(s.event_trace(), nullptr);
 }
 
 TEST(FlightRecorder, AppendShardReinternsAndStamps) {

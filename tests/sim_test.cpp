@@ -14,7 +14,6 @@
 #include "sim/simulator.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
 #include "sim/world.hpp"
 
 namespace aroma::sim {
@@ -508,66 +507,6 @@ TEST(RateMeter, Rate) {
   EXPECT_DOUBLE_EQ(m.rate_per_sec(Time::sec(5)), 2.0);
 }
 
-// --- Tracer ------------------------------------------------------------
-
-TEST(Tracer, DisabledByDefault) {
-  Tracer t;
-  EXPECT_FALSE(t.enabled(TraceLevel::kError));
-  t.log(Time::zero(), TraceLevel::kError, "x", "dropped");
-  EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Tracer, CaptureAndFilter) {
-  Tracer t;
-  t.enable_capture(true);
-  t.set_min_level(TraceLevel::kWarn);
-  t.log(Time::zero(), TraceLevel::kInfo, "a", "below threshold");
-  t.log(Time::ms(1), TraceLevel::kWarn, "a", "kept");
-  t.log(Time::ms(2), TraceLevel::kError, "b", "kept too");
-  ASSERT_EQ(t.records().size(), 2u);
-  EXPECT_EQ(t.count_with_category("a"), 1u);
-  EXPECT_EQ(t.records()[1].message, "kept too");
-}
-
-TEST(Tracer, HookSeesRecords) {
-  Tracer t;
-  int seen = 0;
-  t.set_hook([&](const TraceRecord&) { ++seen; });
-  t.log(Time::zero(), TraceLevel::kInfo, "c", "one");
-  EXPECT_EQ(seen, 1);
-}
-
-TEST(Tracer, CaptureLimitBoundsStorageAndCountsDrops) {
-  Tracer t;
-  t.enable_capture(true);
-  t.set_capture_limit(3);
-  for (int i = 0; i < 10; ++i) {
-    t.log(Time::ms(i), TraceLevel::kInfo, "c", "m" + std::to_string(i));
-  }
-  ASSERT_EQ(t.records().size(), 3u);
-  EXPECT_EQ(t.records().back().message, "m2");  // oldest three are kept
-  EXPECT_EQ(t.dropped_records(), 7u);
-  t.clear();
-  EXPECT_TRUE(t.records().empty());
-  EXPECT_EQ(t.dropped_records(), 0u);
-  t.log(Time::zero(), TraceLevel::kInfo, "c", "after clear");
-  EXPECT_EQ(t.records().size(), 1u);
-}
-
-TEST(Tracer, HookStillSeesRecordsPastCaptureLimit) {
-  Tracer t;
-  t.enable_capture(true);
-  t.set_capture_limit(1);
-  int seen = 0;
-  t.set_hook([&](const TraceRecord&) { ++seen; });
-  for (int i = 0; i < 5; ++i) {
-    t.log(Time::ms(i), TraceLevel::kWarn, "c", "m");
-  }
-  EXPECT_EQ(t.records().size(), 1u);
-  EXPECT_EQ(t.dropped_records(), 4u);
-  EXPECT_EQ(seen, 5);  // issue miners must not lose warnings to the cap
-}
-
 // --- Kernel counters & profiler -----------------------------------------
 
 TEST(Simulator, CancelledAndStaleRejectCounters) {
@@ -585,6 +524,20 @@ TEST(Simulator, CancelledAndStaleRejectCounters) {
   EXPECT_EQ(s.cancelled(), 1u);
 }
 
+namespace {
+
+/// One per-category counter summed over every category.
+std::uint64_t total(const KernelProfiler& prof,
+                    std::uint64_t KernelProfiler::CategoryStats::*field) {
+  std::uint64_t n = 0;
+  for (std::size_t i = 0; i < kEventCategoryCount; ++i) {
+    n += prof.stats(static_cast<EventCategory>(i)).*field;
+  }
+  return n;
+}
+
+}  // namespace
+
 TEST(KernelProfiler, CountsExecutedEventsPerCategory) {
   Simulator s;
   KernelProfiler prof;
@@ -597,7 +550,7 @@ TEST(KernelProfiler, CountsExecutedEventsPerCategory) {
   EXPECT_EQ(prof.stats(EventCategory::kMac).executed, 2u);
   EXPECT_EQ(prof.stats(EventCategory::kRadio).executed, 1u);
   EXPECT_EQ(prof.stats(EventCategory::kNone).executed, 1u);
-  EXPECT_EQ(prof.total_executed(), 4u);
+  EXPECT_EQ(total(prof, &KernelProfiler::CategoryStats::executed), 4u);
 }
 
 TEST(KernelProfiler, FollowUpEventsInheritTheRunningCategory) {
@@ -657,11 +610,13 @@ TEST(KernelProfiler, TrainAbsorbedEventsKeepTheirCategory) {
     EXPECT_EQ(prof_batched.stats(c).executed, prof_scalar.stats(c).executed)
         << "category " << to_string(c);
   }
-  EXPECT_EQ(prof_batched.total_executed(), prof_scalar.total_executed());
+  constexpr auto kExecuted = &KernelProfiler::CategoryStats::executed;
+  constexpr auto kAbsorbed = &KernelProfiler::CategoryStats::absorbed;
+  EXPECT_EQ(total(prof_batched, kExecuted), total(prof_scalar, kExecuted));
   // The absorbed split is bookkeeping on top: it must sum to the queue's
   // own counter and never exceed the executed count per category.
-  EXPECT_EQ(prof_batched.total_absorbed(), batched.absorbed());
-  EXPECT_EQ(prof_scalar.total_absorbed(), 0u);
+  EXPECT_EQ(total(prof_batched, kAbsorbed), batched.absorbed());
+  EXPECT_EQ(total(prof_scalar, kAbsorbed), 0u);
   for (std::size_t i = 0; i < kEventCategoryCount; ++i) {
     const auto c = static_cast<EventCategory>(i);
     EXPECT_LE(prof_batched.stats(c).absorbed, prof_batched.stats(c).executed);
@@ -694,7 +649,7 @@ struct TestRing {
 TEST(TraceRing, SeesEveryExecutedEventWithItsCategory) {
   Simulator s;
   TestRing ring;
-  s.set_event_trace(&ring.hot);
+  s.attach_event_trace(&ring.hot);
   s.schedule_in(Time::ms(1), EventCategory::kMac, [] {});
   s.schedule_in(Time::ms(2), EventCategory::kRadio, [&s] {
     s.schedule_in(Time::ms(1), [] {});  // inherits kRadio
@@ -707,7 +662,7 @@ TEST(TraceRing, SeesEveryExecutedEventWithItsCategory) {
   EXPECT_EQ(ring.records[2].t_ns, Time::ms(3).count());
   EXPECT_EQ(ring.records[2].a, 3u);  // the inheriting child's id
   EXPECT_LT(ring.records[0].b, ring.records[1].b);
-  s.set_event_trace(nullptr);
+  s.detach_event_trace(&ring.hot);
   EXPECT_EQ(s.event_trace(), nullptr);
 }
 
@@ -717,7 +672,7 @@ TEST(TraceRing, DoesNotPerturbExecutionOrIds) {
   // not.
   const auto run_one = [](Simulator::TraceHot* ring) {
     Simulator s;
-    s.set_event_trace(ring);
+    if (ring != nullptr) s.attach_event_trace(ring);
     Rng rng(42);
     std::vector<std::uint64_t> order;
     std::function<void(int)> spawn = [&](int depth) {

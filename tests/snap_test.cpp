@@ -295,6 +295,31 @@ TEST(ReplayHarness, PrefixStreamsReportLengthMismatch) {
   EXPECT_FALSE(d.actual.has_value());
 }
 
+TEST(ReplayHarness, OneRecordRingCapturesEveryEventInOrder) {
+  // The harness reads the kernel's trace ring through a single slot that
+  // each event overwrites, so it must copy out every record before the
+  // next event lands: 10,000 events, same-time runs included, in order.
+  sim::Simulator s;
+  snap::ReplayHarness h;
+  h.attach(s);
+  constexpr std::uint64_t kEvents = 10'000;
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    s.schedule_at(Time::us(static_cast<std::int64_t>(i / 4)), [] {});
+  }
+  s.run();
+  h.detach(s);
+  s.schedule_in(Time::ms(1), [] {});
+  s.run();  // detached: not recorded
+
+  ASSERT_EQ(h.size(), kEvents);
+  for (std::uint64_t i = 0; i < kEvents; ++i) {
+    const snap::EventId& e = h.events()[i];
+    ASSERT_EQ(e.when, Time::us(static_cast<std::int64_t>(i / 4))) << i;
+    ASSERT_EQ(e.id, i + 1) << i;
+    ASSERT_EQ(e.seq, i + 1) << i;
+  }
+}
+
 // --- metrics / spans restore -----------------------------------------------
 
 TEST(SnapObs, MetricsRegistryRoundTripsThroughGetOrCreate) {
