@@ -5,8 +5,9 @@
 // compiler promises:
 //
 //  * goldens — scenarios/smart_projector.scn compiled and fleet-run at seed
-//    2026 must land on the pinned fleet fingerprints and event counts (the
-//    same values tests/scn_test.cpp pins) at every shard count checked,
+//    2026 must land on the pinned fleet fingerprints and event counts of
+//    scenarios/goldens.txt (the file tests/scn_test.cpp and the checker
+//    read too) at every shard count checked,
 //  * determinism — compiling the same source twice is byte-identical, and
 //    dump -> recompile converges: after one canonicalizing round, further
 //    dump/recompile rounds are byte-stable,
@@ -30,6 +31,7 @@
 #include "bench/common.hpp"
 #include "scn/blob.hpp"
 #include "scn/compiler.hpp"
+#include "scn/golden.hpp"
 #include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 
@@ -69,25 +71,8 @@ std::vector<std::size_t> parse_csv(const char* s) {
   return out;
 }
 
-/// Pinned smart_projector fleet results at kGoldenSeed.
+/// Seed of the pinned smart_projector fleet goldens (scenarios/goldens.txt).
 constexpr std::uint64_t kGoldenSeed = 2026;
-struct Golden {
-  std::size_t shards;
-  std::uint64_t fleet_fp;
-  std::uint64_t events;
-};
-constexpr Golden kGoldens[] = {
-    {1, 0x3d292f0faab19f39, 2251},
-    {8, 0x24b052fcb82e2c8c, 68412},
-    {64, 0x8ad24b882b02659a, 662084},
-};
-
-const Golden* golden_for(std::size_t shards) {
-  for (const Golden& g : kGoldens) {
-    if (g.shards == shards) return &g;
-  }
-  return nullptr;
-}
 
 struct TimedFleet {
   scn::FleetResult result;
@@ -149,9 +134,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "shard/worker lists must be non-empty\n");
     return 2;
   }
+  scn::Goldens goldens;
+  try {
+    goldens = scn::read_goldens(scn_dir + "/goldens.txt");
+  } catch (const scn::ScnError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 2;
+  }
   for (const std::size_t shards : golden_shards) {
-    if (golden_for(shards) == nullptr) {
-      std::fprintf(stderr, "no pinned golden at %zu shards (have 1, 8, 64)\n",
+    if (goldens.fleet("smart_projector", kGoldenSeed, shards) == nullptr) {
+      std::fprintf(stderr, "no pinned smart_projector golden at %zu shards\n",
                    shards);
       return 2;
     }
@@ -248,7 +240,8 @@ int main(int argc, char** argv) {
   bool golden_ok = !compiled[0].entities.empty();
   for (const std::size_t shards : golden_shards) {
     if (!golden_ok) break;
-    const Golden& g = *golden_for(shards);
+    const scn::FleetGolden& g =
+        *goldens.fleet("smart_projector", kGoldenSeed, shards);
     const TimedFleet c = timed_fleet(compiled[0], shards, seed, 1);
     const bool match =
         c.result.fleet_fp == g.fleet_fp && c.result.events == g.events;

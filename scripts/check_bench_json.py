@@ -15,6 +15,7 @@ that silently stops emitting a field (or the per-category profiler
 breakdown) fails the build.
 """
 import json
+import os
 import sys
 
 EXPECTED_SCENARIOS = {"churn", "timers", "radio_8", "radio_64", "radio_256"}
@@ -137,17 +138,35 @@ def check_fingerprint(value, what):
         fail(f"{what} fingerprint is not hex: {value!r}")
 
 
-# Pinned fleet results of scenarios/smart_projector.scn at GOLDEN_SEED:
-# shards -> (fleet fingerprint, executed events). tests/scn_test.cpp pins
-# the same values; fleet, snap and scn artifacts recorded at this seed must
-# reproduce them.
+GOLDENS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "..", "scenarios", "goldens.txt")
+
+
+def read_smart_projector_goldens(path, seed):
+    """shards -> (fleet fingerprint, executed events) for the smart_projector
+    fleet lines of scenarios/goldens.txt at `seed` (format:
+    src/scn/golden.hpp). tests/scn_test.cpp and bench/scn_bench.cpp read the
+    same file."""
+    out = {}
+    with open(path) as f:
+        for lineno, line in enumerate(f, 1):
+            tok = line.split("#", 1)[0].split()
+            if not tok:
+                continue
+            if tok[0] not in ("fleet", "shard") or \
+                    len(tok) != (6 if tok[0] == "fleet" else 5):
+                fail(f"{path}:{lineno}: malformed golden record")
+            if tok[0] == "fleet" and tok[1] == "smart_projector" and \
+                    int(tok[2]) == seed:
+                out[int(tok[3])] = (tok[4], int(tok[5]))
+    return out
+
+
+# Pinned fleet results of scenarios/smart_projector.scn at GOLDEN_SEED;
+# fleet, snap and scn artifacts recorded at this seed must reproduce them.
 GOLDEN_SEED = 2026
-SMART_PROJECTOR_GOLDENS = {
-    1: ("0x3d292f0faab19f39", 2251),
-    8: ("0x24b052fcb82e2c8c", 68412),
-    64: ("0x8ad24b882b02659a", 662084),
-    256: ("0xc089195a869c8415", 2606367),
-}
+SMART_PROJECTOR_GOLDENS = read_smart_projector_goldens(GOLDENS_PATH,
+                                                       GOLDEN_SEED)
 
 
 def check_golden(doc, shards, fingerprint, events, what):

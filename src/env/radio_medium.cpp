@@ -7,6 +7,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "sim/random.hpp"
 #include "snap/format.hpp"
 
 namespace aroma::env {
@@ -111,6 +112,12 @@ std::uint64_t RadioMedium::transmit(RadioEndpoint& sender, std::size_t bits,
     for (std::size_t b = blo; b <= bhi; ++b) ++cca_activity_seq_[b];
   }
   max_duration_ = std::max(max_duration_, duration);
+  {
+    const Transmission& t = history_.back();
+    const auto start_ns = static_cast<std::uint64_t>(t.start.count());
+    digest_ = sim::mix_hash(
+        sim::mix_hash(sim::mix_hash(digest_, start_ns), t.sender_id), bits);
+  }
   ++stats_.transmissions;
   if (m_transmissions_) m_transmissions_->add();
 
@@ -362,16 +369,22 @@ void RadioMedium::deliver_prepared(const Transmission& tx, RadioEndpoint& ep,
   const double noise = thermal_noise_dbm(cfg.bandwidth_hz, cfg.noise_figure_db);
   d.sinr_db = sinr_db(rssi, interference_mw(tx, ep), noise);
 
+  // Folded into the behaviour digest: 0 decoded, 1 half duplex, 2 receiver
+  // off, 3 below the SINR threshold.
+  std::uint64_t outcome = 0;
   if (rx_transmitted) {
     d.decodable = false;
+    outcome = 1;
     ++stats_.losses_half_duplex;
     if (m_loss_half_duplex_) m_loss_half_duplex_->add();
   } else if (!ep.receiver_enabled()) {
     d.decodable = false;
+    outcome = 2;
     ++stats_.losses_rx_off;
     if (m_loss_rx_off_) m_loss_rx_off_->add();
   } else if (d.sinr_db < required_sinr_db(tx.bitrate_bps)) {
     d.decodable = false;
+    outcome = 3;
     ++stats_.losses_sinr;
     if (m_loss_sinr_) m_loss_sinr_->add();
   } else {
@@ -379,6 +392,7 @@ void RadioMedium::deliver_prepared(const Transmission& tx, RadioEndpoint& ep,
     ++stats_.deliveries_decodable;
     if (m_decodable_) m_decodable_->add();
   }
+  digest_ = sim::mix_hash(sim::mix_hash(digest_, cfg.id), outcome);
   ep.on_frame(d);
 }
 
@@ -796,6 +810,68 @@ double RadioMedium::energy_at(Vec2 pos, int channel,
   return mw_to_dbm(total_mw);
 }
 
+sim::Time RadioMedium::carrier_idle_at(const RadioEndpoint& ep) const {
+  const RadioConfig& cfg = ep.radio_config();
+  const Vec2 pos = ep.position();
+  const sim::Time now = world_.now();
+  // The terms a CCA scan at any later instant sums, in its ascending-id
+  // order. Frames that start at exactly now count: a scan at now skips
+  // them, every later scan does not.
+  idle_terms_.clear();
+  if (options_.batch) {
+    ensure_ep_map();
+    const std::uint32_t oi = observer_index(ep, cfg.id);
+    for (const Transmission* tx : in_flight_) {
+      if (tx->sender_id == cfg.id || tx->end <= now) continue;
+      const int sep = tx->channel >= cfg.channel ? tx->channel - cfg.channel
+                                                 : cfg.channel - tx->channel;
+      if (sep >= 5) continue;
+      const double ch = overlap_lin_[static_cast<std::size_t>(sep)];
+      if (ch <= 0.0) continue;
+      double p_mw;
+      std::uint32_t fi;
+      if (oi != kNoEpIdx && dense_n_ != 0 && tx_sender_index(*tx, fi)) {
+        p_mw = dense_fill(fi, oi, tx->power_dbm, tx->sender_pos, pos,
+                          tx->sender_id, cfg.id)
+                   .rx_mw;
+      } else {
+        p_mw = model_.received_mw(tx->power_dbm, tx->sender_pos, pos,
+                                  tx->sender_id, cfg.id);
+      }
+      idle_terms_.push_back({tx->end, p_mw, ch});
+    }
+  } else {
+    // Reference: the exhaustive history scan of the scalar energy_at.
+    for (const Transmission& tx : history_) {
+      if (tx.sender_id == cfg.id || tx.end <= now) continue;
+      const double ch = channel_overlap(tx.channel, cfg.channel);
+      if (ch <= 0.0) continue;
+      idle_terms_.push_back(
+          {tx.end,
+           model_.received_mw(tx.power_dbm, tx.sender_pos, pos, tx.sender_id,
+                              cfg.id),
+           ch});
+    }
+  }
+  // Energy is piecewise constant between ends: walk them in time order
+  // until the survivors read idle.
+  sim::Time t = now;
+  for (;;) {
+    double total_mw = 0.0;
+    sim::Time next = sim::Time::max();
+    for (const IdleTerm& x : idle_terms_) {
+      if (x.end <= t) continue;
+      total_mw += x.p_mw * x.ch;
+      next = std::min(next, x.end);
+    }
+    if (!(mw_to_dbm(total_mw) >= cfg.cca_threshold_dbm) ||
+        next == sim::Time::max()) {
+      return t;
+    }
+    t = next;
+  }
+}
+
 void RadioMedium::prune_history() {
   // Keep anything that could still overlap an in-flight frame.
   const sim::Time cutoff = world_.now() - max_duration_ - max_duration_;
@@ -824,6 +900,7 @@ void RadioMedium::save(snap::SectionWriter& w) const {
   w.u64(stats_.losses_rx_off);
   w.u64(next_tx_id_);
   w.duration(max_duration_);
+  w.u64(digest_);
 }
 
 void RadioMedium::restore(snap::SectionReader& r) {
@@ -851,6 +928,7 @@ void RadioMedium::restore(snap::SectionReader& r) {
   stats_.losses_rx_off = r.u64();
   next_tx_id_ = r.u64();
   max_duration_ = r.duration();
+  digest_ = r.u64();
 }
 
 }  // namespace aroma::env

@@ -176,6 +176,19 @@ class RadioMedium {
   bool carrier_busy_at(const RadioEndpoint& ep, const RadioConfig& cfg,
                        Vec2 pos) const;
 
+  /// Idle edge of `ep`'s clear-channel assessment: the earliest instant
+  /// t >= now such that, with only the transmissions already on the air,
+  /// a CCA query at any instant from t on reads idle. That is now when the
+  /// channel reads idle right after now, else the first in-flight end
+  /// after which the remaining contributors sum below the CCA threshold.
+  /// Each candidate sum takes the same terms, in the same ascending-id
+  /// order and with the same arithmetic, as the CCA scan at that instant.
+  /// So every query in (now, t) reads busy: a transmission that starts
+  /// meanwhile has a higher id, adds its term last, and a non-negative
+  /// term cannot lower a rounded sum. Assumes `ep` neither moves nor
+  /// retunes. Scratch lives in a member: no per-call allocation.
+  sim::Time carrier_idle_at(const RadioEndpoint& ep) const;
+
   /// In-flight energy (dBm) at a position on a channel; -inf-ish when idle.
   double energy_at(Vec2 pos, int channel, std::uint64_t observer_id) const;
 
@@ -206,6 +219,12 @@ class RadioMedium {
   const BatchStats& batch_stats() const { return batch_stats_; }
 
   const MediumStats& stats() const { return stats_; }
+  /// Running digest of the frame trace: each transmission's start (ns),
+  /// sender and bits in tx-id order, and each delivery's receiver and
+  /// outcome (decoded, half-duplex, receiver off, SINR) in delivery order.
+  /// It measures behaviour, not cost: a MAC that puts the same frames on
+  /// the air with fewer kernel events keeps it. Saved in checkpoints.
+  std::uint64_t behaviour_digest() const { return digest_; }
   const PathLossModel& path_loss() const { return model_; }
   const Options& options() const { return options_; }
 
@@ -345,6 +364,13 @@ class RadioMedium {
   /// (epoch-validated). Caller must have run ensure_ep_map().
   std::uint32_t observer_index(const RadioEndpoint& ep,
                                std::uint64_t id) const;
+  /// One CCA contributor as carrier_idle_at sees it: the instant it stops
+  /// counting and its two factors (summed as p_mw * ch, like the scan).
+  struct IdleTerm {
+    sim::Time end;
+    double p_mw;
+    double ch;
+  };
   /// Batched CCA body with the observer index already resolved.
   double energy_at_batched(Vec2 pos, int channel, std::uint64_t observer_id,
                            std::uint32_t oi) const;
@@ -361,6 +387,7 @@ class RadioMedium {
   sim::Time max_duration_ = sim::Time::zero();
   std::uint64_t next_tx_id_ = 1;
   MediumStats stats_;
+  std::uint64_t digest_ = 0;  // see behaviour_digest()
 
   // Telemetry handles, resolved once at construction; null when no registry
   // is attached to the world (the disabled-telemetry fast path).
@@ -471,6 +498,7 @@ class RadioMedium {
   // an on_frame callback may attach/detach and rebuild sweeps_ under us.
   mutable std::vector<std::pair<std::uint32_t, double>> scratch_passers_;
   mutable std::vector<CcaEntry> cca_cache_;  // indexed by endpoint index
+  mutable std::vector<IdleTerm> idle_terms_;  // carrier_idle_at scratch
   /// Per-channel-bucket transmit counters: transmit() bumps every bucket
   /// its channel overlaps (sep < 5), so a CCA entry goes stale only when a
   /// transmission that could actually contribute to it has started.

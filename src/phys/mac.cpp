@@ -17,6 +17,7 @@ CsmaMac::CsmaMac(sim::World& world, Transceiver& radio, sim::Rng rng,
       cw_(params.cw_min) {
   radio_.set_receive_handler(
       [this](const env::FrameDelivery& d) { on_radio_frame(d); });
+  radio_.set_retune_handler([this] { on_retune(); });
   const auto layer = lpc::Layer::kPhysical;
   m_sent_data_ = obs::counter(world_, "phys.mac.sent_data", layer);
   m_sent_acks_ = obs::counter(world_, "phys.mac.sent_acks", layer);
@@ -67,13 +68,14 @@ void CsmaMac::enter_difs() {
   state_ = State::kDifs;
   const auto gen = bump_gen();
   if (radio_.carrier_busy() || radio_.transmitting()) {
-    // Defer: re-check after a slot.
-    ++outstanding_events_;
-    world_.sim().schedule_in(params_.slot, sim::EventCategory::kMac,
-                             [this, gen] {
-      --outstanding_events_;
-      if (gen == gen_ && state_ == State::kDifs) enter_difs();
-    });
+    // Defer. Polling would re-check every slot; each check before the idle
+    // edge reads busy and only re-arms (see RadioMedium::carrier_idle_at),
+    // so one re-check at the first slot at or after the edge does the same.
+    // A frame end heard meanwhile resyncs through on_radio_frame.
+    defer_gen_ = gen;
+    defer_from_ = world_.now();
+    arm_recheck(params_.poll_deferral ? world_.now()
+                                      : radio_.carrier_idle_at());
     return;
   }
   ++outstanding_events_;
@@ -82,6 +84,29 @@ void CsmaMac::enter_difs() {
                              --outstanding_events_;
                              difs_elapsed(gen);
                            });
+}
+
+void CsmaMac::arm_recheck(sim::Time not_before) {
+  const std::int64_t slot = params_.slot.count();
+  const std::int64_t wait = (not_before - defer_from_).count();
+  const std::int64_t k = std::max<std::int64_t>(1, (wait + slot - 1) / slot);
+  const auto gen = defer_gen_;
+  ++outstanding_events_;
+  world_.sim().schedule_at(defer_from_ + params_.slot * k,
+                           sim::EventCategory::kMac, [this, gen] {
+    --outstanding_events_;
+    if (gen == gen_ && state_ == State::kDifs) enter_difs();
+  });
+}
+
+void CsmaMac::on_retune() {
+  // Nothing to move unless an edge re-check is pending; the polling
+  // oracle's is always the next slot already.
+  if (params_.poll_deferral || state_ != State::kDifs || defer_gen_ != gen_) {
+    return;
+  }
+  defer_gen_ = bump_gen();
+  arm_recheck(world_.now());
 }
 
 void CsmaMac::difs_elapsed(std::uint64_t gen) {

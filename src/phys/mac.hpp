@@ -5,6 +5,16 @@
 // frames are sent once without acknowledgement. Collisions are not decided
 // by the MAC: overlapping transmissions simply fail SINR at the medium and
 // the resulting ACK timeouts drive the backoff, as on real hardware.
+//
+// Deferral is edge-driven. While carrier sense reads busy, DCF re-checks
+// every slot; every check before the carrier's idle edge reads busy again
+// (RadioMedium::carrier_idle_at explains why). So a deferring station
+// schedules one re-check, at the first instant of its slot grid at or
+// after Transceiver::carrier_idle_at(), and sends the same frames at the
+// same instants as the per-slot loop. A channel or power change re-arms
+// it at the grid's next slot; a radio that can move keeps re-checking
+// every slot. Params::poll_deferral keeps the per-slot loop as the test
+// oracle. The backoff countdown still spends one event per slot.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +83,11 @@ class CsmaMac {
     std::size_t queue_limit = 64;
     std::size_t header_bits = 272;  // MAC header + FCS
     std::size_t ack_bits = 112;
+    /// Test oracle only (like RadioMediumOptions::batch; no .scn, CLI or
+    /// environment switch reaches it): re-check carrier sense every slot
+    /// while deferring instead of once at the idle edge. Both send the
+    /// same frames at the same instants; phys_test asserts it.
+    bool poll_deferral = false;
   };
 
   /// src: sender MAC address; bits: payload size as transmitted.
@@ -103,8 +118,8 @@ class CsmaMac {
   // --- checkpoint/restore (see src/snap) ------------------------------------
   // MAC timer events capture generation tokens and frame payloads, so they
   // are never serialized; checkpoints are only taken when the MAC is
-  // quiescent (idle, empty queue, no outstanding timer events — the
-  // deferral loop in snap::CheckpointManager waits for this).
+  // quiescent (idle, empty queue, no outstanding timer events —
+  // scn::ScenarioInstance::settle() runs the world until every MAC is).
   bool snap_quiescent(std::string* why) const;
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);
@@ -124,6 +139,13 @@ class CsmaMac {
 
   void maybe_start();
   void enter_difs();
+  /// Schedules the deferral's one pending carrier re-check at the first
+  /// instant of its slot grid (defer_from_ + k * slot, k >= 1) at or after
+  /// `not_before`.
+  void arm_recheck(sim::Time not_before);
+  /// Transceiver retune hook: a pending re-check waits for an idle edge the
+  /// retune may have moved, so it falls back to the grid's next slot.
+  void on_retune();
   void difs_elapsed(std::uint64_t gen);
   void backoff_slot(std::uint64_t gen);
   void transmit_active();
@@ -146,6 +168,10 @@ class CsmaMac {
   std::unique_ptr<OutFrame> active_;
   State state_ = State::kIdle;
   std::uint64_t gen_ = 0;  // invalidates stale timer events on transitions
+  // Deferral in progress: its re-check carries defer_gen_ and its slot grid
+  // starts at defer_from_ (the instant carrier sense first read busy).
+  std::uint64_t defer_gen_ = 0;
+  sim::Time defer_from_ = sim::Time::zero();
   int cw_ = 16;
   int backoff_slots_ = 0;
   std::uint32_t next_seq_ = 1;

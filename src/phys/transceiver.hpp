@@ -2,6 +2,7 @@
 // shared RadioMedium.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 
@@ -66,11 +67,29 @@ class Transceiver final : public env::RadioEndpoint {
   bool carrier_busy() const {
     return medium_.carrier_busy_at(*this, params_.config, position());
   }
+  /// Earliest instant from which carrier_busy() and transmitting() both
+  /// read false if no new frame starts: the later of the medium's CCA
+  /// idle edge (RadioMedium::carrier_idle_at) and the end of this radio's
+  /// own frame. A radio that can move returns now: its sensed energy may
+  /// change between any two instants.
+  sim::Time carrier_idle_at() const {
+    if (max_speed_mps() > 0.0) return world_.now();
+    return std::max(medium_.carrier_idle_at(*this), tx_busy_until_);
+  }
 
   void set_receive_handler(ReceiveHandler h) { handler_ = std::move(h); }
-  void set_powered(bool on) { powered_ = on; }
+  /// Invoked after set_powered / set_channel: an idle edge computed before
+  /// is no longer a promise (the CSMA MAC re-arms its deferral on it).
+  void set_retune_handler(std::function<void()> h) { retune_ = std::move(h); }
+  void set_powered(bool on) {
+    powered_ = on;
+    if (retune_) retune_();
+  }
   bool powered() const { return powered_; }
-  void set_channel(int channel) { params_.config.channel = channel; }
+  void set_channel(int channel) {
+    params_.config.channel = channel;
+    if (retune_) retune_();
+  }
   int channel() const { return params_.config.channel; }
   double tx_power_dbm() const { return params_.tx_power_dbm; }
 
@@ -90,6 +109,7 @@ class Transceiver final : public env::RadioEndpoint {
   const env::MobilityModel* mobility_;
   Params params_;
   ReceiveHandler handler_;
+  std::function<void()> retune_;
   Battery* battery_ = nullptr;
   bool powered_ = true;
   bool fixed_pos_valid_ = false;

@@ -106,8 +106,11 @@ class ScenarioInstance {
   sim::Time meeting_time() const;
   sim::Time horizon_time() const;
 
-  /// Behavioral digest: seed, executed events, medium stats, pings,
-  /// registrations, the first goal's outcome, viewer updates.
+  /// Behavioral digest: seed, the medium's frame-trace digest
+  /// (RadioMedium::behaviour_digest), medium stats, pings, registrations,
+  /// the first goal's outcome, viewer updates. Cost counters (events(),
+  /// absorbed()) stay out, so it is invariant to how many kernel events
+  /// the same behaviour takes.
   std::uint64_t fingerprint() const;
 
   std::uint64_t events() const;

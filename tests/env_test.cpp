@@ -354,7 +354,8 @@ TEST(RadioMedium, SpatialIndexMatchesExhaustiveScanBitForBit) {
 
 // Runs the same randomized traffic-plus-CCA scenario under `opt` and
 // returns a bit-exact trace: MediumStats, every delivery (RSSI/SINR to the
-// last bit), and every CCA probe answer. Shared by the batch-equivalence
+// last bit), every CCA probe answer (energy, busy, idle edge), and the
+// behaviour digest. Shared by the batch-equivalence
 // tests below. Probes come in bursts against the same observer so the
 // batch path's per-observer CCA energy cache actually gets hit.
 std::vector<std::uint64_t> run_traffic_scenario(RadioMedium::Options opt) {
@@ -380,6 +381,8 @@ std::vector<std::uint64_t> run_traffic_scenario(RadioMedium::Options opt) {
         medium.energy_at(r.position(), r.cfg_.channel, r.cfg_.id);
     cca_trace.push_back(std::bit_cast<std::uint64_t>(e));
     cca_trace.push_back(medium.carrier_busy(r) ? 1u : 0u);
+    cca_trace.push_back(
+        static_cast<std::uint64_t>(medium.carrier_idle_at(r).count()));
   };
   for (int k = 0; k < 50; ++k) {
     const auto who = static_cast<std::size_t>(rng.uniform_int(0, 23));
@@ -413,6 +416,7 @@ std::vector<std::uint64_t> run_traffic_scenario(RadioMedium::Options opt) {
     }
   }
   summary.insert(summary.end(), cca_trace.begin(), cca_trace.end());
+  summary.push_back(medium.behaviour_digest());
   return summary;
 }
 
@@ -431,6 +435,58 @@ TEST(RadioMedium, BatchPathMatchesScalarBitForBit) {
   EXPECT_EQ(trace_for(true, false), scalar);
   EXPECT_EQ(trace_for(false, false), scalar);
   EXPECT_GT(scalar[0], 0u);  // traffic actually flowed
+}
+
+// carrier_idle_at is the exact idle edge: with no frame starting after the
+// probe, CCA reads busy 1 ns before the edge and idle at it, on every path.
+TEST(RadioMedium, CarrierIdleAtIsTheExactIdleEdge) {
+  for (const bool batch : {true, false}) {
+    int edges_in_future = 0;
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      RadioMedium::Options opt;
+      opt.batch = batch;
+      opt.spatial_index = batch;
+      PathLossModel::Params mp;
+      mp.seed = seed;
+      sim::World w(seed);
+      RadioMedium medium(w, PathLossModel(mp), opt);
+      sim::Rng rng(seed * 31);
+      std::vector<std::unique_ptr<TestRadio>> radios;
+      for (int i = 0; i < 12; ++i) {
+        radios.push_back(std::make_unique<TestRadio>(
+            static_cast<std::uint64_t>(i) + 1,
+            Vec2{rng.uniform(0.0, 160.0), rng.uniform(0.0, 160.0)},
+            static_cast<int>(rng.uniform_int(4, 8))));
+        medium.attach(radios.back().get());
+      }
+      for (int k = 0; k < 6; ++k) {
+        const auto who = static_cast<std::size_t>(rng.uniform_int(0, 11));
+        const auto bits = static_cast<std::size_t>(rng.uniform_int(500, 9'000));
+        w.sim().schedule_at(sim::Time::us(rng.uniform_int(0, 2'000)),
+                            [&medium, &radios, who, bits] {
+                              medium.transmit(*radios[who], bits, 2e6, 15.0,
+                                              nullptr);
+                            });
+      }
+      w.sim().run_until(sim::Time::us(2'001));
+      for (const auto& r : radios) {
+        const sim::Time edge = medium.carrier_idle_at(*r);
+        ASSERT_GE(edge, w.now());
+        if (edge > w.now() + sim::Time::ns(1)) {
+          ++edges_in_future;
+          w.sim().schedule_at(edge - sim::Time::ns(1), [&medium, &r] {
+            EXPECT_TRUE(medium.carrier_busy(*r));
+          });
+        }
+        w.sim().schedule_at(edge, [&medium, &r, edge] {
+          EXPECT_FALSE(medium.carrier_busy(*r)) << edge.count();
+          EXPECT_EQ(medium.carrier_idle_at(*r), edge);
+        });
+      }
+      w.sim().run();
+    }
+    EXPECT_GT(edges_in_future, 40) << "batch " << batch;
+  }
 }
 
 // resolve_links answers must be bit-identical to per-call scalar model

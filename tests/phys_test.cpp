@@ -1,8 +1,12 @@
 // Tests for the physical layer: profiles, batteries, transceivers, the
-// CSMA/CA MAC, the physical user, and the Device container.
+// CSMA/CA MAC (incl. edge-driven deferral against its polling oracle), the
+// physical user, and the Device container.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <memory>
+#include <vector>
 
 #include "env/environment.hpp"
 #include "phys/battery.hpp"
@@ -276,6 +280,347 @@ TEST(CsmaMac, QueueOverflowRejects) {
   EXPECT_GE(a.mac.stats().drops_queue_full, 9u);
   w.sim().run();
   EXPECT_GE(failures, static_cast<int>(a.mac.params().queue_limit));
+}
+
+// --- Edge-driven deferral vs the polling oracle ---------------------------
+//
+// A deferring CsmaMac schedules one carrier re-check at the first slot of
+// its grid at or after the idle edge (RadioMedium::carrier_idle_at). The
+// oracle (Params::poll_deferral) re-checks every slot. Both must put the
+// same frames on the air at the same instants with the same outcomes.
+
+// A passive endpoint on one channel: records every frame it hears to the
+// last SINR bit. It never transmits, so it sees the same air in both runs.
+class Sniffer final : public env::RadioEndpoint {
+ public:
+  Sniffer(sim::World& w, std::uint64_t id, int channel,
+          std::vector<std::uint64_t>& trace)
+      : w_(w), trace_(trace) {
+    cfg_.id = id;
+    cfg_.channel = channel;
+    cfg_.sensitivity_dbm = -120.0;
+  }
+  env::Vec2 position() const override { return {60.0, 60.0}; }
+  const env::RadioConfig& radio_config() const override { return cfg_; }
+  bool receiver_enabled() const override { return true; }
+  double max_speed_mps() const override { return 0.0; }
+  void on_frame(const env::FrameDelivery& d) override {
+    trace_.insert(trace_.end(),
+                  {static_cast<std::uint64_t>(w_.now().count()), cfg_.id,
+                   d.tx_id, d.sender_radio, d.bits,
+                   std::bit_cast<std::uint64_t>(d.rssi_dbm),
+                   std::bit_cast<std::uint64_t>(d.sinr_db)});
+  }
+
+ private:
+  sim::World& w_;
+  env::RadioConfig cfg_;
+  std::vector<std::uint64_t>& trace_;
+};
+
+struct WorldSpec {
+  std::uint64_t seed;
+  int radios;
+  int channel_mode;  // 0: all on 6; 1: spread over 1/6/11; 2: 4..8
+  int payload_mode;  // 0: 256-bit frames; 1: 64..12000 bits
+};
+
+struct WorldRun {
+  std::vector<std::uint64_t> trace;
+  std::uint64_t events = 0;
+};
+
+int draw_channel(int mode, sim::Rng& rng) {
+  if (mode == 0) return 6;
+  if (mode == 1) return static_cast<int>(1 + 5 * rng.uniform_int(0, 2));
+  return static_cast<int>(rng.uniform_int(4, 8));
+}
+
+// Generates a world from `spec`: static radios over a 120 m square (some
+// pairs hear each other, some only sense, some neither), six frames per
+// radio at random instants to random peers or broadcast, and by seed % 4
+// one input the idle-edge argument does not cover: mid-run channel hops,
+// power toggles, or a moving radio. Returns everything observable.
+WorldRun run_world(const WorldSpec& spec, bool poll) {
+  sim::World w(spec.seed);
+  env::PathLossModel::Params pp;
+  pp.seed = spec.seed;  // shadowing on
+  env::RadioMedium medium(w, env::PathLossModel(pp));
+  sim::Rng rng(spec.seed * 7919 +
+               static_cast<std::uint64_t>(spec.radios * 31 +
+                                          spec.channel_mode * 3 +
+                                          spec.payload_mode));
+  WorldRun out;
+  std::vector<std::unique_ptr<Sniffer>> sniffers;
+  for (const int ch : {1, 6, 11}) {
+    sniffers.push_back(std::make_unique<Sniffer>(
+        w, 1000 + static_cast<std::uint64_t>(ch), ch, out.trace));
+    medium.attach(sniffers.back().get());
+  }
+  struct Node {
+    std::unique_ptr<env::MobilityModel> mobility;
+    std::unique_ptr<Transceiver> radio;
+    std::unique_ptr<CsmaMac> mac;
+  };
+  const int extra = static_cast<int>(spec.seed % 4);
+  std::vector<Node> nodes(static_cast<std::size_t>(spec.radios));
+  for (int i = 0; i < spec.radios; ++i) {
+    Node& n = nodes[static_cast<std::size_t>(i)];
+    const env::Vec2 pos{rng.uniform(0.0, 120.0), rng.uniform(0.0, 120.0)};
+    if (extra == 3 && i == 0) {
+      n.mobility =
+          std::make_unique<env::LinearMobility>(pos, env::Vec2{400.0, -300.0});
+    } else {
+      n.mobility = std::make_unique<env::StaticMobility>(pos);
+    }
+    Transceiver::Params tp;
+    tp.config.id = static_cast<std::uint64_t>(i) + 1;
+    tp.config.channel = draw_channel(spec.channel_mode, rng);
+    n.radio = std::make_unique<Transceiver>(w, medium, n.mobility.get(), tp);
+    CsmaMac::Params mp;
+    mp.poll_deferral = poll;
+    n.mac = std::make_unique<CsmaMac>(
+        w, *n.radio,
+        sim::Rng(spec.seed * 1000 + static_cast<std::uint64_t>(i)), mp);
+    n.mac->set_receive_handler([&out, &w, i](MacAddress src,
+                                             const MacPayload&,
+                                             std::size_t bits) {
+      out.trace.insert(out.trace.end(),
+                       {static_cast<std::uint64_t>(w.now().count()),
+                        static_cast<std::uint64_t>(i), src, bits});
+    });
+  }
+  for (int i = 0; i < spec.radios; ++i) {
+    for (int k = 0; k < 6; ++k) {
+      const sim::Time at = sim::Time::us(rng.uniform_int(0, 60'000));
+      const auto pick = rng.uniform_int(0, spec.radios);
+      const MacAddress dst = pick == spec.radios || pick == i
+                                 ? kBroadcast
+                                 : static_cast<MacAddress>(pick) + 1;
+      const std::size_t bits =
+          spec.payload_mode == 0
+              ? 256
+              : static_cast<std::size_t>(rng.uniform_int(64, 12'000));
+      w.sim().schedule_at(at, [&out, &w, &nodes, i, dst, bits] {
+        nodes[static_cast<std::size_t>(i)].mac->send(
+            dst, bits, nullptr, [&out, &w, i](bool ok) {
+              out.trace.insert(out.trace.end(),
+                               {static_cast<std::uint64_t>(w.now().count()),
+                                100 + static_cast<std::uint64_t>(i),
+                                ok ? 1u : 0u});
+            });
+      });
+    }
+  }
+  for (int k = 0; k < 3 && (extra == 1 || extra == 2); ++k) {
+    Transceiver& radio =
+        *nodes[static_cast<std::size_t>(rng.uniform_int(0, spec.radios - 1))]
+             .radio;
+    const sim::Time at = sim::Time::us(rng.uniform_int(0, 60'000));
+    if (extra == 1) {
+      const int ch = draw_channel(2, rng);
+      w.sim().schedule_at(at, [&radio, ch] { radio.set_channel(ch); });
+    } else {
+      const sim::Time off = sim::Time::us(rng.uniform_int(1, 5'000));
+      w.sim().schedule_at(at, [&radio] { radio.set_powered(false); });
+      w.sim().schedule_at(at + off, [&radio] { radio.set_powered(true); });
+    }
+  }
+  w.sim().run();
+
+  const env::MediumStats& ms = medium.stats();
+  out.trace.insert(out.trace.end(),
+                   {medium.behaviour_digest(), ms.transmissions,
+                    ms.deliveries_attempted, ms.deliveries_decodable,
+                    ms.losses_sinr, ms.losses_half_duplex, ms.losses_rx_off});
+  for (const Node& n : nodes) {
+    const MacStats& st = n.mac->stats();
+    out.trace.insert(out.trace.end(),
+                     {st.sent_data, st.sent_acks, st.delivered_up, st.retries,
+                      st.drops_retry_limit, st.acks_received});
+  }
+  out.events = w.sim().executed();
+  return out;
+}
+
+class DeferralOracle : public ::testing::TestWithParam<int> {};
+
+// 10 seeds x 3 channel plans x 2 payload plans per radio count; the suite
+// covers 240 worlds over radio counts 2, 5, 10 and 20.
+TEST_P(DeferralOracle, EdgeDrivenMatchesPollingTraceAndOutcomes) {
+  const int radios = GetParam();
+  std::uint64_t poll_events = 0;
+  std::uint64_t edge_events = 0;
+  int worlds = 0;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    for (int channels = 0; channels < 3; ++channels) {
+      for (int payload = 0; payload < 2; ++payload) {
+        const WorldSpec spec{seed, radios, channels, payload};
+        const WorldRun oracle = run_world(spec, /*poll=*/true);
+        const WorldRun edge = run_world(spec, /*poll=*/false);
+        ASSERT_EQ(edge.trace, oracle.trace)
+            << "seed " << seed << " radios " << radios << " channels "
+            << channels << " payload " << payload;
+        EXPECT_LE(edge.events, oracle.events);
+        poll_events += oracle.events;
+        edge_events += edge.events;
+        ++worlds;
+      }
+    }
+  }
+  EXPECT_EQ(worlds, 60);
+  EXPECT_LT(edge_events, poll_events);
+}
+
+INSTANTIATE_TEST_SUITE_P(Radios, DeferralOracle,
+                         ::testing::Values(2, 5, 10, 20));
+
+// Hand-built deferral: A puts a 10 ms frame on channel 6 that B senses, B's
+// MAC queues a broadcast 1 ms in (its slot grid: 1 ms + k * 20 us), and
+// `during` runs on B's radio at `at`, mid-deferral.
+struct DeferralProbe {
+  std::int64_t done_ns = -1;  // B's send completion
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+};
+
+template <typename During>
+DeferralProbe run_deferral(bool poll, const env::MobilityModel& b_mobility,
+                           During during,
+                           sim::Time at = sim::Time::us(2'007)) {
+  sim::World w(3);
+  env::RadioMedium medium(w, flat_model());
+  env::StaticMobility pa({0, 0}), pc({10, 0});
+  Transceiver::Params ta, tb, tc;
+  ta.config.id = 1;
+  ta.config.channel = 6;
+  tb.config.id = 2;
+  tb.config.channel = 6;
+  tc.config.id = 3;
+  tc.config.channel = 11;
+  Transceiver a(w, medium, &pa, ta);
+  Transceiver b(w, medium, &b_mobility, tb);
+  Transceiver c(w, medium, &pc, tc);
+  CsmaMac::Params mp;
+  mp.poll_deferral = poll;
+  CsmaMac mac(w, b, sim::Rng(5), mp);
+  DeferralProbe out;
+  w.sim().schedule_at(sim::Time::zero(), [&] { a.transmit(20'000, nullptr); });
+  w.sim().schedule_at(sim::Time::ms(1), [&] {
+    mac.send(kBroadcast, 800, nullptr,
+             [&](bool) { out.done_ns = w.now().count(); });
+  });
+  w.sim().schedule_at(at, [&] { during(b); });
+  w.sim().run();
+  out.digest = medium.behaviour_digest();
+  out.events = w.sim().executed();
+  return out;
+}
+
+// A channel hop mid-deferral moves the idle edge: B, now alone on channel
+// 11, must re-check at the next slot of its grid, as polling does, and
+// send long before A's frame ends at 10 ms.
+TEST(CsmaMac, ChannelHopDuringDeferralRechecksAtTheNextSlot) {
+  env::StaticMobility pb({5, 0});
+  const auto hop = [](Transceiver& b) { b.set_channel(11); };
+  const DeferralProbe oracle = run_deferral(true, pb, hop);
+  const DeferralProbe edge = run_deferral(false, pb, hop);
+  EXPECT_EQ(edge.done_ns, oracle.done_ns);
+  EXPECT_EQ(edge.digest, oracle.digest);
+  EXPECT_GT(edge.done_ns, sim::Time::us(2'007).count());
+  EXPECT_LT(edge.done_ns, sim::Time::ms(10).count());
+  EXPECT_LT(edge.events, oracle.events);
+}
+
+// On a grid instant the hop comes first (it was scheduled earlier), so
+// polling's re-check at that very instant already sees channel 11.
+TEST(CsmaMac, ChannelHopOnAGridInstantRechecksThatInstant) {
+  env::StaticMobility pb({5, 0});
+  const auto hop = [](Transceiver& b) { b.set_channel(11); };
+  const DeferralProbe oracle =
+      run_deferral(true, pb, hop, sim::Time::us(2'000));
+  const DeferralProbe edge = run_deferral(false, pb, hop, sim::Time::us(2'000));
+  EXPECT_EQ(edge.done_ns, oracle.done_ns);
+  EXPECT_EQ(edge.digest, oracle.digest);
+  EXPECT_LT(edge.done_ns, sim::Time::ms(10).count());
+}
+
+TEST(CsmaMac, PowerToggleDuringDeferralMatchesPolling) {
+  env::StaticMobility pb({5, 0});
+  const auto toggle = [](Transceiver& b) {
+    b.set_powered(false);
+    b.set_powered(true);
+  };
+  const DeferralProbe oracle = run_deferral(true, pb, toggle);
+  const DeferralProbe edge = run_deferral(false, pb, toggle);
+  EXPECT_EQ(edge.done_ns, oracle.done_ns);
+  EXPECT_EQ(edge.digest, oracle.digest);
+  EXPECT_GT(edge.done_ns, sim::Time::ms(10).count());  // waited A out
+}
+
+// A radio that can move senses energy that changes with its position, so
+// it keeps the one-slot re-check: B drives out of A's carrier-sense range
+// mid-frame and sends at the same slot as the polling oracle.
+TEST(CsmaMac, MovingRadioKeepsOneSlotRecheck) {
+  env::LinearMobility pb({90, 0}, {4'000, 0});  // past 100 m at 2.5 ms
+  const auto none = [](Transceiver&) {};
+  const DeferralProbe oracle = run_deferral(true, pb, none);
+  const DeferralProbe edge = run_deferral(false, pb, none);
+  EXPECT_EQ(edge.done_ns, oracle.done_ns);
+  EXPECT_EQ(edge.digest, oracle.digest);
+  EXPECT_LT(edge.done_ns, sim::Time::ms(10).count());
+}
+
+// The one case where the edge re-check fires live instead of being made
+// stale by a frame-end resync: X and Y are each below O's CCA threshold
+// alone but above it together, O hears neither frame (its sensitivity is
+// above both), and X ends off O's slot grid while Y is still on the air.
+TEST(CsmaMac, LiveRecheckAtAnUnheardIdleEdge) {
+  const auto run = [](bool poll) {
+    sim::World w(4);
+    env::RadioMedium medium(w, flat_model());
+    // 15 dBm - (40 + 30 log10 d) = -87 dBm at O from each of X and Y.
+    const double d = std::pow(10.0, (15.0 - 40.0 + 87.0) / 30.0);
+    env::StaticMobility po({0, 0}), px({d, 0}), py({-d, 0});
+    Transceiver::Params to, tx, ty;
+    to.config.id = 1;
+    to.config.sensitivity_dbm = -80.0;
+    to.config.cca_threshold_dbm = -85.0;
+    tx.config.id = 2;
+    ty.config.id = 3;
+    Transceiver o(w, medium, &po, to);
+    Transceiver x(w, medium, &px, tx);
+    Transceiver y(w, medium, &py, ty);
+    CsmaMac::Params mp;
+    mp.poll_deferral = poll;
+    CsmaMac mac(w, o, sim::Rng(9), mp);
+    DeferralProbe out;
+    sim::Time edge_seen = sim::Time::zero();
+    w.sim().schedule_at(sim::Time::zero(),
+                        [&] { y.transmit(20'000, nullptr); });
+    w.sim().schedule_at(sim::Time::ms(1), [&] { x.transmit(4'000, nullptr); });
+    w.sim().schedule_at(sim::Time::us(1'507), [&] {
+      EXPECT_TRUE(o.carrier_busy());
+      edge_seen = medium.carrier_idle_at(o);
+      mac.send(kBroadcast, 800, nullptr,
+               [&](bool) { out.done_ns = w.now().count(); });
+    });
+    w.sim().run();
+    EXPECT_EQ(edge_seen, sim::Time::ms(3));  // X's end: Y alone reads idle
+    EXPECT_EQ(o.frames_received(), 0u);
+    out.digest = medium.behaviour_digest();
+    out.events = w.sim().executed();
+    return out;
+  };
+  const DeferralProbe oracle = run(true);
+  const DeferralProbe edge = run(false);
+  EXPECT_EQ(edge.done_ns, oracle.done_ns);
+  EXPECT_EQ(edge.digest, oracle.digest);
+  // Sent while Y was still on the air: the re-check at 3.007 ms found the
+  // channel idle with no frame end to resync on.
+  EXPECT_GT(edge.done_ns, sim::Time::us(3'007).count());
+  EXPECT_LT(edge.done_ns, sim::Time::ms(10).count());
+  EXPECT_LT(edge.events, oracle.events);
 }
 
 // --- PhysicalUser ------------------------------------------------------

@@ -2,11 +2,13 @@
 // pipeline (fold, train lowering, strategy classes), blob robustness
 // (truncation, CRC damage, version/section mismatches), compile
 // determinism (compile-twice, dump-recompile fixpoint), the cost model,
-// the pinned smart_projector fleet goldens, the checkpoint -> restore
-// -> resume differential over every library scenario, and scratch-buffer
-// checkpoint serialization over every checkpointable one.
+// the pinned goldens (smart_projector fleets and every library scenario's
+// behaviour fingerprint, from scenarios/goldens.txt), the checkpoint ->
+// restore -> resume differential over every library scenario, and
+// scratch-buffer checkpoint serialization over every checkpointable one.
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -19,6 +21,7 @@
 #include "scn/blob.hpp"
 #include "scn/compiler.hpp"
 #include "scn/cost.hpp"
+#include "scn/golden.hpp"
 #include "scn/parser.hpp"
 #include "scn/passes.hpp"
 #include "scn/runtime.hpp"
@@ -382,25 +385,56 @@ TEST(ScnRuntime, RunTwiceThrows) {
 
 // --- goldens ---------------------------------------------------------------
 
+// Every golden lives in scenarios/goldens.txt (see scn/golden.hpp); the
+// bench and the artifact checker read the same file.
+const scn::Goldens& goldens() {
+  static const scn::Goldens g =
+      scn::read_goldens(std::string(AROMA_SCENARIO_DIR) + "/goldens.txt");
+  return g;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buf[19];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 // The compiled Smart Projector room at seed 2026: fleet fingerprints and
-// executed-event totals, pinned. These are the values the hand-written
-// room the scenario replaced produced, so any drift is a behaviour change.
+// executed-event totals, pinned.
 TEST(ScnGolden, SmartProjectorFleetFingerprintsPinned) {
   const std::string path =
       std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
   const scn::Scenario s = scn::decode(scn::compile_file(path, {}));
-  struct Golden {
-    std::size_t shards;
-    std::uint64_t fleet_fp;
-    std::uint64_t events;
-  };
-  for (const Golden& g : {Golden{1, 0x3d292f0faab19f39, 2251},
-                          Golden{8, 0x24b052fcb82e2c8c, 68412},
-                          Golden{64, 0x8ad24b882b02659a, 662084}}) {
-    const scn::FleetResult r = scn::run_fleet(s, g.shards, 2026, 2);
-    EXPECT_EQ(r.fleet_fp, g.fleet_fp) << g.shards << " shards";
-    EXPECT_EQ(r.events, g.events) << g.shards << " shards";
+  for (const std::size_t shards : {1, 8, 64}) {
+    const scn::FleetGolden* g =
+        goldens().fleet("smart_projector", 2026, shards);
+    ASSERT_NE(g, nullptr) << "no fleet golden at " << shards << " shards";
+    const scn::FleetResult r = scn::run_fleet(s, shards, 2026, 2);
+    EXPECT_EQ(hex64(r.fleet_fp), hex64(g->fleet_fp)) << shards << " shards";
+    EXPECT_EQ(r.events, g->events) << shards << " shards";
   }
+}
+
+TEST(ScnGolden, MalformedRecordThrowsTypedError) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "aroma_bad_goldens.txt")
+          .string();
+  for (const char* bad :
+       {"shard stadium 2026 0 3d292f0faab19f39\n",       // no 0x
+        "shard stadium 2026 0 0x3d292f0faab19f39 9\n",   // extra field
+        "fleet smart_projector 2026 -1 0x3d292f0faab19f39 5\n",
+        "fleet smart_projector 2026 1 0x3d292f0faab19f3z 5\n",
+        "pin stadium 2026 0 0x3d292f0faab19f39\n"}) {
+    std::ofstream(path) << "# header\n" << bad;
+    EXPECT_THROW(scn::read_goldens(path), scn::ScnError) << bad;
+  }
+  std::ofstream(path) << "shard a 7 1 0x00000000000000ff  # note\n\n";
+  const scn::Goldens g = scn::read_goldens(path);
+  ASSERT_EQ(g.shards.size(), 1u);
+  EXPECT_EQ(g.shards[0].fp, 0xffu);
+  std::filesystem::remove(path);
+  EXPECT_THROW(scn::read_goldens(path), scn::ScnError);
 }
 
 // --- checkpoint differential -----------------------------------------------
@@ -483,6 +517,42 @@ TEST_P(ScnCheckpointDifferential, CheckpointRestoreResumeMatchesUninterrupted) {
 INSTANTIATE_TEST_SUITE_P(
     Library, ScnCheckpointDifferential,
     ::testing::ValuesIn(library_scenarios()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+class ScnShardGolden : public ::testing::TestWithParam<std::string> {};
+
+// Each library scenario's shards 0 and 1 at seeds 2026 and 7, run to
+// completion: the behaviour-digest fingerprint is pinned, so a change that
+// alters any frame, delivery outcome, ping, registration, goal or viewer
+// update fails here, while one that only saves kernel events does not.
+TEST_P(ScnShardGolden, BehaviourFingerprintPinned) {
+  const std::string name = GetParam();
+  const scn::Scenario s = scn::decode(scn::compile_file(
+      std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn", {}));
+  for (const std::uint64_t seed : {2026, 7}) {
+    for (const std::size_t shard : {0, 1}) {
+      const auto& all = goldens().shards;
+      const auto g = std::find_if(all.begin(), all.end(), [&](const auto& x) {
+        return x.scenario == name && x.seed == seed && x.shard == shard;
+      });
+      scn::ScenarioInstance inst(s, shard, sim::shard_seed(seed, shard));
+      inst.run();
+      const std::string line = "shard " + name + " " + std::to_string(seed) +
+                               " " + std::to_string(shard) + " " +
+                               hex64(inst.fingerprint());
+      if (g == all.end()) {
+        ADD_FAILURE() << "no golden; measured: " << line;
+        continue;
+      }
+      EXPECT_EQ(hex64(inst.fingerprint()), hex64(g->fp)) << line;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Library, ScnShardGolden, ::testing::ValuesIn(library_scenarios()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
