@@ -124,12 +124,163 @@ std::uint64_t RadioMedium::transmit(RadioEndpoint& sender, std::size_t bits,
   // The frame record lives in history_ until pruned; capturing just the id
   // keeps this closure inside Callback's inline buffer (no allocation).
   const std::uint64_t id = history_.back().id;
-  sim::ScopedTraceContext ctx(
-      world_.sim(), history_.back().span != 0 ? history_.back().span
-                                              : world_.sim().trace_context());
-  world_.sim().schedule_at(history_.back().end, sim::EventCategory::kRadio,
-                           [this, id] { finish(id); });
+  {
+    sim::ScopedTraceContext ctx(world_.sim(),
+                                history_.back().span != 0
+                                    ? history_.back().span
+                                    : world_.sim().trace_context());
+    world_.sim().schedule_at(history_.back().end, sim::EventCategory::kRadio,
+                             [this, id] { finish(id); });
+  }
+  if (!countdowns_.empty()) countdowns_on_start(history_.back());
   return id;
+}
+
+// --- edge-driven CSMA backoff ------------------------------------------------
+//
+// The per-slot loop these countdowns replace schedules each slot from the
+// one before, so within one instant its slot events fire in a fixed order:
+// a countdown that starts later was released by a DIFS timer queued before
+// an older countdown's slot event, and stays ahead of it from then on.
+// countdowns_ holds that order. The medium keeps the kernel in step by
+// re-arming: cancelling an older countdown's event and scheduling it again
+// at the same instant puts it behind everything already queued there.
+
+std::size_t RadioMedium::countdown_index(const Countdown& c) const {
+  std::size_t i = 0;
+  while (i < countdowns_.size() && countdowns_[i].owner != &c) ++i;
+  return i;
+}
+
+void RadioMedium::countdown_start(Countdown& c, sim::Time slot, int slots,
+                                  bool polls) {
+  const sim::Time now = world_.now();
+  std::size_t i = 0;
+  while (i < countdowns_.size() && countdowns_[i].start == now) ++i;
+  const sim::Time last = now + slot * (slots + 1);
+  countdowns_.insert(countdowns_.begin() + static_cast<std::ptrdiff_t>(i),
+                     CountdownEntry{&c, now, slot, last,
+                                    polls ? now + slot : last,
+                                    sim::Time::max(), {}, {}, polls});
+  countdown_arm(i, true, countdowns_[i].next);
+  // CCA skips a frame at its own start instant, so one that started now
+  // reads busy only at the next slot: check there.
+  if (!polls && now + slot < last && sensed_start_now(c.countdown_radio())) {
+    countdown_arm(i, false, now + slot);
+  }
+}
+
+void RadioMedium::countdown_stop(Countdown& c) {
+  const std::size_t i = countdown_index(c);
+  if (i == countdowns_.size()) return;
+  sim::Simulator& sim = world_.sim();
+  if (countdowns_[i].next_ev.valid()) sim.cancel(countdowns_[i].next_ev);
+  if (countdowns_[i].check_ev.valid()) sim.cancel(countdowns_[i].check_ev);
+  countdowns_.erase(countdowns_.begin() + static_cast<std::ptrdiff_t>(i));
+}
+
+void RadioMedium::countdown_retune(Countdown& c) {
+  const std::size_t i = countdown_index(c);
+  if (i == countdowns_.size() || countdowns_[i].polls) return;
+  CountdownEntry& e = countdowns_[i];
+  const std::int64_t slot = e.slot.count();
+  const std::int64_t k = std::max<std::int64_t>(
+      1, ((world_.now() - e.start).count() + slot - 1) / slot);
+  const sim::Time at = e.start + e.slot * k;
+  if (at >= e.last) return;  // the last slot checks anyway
+  if (e.check_ev.valid()) {
+    if (e.check <= at) return;
+    world_.sim().cancel(e.check_ev);
+    e.check_ev = {};
+  }
+  countdown_arm(i, false, at);
+}
+
+void RadioMedium::countdown_arm(std::size_t i, bool main, sim::Time when) {
+  countdown_schedule(i, main, when);
+  for (std::size_t j = i + 1; j < countdowns_.size(); ++j) {
+    countdown_rearm(j, when);
+  }
+}
+
+void RadioMedium::countdown_rearm(std::size_t i, sim::Time when) {
+  CountdownEntry& e = countdowns_[i];
+  if (e.next_ev.valid() && e.next == when) {
+    world_.sim().cancel(e.next_ev);
+    countdown_schedule(i, true, when);
+  } else if (e.check_ev.valid() && e.check == when) {
+    world_.sim().cancel(e.check_ev);
+    countdown_schedule(i, false, when);
+  }
+}
+
+void RadioMedium::countdown_schedule(std::size_t i, bool main,
+                                     sim::Time when) {
+  CountdownEntry& e = countdowns_[i];
+  Countdown* c = e.owner;
+  const sim::EventHandle h =
+      world_.sim().schedule_at(when, sim::EventCategory::kMac,
+                               [this, c, main] { countdown_fire(c, main); });
+  (main ? e.next : e.check) = when;
+  (main ? e.next_ev : e.check_ev) = h;
+}
+
+void RadioMedium::countdown_fire(Countdown* c, bool main) {
+  const std::size_t i = countdown_index(*c);
+  CountdownEntry& e = countdowns_[i];
+  (main ? e.next_ev : e.check_ev) = {};
+  const sim::Time now = world_.now();
+  // An idle, non-final slot leaves the list as it was, so `e` stays valid.
+  if (!c->countdown_slot(main && now == e.last)) return;
+  if (e.polls) {
+    countdown_arm(i, true, now + e.slot);
+  } else if (now + e.slot < e.last && sensed_start_now(c->countdown_radio())) {
+    // Read idle ahead of a frame that started at this instant.
+    countdown_arm(i, false, now + e.slot);
+  }
+}
+
+void RadioMedium::countdowns_on_start(const Transmission& tx) {
+  const sim::Time now = world_.now();
+  fresh_.clear();  // instants that got a check in this pass
+  for (std::size_t i = 0; i < countdowns_.size(); ++i) {
+    CountdownEntry& e = countdowns_[i];
+    // A countdown whose last slot is this frame's end: the per-slot loop
+    // queued that slot after the frame end (the frame outlasts a slot), so
+    // the frame's deliveries, and the resync they cause, come first.
+    if (e.next == tx.end && tx.end - now > e.slot) countdown_rearm(i, tx.end);
+    // Behind the checks younger countdowns just got at the same instant.
+    for (const sim::Time t : fresh_) countdown_rearm(i, t);
+    // Energy rises only when a frame starts, so one check at the first
+    // slot instant after each start is all the per-slot loop could see. A
+    // pending check is never later than that instant, and covers it.
+    if (e.polls || e.check_ev.valid()) continue;
+    const RadioConfig& cfg = e.owner->countdown_radio().radio_config();
+    const int sep = tx.channel >= cfg.channel ? tx.channel - cfg.channel
+                                              : cfg.channel - tx.channel;
+    if (sep >= 5 && tx.sender_id != cfg.id) continue;
+    const sim::Time at =
+        e.start + e.slot * ((now - e.start).count() / e.slot.count() + 1);
+    if (at >= e.last) continue;  // the last slot checks anyway
+    countdown_schedule(i, false, at);
+    if (std::find(fresh_.begin(), fresh_.end(), at) == fresh_.end()) {
+      fresh_.push_back(at);
+    }
+  }
+}
+
+bool RadioMedium::sensed_start_now(const RadioEndpoint& ep) const {
+  const RadioConfig& cfg = ep.radio_config();
+  const sim::Time now = world_.now();
+  // in_flight_ is in tx-id order, so the frames that started now are last.
+  for (auto it = in_flight_.rbegin();
+       it != in_flight_.rend() && (*it)->start == now; ++it) {
+    const int sep = (*it)->channel >= cfg.channel
+                        ? (*it)->channel - cfg.channel
+                        : cfg.channel - (*it)->channel;
+    if (sep < 5 || (*it)->sender_id == cfg.id) return true;
+  }
+  return false;
 }
 
 const RadioMedium::Transmission* RadioMedium::find_tx(std::uint64_t id) const {
@@ -918,6 +1069,7 @@ void RadioMedium::restore(snap::SectionReader& r) {
   ep_map_valid_ = false;
   ep_cache_valid_ = false;
   in_flight_.clear();
+  countdowns_.clear();  // their events went with Simulator::clear_pending
   for (auto& s : cca_activity_seq_) ++s;
 
   stats_.transmissions = r.u64();

@@ -5,7 +5,8 @@
 // every attached radio, whether the frame was decodable given path loss,
 // channel overlap, accumulated co-channel interference (weighted by time
 // overlap), thermal noise, and half-duplex constraints. The medium also
-// answers clear-channel-assessment queries for CSMA MACs.
+// answers clear-channel-assessment queries for CSMA MACs and, seeing every
+// frame start, runs the events of their backoff countdowns.
 //
 // Hot-path indexing (Options::spatial_index, on by default):
 //  - A uniform spatial hash grid over endpoint positions lets frame
@@ -102,6 +103,27 @@ class RadioEndpoint {
   mutable std::uint64_t medium_ep_epoch_ = 0;
 };
 
+/// A CSMA backoff countdown as the medium sees it (phys::CsmaMac is the one
+/// implementation). While a countdown is live the medium owns its kernel
+/// events: one at the last slot (a radio that can move: one per slot) and
+/// at most one carrier check. It keeps every live countdown in the order a
+/// per-slot loop would visit them within one instant (see
+/// RadioMedium::countdown_start and DESIGN "Edge-driven CSMA deferral and
+/// backoff").
+class Countdown {
+ public:
+  /// The radio whose carrier sense (and own transmissions) the countdown
+  /// reads.
+  virtual const RadioEndpoint& countdown_radio() const = 0;
+  /// The countdown's carrier check at one of its slot instants; `final` on
+  /// its last slot. Returns true while it goes on (idle, not final). On
+  /// false it has frozen or sent and left the medium via countdown_stop.
+  virtual bool countdown_slot(bool final) = 0;
+
+ protected:
+  ~Countdown() = default;
+};
+
 /// Medium-wide counters for experiments.
 struct MediumStats {
   std::uint64_t transmissions = 0;
@@ -172,7 +194,7 @@ class RadioMedium {
   bool carrier_busy(const RadioEndpoint& ep) const;
   /// As above with the config and position already in hand — lets a
   /// concrete endpoint (which knows its own fields) skip the virtual
-  /// getters on the per-backoff-slot CCA path.
+  /// getters on the MAC's carrier-check path.
   bool carrier_busy_at(const RadioEndpoint& ep, const RadioConfig& cfg,
                        Vec2 pos) const;
 
@@ -191,6 +213,23 @@ class RadioMedium {
 
   /// In-flight energy (dBm) at a position on a channel; -inf-ish when idle.
   double energy_at(Vec2 pos, int channel, std::uint64_t observer_id) const;
+
+  // --- edge-driven CSMA backoff ---------------------------------------------
+  /// Starts a backoff countdown of `slots` idle slots of length `slot` at
+  /// now: its last slot is now + (slots + 1) * slot. A static radio gets
+  /// one event there and a carrier check at the first slot instant after
+  /// each frame start it can sense (countdown_slot(false)); `polls` (a
+  /// radio that can move) gets one event per slot instead. Same-instant
+  /// events of live countdowns fire younger-first: a countdown joins
+  /// behind those that started at this instant and ahead of older ones.
+  void countdown_start(Countdown& c, sim::Time slot, int slots, bool polls);
+  /// Cancels the countdown's events and drops it. No-op when not live.
+  void countdown_stop(Countdown& c);
+  /// The countdown's radio retuned: check carrier at the first slot
+  /// instant at or after now.
+  void countdown_retune(Countdown& c);
+  /// Live countdowns (tests assert the list never outlives its MACs).
+  std::size_t live_countdowns() const { return countdowns_.size(); }
 
   /// Resolves `queries.size()` link budgets in one pass. Results land in
   /// `results` (which must be at least as long). Queries whose endpoints
@@ -299,6 +338,35 @@ class RadioMedium {
   };
 
   void finish(std::uint64_t tx_id);
+
+  /// A live backoff countdown and its kernel events.
+  struct CountdownEntry {
+    Countdown* owner;
+    sim::Time start;     // countdown start; slot instants are start + k * slot
+    sim::Time slot;
+    sim::Time last;      // its final slot instant
+    sim::Time next;      // instant of next_ev: `last`, or a mover's next slot
+    sim::Time check;     // instant of check_ev while it is pending
+    sim::EventHandle next_ev;
+    sim::EventHandle check_ev;  // invalid when no check is pending
+    bool polls;
+  };
+  std::size_t countdown_index(const Countdown& c) const;
+  /// Schedules countdown i's main or check event at `when`, then re-arms
+  /// every older countdown's event at `when` behind it.
+  void countdown_arm(std::size_t i, bool main, sim::Time when);
+  /// Moves countdown i's pending event at `when` (if any) behind every
+  /// event already queued for that instant.
+  void countdown_rearm(std::size_t i, sim::Time when);
+  void countdown_schedule(std::size_t i, bool main, sim::Time when);
+  void countdown_fire(Countdown* c, bool main);
+  /// transmit() hook: checks for the countdowns that can sense `tx`, and
+  /// the frame's deliveries ahead of a countdown that ends with it.
+  void countdowns_on_start(const Transmission& tx);
+  /// A frame that `ep` can sense started at exactly now (CCA skips it
+  /// until the next instant).
+  bool sensed_start_now(const RadioEndpoint& ep) const;
+
   void deliver(const Transmission& tx, RadioEndpoint& ep);
   /// Tail of deliver() once the RSSI is known to clear sensitivity: stats,
   /// half-duplex/receiver/SINR verdict, on_frame. Shared by the scalar and
@@ -338,7 +406,7 @@ class RadioMedium {
   // --- batch path (Options::batch) ----------------------------------------
   /// Rebuilds the id->index map, dense memo shape, and sweep slots after
   /// attach/detach. Inline no-op once valid — this guards every batch-path
-  /// entry point, including the per-backoff-slot CCA.
+  /// entry point, including every CCA query.
   void ensure_ep_map() const {
     if (!ep_map_valid_) rebuild_ep_map();
   }
@@ -510,6 +578,10 @@ class RadioMedium {
   /// finish already ran. Lets the batch CCA path skip the per-bucket log
   /// walk entirely.
   std::vector<const Transmission*> in_flight_;
+  /// Live backoff countdowns in same-instant firing order: youngest first,
+  /// those that started at one instant in join (DIFS) order.
+  std::vector<CountdownEntry> countdowns_;
+  std::vector<sim::Time> fresh_;  // countdowns_on_start scratch
   mutable BatchStats batch_stats_;
   /// overlap_db_[sep] = 10*log10(1 - sep/5) for sep 0..4, the exact
   /// expression deliver() evaluates per candidate; overlap_lin_[sep] is

@@ -56,6 +56,8 @@ bool CsmaMac::send(MacAddress dst, std::size_t payload_bits,
   return true;
 }
 
+CsmaMac::~CsmaMac() { radio_.medium().countdown_stop(*this); }
+
 void CsmaMac::maybe_start() {
   if (state_ != State::kIdle || queue_.empty()) return;
   active_ = std::make_unique<OutFrame>(std::move(queue_.front()));
@@ -66,51 +68,57 @@ void CsmaMac::maybe_start() {
 
 void CsmaMac::enter_difs() {
   state_ = State::kDifs;
-  const auto gen = bump_gen();
-  if (radio_.carrier_busy() || radio_.transmitting()) {
+  bump_gen();
+  deferring_ = radio_.carrier_busy() || radio_.transmitting();
+  if (deferring_) {
     // Defer. Polling would re-check every slot; each check before the idle
     // edge reads busy and only re-arms (see RadioMedium::carrier_idle_at),
     // so one re-check at the first slot at or after the edge does the same.
     // A frame end heard meanwhile resyncs through on_radio_frame.
-    defer_gen_ = gen;
     defer_from_ = world_.now();
-    arm_recheck(params_.poll_deferral ? world_.now()
-                                      : radio_.carrier_idle_at());
+    arm_recheck(params_.poll_carrier ? world_.now()
+                                     : radio_.carrier_idle_at());
     return;
   }
+  arm_timer(world_.now() + params_.difs);
+}
+
+void CsmaMac::arm_timer(sim::Time at) {
+  if (timer_.valid()) {
+    world_.sim().cancel(timer_);
+    --outstanding_events_;
+  }
   ++outstanding_events_;
-  world_.sim().schedule_in(params_.difs, sim::EventCategory::kMac,
-                           [this, gen] {
-                             --outstanding_events_;
-                             difs_elapsed(gen);
-                           });
+  timer_ = world_.sim().schedule_at(at, sim::EventCategory::kMac, [this] {
+    timer_ = {};
+    --outstanding_events_;
+    if (state_ != State::kDifs) return;
+    if (deferring_) {
+      enter_difs();
+    } else {
+      difs_elapsed();
+    }
+  });
 }
 
 void CsmaMac::arm_recheck(sim::Time not_before) {
   const std::int64_t slot = params_.slot.count();
   const std::int64_t wait = (not_before - defer_from_).count();
   const std::int64_t k = std::max<std::int64_t>(1, (wait + slot - 1) / slot);
-  const auto gen = defer_gen_;
-  ++outstanding_events_;
-  world_.sim().schedule_at(defer_from_ + params_.slot * k,
-                           sim::EventCategory::kMac, [this, gen] {
-    --outstanding_events_;
-    if (gen == gen_ && state_ == State::kDifs) enter_difs();
-  });
+  arm_timer(defer_from_ + params_.slot * k);
 }
 
 void CsmaMac::on_retune() {
-  // Nothing to move unless an edge re-check is pending; the polling
-  // oracle's is always the next slot already.
-  if (params_.poll_deferral || state_ != State::kDifs || defer_gen_ != gen_) {
-    return;
+  // The polling oracle checks the next slot anyway.
+  if (params_.poll_carrier) return;
+  if (state_ == State::kBackoff) {
+    radio_.medium().countdown_retune(*this);
+  } else if (state_ == State::kDifs && deferring_) {
+    arm_recheck(world_.now());
   }
-  defer_gen_ = bump_gen();
-  arm_recheck(world_.now());
 }
 
-void CsmaMac::difs_elapsed(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kDifs) return;
+void CsmaMac::difs_elapsed() {
   if (radio_.carrier_busy() || radio_.transmitting()) {
     enter_difs();
     return;
@@ -121,12 +129,39 @@ void CsmaMac::difs_elapsed(std::uint64_t gen) {
         static_cast<int>(rng_.uniform_int(0, std::max(cw_ - 1, 0)));
   }
   const auto g2 = bump_gen();
+  if (!params_.poll_carrier) {
+    count_from_ = world_.now();
+    radio_.medium().countdown_start(*this, params_.slot, backoff_slots_,
+                                    radio_.max_speed_mps() > 0.0);
+    return;
+  }
   ++outstanding_events_;
   world_.sim().schedule_in(params_.slot, sim::EventCategory::kMac,
                            [this, g2] {
                              --outstanding_events_;
                              backoff_slot(g2);
                            });
+}
+
+bool CsmaMac::countdown_slot(bool final) {
+  if (radio_.carrier_busy() || radio_.transmitting()) {
+    // Freeze the counter and defer for another DIFS.
+    stop_countdown();
+    enter_difs();
+    return false;
+  }
+  if (!final) return true;
+  radio_.medium().countdown_stop(*this);
+  transmit_active();
+  return false;
+}
+
+void CsmaMac::stop_countdown() {
+  const std::int64_t slot = params_.slot.count();
+  const std::int64_t elapsed = (world_.now() - count_from_).count();
+  backoff_slots_ -= static_cast<int>(
+      std::max<std::int64_t>(0, (elapsed + slot - 1) / slot - 1));
+  radio_.medium().countdown_stop(*this);
 }
 
 void CsmaMac::backoff_slot(std::uint64_t gen) {
@@ -230,6 +265,7 @@ void CsmaMac::on_radio_frame(const env::FrameDelivery& delivery) {
   // Every frame end is a synchronization point: contending stations that
   // were deferring or counting down resume DIFS together, so equal backoff
   // draws genuinely collide (as in DCF).
+  if (state_ == State::kBackoff && !params_.poll_carrier) stop_countdown();
   if (state_ == State::kDifs || state_ == State::kBackoff) {
     enter_difs();
   }
@@ -324,12 +360,19 @@ void CsmaMac::save(snap::SectionWriter& w) const {
 
 void CsmaMac::restore(snap::SectionReader& r) {
   // Transient transmit state is forcibly normalized: the warmup run may
-  // have been interrupted mid-frame, but the saved world was quiescent.
+  // have been interrupted mid-frame, but the saved world was quiescent. In
+  // a world restore the medium's section, restored first, has already
+  // dropped a live countdown without cancelling its cleared events.
+  radio_.medium().countdown_stop(*this);
   queue_.clear();
   active_.reset();
   state_ = State::kIdle;
   backoff_slots_ = 0;
   outstanding_events_ = 0;
+  // Its event went with Simulator::clear_pending; cancelling the handle
+  // would count a stale reject the uninterrupted run never saw.
+  timer_ = {};
+  deferring_ = false;
   stats_.enqueued = r.u64();
   stats_.sent_data = r.u64();
   stats_.sent_acks = r.u64();

@@ -6,15 +6,20 @@
 // by the MAC: overlapping transmissions simply fail SINR at the medium and
 // the resulting ACK timeouts drive the backoff, as on real hardware.
 //
-// Deferral is edge-driven. While carrier sense reads busy, DCF re-checks
-// every slot; every check before the carrier's idle edge reads busy again
-// (RadioMedium::carrier_idle_at explains why). So a deferring station
-// schedules one re-check, at the first instant of its slot grid at or
-// after Transceiver::carrier_idle_at(), and sends the same frames at the
-// same instants as the per-slot loop. A channel or power change re-arms
-// it at the grid's next slot; a radio that can move keeps re-checking
-// every slot. Params::poll_deferral keeps the per-slot loop as the test
-// oracle. The backoff countdown still spends one event per slot.
+// Carrier sense is edge-driven; DCF's per-slot loop survives only as the
+// test oracle (Params::poll_carrier). Both put the same frames on the air
+// at the same instants (DESIGN "Edge-driven CSMA deferral and backoff"):
+//  - Deferral: every per-slot check before the carrier's idle edge reads
+//    busy again (RadioMedium::carrier_idle_at), so a deferring station
+//    schedules one re-check, at the first instant of its slot grid at or
+//    after Transceiver::carrier_idle_at().
+//  - Backoff: energy rises only when a frame starts, so a countdown of B
+//    slots is one event at its last slot plus one carrier check at the
+//    first slot instant after each frame start it can sense. The
+//    RadioMedium, which sees every start, schedules both and keeps live
+//    countdowns in the per-slot loop's same-instant order.
+// A channel or power change re-checks at the grid's next slot; a radio
+// that can move keeps checking every slot.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +76,7 @@ struct MacStats {
   std::uint64_t acks_received = 0;
 };
 
-class CsmaMac {
+class CsmaMac final : public env::Countdown {
  public:
   struct Params {
     sim::Time slot = sim::Time::us(20);
@@ -84,10 +89,10 @@ class CsmaMac {
     std::size_t header_bits = 272;  // MAC header + FCS
     std::size_t ack_bits = 112;
     /// Test oracle only (like RadioMediumOptions::batch; no .scn, CLI or
-    /// environment switch reaches it): re-check carrier sense every slot
-    /// while deferring instead of once at the idle edge. Both send the
-    /// same frames at the same instants; phys_test asserts it.
-    bool poll_deferral = false;
+    /// environment switch reaches it): DCF's per-slot loop, one carrier
+    /// check per slot while deferring and while counting down. Both send
+    /// the same frames at the same instants; phys_test asserts it.
+    bool poll_carrier = false;
   };
 
   /// src: sender MAC address; bits: payload size as transmitted.
@@ -101,6 +106,9 @@ class CsmaMac {
   CsmaMac(sim::World& world, Transceiver& radio, sim::Rng rng)
       : CsmaMac(world, radio, rng, Params{}) {}
   CsmaMac(sim::World& world, Transceiver& radio, sim::Rng rng, Params params);
+  ~CsmaMac();
+  CsmaMac(const CsmaMac&) = delete;
+  CsmaMac& operator=(const CsmaMac&) = delete;
 
   MacAddress address() const { return radio_.radio_config().id; }
 
@@ -137,17 +145,28 @@ class CsmaMac {
 
   enum class State { kIdle, kDifs, kBackoff, kTransmitting, kAwaitAck };
 
+  // env::Countdown: the medium runs an edge-driven countdown's events.
+  const env::RadioEndpoint& countdown_radio() const override { return radio_; }
+  bool countdown_slot(bool final) override;
+
   void maybe_start();
   void enter_difs();
-  /// Schedules the deferral's one pending carrier re-check at the first
-  /// instant of its slot grid (defer_from_ + k * slot, k >= 1) at or after
-  /// `not_before`.
+  /// Schedules the one pending DIFS expiry or deferral re-check at `at`,
+  /// cancelling the one it supersedes.
+  void arm_timer(sim::Time at);
+  /// Schedules the deferral's re-check at the first instant of its slot
+  /// grid (defer_from_ + k * slot, k >= 1) at or after `not_before`.
   void arm_recheck(sim::Time not_before);
   /// Transceiver retune hook: a pending re-check waits for an idle edge the
-  /// retune may have moved, so it falls back to the grid's next slot.
+  /// retune may have moved, so it falls back to the grid's next slot; a
+  /// countdown checks carrier there.
   void on_retune();
-  void difs_elapsed(std::uint64_t gen);
+  void difs_elapsed();
+  /// The oracle's per-slot countdown step.
   void backoff_slot(std::uint64_t gen);
+  /// Leaves an edge-driven countdown, keeping the slots the per-slot loop
+  /// would have left: B minus the slot instants it has passed before now.
+  void stop_countdown();
   void transmit_active();
   void tx_finished(std::uint64_t gen);
   void ack_timeout(std::uint64_t gen);
@@ -168,12 +187,16 @@ class CsmaMac {
   std::unique_ptr<OutFrame> active_;
   State state_ = State::kIdle;
   std::uint64_t gen_ = 0;  // invalidates stale timer events on transitions
-  // Deferral in progress: its re-check carries defer_gen_ and its slot grid
-  // starts at defer_from_ (the instant carrier sense first read busy).
-  std::uint64_t defer_gen_ = 0;
+  // The pending DIFS expiry or, while deferring_, deferral re-check, whose
+  // slot grid starts at defer_from_ (the instant carrier sense read busy).
+  sim::EventHandle timer_;
+  bool deferring_ = false;
   sim::Time defer_from_ = sim::Time::zero();
   int cw_ = 16;
+  // Slots left to count; during an edge-driven countdown, the slots it
+  // started with at count_from_.
   int backoff_slots_ = 0;
+  sim::Time count_from_ = sim::Time::zero();
   std::uint32_t next_seq_ = 1;
   std::unordered_map<MacAddress, std::uint32_t> last_seq_from_;
   // Scheduled-but-unfired MAC events (live or stale-gen). Nonzero blocks

@@ -39,8 +39,8 @@ class Transceiver final : public env::RadioEndpoint {
 
   // env::RadioEndpoint interface -------------------------------------------
   /// Immobile radios (max_speed_mps() == 0, e.g. StaticMobility) resolve
-  /// to a position cached at construction: the per-backoff-slot CCA path
-  /// calls this, and the mobility virtual dispatch is measurable there.
+  /// to a position cached at construction: every CCA query calls this,
+  /// and the mobility virtual dispatch is measurable there.
   /// A post-construction teleport (StaticMobility::set_position) is not
   /// covered — the same contract RadioMedium::invalidate_positions()
   /// documents for its own snapshot caches.
@@ -61,8 +61,9 @@ class Transceiver final : public env::RadioEndpoint {
   sim::Time transmit(std::size_t bits, std::shared_ptr<const void> payload);
 
   double bitrate_bps() const { return params_.bitrate_bps; }
+  env::RadioMedium& medium() const { return medium_; }
 
-  // Inline: the CSMA MAC polls both once per backoff slot.
+  // Inline: the CSMA MAC reads both at every carrier check.
   bool transmitting() const { return world_.now() < tx_busy_until_; }
   bool carrier_busy() const {
     return medium_.carrier_busy_at(*this, params_.config, position());

@@ -1,11 +1,12 @@
 // Tests for the physical layer: profiles, batteries, transceivers, the
-// CSMA/CA MAC (incl. edge-driven deferral against its polling oracle), the
-// physical user, and the Device container.
+// CSMA/CA MAC (incl. edge-driven deferral and backoff against the per-slot
+// polling oracle), the physical user, and the Device container.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "env/environment.hpp"
@@ -16,6 +17,7 @@
 #include "phys/profile.hpp"
 #include "phys/transceiver.hpp"
 #include "sim/world.hpp"
+#include "snap/format.hpp"
 
 namespace aroma::phys {
 namespace {
@@ -285,9 +287,11 @@ TEST(CsmaMac, QueueOverflowRejects) {
 // --- Edge-driven deferral vs the polling oracle ---------------------------
 //
 // A deferring CsmaMac schedules one carrier re-check at the first slot of
-// its grid at or after the idle edge (RadioMedium::carrier_idle_at). The
-// oracle (Params::poll_deferral) re-checks every slot. Both must put the
-// same frames on the air at the same instants with the same outcomes.
+// its grid at or after the idle edge (RadioMedium::carrier_idle_at), and
+// a countdown is one event at its last slot plus a check per sensed frame
+// start. The oracle (Params::poll_carrier) checks every slot. Both must
+// put the same frames on the air at the same instants with the same
+// outcomes.
 
 // A passive endpoint on one channel: records every frame it hears to the
 // last SINR bit. It never transmits, so it sees the same air in both runs.
@@ -378,7 +382,7 @@ WorldRun run_world(const WorldSpec& spec, bool poll) {
     tp.config.channel = draw_channel(spec.channel_mode, rng);
     n.radio = std::make_unique<Transceiver>(w, medium, n.mobility.get(), tp);
     CsmaMac::Params mp;
-    mp.poll_deferral = poll;
+    mp.poll_carrier = poll;
     n.mac = std::make_unique<CsmaMac>(
         w, *n.radio,
         sim::Rng(spec.seed * 1000 + static_cast<std::uint64_t>(i)), mp);
@@ -502,7 +506,7 @@ DeferralProbe run_deferral(bool poll, const env::MobilityModel& b_mobility,
   Transceiver b(w, medium, &b_mobility, tb);
   Transceiver c(w, medium, &pc, tc);
   CsmaMac::Params mp;
-  mp.poll_deferral = poll;
+  mp.poll_carrier = poll;
   CsmaMac mac(w, b, sim::Rng(5), mp);
   DeferralProbe out;
   w.sim().schedule_at(sim::Time::zero(), [&] { a.transmit(20'000, nullptr); });
@@ -592,7 +596,7 @@ TEST(CsmaMac, LiveRecheckAtAnUnheardIdleEdge) {
     Transceiver x(w, medium, &px, tx);
     Transceiver y(w, medium, &py, ty);
     CsmaMac::Params mp;
-    mp.poll_deferral = poll;
+    mp.poll_carrier = poll;
     CsmaMac mac(w, o, sim::Rng(9), mp);
     DeferralProbe out;
     sim::Time edge_seen = sim::Time::zero();
@@ -621,6 +625,256 @@ TEST(CsmaMac, LiveRecheckAtAnUnheardIdleEdge) {
   EXPECT_GT(edge.done_ns, sim::Time::us(3'007).count());
   EXPECT_LT(edge.done_ns, sim::Time::ms(10).count());
   EXPECT_LT(edge.events, oracle.events);
+}
+
+// --- Edge-driven backoff vs the polling oracle ------------------------------
+//
+// A countdown of B slots is one event at its last slot plus one carrier
+// check after each frame start it can sense; the medium keeps same-instant
+// countdown events in the per-slot loop's order. One hand-built world per
+// ordering rule, each run under the oracle and edge-driven.
+
+// A CsmaMac's first Rng draw is its first backoff, uniform over
+// [0, cw_min - 1]: the seed whose first backoff is `slots`.
+std::uint64_t seed_drawing(int slots) {
+  for (std::uint64_t s = 1;; ++s) {
+    sim::Rng r(s);
+    if (r.uniform_int(0, CsmaMac::Params{}.cw_min - 1) == slots) return s;
+  }
+}
+
+// Distance at which a 15 dBm frame arrives at `dbm` under flat_model():
+// 15 dBm - (40 + 30 log10 d).
+double distance_for(double dbm) {
+  return std::pow(10.0, (15.0 - 40.0 - dbm) / 30.0);
+}
+
+// A hand-built world on channel 6. Each MAC's broadcast completions land in
+// `done` as (mac index, ns), in completion order.
+struct BackoffWorld {
+  explicit BackoffWorld(bool poll) : medium(w, flat_model()) {
+    mp.poll_carrier = poll;
+  }
+
+  Transceiver& radio(std::uint64_t id, env::Vec2 pos, int channel = 6,
+                     env::Vec2 velocity = {0, 0}) {
+    mobility.push_back(std::make_unique<env::LinearMobility>(pos, velocity));
+    Transceiver::Params tp;
+    tp.config.id = id;
+    tp.config.channel = channel;
+    radios.push_back(
+        std::make_unique<Transceiver>(w, medium, mobility.back().get(), tp));
+    return *radios.back();
+  }
+  // A MAC on `r` whose first backoff is `slots` slots.
+  CsmaMac& mac(Transceiver& r, int slots) {
+    macs.push_back(
+        std::make_unique<CsmaMac>(w, r, sim::Rng(seed_drawing(slots)), mp));
+    return *macs.back();
+  }
+  // A send of an 800-bit broadcast on macs[i] at `at` (1072 bits, 536 us
+  // on the air).
+  void send_at(std::size_t i, sim::Time at) {
+    w.sim().schedule_at(at, [this, i] {
+      macs[i]->send(kBroadcast, 800, nullptr, [this, i](bool) {
+        done.emplace_back(i, w.now().count());
+      });
+    });
+  }
+  // A raw frame of `bits` from `r` at `at`.
+  void frame_at(Transceiver& r, sim::Time at, std::size_t bits) {
+    w.sim().schedule_at(at, [&r, bits] { r.transmit(bits, nullptr); });
+  }
+  void run() {
+    w.sim().run();
+    digest = medium.behaviour_digest();
+    events = w.sim().executed();
+  }
+
+  sim::World w{5};
+  env::RadioMedium medium;
+  CsmaMac::Params mp;
+  std::vector<std::unique_ptr<env::MobilityModel>> mobility;
+  std::vector<std::unique_ptr<Transceiver>> radios;
+  std::vector<std::unique_ptr<CsmaMac>> macs;
+  std::vector<std::pair<std::size_t, std::int64_t>> done;
+  std::uint64_t digest = 0;
+  std::uint64_t events = 0;
+};
+
+// Builds the same world under the oracle and edge-driven and asserts the
+// same completions (order and instants) and frame-trace digest. Returns
+// the edge-driven world's completions.
+template <typename Build>
+std::vector<std::pair<std::size_t, std::int64_t>> expect_oracle_match(
+    Build build) {
+  BackoffWorld oracle(true);
+  BackoffWorld edge(false);
+  build(oracle);
+  build(edge);
+  oracle.run();
+  edge.run();
+  EXPECT_EQ(edge.done, oracle.done);
+  EXPECT_EQ(edge.digest, oracle.digest);
+  EXPECT_LT(edge.events, oracle.events);
+  EXPECT_EQ(edge.medium.live_countdowns(), 0u);
+  return edge.done;
+}
+
+// (a) X counts 5 slots from 50 us (DIFS after a send at 0), Y 3 slots from
+// 90 us: both last slots fall at 170 us. The per-slot loop fires Y first
+// there (Y's DIFS timer was queued before X's slot event at 90 us), so Y's
+// frame takes the lower tx id: Y's join re-arms X's last slot behind it.
+TEST(CsmaMacBackoff, YoungerCountdownFiresFirstOnASharedLastSlot) {
+  const auto done = expect_oracle_match([](BackoffWorld& bw) {
+    bw.mac(bw.radio(1, {0, 0}), 5);
+    bw.mac(bw.radio(2, {5, 0}), 3);
+    bw.send_at(0, sim::Time::zero());
+    bw.send_at(1, sim::Time::us(40));
+  });
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].first, 1u);  // Y sent first
+  EXPECT_EQ(done[0].second, sim::Time::us(170 + 536).count());
+}
+
+// (b) X counts 15 slots from 50 us (last slot 370 us). S, which X hears
+// (-86 dBm) but does not sense, sends a 200 us frame at 170 us that ends
+// on X's last slot. The per-slot loop queued that slot after the frame
+// end, so the delivery resyncs X before it can send.
+TEST(CsmaMacBackoff, FrameEndingOnTheLastSlotIsDeliveredFirst) {
+  const auto done = expect_oracle_match([](BackoffWorld& bw) {
+    bw.mac(bw.radio(1, {0, 0}), 15);
+    Transceiver& s = bw.radio(2, {distance_for(-86.0), 0});
+    bw.send_at(0, sim::Time::zero());
+    bw.frame_at(s, sim::Time::us(170), 400);
+  });
+  ASSERT_EQ(done.size(), 1u);
+  // Resynced at 370 us with 0 slots left: DIFS, then one slot.
+  EXPECT_EQ(done[0].second, sim::Time::us(370 + 50 + 20 + 536).count());
+}
+
+// (c) As (a), but Y can move, so it checks carrier every slot. Each slot
+// event it schedules re-arms X's last slot at that instant behind it.
+TEST(CsmaMacBackoff, MovingCountdownKeepsItsPlaceInTheOrder) {
+  const auto done = expect_oracle_match([](BackoffWorld& bw) {
+    bw.mac(bw.radio(1, {0, 0}), 5);
+    bw.mac(bw.radio(2, {5, 0}, 6, {0.001, 0}), 3);
+    bw.send_at(0, sim::Time::zero());
+    bw.send_at(1, sim::Time::us(40));
+  });
+  ASSERT_EQ(done.size(), 2u);
+  EXPECT_EQ(done[0].first, 1u);
+}
+
+// (d) S starts a 1 ms frame at 50 us, the instant X's DIFS expires. X's CCA
+// skips a frame at its own start instant, so X starts counting 5 slots;
+// the per-slot loop senses the frame at 70 us and freezes with 5 left.
+TEST(CsmaMacBackoff, FrameStartedAtTheCountdownStartIsCheckedNextSlot) {
+  const auto done = expect_oracle_match([](BackoffWorld& bw) {
+    bw.mac(bw.radio(1, {0, 0}), 5);
+    Transceiver& s = bw.radio(2, {5, 0});
+    bw.frame_at(s, sim::Time::us(50), 2'000);
+    bw.send_at(0, sim::Time::zero());
+  });
+  ASSERT_EQ(done.size(), 1u);
+  // Resynced at the frame end (1050 us) with all 5 slots left.
+  EXPECT_EQ(done[0].second, sim::Time::us(1'050 + 50 + 6 * 20 + 536).count());
+}
+
+// After a frame-end resync the slots left are
+// B - max(0, ceil((now - t0) / slot) - 1): the per-slot loop's slot event
+// at a frame-end instant comes after the delivery. X counts 15 slots from
+// 50 us; S's unsensed frame ends at `end`.
+TEST(CsmaMacBackoff, ResyncKeepsTheSlotsThePerSlotLoopLeft) {
+  struct Case {
+    std::int64_t start_us;
+    std::size_t bits;
+    int left;
+  };
+  // Ends at t0 (sent after X's DIFS timer), between slots, on a slot.
+  for (const Case c :
+       {Case{0, 100, 15}, Case{60, 200, 10}, Case{60, 220, 10}}) {
+    const auto done = expect_oracle_match([&](BackoffWorld& bw) {
+      bw.mac(bw.radio(1, {0, 0}), 15);
+      Transceiver& s = bw.radio(2, {distance_for(-86.0), 0});
+      bw.send_at(0, sim::Time::zero());
+      bw.frame_at(s, sim::Time::us(c.start_us), c.bits);
+    });
+    const std::int64_t end_us =
+        c.start_us + static_cast<std::int64_t>(c.bits) / 2;
+    ASSERT_EQ(done.size(), 1u);
+    EXPECT_EQ(done[0].second,
+              sim::Time::us(end_us + 50 + (c.left + 1) * 20 + 536).count())
+        << "frame end " << end_us << " us";
+  }
+}
+
+// A retune checks carrier at the first slot instant at or after now: the
+// per-slot loop's check at a slot instant comes after a retune scheduled
+// long before. X counts 15 slots from 50 us on channel 6; S sends a 10 ms
+// frame on channel 11 from 60 us; X hops to 11 at `at`.
+TEST(CsmaMacBackoff, RetuneChecksTheFirstSlotAtOrAfterNow) {
+  for (const std::int64_t at : {127, 130}) {
+    const auto done = expect_oracle_match([&](BackoffWorld& bw) {
+      Transceiver& x = bw.radio(1, {0, 0});
+      bw.mac(x, 15);
+      Transceiver& s = bw.radio(2, {5, 0}, 11);
+      bw.send_at(0, sim::Time::zero());
+      bw.frame_at(s, sim::Time::us(60), 20'000);
+      bw.w.sim().schedule_at(sim::Time::us(at), [&x] { x.set_channel(11); });
+    });
+    ASSERT_EQ(done.size(), 1u);
+    // Frozen at 130 us with 15 - 3 slots left; resynced at 10,060 us.
+    EXPECT_EQ(done[0].second,
+              sim::Time::us(10'060 + 50 + 13 * 20 + 536).count())
+        << "retune at " << at << " us";
+  }
+}
+
+// The medium holds raw MAC pointers: no way out of a countdown may leave
+// one behind. X's countdown runs from 50 us for at least one slot.
+TEST(CsmaMacBackoff, NoCountdownOutlivesItsMac) {
+  sim::World w(1);
+  env::RadioMedium medium(w, flat_model());
+  const auto counting = [&](Link& x) {
+    x.mac.send(kBroadcast, 800, nullptr);
+    w.sim().run_until(w.now() + sim::Time::us(60));
+    EXPECT_EQ(medium.live_countdowns(), 1u);
+    EXPECT_FALSE(x.mac.snap_quiescent(nullptr));
+  };
+
+  // Destroyed mid-countdown: its events are cancelled with it.
+  auto x = std::make_unique<Link>(w, medium, 1, env::Vec2{0, 0});
+  counting(*x);
+  x.reset();
+  EXPECT_EQ(medium.live_countdowns(), 0u);
+  w.sim().run();
+
+  // restore() normalizes the MAC to idle.
+  Link y(w, medium, 2, {0, 0});
+  counting(y);
+  snap::SectionWriter out(w.now());
+  y.mac.save(out);
+  const std::vector<std::uint8_t> blob = out.take();
+  snap::SectionReader in(blob, w.now());
+  y.mac.restore(in);
+  EXPECT_EQ(medium.live_countdowns(), 0u);
+  EXPECT_TRUE(y.mac.snap_quiescent(nullptr));
+  w.sim().run();
+  EXPECT_EQ(y.mac.stats().sent_data, 0u);
+
+  // A world torn down mid-contention: five MACs contend on one channel.
+  std::vector<std::unique_ptr<Link>> crowd;
+  for (std::uint64_t id = 10; id < 15; ++id) {
+    crowd.push_back(std::make_unique<Link>(
+        w, medium, id, env::Vec2{static_cast<double>(id), 0}));
+    crowd.back()->mac.send(kBroadcast, 800, nullptr);
+  }
+  w.sim().run_until(w.now() + sim::Time::us(60));
+  EXPECT_EQ(medium.live_countdowns(), 5u);
+  crowd.clear();
+  EXPECT_EQ(medium.live_countdowns(), 0u);
+  w.sim().run();
 }
 
 // --- PhysicalUser ------------------------------------------------------
