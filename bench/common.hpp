@@ -3,6 +3,7 @@
 // tables in a uniform format.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -105,6 +106,25 @@ class Cell {
   std::vector<std::unique_ptr<net::NetStack>> stacks_;
   std::uint64_t next_id_ = 1;
 };
+
+/// Lower quartile, median and upper quartile of a sample (linear
+/// interpolation between order statistics); all zero for an empty one.
+struct Quartiles {
+  double q1 = 0.0;
+  double median = 0.0;
+  double q3 = 0.0;
+};
+inline Quartiles quartiles(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double p) {
+    const double x = p * static_cast<double>(v.size() - 1);
+    const auto i = static_cast<std::size_t>(x);
+    if (i + 1 >= v.size()) return v[i];
+    return v[i] + (x - static_cast<double>(i)) * (v[i + 1] - v[i]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
 
 /// Right-aligns `v` in a 14-column cell. An 18-character fingerprint
 /// ("0x" + 16 hex digits) cannot fit, so it gets one separating space

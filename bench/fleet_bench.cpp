@@ -43,7 +43,10 @@
 // validated by scripts/check_bench_json.py). Exit status is nonzero when
 // fingerprints drift across worker counts or between allocation modes, when
 // any "proc" gate fails, or — on hardware with >= 4 cores — when 4-worker
-// scaling efficiency falls below --min-efficiency (default 1.5).
+// scaling efficiency falls below --min-efficiency (default 1.5). The
+// in-process gate reads the median of 7 interleaved 1-worker/4-worker pairs
+// at the largest shard count, and records the pair ratios' quartiles as its
+// noise.
 // Single-core machines skip the efficiency gates (there is nothing to scale
 // onto) but still enforce determinism.
 #include <fcntl.h>
@@ -445,6 +448,11 @@ int main(int argc, char** argv) {
                           "eff-vs-1w", "steals", "fingerprint"});
   benchsup::Json runs = benchsup::Json::array();
   bool fingerprints_identical = true;
+  // The gated point (largest shard count, 4 workers, on a host that can run
+  // them) is measured as kGatePairs interleaved 1-worker/4-worker runs and
+  // gated on the median pair ratio: at 8 shards a single pair swings
+  // 1.3-3.2x on a shared 4-core host, which straddles the threshold.
+  constexpr int kGatePairs = 7;
   for (const std::size_t shards : shard_counts) {
     double base_rate = 0.0;
     std::uint64_t expect_fp = 0;
@@ -465,7 +473,27 @@ int main(int argc, char** argv) {
         fingerprints_identical = false;
         ok = false;
       }
-      const double eff = base_rate > 0.0 ? rate / base_rate : 0.0;
+      double eff = base_rate > 0.0 ? rate / base_rate : 0.0;
+      const bool gated = shards == max_shards && workers == 4 && hw >= 4;
+      benchsup::Quartiles pairs;
+      if (gated) {
+        std::vector<double> ratios;
+        for (int p = 0; p < kGatePairs; ++p) {
+          const FleetRun one = run_fleet(room, shards, 1, seed, true);
+          const FleetRun four = run_fleet(room, shards, 4, seed, true);
+          if (one.fingerprint != expect_fp || four.fingerprint != expect_fp) {
+            std::fprintf(stderr,
+                         "FAIL: fingerprint drift at shards=%zu in gate "
+                         "pair %d\n",
+                         shards, p);
+            fingerprints_identical = false;
+            ok = false;
+          }
+          ratios.push_back(four.wall_s > 0.0 ? one.wall_s / four.wall_s : 0.0);
+        }
+        pairs = benchsup::quartiles(std::move(ratios));
+        eff = pairs.median;
+      }
       benchsup::table_row(static_cast<double>(shards),
                           static_cast<double>(r.workers), r.wall_s,
                           static_cast<double>(r.events), rate, eff,
@@ -478,6 +506,13 @@ int main(int argc, char** argv) {
       row.set("events", r.events);
       row.set("events_per_s", rate);
       row.set("efficiency_vs_1_worker", eff);
+      if (gated) {
+        benchsup::Json noise = benchsup::Json::object();
+        noise.set("pairs", kGatePairs);
+        noise.set("q1", pairs.q1);
+        noise.set("q3", pairs.q3);
+        row.set("noise", std::move(noise));
+      }
       row.set("steals", r.sched.steals);
       row.set("stolen_tasks", r.sched.stolen_tasks);
       row.set("fleet_fingerprint", hex64(r.fingerprint));
@@ -486,12 +521,13 @@ int main(int argc, char** argv) {
       // Efficiency gate: only meaningful where the hardware can actually
       // run 4 workers in parallel; a 1-core container still checks
       // determinism above.
-      if (shards == max_shards && workers == 4 && hw >= 4 &&
-          eff < min_efficiency) {
+      if (gated && eff < min_efficiency) {
         std::fprintf(stderr,
-                     "FAIL: scaling efficiency %.2f < %.2f at shards=%zu "
+                     "FAIL: median scaling efficiency %.2f (quartiles "
+                     "%.2f-%.2f over %d pairs) < %.2f at shards=%zu "
                      "workers=4\n",
-                     eff, min_efficiency, shards);
+                     eff, pairs.q1, pairs.q3, kGatePairs, min_efficiency,
+                     shards);
         ok = false;
       }
     }

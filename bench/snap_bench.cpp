@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
 
   // --- Full vs incremental cadence. ---------------------------------------
   // One steady-state shard, checkpointed every `cadence_s`. The control
-  // sections (RFB client state, stream timers) churn every damage poll;
+  // sections (RFB client state, stream timers) churn with every update;
   // the pixel section only churns when a slide flips (every 4 s), so the
   // dirty-section delta must shrink the average blob by at least the gate.
   constexpr std::size_t kCadenceShard = 1;

@@ -298,6 +298,25 @@ def check_fleet(doc):
             fail(f"shards={shards} has {len(fps)} distinct fingerprints: "
                  f"{sorted(fps)}")
 
+    # The in-process efficiency gate reads the median of interleaved
+    # 1-worker/4-worker pairs at the largest shard count; its row carries
+    # the pair ratios' quartiles as the gate's noise.
+    if doc["efficiency_gate_active"]:
+        top = max(by_shards)
+        gated = [r for r in runs if r["shards"] == top and r["workers"] == 4]
+        if not gated:
+            fail(f"no 4-worker run at the gated {top} shards")
+        noise = gated[0].get("noise")
+        what = f"gated run shards={top} workers=4"
+        if not isinstance(noise, dict):
+            fail(f'{what} has no "noise" quartiles')
+        check_keys(noise, {"pairs": int, "q1": float, "q3": float},
+                   f'{what} "noise"')
+        if noise["pairs"] < 7:
+            fail(f'{what} measured {noise["pairs"]} pairs, fewer than 7')
+        if not noise["q1"] <= gated[0]["efficiency_vs_1_worker"] <= noise["q3"]:
+            fail(f"{what}: median efficiency outside its quartiles")
+
     det = doc.get("determinism")
     if not isinstance(det, dict) or not det.get("fingerprints_identical"):
         fail('"determinism.fingerprints_identical" is not true')

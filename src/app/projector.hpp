@@ -82,8 +82,6 @@ class SmartProjector {
  public:
   struct Params {
     SessionManager::Params session{};
-    rfb::RfbServer::Params rfb{};          // unused server-side; kept for symmetry
-    sim::Time renew_interval = sim::Time::sec(20.0);
   };
 
   SmartProjector(sim::World& world, net::NetStack& stack);

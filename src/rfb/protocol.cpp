@@ -26,10 +26,6 @@ RfbServer::RfbServer(sim::World& world, Framebuffer& source,
       [this](std::span<const std::byte> msg) { on_message(msg); });
   conn_->set_data_handler(
       [this](std::span<const std::byte> data) { framer_.on_bytes(data); });
-  poller_ = std::make_unique<sim::PeriodicTimer>(
-      world_.sim(), params_.damage_poll, [this] { maybe_send_update(); });
-  poller_->set_category(sim::EventCategory::kRfb);
-  poller_->start();
   if (params_.encoding == Encoding::kCached) {
     last_tile_hash_.assign(static_cast<std::size_t>(source_.tiles_x()) *
                                static_cast<std::size_t>(source_.tiles_y()),
@@ -337,7 +333,6 @@ void RfbServer::save(snap::SectionWriter& w) const {
   w.u64(stats_.tiles_encoded);
   w.u64(stats_.cache_hits);
   w.u64(stats_.tiles_skipped);
-  poller_->save(w);
 }
 
 void RfbServer::restore(snap::SectionReader& r) {
@@ -353,7 +348,6 @@ void RfbServer::restore(snap::SectionReader& r) {
   stats_.tiles_encoded = r.u64();
   stats_.cache_hits = r.u64();
   stats_.tiles_skipped = r.u64();
-  poller_->restore(r);
 }
 
 void RfbServer::save_cache(snap::SectionWriter& w) const {

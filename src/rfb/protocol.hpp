@@ -60,12 +60,19 @@ struct RfbServerStats {
 };
 
 /// Serves one viewer from a source framebuffer.
+///
+/// Edge-driven: the server schedules nothing while idle. It tries to send an
+/// update on exactly three edges -- a viewer's update request arriving, the
+/// previous update's encode completing, and notify_changed() -- and sends
+/// one when a request is pending, no encode is in flight and the source has
+/// damage (or the request asked for a full frame). Whoever mutates the
+/// source must call notify_changed() after the mutation; damage that is not
+/// notified waits for the next request or encode completion.
 class RfbServer {
  public:
   struct Params {
     Encoding encoding = Encoding::kTiled;
     double cpu_mips = 120.0;          // encoder host CPU (Aroma adapter)
-    sim::Time damage_poll = sim::Time::ms(10);
     std::size_t max_update_bytes = 512 * 1024;
   };
 
@@ -77,8 +84,9 @@ class RfbServer {
   RfbServer(const RfbServer&) = delete;
   RfbServer& operator=(const RfbServer&) = delete;
 
-  /// Call after mutating the source framebuffer to wake a pending request
-  /// without waiting for the poll timer.
+  /// Call after every mutation of the source framebuffer: answers a pending
+  /// request with the new damage now, or leaves it for the next request or
+  /// encode completion.
   void notify_changed();
 
   const RfbServerStats& stats() const { return stats_; }
@@ -87,8 +95,8 @@ class RfbServer {
   // --- checkpoint/restore (see src/snap) ------------------------------------
   // The encode-completion one-shot captures the framed update bytes, so the
   // server is only checkpointable between encodes. Control state (request
-  // flags, stats, poll timer) and the bulky cached-encoder state (cache
-  // mirror + per-tile last-sent hashes) serialize into separate sections:
+  // flags, stats) and the bulky cached-encoder state (cache mirror +
+  // per-tile last-sent hashes) serialize into separate sections:
   // the latter only churns when screen content changes, which is what makes
   // incremental checkpoints small on slide-deck workloads.
   bool snap_quiescent(std::string* why) const;
@@ -113,7 +121,6 @@ class RfbServer {
   bool full_requested_ = false;
   bool encoding_in_progress_ = false;
   RfbServerStats stats_;
-  std::unique_ptr<sim::PeriodicTimer> poller_;
 
   // Encoder state. The scratch draws from the world arena so steady-state
   // encoding allocates nothing; the cache mirror and per-tile last-sent

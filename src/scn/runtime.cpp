@@ -213,7 +213,7 @@ void ScenarioInstance::start_goals() {
       procedure.push_back({"start-vnc-server",
                            [display, deck](std::function<void(bool)> done) {
                              display->start_server();
-                             deck->step(display->screen());
+                             display->apply(*deck);
                              done(true);
                            },
                            0.4, false});
@@ -660,9 +660,9 @@ void ScenarioInstance::register_sections() {
         }
       });
 
-  // RFBC — protocol control state (request flags, stats, poll timer). Kept
-  // separate from PIXL so steady-state incremental checkpoints stay small:
-  // control churns every poll, pixels only churn on slide flips.
+  // RFBC — protocol control state (request flags, stats). Kept separate
+  // from PIXL so steady-state incremental checkpoints stay small: control
+  // churns with every update, pixels only churn on slide flips.
   reg.add(
       kTagRfb, "rfb",
       [this](SectionWriter& w) {
@@ -844,6 +844,18 @@ std::uint64_t ScenarioInstance::absorbed() const {
   return world_->sim().absorbed();
 }
 std::uint64_t ScenarioInstance::pings() const { return pings_; }
+
+bool ScenarioInstance::replicas_converged() const {
+  return std::all_of(
+      projectors_.begin(), projectors_.end(), [this](const auto& p) {
+        const rfb::Framebuffer* replica = p.projector->projected();
+        return replica == nullptr ||
+               std::any_of(displays_.begin(), displays_.end(),
+                           [replica](const DisplayRuntime& d) {
+                             return d.display->screen().same_content(*replica);
+                           });
+      });
+}
 
 net::NetStack& ScenarioInstance::stack_of(int entity, std::size_t member) {
   const auto& [base, count] = entity_stacks_[static_cast<std::size_t>(entity)];

@@ -116,6 +116,9 @@ class ScenarioInstance {
   std::uint64_t events() const;
   std::uint64_t absorbed() const;
   std::uint64_t pings() const;
+  /// True when every projector that is projecting shows an exact replica
+  /// of a display's screen.
+  bool replicas_converged() const;
   /// Outcome of the first goal ({} when the scenario declares none).
   const user::TaskOutcome& outcome() const { return first_outcome_; }
   sim::World& world() { return *world_; }

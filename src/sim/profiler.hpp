@@ -28,7 +28,7 @@ enum class EventCategory : std::uint8_t {
   kStream,      // reliable stream segment pacing
   kLease,       // lease-expiry checks
   kDiscovery,   // discovery protocol retries/announcements
-  kRfb,         // remote framebuffer damage polling / encoding
+  kRfb,         // remote framebuffer encode completion
   kDiag,        // health probes and fault toggles
   kApp,         // application/session logic
   kOther,

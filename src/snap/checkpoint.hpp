@@ -12,8 +12,10 @@
 // sections whose payload changed since the previous checkpoint. On the
 // steady-state projector workload this is a large win: the pixel section
 // (screen + caches + replica) only churns when a slide flips (every 4 s),
-// while the control sections churn every damage-poll — a sub-second cadence
-// captures mostly-identical pixel payloads that the delta drops entirely.
+// while the control sections (kernel queue, stream and MAC timers, RFB
+// request flags and stats) churn with every timer and update — a
+// sub-second cadence captures mostly-identical pixel payloads that the
+// delta drops entirely.
 // An incremental blob alone is not restorable (sections are missing, which
 // restore_all rejects); materialize() overlays it onto its base to rebuild
 // the byte-identical full blob.

@@ -1,5 +1,7 @@
 // Tests for the remote framebuffer stack: damage tracking, encodings
-// (including a property sweep), framing, protocol end-to-end, workloads.
+// (including a property sweep), framing, protocol end-to-end (the
+// edge-driven server's three wake edges, checked against a damage-poll
+// oracle), workloads.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -7,6 +9,7 @@
 #include <cstring>
 
 #include "env/environment.hpp"
+#include "net/serialize.hpp"
 #include "net/stack.hpp"
 #include "net/stream.hpp"
 #include "phys/device.hpp"
@@ -15,6 +18,7 @@
 #include "rfb/framebuffer.hpp"
 #include "rfb/protocol.hpp"
 #include "rfb/workload.hpp"
+#include "sim/profiler.hpp"
 #include "sim/world.hpp"
 
 namespace aroma::rfb {
@@ -642,7 +646,10 @@ TEST(MessageFramer, ReassemblesFromArbitraryChunks) {
 // --- Protocol end-to-end -----------------------------------------------
 
 struct RfbWorld {
-  RfbWorld() : world(5), environment(world) {
+  /// `poll` adds the oracle: a 10 ms timer that calls notify_changed(), the
+  /// damage poll the server once ran on itself.
+  explicit RfbWorld(bool poll = false)
+      : poll(poll), world(5), environment(world) {
     server_dev = std::make_unique<phys::Device>(
         world, environment, 1, phys::profiles::laptop(),
         std::make_unique<env::StaticMobility>(env::Vec2{0, 0}));
@@ -657,72 +664,116 @@ struct RfbWorld {
         std::make_unique<net::StreamManager>(world, *client_stack, 5900);
   }
 
-  void connect(Framebuffer& source, RfbServer::Params params = {}) {
+  void connect(RfbServer::Params params = {}) {
     server_streams->listen(
         [&, params](const std::shared_ptr<net::StreamConnection>& c) {
-          server = std::make_unique<RfbServer>(world, source, c, params);
+          server_conn = c;
+          server = std::make_unique<RfbServer>(world, screen, c, params);
+          if (poll) {
+            poller = std::make_unique<sim::PeriodicTimer>(
+                world.sim(), sim::Time::ms(10),
+                [this] { server->notify_changed(); });
+            poller->set_category(sim::EventCategory::kRfb);
+            poller->start();
+          }
         });
     conn = client_streams->connect(1);
     viewer = std::make_unique<RfbClient>(world, conn);
     viewer->start();
   }
 
+  /// Executes events one at a time until `changed()` holds; returns the
+  /// instant of the event that made it hold.
+  template <class F>
+  sim::Time step_until(F changed) {
+    while (!changed()) {
+      if (!world.sim().step()) {
+        ADD_FAILURE() << "event queue drained first";
+        break;
+      }
+    }
+    return world.now();
+  }
+
+  std::uint64_t sent() const { return server->stats().updates_sent; }
+
+  bool poll;
   sim::World world;
   env::Environment environment;
+  Framebuffer screen{160, 120, 0xff202020};
   std::unique_ptr<phys::Device> server_dev, client_dev;
   std::unique_ptr<net::NetStack> server_stack, client_stack;
   std::unique_ptr<net::StreamManager> server_streams, client_streams;
-  std::shared_ptr<net::StreamConnection> conn;
+  std::shared_ptr<net::StreamConnection> conn, server_conn;
   std::unique_ptr<RfbServer> server;
+  std::unique_ptr<sim::PeriodicTimer> poller;
   std::unique_ptr<RfbClient> viewer;
 };
 
+// A static slide, synced by the initial full update.
+void slide_deck_world(RfbWorld& rw) {
+  SlideDeckWorkload deck(3);
+  deck.step(rw.screen);
+  rw.connect();
+  rw.world.sim().run_until(sim::Time::sec(30));
+}
+
+// A 20 Hz animation for 20 s, then 20 s to converge.
+void animation_world(RfbWorld& rw, Encoding encoding, int sprite,
+                     sim::Time animate, sim::Time end) {
+  AnimationWorkload anim(9, sprite);
+  RfbServer::Params params;
+  params.encoding = encoding;
+  rw.connect(params);
+  sim::PeriodicTimer ticker(rw.world.sim(), sim::Time::ms(50), [&] {
+    anim.step(rw.screen);
+    if (rw.server) rw.server->notify_changed();
+  });
+  ticker.start();
+  rw.world.sim().run_until(animate);
+  ticker.stop();
+  rw.world.sim().run_until(end);
+}
+
+// Uncompressed, as the paper's era VNC.
+void raw_animation_world(RfbWorld& rw) {
+  animation_world(rw, Encoding::kRaw, 96, sim::Time::sec(20),
+                  sim::Time::sec(40));
+}
+
+void cached_animation_world(RfbWorld& rw) {
+  animation_world(rw, Encoding::kCached, 48, sim::Time::sec(15),
+                  sim::Time::sec(30));
+}
+
 TEST(RfbProtocol, InitialFullUpdateSyncsReplica) {
   RfbWorld rw;
-  Framebuffer screen(160, 120, 0xff202020);
-  SlideDeckWorkload deck(3);
-  deck.step(screen);
-  rw.connect(screen);
-  rw.world.sim().run_until(sim::Time::sec(30));
+  slide_deck_world(rw);
   ASSERT_TRUE(rw.viewer->initialized());
-  EXPECT_TRUE(rw.viewer->replica().same_content(screen));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
   EXPECT_GE(rw.viewer->stats().updates_received, 1u);
   EXPECT_EQ(rw.viewer->stats().decode_errors, 0u);
 }
 
 TEST(RfbProtocol, IncrementalUpdatesTrackChanges) {
   RfbWorld rw;
-  Framebuffer screen(160, 120, 0xff202020);
-  rw.connect(screen);
+  rw.connect();
   rw.world.sim().run_until(sim::Time::sec(10));
   ASSERT_TRUE(rw.viewer->initialized());
   // Mutate after sync; server pushes the damage on the pending request.
-  screen.fill_rect({10, 10, 40, 30}, 0xffaa5500);
+  rw.screen.fill_rect({10, 10, 40, 30}, 0xffaa5500);
   rw.server->notify_changed();
   rw.world.sim().run_until(sim::Time::sec(20));
-  EXPECT_TRUE(rw.viewer->replica().same_content(screen));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
   EXPECT_GE(rw.viewer->stats().updates_received, 2u);
 }
 
 TEST(RfbProtocol, AnimationThrottledByLinkNotLost) {
   RfbWorld rw;
-  Framebuffer screen(160, 120, 0xff202020);
-  AnimationWorkload anim(9, 96);
-  RfbServer::Params params;
-  params.encoding = Encoding::kRaw;  // uncompressed, as the paper's era VNC
-  rw.connect(screen, params);
-  // 20 Hz animation for 20 s of simulated time.
-  sim::PeriodicTimer ticker(rw.world.sim(), sim::Time::ms(50), [&] {
-    anim.step(screen);
-    if (rw.server) rw.server->notify_changed();
-  });
-  ticker.start();
-  rw.world.sim().run_until(sim::Time::sec(20));
-  ticker.stop();
-  rw.world.sim().run_until(sim::Time::sec(40));
+  raw_animation_world(rw);
   ASSERT_TRUE(rw.viewer->initialized());
   // Converges to the final frame even though many frames were skipped.
-  EXPECT_TRUE(rw.viewer->replica().same_content(screen));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
   const double fps = rw.viewer->stats().fps(sim::Time::sec(20));
   EXPECT_GT(fps, 0.5);
   EXPECT_LT(fps, 15.0);  // the 2 Mb/s link cannot carry the full 20 Hz
@@ -730,54 +781,201 @@ TEST(RfbProtocol, AnimationThrottledByLinkNotLost) {
 
 TEST(RfbProtocol, CachedEncodingSyncsAndHitsCacheOnRevisit) {
   RfbWorld rw;
-  Framebuffer screen(160, 120, 0xff202020);
   SlideDeckWorkload deck(3);
-  deck.step(screen);
+  deck.step(rw.screen);
   RfbServer::Params params;
   params.encoding = Encoding::kCached;
-  rw.connect(screen, params);
+  rw.connect(params);
   rw.world.sim().run_until(sim::Time::sec(15));
   ASSERT_TRUE(rw.viewer->initialized());
-  ASSERT_TRUE(rw.viewer->replica().same_content(screen));
-  const std::vector<Pixel> slide_a = screen.pixels();
-  const std::uint64_t bytes_a = rw.server->stats().bytes_sent;
+  ASSERT_TRUE(rw.viewer->replica().same_content(rw.screen));
+  const std::vector<Pixel> slide_a = rw.screen.pixels();
   EXPECT_GT(rw.server->stats().tiles_encoded, 0u);
 
-  deck.step(screen);  // slide B
+  deck.step(rw.screen);  // slide B
   rw.server->notify_changed();
   rw.world.sim().run_until(sim::Time::sec(30));
-  ASSERT_TRUE(rw.viewer->replica().same_content(screen));
+  ASSERT_TRUE(rw.viewer->replica().same_content(rw.screen));
 
-  screen.write_block(screen.bounds(), slide_a.data());  // back to slide A
+  // Back to slide A.
+  rw.screen.write_block(rw.screen.bounds(), slide_a.data());
   rw.server->notify_changed();
   rw.world.sim().run_until(sim::Time::sec(45));
-  EXPECT_TRUE(rw.viewer->replica().same_content(screen));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
   EXPECT_GT(rw.server->stats().cache_hits, 0u);
   EXPECT_EQ(rw.viewer->stats().decode_errors, 0u);
-  (void)bytes_a;
 }
 
 TEST(RfbProtocol, CachedAnimationConvergesWithSkips) {
   RfbWorld rw;
-  Framebuffer screen(160, 120, 0xff202020);
-  AnimationWorkload anim(9, 48);
-  RfbServer::Params params;
-  params.encoding = Encoding::kCached;
-  rw.connect(screen, params);
-  sim::PeriodicTimer ticker(rw.world.sim(), sim::Time::ms(50), [&] {
-    anim.step(screen);
-    if (rw.server) rw.server->notify_changed();
-  });
-  ticker.start();
-  rw.world.sim().run_until(sim::Time::sec(15));
-  ticker.stop();
-  rw.world.sim().run_until(sim::Time::sec(30));
+  cached_animation_world(rw);
   ASSERT_TRUE(rw.viewer->initialized());
-  EXPECT_TRUE(rw.viewer->replica().same_content(screen));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
   EXPECT_EQ(rw.viewer->stats().decode_errors, 0u);
   // A bouncing sprite re-exposes background it previously covered: the
   // cache serves those tiles as references.
   EXPECT_GT(rw.server->stats().cache_hits, 0u);
+}
+
+// The server wakes only on a request, an encode completion or
+// notify_changed(). A 10 ms poll of notify_changed() can only add a send
+// for damage nobody notified; every world here notifies, so the polled run
+// must equal the edge-driven one in every observable.
+TEST(RfbProtocol, DamagePollOracleChangesNothing) {
+  const std::pair<const char*, void (*)(RfbWorld&)> worlds[] = {
+      {"slide deck", slide_deck_world},
+      {"raw animation", raw_animation_world},
+      {"cached animation", cached_animation_world},
+  };
+  for (const auto& [name, run] : worlds) {
+    SCOPED_TRACE(name);
+    RfbWorld edge;
+    run(edge);
+    RfbWorld polled(/*poll=*/true);
+    run(polled);
+    ASSERT_TRUE(edge.viewer->initialized());
+    ASSERT_TRUE(polled.viewer->initialized());
+    EXPECT_GT(polled.world.sim().executed(), edge.world.sim().executed())
+        << "the oracle's poll never ran";
+
+    const RfbClientStats& a = edge.viewer->stats();
+    const RfbClientStats& b = polled.viewer->stats();
+    EXPECT_EQ(a.updates_received, b.updates_received);
+    EXPECT_EQ(a.bytes_received, b.bytes_received);
+    EXPECT_EQ(a.first_update.count(), b.first_update.count());
+    EXPECT_EQ(a.last_update.count(), b.last_update.count());
+    EXPECT_EQ(a.update_interval_s.count(), b.update_interval_s.count());
+    EXPECT_EQ(a.update_interval_s.mean(), b.update_interval_s.mean());
+    EXPECT_EQ(a.update_interval_s.m2(), b.update_interval_s.m2());
+    EXPECT_EQ(a.update_interval_s.min(), b.update_interval_s.min());
+    EXPECT_EQ(a.update_interval_s.max(), b.update_interval_s.max());
+
+    const RfbServerStats& sa = edge.server->stats();
+    const RfbServerStats& sb = polled.server->stats();
+    EXPECT_EQ(sa.updates_sent, sb.updates_sent);
+    EXPECT_EQ(sa.rects_sent, sb.rects_sent);
+    EXPECT_EQ(sa.bytes_sent, sb.bytes_sent);
+    EXPECT_EQ(sa.pixels_encoded, sb.pixels_encoded);
+    EXPECT_EQ(sa.encode_seconds, sb.encode_seconds);
+    EXPECT_EQ(sa.tiles_encoded, sb.tiles_encoded);
+    EXPECT_EQ(sa.cache_hits, sb.cache_hits);
+    EXPECT_EQ(sa.tiles_skipped, sb.tiles_skipped);
+
+    EXPECT_EQ(edge.viewer->replica().content_hash(),
+              polled.viewer->replica().content_hash());
+    EXPECT_EQ(edge.environment.medium().behaviour_digest(),
+              polled.environment.medium().behaviour_digest());
+  }
+}
+
+TEST(RfbProtocol, IdleServerSchedulesNothing) {
+  RfbWorld rw;
+  rw.connect();
+  rw.world.sim().run_until(sim::Time::sec(10));
+  ASSERT_TRUE(rw.viewer->initialized());
+  ASSERT_TRUE(rw.viewer->replica().same_content(rw.screen));
+  // The viewer re-requested after its last update, so a request is pending.
+  sim::KernelProfiler prof;
+  rw.world.sim().set_profiler(&prof);
+  const std::uint64_t sent = rw.sent();
+  rw.world.sim().run_until(sim::Time::sec(20));
+  rw.world.sim().set_profiler(nullptr);
+  EXPECT_EQ(prof.stats(sim::EventCategory::kRfb).executed, 0u);
+  EXPECT_EQ(rw.sent(), sent);
+}
+
+// Edge 1: damage that arrives while an update is encoding goes out at that
+// encode's completion, provided a request is waiting by then.
+TEST(RfbProtocol, DamageDuringEncodeGoesOutAtEncodeCompletion) {
+  RfbWorld rw;
+  RfbServer::Params params;
+  params.encoding = Encoding::kRaw;
+  params.cpu_mips = 0.05;  // a slow encoder: 160x60 raw pixels take 0.384 s
+  rw.connect(params);
+  rw.world.sim().run_until(sim::Time::sec(30));
+  ASSERT_TRUE(rw.viewer->replica().same_content(rw.screen));
+
+  const RfbServerStats before = rw.server->stats();
+  rw.screen.fill_rect({0, 0, 160, 60}, 0xffaa5500);
+  rw.server->notify_changed();
+  ASSERT_EQ(rw.sent(), before.updates_sent + 1);
+  const std::uint64_t pixels =
+      rw.server->stats().pixels_encoded - before.pixels_encoded;
+  const double encode_s = static_cast<double>(pixels) *
+                          encode_cost_per_pixel(Encoding::kRaw) /
+                          (params.cpu_mips * 1e6);
+  const sim::Time done = rw.world.now() + sim::Time::sec(encode_s);
+
+  // A second outstanding request (RFB lets a viewer pipeline them) reaches
+  // the server while it is still encoding.
+  const std::uint64_t delivered = rw.server_conn->stats().bytes_delivered;
+  net::ByteWriter req;
+  req.u8(static_cast<std::uint8_t>(RfbMsg::kUpdateRequest));
+  req.u8(1);
+  rw.conn->send(MessageFramer::frame(req.data()));
+  rw.world.sim().run_until(rw.world.now() + sim::Time::sec(encode_s / 2));
+  ASSERT_GT(rw.server_conn->stats().bytes_delivered, delivered);
+
+  rw.screen.fill_rect({20, 80, 40, 30}, 0xff00aa55);
+  rw.server->notify_changed();
+  EXPECT_EQ(rw.sent(), before.updates_sent + 1) << "sent mid-encode";
+  const sim::Time sent_at = rw.step_until(
+      [&] { return rw.sent() != before.updates_sent + 1; });
+  EXPECT_EQ(sent_at.count(), done.count());
+  EXPECT_EQ(rw.sent(), before.updates_sent + 2);
+
+  rw.world.sim().run_until(rw.world.now() + sim::Time::sec(30));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
+}
+
+// Edge 2: damage notified while no request is pending goes out when the
+// viewer's next request arrives, in the event that delivers it.
+TEST(RfbProtocol, DamageWithoutRequestGoesOutAtNextRequestArrival) {
+  RfbWorld rw;
+  rw.connect();
+  rw.world.sim().run_until(sim::Time::sec(10));
+  ASSERT_TRUE(rw.viewer->replica().same_content(rw.screen));
+
+  const std::uint64_t sent = rw.sent();
+  rw.screen.fill_rect({0, 0, 16, 16}, 0xffaa5500);
+  rw.server->notify_changed();  // answers the pending request
+  ASSERT_EQ(rw.sent(), sent + 1);
+  rw.screen.fill_rect({120, 90, 16, 16}, 0xff00aa55);
+  rw.server->notify_changed();  // no request pending now: waits
+  EXPECT_EQ(rw.sent(), sent + 1);
+
+  const std::uint64_t delivered = rw.server_conn->stats().bytes_delivered;
+  const sim::Time sent_at = rw.step_until([&] {
+    return rw.sent() != sent + 1 ||
+           rw.server_conn->stats().bytes_delivered != delivered;
+  });
+  EXPECT_GT(rw.server_conn->stats().bytes_delivered, delivered)
+      << "sent before the request arrived";
+  EXPECT_EQ(rw.sent(), sent + 2) << "request arrived at " << sent_at.count()
+                                 << " ns but nothing went out";
+
+  rw.world.sim().run_until(rw.world.now() + sim::Time::sec(10));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
+}
+
+// Edge 3: damage notified while a request is pending goes out at once.
+TEST(RfbProtocol, DamageWithRequestPendingGoesOutAtOnce) {
+  RfbWorld rw;
+  rw.connect();
+  rw.world.sim().run_until(sim::Time::sec(10));
+  ASSERT_TRUE(rw.viewer->replica().same_content(rw.screen));
+
+  const std::uint64_t sent = rw.sent();
+  const sim::Time at = sim::Time::sec(12);
+  rw.world.sim().schedule_at(at, [&] {
+    rw.screen.fill_rect({10, 10, 40, 30}, 0xffaa5500);
+    rw.server->notify_changed();
+  });
+  const sim::Time sent_at = rw.step_until([&] { return rw.sent() != sent; });
+  EXPECT_EQ(sent_at.count(), at.count());
+
+  rw.world.sim().run_until(sim::Time::sec(20));
+  EXPECT_TRUE(rw.viewer->replica().same_content(rw.screen));
 }
 
 // --- Workloads -----------------------------------------------------------

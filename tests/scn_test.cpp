@@ -4,8 +4,9 @@
 // determinism (compile-twice, dump-recompile fixpoint), the cost model,
 // the pinned goldens (smart_projector fleets and every library scenario's
 // behaviour fingerprint, from scenarios/goldens.txt), the checkpoint ->
-// restore -> resume differential over every library scenario, and
-// scratch-buffer checkpoint serialization over every checkpointable one.
+// restore -> resume differential over every library scenario plus one
+// shared-laptop world, and scratch-buffer checkpoint serialization over
+// every checkpointable one.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -449,6 +450,42 @@ std::vector<std::string> library_scenarios() {
   return names;
 }
 
+// Two present goals on one laptop, so the second goal's start-vnc-server
+// step mutates a screen that may already be served. Not a library
+// scenario: it rides along as one more input of the differential below.
+// The long meeting lets the second goal's rejected acquire retries end
+// before the capture target, so the world has a quiescent instant.
+const char* kSharedLaptop = R"(
+scenario shared_laptop {
+  topology 50 x 50;
+  entity hub profile desktop_pc_with_radio at (0, 12);
+  entity adapter profile aroma_adapter at (0, 0);
+  entity laptop profile laptop at (8, 0);
+  registrar on hub;
+  projector on adapter;
+  display on laptop size 64 x 48 deck 3;
+  goal present actor laptop persona computer_scientist;
+  goal present actor laptop persona computer_scientist;
+  traffic slides on laptop period 4.0;
+  phase settle 3;
+  phase meeting 90;
+  horizon 120;
+  drain 2;
+}
+)";
+
+std::vector<std::string> differential_inputs() {
+  std::vector<std::string> names = library_scenarios();
+  names.push_back("shared_laptop");
+  return names;
+}
+
+scn::Scenario load_input(const std::string& name) {
+  if (name == "shared_laptop") return scn::decode(scn::compile(kSharedLaptop));
+  return scn::decode(scn::compile_file(
+      std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn", {}));
+}
+
 // Library scenarios with no quiescent instant between the capture target
 // and the horizon, and the core that blocks every instant. Such a scenario
 // cannot be checkpointed; it must say so with a typed error that names the
@@ -468,16 +505,17 @@ class ScnCheckpointDifferential
 
 // run(seed) == warmup -> run to mid-meeting -> checkpoint -> finish, and
 // == a fresh instance: warmup -> restore(blob) -> finish. Shard 1 so
-// per-shard expressions (group counts, staggered periods) are live.
+// per-shard expressions (group counts, staggered periods) are live. Every
+// projected replica ends equal to its screen.
 TEST_P(ScnCheckpointDifferential, CheckpointRestoreResumeMatchesUninterrupted) {
   const std::string name = GetParam();
-  const scn::Scenario s = scn::decode(scn::compile_file(
-      std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn", {}));
+  const scn::Scenario s = load_input(name);
   constexpr std::size_t kShard = 1;
   const std::uint64_t seed = sim::shard_seed(2026, kShard);
 
   scn::ScenarioInstance ref(s, kShard, seed);
   ref.run();
+  EXPECT_TRUE(ref.replicas_converged());
 
   scn::ScenarioInstance live(s, kShard, seed);
   live.warmup();
@@ -512,11 +550,12 @@ TEST_P(ScnCheckpointDifferential, CheckpointRestoreResumeMatchesUninterrupted) {
   EXPECT_EQ(resumed.fingerprint(), ref.fingerprint());
   EXPECT_EQ(resumed.events(), ref.events());
   EXPECT_EQ(resumed.pings(), ref.pings());
+  EXPECT_TRUE(resumed.replicas_converged());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Library, ScnCheckpointDifferential,
-    ::testing::ValuesIn(library_scenarios()),
+    ::testing::ValuesIn(differential_inputs()),
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });

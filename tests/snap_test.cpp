@@ -139,6 +139,14 @@ TEST(SnapFormat, BadMagicAndVersionRejected) {
     bad[8] = 0xff;  // unsupported version
     EXPECT_THROW(snap::SnapReader{bad}, snap::SnapError);
   }
+  {
+    // Version 1 blobs carried the RFB server's damage-poll timer in their
+    // RFBC section; reading one as the current layout would misparse.
+    std::vector<std::uint8_t> old = blob;
+    old[8] = 1;
+    old[9] = old[10] = old[11] = 0;
+    EXPECT_THROW(snap::SnapReader{old}, snap::SnapError);
+  }
 }
 
 TEST(SnapFormat, TrailingGarbageAfterSectionsRejected) {
