@@ -20,6 +20,9 @@
 // RadioMedium::BatchStats, speedups), and radio_256 self-gates: its
 // dominant event category (the most callback wall time on the scalar leg)
 // must run >= 2x faster than the scalar leg or the bench exits nonzero.
+// radio_256 runs its legs as 7 interleaved scalar/batched pairs, so host
+// drift hits both legs of a pair alike; the gate reads the median pair
+// ratio and records the ratios' quartiles as its noise.
 //
 // Wall time, simulated events/sec, peak pending-event count, and a
 // deterministic fingerprint (pure function of the seed) are recorded per
@@ -264,27 +267,47 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
-/// Runs one scenario leg `kRepeats` times and keeps the fastest run —
-/// wall time on a shared machine is min-stable, not mean-stable. Counts
-/// and fingerprints are deterministic, so repeats must agree exactly; a
-/// mismatch is a determinism bug worth failing loudly on.
+/// Keeps the faster of `best` and a repeat `r` — wall time on a shared
+/// machine is min-stable, not mean-stable. Counts and fingerprints are
+/// deterministic, so repeats must agree exactly; a mismatch is a
+/// determinism bug worth failing loudly on.
+void keep_fastest(ScenarioResult& best, ScenarioResult r) {
+  if (r.fingerprint != best.fingerprint) {
+    std::fprintf(stderr,
+                 "FATAL: %s fingerprint differs between repeats "
+                 "(%016llx vs %016llx)\n",
+                 r.name.c_str(),
+                 static_cast<unsigned long long>(best.fingerprint),
+                 static_cast<unsigned long long>(r.fingerprint));
+    std::exit(1);
+  }
+  if (r.throughput.wall_sec < best.throughput.wall_sec) best = std::move(r);
+}
+
+/// Runs one scenario leg `kRepeats` times and keeps the fastest run.
 constexpr int kRepeats = 5;
 
 template <typename Fn>
 ScenarioResult best_of(Fn&& make) {
   ScenarioResult best = make();
-  for (int i = 1; i < kRepeats; ++i) {
-    ScenarioResult r = make();
-    if (r.fingerprint != best.fingerprint) {
-      std::fprintf(stderr,
-                   "FATAL: %s fingerprint differs between repeats "
-                   "(%016llx vs %016llx)\n",
-                   r.name.c_str(),
-                   static_cast<unsigned long long>(best.fingerprint),
-                   static_cast<unsigned long long>(r.fingerprint));
-      std::exit(1);
-    }
-    if (r.throughput.wall_sec < best.throughput.wall_sec) best = std::move(r);
+  for (int i = 1; i < kRepeats; ++i) keep_fastest(best, make());
+  return best;
+}
+
+struct Pair {
+  ScenarioResult scalar;
+  ScenarioResult batched;
+};
+
+/// Runs `n` interleaved scalar/batched pairs (scalar first); `runs` gets
+/// every pair and the result keeps each leg's fastest run.
+template <typename Fn>
+Pair interleaved_pairs(int n, Fn&& make, std::vector<Pair>& runs) {
+  for (int i = 0; i < n; ++i) runs.push_back({make(false), make(true)});
+  Pair best = runs.front();
+  for (const Pair& p : runs) {
+    keep_fastest(best.scalar, p.scalar);
+    keep_fastest(best.batched, p.batched);
   }
   return best;
 }
@@ -294,8 +317,10 @@ ScenarioResult best_of(Fn&& make) {
 int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 42;
   // The self-gate: the dominant event category of the densest radio
-  // scenario must run at least this much faster with batching on.
+  // scenario must run at least this much faster with batching on, in the
+  // median of kGatePairs interleaved scalar/batched pairs.
   constexpr double kGateMinSpeedup = 2.0;
+  constexpr int kGatePairs = 7;
   const std::string kGateScenario = "radio_256";
 
   // Arguments: `--trace` turns on span capture for the radio scenarios;
@@ -319,11 +344,8 @@ int main(int argc, char** argv) {
   if (trace) telemetry = std::make_unique<obs::Telemetry>();
 
   // Each scenario: scalar reference leg first, then the batched leg.
-  struct Pair {
-    ScenarioResult scalar;
-    ScenarioResult batched;
-  };
   std::vector<Pair> results;
+  std::vector<Pair> gate_pairs;
   if (wanted("churn")) {
     results.push_back({best_of([&] { return bench_churn(kSeed, false); }),
                        best_of([&] { return bench_churn(kSeed, true); })});
@@ -333,12 +355,17 @@ int main(int argc, char** argv) {
                        best_of([&] { return bench_timers(kSeed, true); })});
   }
   for (int n : {8, 64, 256}) {
-    if (wanted("radio_" + std::to_string(n))) {
-      results.push_back(
-          {best_of([&] { return bench_radio(n, kSeed, false, nullptr); }),
-           best_of([&] {
-             return bench_radio(n, kSeed, true, telemetry.get());
-           })});
+    const std::string name = "radio_" + std::to_string(n);
+    if (!wanted(name)) continue;
+    const auto leg = [&, n](bool batched) {
+      return bench_radio(n, kSeed, batched,
+                         batched ? telemetry.get() : nullptr);
+    };
+    if (name == kGateScenario) {
+      results.push_back(interleaved_pairs(kGatePairs, leg, gate_pairs));
+    } else {
+      results.push_back({best_of([&] { return leg(false); }),
+                         best_of([&] { return leg(true); })});
     }
   }
 
@@ -379,12 +406,10 @@ int main(int argc, char** argv) {
         "fingerprint mismatch between scalar and batched legs (batching must "
         "be bit-identical)");
   }
-  double gate_speedup = 0.0;
-  bool gate_ran = false;
+  benchsup::Quartiles gate;
   std::string gate_category;
   for (const auto& p : results) {
     if (p.batched.name != kGateScenario) continue;
-    gate_ran = true;
     // Dominant: the most callback wall time on the scalar (reference) leg,
     // so the choice does not depend on the optimization under test.
     const CatStats* sc = nullptr;
@@ -392,29 +417,38 @@ int main(int argc, char** argv) {
       if (sc == nullptr || c.wall_sec > sc->wall_sec) sc = &c;
     }
     if (sc != nullptr) gate_category = sc->name;
-    const CatStats* bc = find_category(p.batched, gate_category);
-    if (sc == nullptr || bc == nullptr || bc->wall_sec <= 0.0 ||
-        sc->executed != bc->executed) {
+    // Same executed count both legs (fingerprints match), so each pair's
+    // throughput ratio reduces to the wall ratio of the category's
+    // callbacks.
+    std::vector<double> ratios;
+    for (const Pair& gp : gate_pairs) {
+      const CatStats* s = find_category(gp.scalar, gate_category);
+      const CatStats* b = find_category(gp.batched, gate_category);
+      if (s == nullptr || b == nullptr || b->wall_sec <= 0.0 ||
+          s->executed != b->executed) {
+        ratios.clear();
+        break;
+      }
+      ratios.push_back(s->wall_sec / b->wall_sec);
+    }
+    if (ratios.empty()) {
       failures.push_back("gate category '" + gate_category +
                          "' missing or inconsistent in " + kGateScenario);
       continue;
     }
-    // Same executed count both legs (fingerprints match), so the throughput
-    // ratio reduces to the wall ratio of the category's callbacks.
-    gate_speedup = sc->wall_sec / bc->wall_sec;
-    if (gate_speedup < kGateMinSpeedup) {
+    gate = benchsup::quartiles(std::move(ratios));
+    std::printf("\ngate: %s '%s' category speedup %.2fx, median of %d "
+                "pairs (quartiles %.2f-%.2f; >= %.1fx required)\n",
+                kGateScenario.c_str(), gate_category.c_str(), gate.median,
+                kGatePairs, gate.q1, gate.q3, kGateMinSpeedup);
+    if (gate.median < kGateMinSpeedup) {
       char msg[160];
       std::snprintf(msg, sizeof msg,
-                    "%s '%s' speedup %.2fx below the %.1fx gate",
-                    kGateScenario.c_str(), gate_category.c_str(), gate_speedup,
+                    "%s '%s' median speedup %.2fx below the %.1fx gate",
+                    kGateScenario.c_str(), gate_category.c_str(), gate.median,
                     kGateMinSpeedup);
       failures.push_back(msg);
     }
-  }
-  if (gate_ran) {
-    std::printf("\ngate: %s '%s' category speedup %.2fx (>= %.1fx required)\n",
-                kGateScenario.c_str(), gate_category.c_str(), gate_speedup,
-                kGateMinSpeedup);
   }
 
   auto doc = benchsup::Json::object();
@@ -474,12 +508,17 @@ int main(int argc, char** argv) {
       batching.set("radio", std::move(rs));
     }
     if (r.name == kGateScenario) {
-      auto gate = benchsup::Json::object();
-      gate.set("category", gate_category);
-      gate.set("min_speedup", kGateMinSpeedup);
-      gate.set("speedup", gate_speedup);
-      gate.set("passed", gate_speedup >= kGateMinSpeedup);
-      batching.set("gate", std::move(gate));
+      auto g = benchsup::Json::object();
+      g.set("category", gate_category);
+      g.set("min_speedup", kGateMinSpeedup);
+      g.set("speedup", gate.median);
+      g.set("passed", gate.median >= kGateMinSpeedup);
+      auto noise = benchsup::Json::object();
+      noise.set("pairs", static_cast<std::uint64_t>(gate_pairs.size()));
+      noise.set("q1", gate.q1);
+      noise.set("q3", gate.q3);
+      g.set("noise", std::move(noise));
+      batching.set("gate", std::move(g));
     }
     obj.set("batching", std::move(batching));
     arr.push(std::move(obj));

@@ -249,6 +249,18 @@ def check_kernel(doc):
                      f'{gate.get("speedup")} < {gate.get("min_speedup")}')
             if gate.get("speedup", 0) < gate.get("min_speedup", 2.0):
                 fail('radio_256 gate "passed" contradicts its speedup')
+            # The gate reads the median of interleaved scalar/batched
+            # pairs; its noise block carries the pair ratios' quartiles.
+            noise = gate.get("noise")
+            if not isinstance(noise, dict):
+                fail('radio_256 gate has no "noise" quartiles')
+            check_keys(noise, {"pairs": int, "q1": float, "q3": float},
+                       'radio_256 gate "noise"')
+            if noise["pairs"] < 7:
+                fail(f'radio_256 gate measured {noise["pairs"]} pairs, '
+                     f"fewer than 7")
+            if not noise["q1"] <= gate["speedup"] <= noise["q3"]:
+                fail("radio_256 gate: median speedup outside its quartiles")
 
     missing = EXPECTED_SCENARIOS - names
     # A substring filter run is allowed, but the default CI smoke runs all.

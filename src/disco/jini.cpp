@@ -330,12 +330,10 @@ void JiniClient::send_discovery(int attempt) {
   ++messages_sent_;
   stack_.send_multicast(net::kDiscoveryGroup, net::kRegistrarPort, port_,
                         w.take());
-  ++outstanding_timeouts_;
   world_.sim().schedule_in(params_.discovery_timeout,
                            sim::EventCategory::kDiscovery,
                            [this, attempt, guard = std::weak_ptr<char>(alive_)] {
     if (guard.expired()) return;
-    --outstanding_timeouts_;
     if (has_registrar()) {
       discovering_ = false;
       return;
@@ -406,7 +404,9 @@ void JiniClient::register_service(ServiceDescription description,
 }
 
 void JiniClient::withdraw(ServiceId id) {
-  held_leases_.erase(id);
+  if (auto it = held_leases_.find(id); it != held_leases_.end()) {
+    drop_held(it);
+  }
   with_registrar([this, id](net::NodeId reg) {
     if (reg == 0) return;
     net::ByteWriter w;
@@ -429,21 +429,29 @@ void JiniClient::lookup(const ServiceTemplate& tmpl, LookupResult cb) {
       if (inner) inner(std::move(items));
     };
   }
-  pending_lookup_[token] = PendingLookup{std::move(cb), tmpl, 0};
+  PendingLookup& pending = pending_lookup_[token];
+  pending.cb = std::move(cb);
+  pending.tmpl = tmpl;
   // Unanswered lookups (e.g. the registrar died mid-request) fail cleanly.
-  ++outstanding_timeouts_;
-  world_.sim().schedule_in(params_.lookup_timeout,
-                           sim::EventCategory::kDiscovery,
-                           [this, token, guard = std::weak_ptr<char>(alive_)] {
-                             if (guard.expired()) return;
-                             --outstanding_timeouts_;
-                             auto it = pending_lookup_.find(token);
-                             if (it == pending_lookup_.end()) return;
-                             auto cb = std::move(it->second.cb);
-                             pending_lookup_.erase(it);
-                             if (cb) cb({});
-                           });
+  pending.timeout = world_.sim().schedule_in(
+      params_.lookup_timeout, sim::EventCategory::kDiscovery,
+      [this, token, guard = std::weak_ptr<char>(alive_)] {
+        if (guard.expired()) return;
+        auto it = pending_lookup_.find(token);
+        if (it == pending_lookup_.end()) return;
+        it->second.timeout = {};
+        if (auto cb = take_lookup(it)) cb({});
+      });
   send_lookup(token);
+}
+
+JiniClient::LookupResult JiniClient::take_lookup(
+    std::map<std::uint32_t, PendingLookup>::iterator it) {
+  world_.sim().cancel(it->second.timeout);
+  world_.sim().cancel(it->second.retry);
+  LookupResult cb = std::move(it->second.cb);
+  pending_lookup_.erase(it);
+  return cb;
 }
 
 void JiniClient::send_lookup(std::uint32_t token) {
@@ -451,9 +459,7 @@ void JiniClient::send_lookup(std::uint32_t token) {
     auto it = pending_lookup_.find(token);
     if (it == pending_lookup_.end()) return;
     if (reg == 0) {
-      auto cb = std::move(it->second.cb);
-      pending_lookup_.erase(it);
-      if (cb) cb({});
+      if (auto cb = take_lookup(it)) cb({});
       return;
     }
     net::ByteWriter w;
@@ -479,19 +485,26 @@ void JiniClient::subscribe(const ServiceTemplate& tmpl, EventCallback cb) {
   });
 }
 
-void JiniClient::schedule_renewal(ServiceId id, sim::Time lease) {
-  const sim::Time delay = sim::scale(lease, params_.renew_fraction);
-  const sim::EventHandle h = world_.sim().schedule_in(
-      delay, sim::EventCategory::kDiscovery, make_renewal(id, lease));
-  renewal_events_[id] = RenewalEvent{lease, h};
+void JiniClient::schedule_renewal(ServiceId id, HeldRegistration& held) {
+  world_.sim().cancel(held.renewal);
+  held.renewal = world_.sim().schedule_in(
+      sim::scale(held.lease, params_.renew_fraction),
+      sim::EventCategory::kDiscovery, make_renewal(id));
 }
 
-std::function<void()> JiniClient::make_renewal(ServiceId id, sim::Time lease) {
-  return [this, id, lease, guard = std::weak_ptr<char>(alive_)] {
+void JiniClient::drop_held(std::map<ServiceId, HeldRegistration>::iterator it) {
+  world_.sim().cancel(it->second.renewal);
+  held_leases_.erase(it);
+}
+
+std::function<void()> JiniClient::make_renewal(ServiceId id) {
+  return [this, id, guard = std::weak_ptr<char>(alive_)] {
     if (guard.expired()) return;
-    renewal_events_.erase(id);
+    // Withdrawal and re-registration cancel the renewal they end.
     auto it = held_leases_.find(id);
-    if (it == held_leases_.end()) return;  // withdrawn
+    if (it == held_leases_.end()) return;
+    it->second.renewal = {};
+    const sim::Time lease = it->second.lease;
     {
       // Scoped so the renew request (and the radio frame carrying it)
       // parents here, while the next periodic renewal does not.
@@ -507,7 +520,7 @@ std::function<void()> JiniClient::make_renewal(ServiceId id, sim::Time lease) {
         stack_.send(net::Endpoint{reg, net::kRegistrarPort}, port_, w.take());
       });
     }
-    schedule_renewal(id, lease);
+    schedule_renewal(id, it->second);
   };
 }
 
@@ -536,10 +549,11 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       auto it = pending_reg_.find(token);
       if (it == pending_reg_.end()) return;
       auto cb = std::move(it->second.cb);
-      ServiceDescription desc = std::move(it->second.desc);
+      HeldRegistration& held = held_leases_[id];
+      held.lease = lease;
+      held.desc = std::move(it->second.desc);
       pending_reg_.erase(it);
-      held_leases_[id] = HeldRegistration{lease, std::move(desc)};
-      schedule_renewal(id, lease);
+      schedule_renewal(id, held);
       if (cb) cb(true, id);
       return;
     }
@@ -553,7 +567,7 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       auto held = held_leases_.find(id);
       if (held == held_leases_.end()) return;
       ServiceDescription desc = std::move(held->second.desc);
-      held_leases_.erase(held);
+      drop_held(held);
       register_service(std::move(desc), {});
       return;
     }
@@ -567,9 +581,7 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       }
       auto it = pending_lookup_.find(token);
       if (it == pending_lookup_.end()) return;
-      auto cb = std::move(it->second.cb);
-      pending_lookup_.erase(it);
-      if (cb) cb(std::move(services));
+      if (auto cb = take_lookup(it)) cb(std::move(services));
       return;
     }
     case JiniMsg::kLookupBusy: {
@@ -581,9 +593,7 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       auto it = pending_lookup_.find(token);
       if (it == pending_lookup_.end()) return;
       if (it->second.busy_attempts >= params_.busy_retries) {
-        auto cb = std::move(it->second.cb);
-        pending_lookup_.erase(it);
-        if (cb) cb({});
+        if (auto cb = take_lookup(it)) cb({});
         return;
       }
       const int attempt = ++it->second.busy_attempts;
@@ -594,13 +604,14 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
           stack_.node_id());
       delay += sim::Time::ns(static_cast<std::int64_t>(
           h % static_cast<std::uint64_t>(params_.busy_backoff.count())));
-      ++outstanding_timeouts_;
-      world_.sim().schedule_in(
+      world_.sim().cancel(it->second.retry);
+      it->second.retry = world_.sim().schedule_in(
           delay, sim::EventCategory::kDiscovery,
           [this, token, guard = std::weak_ptr<char>(alive_)] {
             if (guard.expired()) return;
-            --outstanding_timeouts_;
-            if (pending_lookup_.find(token) == pending_lookup_.end()) return;
+            auto it = pending_lookup_.find(token);
+            if (it == pending_lookup_.end()) return;
+            it->second.retry = {};
             send_lookup(token);
           });
       return;
@@ -724,10 +735,6 @@ bool JiniClient::snap_quiescent(std::string* why) const {
     if (why) *why = "jini client: discovery in progress";
     return false;
   }
-  if (outstanding_timeouts_ != 0) {
-    if (why) *why = "jini client: timeout event scheduled";
-    return false;
-  }
   return true;
 }
 
@@ -741,20 +748,16 @@ void JiniClient::save(snap::SectionWriter& w) const {
   w.u64(messages_sent_);
   w.u64(held_leases_.size());
   for (const auto& [id, held] : held_leases_) {
+    const auto info = world_.sim().pending_event_info(held.renewal);
+    if (!info.valid) {
+      throw snap::SnapError("jini client save: lease " + std::to_string(id) +
+                            " has no pending renewal");
+    }
     w.u64(id);
     w.duration(held.lease);
     save_scratch_.clear();
     held.desc.serialize(save_scratch_);
     w.bytes(save_scratch_.data().data(), save_scratch_.size());
-  }
-  w.u64(renewal_events_.size());
-  for (const auto& [id, re] : renewal_events_) {
-    const auto info = world_.sim().pending_event_info(re.event);
-    if (!info.valid) {
-      throw snap::SnapError("jini client save: renewal event vanished");
-    }
-    w.u64(id);
-    w.duration(re.lease);
     w.time_delta(info.when);
     w.u64(info.seq);
     w.u64(info.id);
@@ -766,8 +769,6 @@ void JiniClient::restore(snap::SectionReader& r) {
   pending_lookup_.clear();
   waiting_.clear();
   discovering_ = false;
-  outstanding_timeouts_ = 0;
-  renewal_events_.clear();
 
   registrars_.clear();
   const std::uint64_t n_regs = r.u64();
@@ -777,11 +778,13 @@ void JiniClient::restore(snap::SectionReader& r) {
   }
   next_token_ = r.u32();
   messages_sent_ = r.u64();
+  // Renewal events went with Simulator::clear_pending: dropped, not
+  // cancelled.
   held_leases_.clear();
   const std::uint64_t n_held = r.u64();
   for (std::uint64_t i = 0; i < n_held; ++i) {
     const ServiceId id = r.u64();
-    HeldRegistration held;
+    HeldRegistration& held = held_leases_[id];
     held.lease = r.duration();
     const std::vector<std::uint8_t> blob = r.bytes();
     net::ByteReader br(std::as_bytes(std::span(blob)));
@@ -789,19 +792,11 @@ void JiniClient::restore(snap::SectionReader& r) {
     if (!br.ok()) {
       throw snap::SnapError("jini client restore: bad held description");
     }
-    held_leases_[id] = std::move(held);
-  }
-  const std::uint64_t n_renewals = r.u64();
-  for (std::uint64_t i = 0; i < n_renewals; ++i) {
-    const ServiceId id = r.u64();
-    const sim::Time lease = r.duration();
     const sim::Time when = r.time_delta();
     const std::uint64_t seq = r.u64();
     const std::uint64_t eid = r.u64();
-    const sim::EventHandle h = world_.sim().restore_event(
-        when, seq, eid, sim::EventCategory::kDiscovery,
-        make_renewal(id, lease));
-    renewal_events_[id] = RenewalEvent{lease, h};
+    held.renewal = world_.sim().restore_event(
+        when, seq, eid, sim::EventCategory::kDiscovery, make_renewal(id));
   }
 }
 

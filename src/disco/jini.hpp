@@ -238,9 +238,9 @@ class JiniClient {
 
   // --- checkpoint/restore (see src/snap) ------------------------------------
   // Pending discovery/lookup exchanges hold result callbacks (code), so the
-  // client is only checkpointable with no exchange in flight and no
-  // discovery/lookup timeout event scheduled. Lease-renewal one-shots are
-  // tracked per service and re-armed verbatim on restore.
+  // client is only checkpointable with no exchange in flight; an answered
+  // lookup's timers are cancelled with it. Each held lease's renewal
+  // one-shot is saved with the lease and re-armed verbatim on restore.
   bool snap_quiescent(std::string* why) const;
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);
@@ -256,8 +256,6 @@ class JiniClient {
   void send_discovery(int attempt);
   void send_lookup(std::uint32_t token);
   void with_registrar(std::function<void(net::NodeId)> action);
-  void schedule_renewal(ServiceId id, sim::Time lease);
-  std::function<void()> make_renewal(ServiceId id, sim::Time lease);
   /// Most recently heard non-stale registrar, or 0 when none qualify.
   net::NodeId pick_registrar() const;
 
@@ -271,30 +269,33 @@ class JiniClient {
   struct HeldRegistration {
     sim::Time lease;
     ServiceDescription desc;  // kept for re-registration after failover
+    sim::EventHandle renewal;  // pending for as long as the lease is held
   };
   std::map<std::uint32_t, PendingRegistration> pending_reg_;
   struct PendingLookup {
     LookupResult cb;
     ServiceTemplate tmpl;   // kept for busy retries
     int busy_attempts = 0;
+    sim::EventHandle timeout;
+    sim::EventHandle retry;  // the busy back-off's re-send, if one waits
   };
   std::map<std::uint32_t, PendingLookup> pending_lookup_;
   std::map<ServiceId, HeldRegistration> held_leases_;
-  /// The scheduled renewal one-shot per lease id. An entry may outlive its
-  /// held lease (withdrawn before the event fired); it is then a no-op
-  /// event that must still be re-armed on restore for bit-equality.
-  struct RenewalEvent {
-    sim::Time lease;
-    sim::EventHandle event;
-  };
-  std::map<ServiceId, RenewalEvent> renewal_events_;
+
+  /// Ends a pending lookup: cancels its timeout and retry, erases it and
+  /// returns its callback.
+  LookupResult take_lookup(std::map<std::uint32_t, PendingLookup>::iterator it);
+  /// Schedules `held`'s next renewal, cancelling the one it supersedes.
+  void schedule_renewal(ServiceId id, HeldRegistration& held);
+  std::function<void()> make_renewal(ServiceId id);
+  /// Forgets a held lease and cancels its renewal.
+  void drop_held(std::map<ServiceId, HeldRegistration>::iterator it);
+
   EventCallback on_event_;
   std::uint32_t next_token_ = 1;
   std::uint64_t messages_sent_ = 0;
+  // True exactly while the discovery timeout is pending.
   bool discovering_ = false;
-  // Scheduled-but-unfired discovery/lookup timeout one-shots; nonzero
-  // blocks checkpointing.
-  int outstanding_timeouts_ = 0;
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   mutable net::ByteWriter save_scratch_;  // see JiniRegistrar
 };

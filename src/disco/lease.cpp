@@ -1,6 +1,7 @@
 #include "disco/lease.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -20,26 +21,26 @@ void LeaseTable::grant(std::uint64_t key, sim::Time duration,
                        std::function<void()> on_expire) {
   Lease& l = leases_[key];
   l.expiry = world_.now() + duration;
-  l.gen = next_gen_++;
   l.on_expire = std::move(on_expire);
   if (m_grants_) m_grants_->add();
-  schedule_check(key, l.gen, l.expiry);
+  arm_check(key, l);
 }
 
 bool LeaseTable::renew(std::uint64_t key, sim::Time duration) {
   auto it = leases_.find(key);
   if (it == leases_.end()) return false;
   it->second.expiry = world_.now() + duration;
-  it->second.gen = next_gen_++;
   if (m_renewals_) m_renewals_->add();
-  schedule_check(key, it->second.gen, it->second.expiry);
+  arm_check(key, it->second);
   return true;
 }
 
 void LeaseTable::cancel(std::uint64_t key) {
-  if (leases_.erase(key) != 0 && m_cancellations_ != nullptr) {
-    m_cancellations_->add();
-  }
+  auto it = leases_.find(key);
+  if (it == leases_.end()) return;
+  world_.sim().cancel(it->second.check);
+  leases_.erase(it);
+  if (m_cancellations_) m_cancellations_->add();
 }
 
 bool LeaseTable::active(std::uint64_t key) const {
@@ -52,28 +53,17 @@ sim::Time LeaseTable::expiry(std::uint64_t key) const {
   return it != leases_.end() ? it->second.expiry : sim::Time::zero();
 }
 
-void LeaseTable::schedule_check(std::uint64_t key, std::uint64_t gen,
-                                sim::Time when) {
-  const sim::EventHandle h = world_.sim().schedule_at(
-      when, sim::EventCategory::kLease, make_check(key, gen));
-  checks_[key].push_back(PendingCheck{gen, h});
+void LeaseTable::arm_check(std::uint64_t key, Lease& lease) {
+  world_.sim().cancel(lease.check);
+  lease.check = world_.sim().schedule_at(
+      lease.expiry, sim::EventCategory::kLease, make_check(key));
 }
 
-std::function<void()> LeaseTable::make_check(std::uint64_t key,
-                                             std::uint64_t gen) {
-  return [this, key, gen, guard = std::weak_ptr<char>(alive_)] {
+std::function<void()> LeaseTable::make_check(std::uint64_t key) {
+  return [this, key, guard = std::weak_ptr<char>(alive_)] {
     if (guard.expired()) return;
-    if (const auto cit = checks_.find(key); cit != checks_.end()) {
-      std::vector<PendingCheck>& list = cit->second;
-      prune_visits_ += list.size();
-      list.erase(std::remove_if(
-                     list.begin(), list.end(),
-                     [&](const PendingCheck& c) { return c.gen == gen; }),
-                 list.end());
-      if (list.empty()) checks_.erase(cit);
-    }
     auto it = leases_.find(key);
-    if (it == leases_.end() || it->second.gen != gen) return;  // renewed
+    if (it == leases_.end()) return;  // a restore dropped the table under it
     auto cb = std::move(it->second.on_expire);
     leases_.erase(it);
     ++expirations_;
@@ -88,9 +78,7 @@ std::function<void()> LeaseTable::make_check(std::uint64_t key,
 }
 
 void LeaseTable::save(snap::SectionWriter& w) const {
-  w.u64(next_gen_);
   w.u64(expirations_);
-  w.u64(prune_visits_);
 
   std::vector<std::pair<std::uint64_t, const Lease*>>& sorted = save_leases_;
   sorted.clear();
@@ -99,59 +87,36 @@ void LeaseTable::save(snap::SectionWriter& w) const {
             [](const auto& a, const auto& b) { return a.first < b.first; });
   w.u64(sorted.size());
   for (const auto& [key, lease] : sorted) {
-    w.u64(key);
-    w.time_delta(lease->expiry);  // duration-from-now: rebases under a gap
-    w.u64(lease->gen);
-  }
-
-  // Every live check event, stale generations included, with its kernel
-  // identity so restore can re-insert it verbatim.
-  std::vector<CheckRec>& recs = save_checks_;
-  recs.clear();
-  for (const auto& [key, list] : checks_) {
-    for (const PendingCheck& c : list) {
-      const auto info = world_.sim().pending_event_info(c.event);
-      if (!info.valid) continue;  // fired/cancelled; entry not yet pruned
-      recs.push_back(CheckRec{key, c.gen, info.seq, info.id, info.when});
+    // The check's kernel identity, so restore re-inserts it verbatim; it
+    // fires at the expiry, a duration from now that rebases under a gap.
+    const auto info = world_.sim().pending_event_info(lease->check);
+    if (!info.valid) {
+      throw snap::SnapError("lease save: lease " + std::to_string(key) +
+                            " has no pending expiry check");
     }
-  }
-  std::sort(recs.begin(), recs.end(),
-            [](const CheckRec& a, const CheckRec& b) { return a.seq < b.seq; });
-  w.u64(recs.size());
-  for (const CheckRec& rec : recs) {
-    w.u64(rec.key);
-    w.u64(rec.gen);
-    w.time_delta(rec.when);
-    w.u64(rec.seq);
-    w.u64(rec.id);
+    w.u64(key);
+    w.time_delta(lease->expiry);
+    w.u64(info.seq);
+    w.u64(info.id);
   }
 }
 
 void LeaseTable::restore(snap::SectionReader& r,
                          const ExpireFactory& factory) {
+  // Dropped, not cancelled: their events went with clear_pending.
   leases_.clear();
-  checks_.clear();
-  next_gen_ = r.u64();
   expirations_ = r.u64();
-  prune_visits_ = r.u64();
   const std::uint64_t n_leases = r.u64();
   for (std::uint64_t i = 0; i < n_leases; ++i) {
     const std::uint64_t key = r.u64();
     Lease& l = leases_[key];
     l.expiry = r.time_delta();
-    l.gen = r.u64();
-    l.on_expire = factory ? factory(key) : std::function<void()>();
-  }
-  const std::uint64_t n_checks = r.u64();
-  for (std::uint64_t i = 0; i < n_checks; ++i) {
-    const std::uint64_t key = r.u64();
-    const std::uint64_t gen = r.u64();
-    const sim::Time when = r.time_delta();
     const std::uint64_t seq = r.u64();
     const std::uint64_t id = r.u64();
-    const sim::EventHandle h = world_.sim().restore_event(
-        when, seq, id, sim::EventCategory::kLease, make_check(key, gen));
-    checks_[key].push_back(PendingCheck{gen, h});
+    l.on_expire = factory ? factory(key) : std::function<void()>();
+    l.check = world_.sim().restore_event(l.expiry, seq, id,
+                                         sim::EventCategory::kLease,
+                                         make_check(key));
   }
 }
 

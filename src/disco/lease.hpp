@@ -34,6 +34,8 @@ class LeaseTable {
 
   /// Grants (or replaces) a lease on `key` expiring after `duration`.
   /// `on_expire` fires exactly once if the lease lapses without renewal.
+  /// Each lease holds one pending expiry check; grant and renew cancel the
+  /// check they supersede and cancel() cancels it.
   void grant(std::uint64_t key, sim::Time duration,
              std::function<void()> on_expire);
 
@@ -49,20 +51,15 @@ class LeaseTable {
 
   std::uint64_t expirations() const { return expirations_; }
 
-  /// Check-list entries examined while pruning fired expiry checks, summed
-  /// over the table's lifetime. A fired check prunes only its own key's
-  /// entries (the list used to be flat, making every expiry O(live
-  /// leases)); the regression test asserts this stays O(1) per expiry.
-  std::uint64_t prune_visits() const { return prune_visits_; }
-
   // --- checkpoint/restore (see src/snap) ------------------------------------
   // Expiry deadlines are serialized as durations-from-now, so a restore
   // under a simulated-time gap rebases every lease uniformly: a lease with
   // 12 s left at checkpoint time has 12 s left after restore. Expiry
   // callbacks are code, not data — restore rebuilds each from `factory`.
-  // Outstanding check events (including stale-generation ones left behind
-  // by renewals) are re-armed verbatim so the restored kernel's event
-  // stream is bit-identical to an uninterrupted run.
+  // Each lease's pending check is saved inline by kernel identity and
+  // re-armed verbatim, so the restored kernel's event stream is
+  // bit-identical to an uninterrupted run. save() throws snap::SnapError
+  // for a lease without a pending check.
   using ExpireFactory =
       std::function<std::function<void()>(std::uint64_t key)>;
   void save(snap::SectionWriter& w) const;
@@ -71,31 +68,17 @@ class LeaseTable {
  private:
   struct Lease {
     sim::Time expiry;
-    std::uint64_t gen = 0;
+    sim::EventHandle check;  // fires at `expiry`
     std::function<void()> on_expire;
   };
-  /// One scheduled-but-unfired expiry check; pruned when it fires.
-  struct PendingCheck {
-    std::uint64_t gen;
-    sim::EventHandle event;
-  };
-  /// One live check event as save() writes it, ordered by kernel seq.
-  struct CheckRec {
-    std::uint64_t key, gen, seq, id;
-    sim::Time when;
-  };
-  void schedule_check(std::uint64_t key, std::uint64_t gen, sim::Time when);
-  std::function<void()> make_check(std::uint64_t key, std::uint64_t gen);
+  /// Schedules `lease`'s check at its expiry, cancelling the one it
+  /// supersedes.
+  void arm_check(std::uint64_t key, Lease& lease);
+  std::function<void()> make_check(std::uint64_t key);
 
   sim::World& world_;
   std::unordered_map<std::uint64_t, Lease> leases_;
-  // Keyed by lease key so a fired check prunes only its own key's entries
-  // (typically one; a renewal chain leaves at most a handful of stale
-  // generations) instead of rescanning every live registration's check.
-  std::unordered_map<std::uint64_t, std::vector<PendingCheck>> checks_;
-  std::uint64_t next_gen_ = 1;
   std::uint64_t expirations_ = 0;
-  std::uint64_t prune_visits_ = 0;
   // Telemetry handles; null when the world has no registry attached.
   obs::Counter* m_grants_ = nullptr;
   obs::Counter* m_renewals_ = nullptr;
@@ -104,10 +87,9 @@ class LeaseTable {
   // Expiry events may still sit in the simulator when the table's owner is
   // destroyed mid-run; they check this token and become no-ops.
   std::shared_ptr<char> alive_ = std::make_shared<char>(0);
-  // save()'s canonical-order buffers, reused so steady-state checkpoints
-  // do not allocate.
+  // save()'s canonical-order buffer, reused so steady-state checkpoints do
+  // not allocate.
   mutable std::vector<std::pair<std::uint64_t, const Lease*>> save_leases_;
-  mutable std::vector<CheckRec> save_checks_;
 };
 
 }  // namespace aroma::disco

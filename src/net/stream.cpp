@@ -145,20 +145,24 @@ void StreamConnection::pump() {
 }
 
 void StreamConnection::arm_rto() {
-  const auto gen = ++rto_gen_;
-  rto_armed_ = true;
   const double rto = std::clamp(rto_s_, mgr_.params().min_rto_s,
                                 mgr_.params().max_rto_s);
-  ++outstanding_rto_;
-  mgr_.world().sim().schedule_in(sim::Time::sec(rto),
-                                 [self = shared_from_this(), gen] {
-                                   self->on_rto(gen);
-                                 });
+  // `this` outlives the cancel: every caller runs on a connection its
+  // manager, a user or the firing RTO's own closure still holds.
+  mgr_.world().sim().cancel(rto_);
+  rto_ = mgr_.world().sim().schedule_in(
+      sim::Time::sec(rto), [self = shared_from_this()] {
+        self->rto_ = {};
+        self->on_rto();
+      });
 }
 
-void StreamConnection::on_rto(std::uint64_t gen) {
-  --outstanding_rto_;
-  if (gen != rto_gen_ || !rto_armed_ || state_ == State::kClosed) return;
+void StreamConnection::disarm_rto() {
+  mgr_.world().sim().cancel(rto_);
+  rto_ = {};
+}
+
+void StreamConnection::on_rto() {
   // Handshake retransmission.
   if (state_ == State::kSynSent) {
     send_segment(kSyn, 0, {});
@@ -168,10 +172,6 @@ void StreamConnection::on_rto(std::uint64_t gen) {
       return;
     }
     arm_rto();
-    return;
-  }
-  if (inflight_.empty()) {
-    rto_armed_ = false;
     return;
   }
   Unacked& u = inflight_.front();
@@ -235,7 +235,7 @@ void StreamConnection::on_ack(std::uint64_t ack) {
     dup_acks_ = 0;
     last_ack_seen_ = ack;
     if (!inflight_.empty()) arm_rto();
-    else rto_armed_ = false;
+    else disarm_rto();
     pump();
     return;
   }
@@ -285,7 +285,7 @@ void StreamConnection::handle_segment(std::uint8_t type, std::uint64_t seq,
     case kSynAck:
       if (state_ == State::kSynSent) {
         state_ = State::kEstablished;
-        rto_armed_ = false;
+        disarm_rto();
         send_ack();
         if (on_established_) on_established_();
         pump();
@@ -329,7 +329,7 @@ bool StreamConnection::snap_quiescent(std::string* why) const {
     if (why) *why = "stream: bytes in flight";
     return false;
   }
-  if (outstanding_rto_ != 0) {
+  if (rto_.valid()) {
     if (why) *why = "stream: RTO event scheduled";
     return false;
   }
@@ -346,7 +346,6 @@ void StreamConnection::save(snap::SectionWriter& w) const {
   w.f64(srtt_);
   w.f64(rttvar_);
   w.f64(rto_s_);
-  w.u64(rto_gen_);
   w.u32(static_cast<std::uint32_t>(handshake_retx_));
   w.u64(stats_.bytes_sent);
   w.u64(stats_.bytes_retransmitted);
@@ -369,8 +368,9 @@ void StreamConnection::restore(snap::SectionReader& r) {
   fin_queued_ = false;
   peer_fin_ = false;
   peer_fin_seq_ = 0;
-  rto_armed_ = false;
-  outstanding_rto_ = 0;
+  // Its event went with Simulator::clear_pending; cancelling the handle
+  // could match a re-armed event of the same identity.
+  rto_ = {};
 
   snd_next_ = r.u64();
   cwnd_ = r.f64();
@@ -381,7 +381,6 @@ void StreamConnection::restore(snap::SectionReader& r) {
   srtt_ = r.f64();
   rttvar_ = r.f64();
   rto_s_ = r.f64();
-  rto_gen_ = r.u64();
   handshake_retx_ = static_cast<int>(r.u32());
   stats_.bytes_sent = r.u64();
   stats_.bytes_retransmitted = r.u64();
@@ -443,7 +442,7 @@ void StreamManager::restore(snap::SectionReader& r) {
 void StreamConnection::become_closed() {
   if (state_ == State::kClosed) return;
   state_ = State::kClosed;
-  rto_armed_ = false;
+  disarm_rto();
   if (on_closed_) on_closed_();
 }
 

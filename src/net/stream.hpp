@@ -65,9 +65,9 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   const StreamStats& stats() const { return stats_; }
 
   // --- checkpoint/restore (see src/snap) ------------------------------------
-  // RTO closures capture shared_from_this + a generation token and cannot be
-  // serialized; a connection is only checkpointable once established with
-  // nothing in flight and no scheduled (even stale-gen) RTO event.
+  // The RTO closure captures shared_from_this and cannot be serialized; a
+  // connection is only checkpointable once established with nothing in
+  // flight, which is exactly when no RTO is armed.
   bool snap_quiescent(std::string* why) const;
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);
@@ -87,8 +87,10 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   void send_segment(std::uint8_t type, std::uint64_t seq,
                     std::span<const std::byte> payload);
   void send_ack();
+  /// Arms the one RTO, cancelling the one it supersedes.
   void arm_rto();
-  void on_rto(std::uint64_t gen);
+  void disarm_rto();
+  void on_rto();
   void on_ack(std::uint64_t ack);
   void deliver_in_order();
   void update_rtt(double sample_s);
@@ -128,12 +130,9 @@ class StreamConnection : public std::enable_shared_from_this<StreamConnection> {
   double srtt_ = 0.0;
   double rttvar_ = 0.0;
   double rto_s_ = 0.2;
-  std::uint64_t rto_gen_ = 0;
-  bool rto_armed_ = false;
+  // Pending while the handshake or bytes in flight await an ACK.
+  sim::EventHandle rto_;
   int handshake_retx_ = 0;
-  // Scheduled-but-unfired RTO events (live or stale-gen); nonzero blocks
-  // checkpointing.
-  int outstanding_rto_ = 0;
 
   DataHandler on_data_;
   EventHandler on_established_;

@@ -68,7 +68,6 @@ void CsmaMac::maybe_start() {
 
 void CsmaMac::enter_difs() {
   state_ = State::kDifs;
-  bump_gen();
   deferring_ = radio_.carrier_busy() || radio_.transmitting();
   if (deferring_) {
     // Defer. Polling would re-check every slot; each check before the idle
@@ -84,21 +83,34 @@ void CsmaMac::enter_difs() {
 }
 
 void CsmaMac::arm_timer(sim::Time at) {
-  if (timer_.valid()) {
-    world_.sim().cancel(timer_);
-    --outstanding_events_;
-  }
-  ++outstanding_events_;
+  world_.sim().cancel(timer_);
   timer_ = world_.sim().schedule_at(at, sim::EventCategory::kMac, [this] {
     timer_ = {};
-    --outstanding_events_;
-    if (state_ != State::kDifs) return;
-    if (deferring_) {
-      enter_difs();
-    } else {
-      difs_elapsed();
-    }
+    on_timer();
   });
+}
+
+void CsmaMac::on_timer() {
+  switch (state_) {
+    case State::kDifs:
+      if (deferring_) {
+        enter_difs();
+      } else {
+        difs_elapsed();
+      }
+      return;
+    case State::kBackoff:
+      backoff_slot();
+      return;
+    case State::kTransmitting:
+      tx_finished();
+      return;
+    case State::kAwaitAck:
+      ack_timeout();
+      return;
+    case State::kIdle:
+      return;  // unreachable: finish_active cancels the timer
+  }
 }
 
 void CsmaMac::arm_recheck(sim::Time not_before) {
@@ -128,19 +140,13 @@ void CsmaMac::difs_elapsed() {
     backoff_slots_ =
         static_cast<int>(rng_.uniform_int(0, std::max(cw_ - 1, 0)));
   }
-  const auto g2 = bump_gen();
   if (!params_.poll_carrier) {
     count_from_ = world_.now();
     radio_.medium().countdown_start(*this, params_.slot, backoff_slots_,
                                     radio_.max_speed_mps() > 0.0);
     return;
   }
-  ++outstanding_events_;
-  world_.sim().schedule_in(params_.slot, sim::EventCategory::kMac,
-                           [this, g2] {
-                             --outstanding_events_;
-                             backoff_slot(g2);
-                           });
+  arm_timer(world_.now() + params_.slot);
 }
 
 bool CsmaMac::countdown_slot(bool final) {
@@ -164,8 +170,7 @@ void CsmaMac::stop_countdown() {
   radio_.medium().countdown_stop(*this);
 }
 
-void CsmaMac::backoff_slot(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kBackoff) return;
+void CsmaMac::backoff_slot() {
   if (radio_.carrier_busy() || radio_.transmitting()) {
     // Freeze the counter and defer for another DIFS.
     enter_difs();
@@ -173,13 +178,7 @@ void CsmaMac::backoff_slot(std::uint64_t gen) {
   }
   if (backoff_slots_ > 0) {
     --backoff_slots_;
-    const auto g2 = bump_gen();
-    ++outstanding_events_;
-    world_.sim().schedule_in(params_.slot, sim::EventCategory::kMac,
-                             [this, g2] {
-                               --outstanding_events_;
-                               backoff_slot(g2);
-                             });
+    arm_timer(world_.now() + params_.slot);
     return;
   }
   transmit_active();
@@ -201,17 +200,10 @@ void CsmaMac::transmit_active() {
 
   const std::size_t bits = params_.header_bits + active_->payload_bits;
   const sim::Time air = radio_.transmit(bits, frame);
-  const auto gen = bump_gen();
-  ++outstanding_events_;
-  world_.sim().schedule_in(air, sim::EventCategory::kMac,
-                           [this, gen] {
-                             --outstanding_events_;
-                             tx_finished(gen);
-                           });
+  arm_timer(world_.now() + air);
 }
 
-void CsmaMac::tx_finished(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kTransmitting) return;
+void CsmaMac::tx_finished() {
   if (active_->dst == kBroadcast) {
     finish_active(true);
     return;
@@ -220,17 +212,10 @@ void CsmaMac::tx_finished(std::uint64_t gen) {
   const sim::Time ack_air =
       sim::Time::sec(static_cast<double>(params_.ack_bits) / bitrate());
   const sim::Time timeout = params_.sifs + ack_air + params_.slot * 4;
-  const auto g2 = bump_gen();
-  ++outstanding_events_;
-  world_.sim().schedule_in(timeout, sim::EventCategory::kMac,
-                           [this, g2] {
-                             --outstanding_events_;
-                             ack_timeout(g2);
-                           });
+  arm_timer(world_.now() + timeout);
 }
 
-void CsmaMac::ack_timeout(std::uint64_t gen) {
-  if (gen != gen_ || state_ != State::kAwaitAck) return;
+void CsmaMac::ack_timeout() {
   ++stats_.retries;
   ++active_->retries;
   if (m_retries_) m_retries_->add();
@@ -248,6 +233,9 @@ void CsmaMac::ack_timeout(std::uint64_t gen) {
 }
 
 void CsmaMac::finish_active(bool delivered) {
+  // An ACKed frame's timeout is superseded here, before `cb` may send.
+  world_.sim().cancel(timer_);
+  timer_ = {};
   cw_ = params_.cw_min;
   if (m_service_ != nullptr) {
     const sim::Time service = world_.now() - active_->enqueued_at;
@@ -256,7 +244,6 @@ void CsmaMac::finish_active(bool delivered) {
   auto cb = std::move(active_->cb);
   active_.reset();
   state_ = State::kIdle;
-  bump_gen();
   if (cb) cb(delivered);
   maybe_start();
 }
@@ -301,10 +288,10 @@ void CsmaMac::on_radio_frame(const env::FrameDelivery& delivery) {
 }
 
 void CsmaMac::send_ack(MacAddress dst, std::uint32_t seq) {
-  ++outstanding_events_;
+  ++pending_acks_;
   world_.sim().schedule_in(params_.sifs, sim::EventCategory::kMac,
                            [this, dst, seq] {
-    --outstanding_events_;
+    --pending_acks_;
     if (radio_.transmitting()) return;  // busy; sender will retry
     auto ack = sim::arena_shared<MacFrame>(world_.arena());
     ack->src = address();
@@ -319,11 +306,11 @@ void CsmaMac::send_ack(MacAddress dst, std::uint32_t seq) {
 
 bool CsmaMac::snap_quiescent(std::string* why) const {
   if (state_ != State::kIdle || active_ || !queue_.empty() ||
-      outstanding_events_ != 0) {
+      timer_.valid() || pending_acks_ != 0) {
     if (why != nullptr) {
       *why = "mac " + std::to_string(address()) + " busy (queue " +
-             std::to_string(queue_depth()) + ", outstanding " +
-             std::to_string(outstanding_events_) + ")";
+             std::to_string(queue_depth()) + ", pending acks " +
+             std::to_string(pending_acks_) + ")";
     }
     return false;
   }
@@ -340,7 +327,6 @@ void CsmaMac::save(snap::SectionWriter& w) const {
   w.u64(stats_.drops_retry_limit);
   w.u64(stats_.drops_queue_full);
   w.u64(stats_.acks_received);
-  w.u64(gen_);
   w.u32(static_cast<std::uint32_t>(cw_));
   w.u32(next_seq_);
   const sim::Rng::State rs = rng_.state();
@@ -368,8 +354,8 @@ void CsmaMac::restore(snap::SectionReader& r) {
   active_.reset();
   state_ = State::kIdle;
   backoff_slots_ = 0;
-  outstanding_events_ = 0;
-  // Its event went with Simulator::clear_pending; cancelling the handle
+  pending_acks_ = 0;
+  // Its events went with Simulator::clear_pending; cancelling the handle
   // would count a stale reject the uninterrupted run never saw.
   timer_ = {};
   deferring_ = false;
@@ -382,7 +368,6 @@ void CsmaMac::restore(snap::SectionReader& r) {
   stats_.drops_retry_limit = r.u64();
   stats_.drops_queue_full = r.u64();
   stats_.acks_received = r.u64();
-  gen_ = r.u64();
   cw_ = static_cast<int>(r.u32());
   next_seq_ = r.u32();
   sim::Rng::State rs;

@@ -124,9 +124,9 @@ class CsmaMac final : public env::Countdown {
   std::size_t queue_depth() const { return queue_.size() + (active_ ? 1 : 0); }
 
   // --- checkpoint/restore (see src/snap) ------------------------------------
-  // MAC timer events capture generation tokens and frame payloads, so they
-  // are never serialized; checkpoints are only taken when the MAC is
-  // quiescent (idle, empty queue, no outstanding timer events —
+  // MAC events carry frame payloads, so they are never serialized;
+  // checkpoints are only taken when the MAC is quiescent (idle, empty
+  // queue, no pending timer and no ACK waiting out its SIFS —
   // scn::ScenarioInstance::settle() runs the world until every MAC is).
   bool snap_quiescent(std::string* why) const;
   void save(snap::SectionWriter& w) const;
@@ -151,9 +151,10 @@ class CsmaMac final : public env::Countdown {
 
   void maybe_start();
   void enter_difs();
-  /// Schedules the one pending DIFS expiry or deferral re-check at `at`,
-  /// cancelling the one it supersedes.
+  /// Schedules the MAC's one pending timer at `at`, cancelling the one it
+  /// supersedes. It fires into on_timer, which dispatches on the state.
   void arm_timer(sim::Time at);
+  void on_timer();
   /// Schedules the deferral's re-check at the first instant of its slot
   /// grid (defer_from_ + k * slot, k >= 1) at or after `not_before`.
   void arm_recheck(sim::Time not_before);
@@ -163,18 +164,17 @@ class CsmaMac final : public env::Countdown {
   void on_retune();
   void difs_elapsed();
   /// The oracle's per-slot countdown step.
-  void backoff_slot(std::uint64_t gen);
+  void backoff_slot();
   /// Leaves an edge-driven countdown, keeping the slots the per-slot loop
   /// would have left: B minus the slot instants it has passed before now.
   void stop_countdown();
   void transmit_active();
-  void tx_finished(std::uint64_t gen);
-  void ack_timeout(std::uint64_t gen);
+  void tx_finished();
+  void ack_timeout();
   void finish_active(bool delivered);
   void on_radio_frame(const env::FrameDelivery& delivery);
   void send_ack(MacAddress dst, std::uint32_t seq);
   double bitrate() const;
-  std::uint64_t bump_gen() { return ++gen_; }
 
   sim::World& world_;
   Transceiver& radio_;
@@ -186,9 +186,11 @@ class CsmaMac final : public env::Countdown {
   std::deque<OutFrame> queue_;
   std::unique_ptr<OutFrame> active_;
   State state_ = State::kIdle;
-  std::uint64_t gen_ = 0;  // invalidates stale timer events on transitions
-  // The pending DIFS expiry or, while deferring_, deferral re-check, whose
-  // slot grid starts at defer_from_ (the instant carrier sense read busy).
+  // The one pending timer of the current state: the DIFS expiry or, while
+  // deferring_, the deferral re-check (its slot grid starts at defer_from_,
+  // the instant carrier sense read busy); the oracle's per-slot countdown
+  // step; the frame end; or the ACK timeout. Invalid while idle and during
+  // an edge-driven countdown, whose events the medium owns.
   sim::EventHandle timer_;
   bool deferring_ = false;
   sim::Time defer_from_ = sim::Time::zero();
@@ -199,9 +201,8 @@ class CsmaMac final : public env::Countdown {
   sim::Time count_from_ = sim::Time::zero();
   std::uint32_t next_seq_ = 1;
   std::unordered_map<MacAddress, std::uint32_t> last_seq_from_;
-  // Scheduled-but-unfired MAC events (live or stale-gen). Nonzero blocks
-  // checkpointing: stale timer events cannot be re-created on restore.
-  int outstanding_events_ = 0;
+  // ACKs waiting out their SIFS; never superseded, so counted, not held.
+  int pending_acks_ = 0;
 
   // Telemetry handles (null when no registry is attached to the world).
   // Counters aggregate across every MAC in the world; the queue-depth gauge

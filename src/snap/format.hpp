@@ -48,7 +48,7 @@ class SnapError : public std::runtime_error {
 };
 
 inline constexpr char kMagic[8] = {'A', 'R', 'O', 'M', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 /// Section flag: readers that do not recognize the tag may skip it.
 inline constexpr std::uint32_t kSectionOptional = 1u << 0;

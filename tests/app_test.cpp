@@ -1,12 +1,11 @@
-// Tests for the abstract layer: sessions, workflows, and the Smart
-// Projector services end-to-end over the simulated network.
+// Tests for the abstract layer: sessions and the Smart Projector services
+// end-to-end over the simulated network.
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "app/projector.hpp"
 #include "app/session.hpp"
-#include "app/workflow.hpp"
 #include "disco/gateway.hpp"
 #include "snap/format.hpp"
 #include "env/environment.hpp"
@@ -82,74 +81,6 @@ TEST(SessionManager, RenewalPreventsExpiry) {
   renewer.stop();
   w.sim().run_until(sim::Time::sec(400));
   EXPECT_FALSE(sm.busy());
-}
-
-// --- Workflow ----------------------------------------------------------
-
-TEST(Workflow, RunsStepsInOrder) {
-  sim::World w(1);
-  Workflow wf(w);
-  std::vector<std::string> executed;
-  for (const char* name : {"a", "b", "c"}) {
-    wf.step(name, [&executed, name](std::function<void(bool)> done) {
-      executed.push_back(name);
-      done(true);
-    });
-  }
-  WorkflowResult result;
-  wf.run([&](const WorkflowResult& r) { result = r; });
-  w.sim().run();
-  EXPECT_TRUE(result.succeeded);
-  EXPECT_EQ(result.steps_completed, 3u);
-  EXPECT_EQ(executed, (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(Workflow, FailureAbortsAndReportsStep) {
-  sim::World w(1);
-  Workflow wf(w);
-  wf.step("ok", [](std::function<void(bool)> done) { done(true); });
-  wf.step("boom", [](std::function<void(bool)> done) { done(false); });
-  wf.step("never", [](std::function<void(bool)> done) {
-    FAIL() << "must not run";
-    done(true);
-  });
-  WorkflowResult result;
-  wf.run([&](const WorkflowResult& r) { result = r; });
-  w.sim().run();
-  EXPECT_FALSE(result.succeeded);
-  EXPECT_EQ(result.failed_step, "boom");
-  EXPECT_EQ(result.steps_completed, 1u);
-}
-
-TEST(Workflow, AsyncStepsMeasureElapsedTime) {
-  sim::World w(1);
-  Workflow wf(w);
-  wf.step("slow", [&w](std::function<void(bool)> done) {
-    w.sim().schedule_in(sim::Time::sec(5), [done] { done(true); });
-  });
-  WorkflowResult result;
-  wf.run([&](const WorkflowResult& r) { result = r; });
-  w.sim().run();
-  EXPECT_TRUE(result.succeeded);
-  EXPECT_EQ(result.elapsed, sim::Time::sec(5));
-}
-
-TEST(Workflow, CustomOrderCanFail) {
-  sim::World w(1);
-  Workflow wf(w);
-  bool prereq_done = false;
-  wf.step("prereq", [&](std::function<void(bool)> done) {
-    prereq_done = true;
-    done(true);
-  });
-  wf.step("dependent", [&](std::function<void(bool)> done) {
-    done(prereq_done);  // fails if attempted first
-  });
-  WorkflowResult result;
-  wf.run_order({1, 0}, [&](const WorkflowResult& r) { result = r; });
-  w.sim().run();
-  EXPECT_FALSE(result.succeeded);
-  EXPECT_EQ(result.failed_step, "dependent");
 }
 
 // --- Smart Projector end-to-end ------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "disco/federation.hpp"
 #include "disco/gateway.hpp"
@@ -134,6 +135,24 @@ TEST(LeaseTable, CancelSuppressesCallback) {
   EXPECT_FALSE(leases.renew(1, sim::Time::sec(5)));
 }
 
+TEST(LeaseTable, RenewAndCancelRetireTheCheckTheySupersede) {
+  // Each lease holds one pending expiry check: a renewal cancels the check
+  // it replaces instead of leaving it queued to fire as a no-op.
+  sim::World w(1);
+  LeaseTable leases(w);
+  int expired = 0;
+  leases.grant(1, sim::Time::sec(10), [&] { ++expired; });
+  for (int i = 1; i <= 10; ++i) {
+    ASSERT_TRUE(leases.renew(1, sim::Time::sec(10 + i)));
+  }
+  EXPECT_EQ(w.sim().pending(), 1u);
+  EXPECT_EQ(leases.expiry(1), sim::Time::sec(20));
+  leases.cancel(1);
+  EXPECT_EQ(w.sim().pending(), 0u);
+  w.sim().run();
+  EXPECT_EQ(expired, 0);
+}
+
 TEST(LeaseTable, RegrantReplacesLease) {
   sim::World w(1);
   LeaseTable leases(w);
@@ -193,13 +212,21 @@ TEST(Jini, RegisterLookupRoundTrip) {
   ASSERT_TRUE(registered);
   EXPECT_EQ(jw.registrar->registered_count(), 1u);
 
+  // The answer cancels the lookup's timeout, so the seeker is quiescent
+  // the instant its callback runs.
   std::vector<ServiceDescription> found;
+  std::string why;
+  bool quiescent_at_answer = false;
   seeker.lookup(ServiceTemplate{"projector", {}},
-                [&](std::vector<ServiceDescription> s) { found = std::move(s); });
+                [&](std::vector<ServiceDescription> s) {
+                  found = std::move(s);
+                  quiescent_at_answer = seeker.snap_quiescent(&why);
+                });
   jw.tb.run_until(6.0);
   ASSERT_EQ(found.size(), 1u);
   EXPECT_EQ(found[0].type, "projector/display");
   EXPECT_EQ(found[0].endpoint.node, 2u);
+  EXPECT_TRUE(quiescent_at_answer) << why;
 }
 
 TEST(Jini, LookupNoMatchesReturnsEmpty) {
@@ -257,9 +284,16 @@ TEST(Jini, WithdrawRemovesService) {
                             [&](bool, ServiceId sid) { id = sid; });
   jw.tb.run_until(3.0);
   ASSERT_NE(id, 0u);
+  // Withdrawal cancels the lease's renewal (due 15 s after the grant):
+  // no discovery-layer event fires after it.
+  sim::KernelProfiler prof;
+  jw.tb.world().sim().set_profiler(&prof);
   provider.withdraw(id);
   jw.tb.run_until(6.0);
   EXPECT_EQ(jw.registrar->registered_count(), 0u);
+  jw.tb.run_until(40.0);
+  EXPECT_EQ(prof.stats(sim::EventCategory::kDiscovery).executed, 0u);
+  EXPECT_EQ(jw.registrar->stats().renewals, 0u);
 }
 
 TEST(Jini, EventsFireOnAppearAndExpire) {
@@ -779,34 +813,6 @@ TEST(Federation, JiniRegistrarDelegatesLocalMissToSlpPeer) {
   EXPECT_EQ(registrar.federation_stats()->remote_hits, 1u);
   ASSERT_NE(da.federation_stats(), nullptr);
   EXPECT_EQ(da.federation_stats()->peer_queries, 1u);
-}
-
-// --- LeaseTable prune cost ---------------------------------------------------
-
-TEST(LeaseTable, ExpiryPruneCostIndependentOfLiveLeaseCount) {
-  // A fired expiry check prunes only its own key's check entries, so the
-  // bookkeeping cost of one expiry must not scale with how many other
-  // leases are alive (it used to rescan the whole table).
-  const auto visits_for_one_expiry = [](std::uint64_t live) {
-    sim::World w(1);
-    LeaseTable leases(w);
-    int expired = 0;
-    // Key 0 expires first; everything else holds a much longer lease.
-    leases.grant(0, sim::Time::sec(1), [&] { ++expired; });
-    for (std::uint64_t k = 1; k < live; ++k) {
-      leases.grant(k, sim::Time::sec(1000.0 + static_cast<double>(k)),
-                   [] {});
-    }
-    const std::uint64_t before = leases.prune_visits();
-    w.sim().run_until(sim::Time::sec(2));
-    EXPECT_EQ(expired, 1);
-    return leases.prune_visits() - before;
-  };
-
-  const std::uint64_t small = visits_for_one_expiry(16);
-  const std::uint64_t large = visits_for_one_expiry(4096);
-  EXPECT_EQ(small, large);
-  EXPECT_LE(small, 2u);
 }
 
 // --- SLP retransmit backoff ---------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <numeric>
+#include <string>
 
 #include "env/environment.hpp"
 #include "net/serialize.hpp"
@@ -287,6 +288,13 @@ TEST(Stream, UnackedBytesDrainToZero) {
   StreamPair p(tb, a, b);
   p.client->send(make_bytes(30'000));
   EXPECT_GT(p.client->unacked_bytes(), 0u);
+  // The ACK of the last byte disarms the RTO, so the connection is
+  // quiescent at that instant, not once a stale timer has drained.
+  while (p.client->unacked_bytes() > 0 && tb.world().sim().step()) {
+  }
+  EXPECT_EQ(p.client->unacked_bytes(), 0u);
+  std::string why;
+  EXPECT_TRUE(p.client->snap_quiescent(&why)) << why;
   tb.run();
   EXPECT_EQ(p.client->unacked_bytes(), 0u);
 }

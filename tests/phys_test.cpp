@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -192,13 +193,26 @@ TEST(CsmaMac, UnicastDeliveryWithAck) {
     EXPECT_EQ(bits, 800u);
     delivered_payload = *static_cast<const int*>(p.get());
   });
-  a.mac.send(2, 800, payload, [&](bool ok) { send_ok = ok; });
+  // The ACK retires the frame's ACK timeout at once: at that instant the
+  // sender is quiescent and no MAC event is left to fire as a no-op.
+  sim::KernelProfiler prof;
+  w.sim().set_profiler(&prof);
+  std::string why;
+  bool quiescent_at_ack = false;
+  std::uint64_t mac_events_at_ack = 0;
+  a.mac.send(2, 800, payload, [&](bool ok) {
+    send_ok = ok;
+    quiescent_at_ack = a.mac.snap_quiescent(&why);
+    mac_events_at_ack = prof.stats(sim::EventCategory::kMac).executed;
+  });
   w.sim().run();
   EXPECT_EQ(delivered_payload, 42);
   EXPECT_TRUE(send_ok);
   EXPECT_EQ(b.mac.stats().delivered_up, 1u);
   EXPECT_EQ(b.mac.stats().sent_acks, 1u);
   EXPECT_EQ(a.mac.stats().acks_received, 1u);
+  EXPECT_TRUE(quiescent_at_ack) << why;
+  EXPECT_EQ(prof.stats(sim::EventCategory::kMac).executed, mac_events_at_ack);
 }
 
 TEST(CsmaMac, BroadcastReachesAllWithoutAcks) {

@@ -139,11 +139,13 @@ TEST(SnapFormat, BadMagicAndVersionRejected) {
     bad[8] = 0xff;  // unsupported version
     EXPECT_THROW(snap::SnapReader{bad}, snap::SnapError);
   }
-  {
-    // Version 1 blobs carried the RFB server's damage-poll timer in their
-    // RFBC section; reading one as the current layout would misparse.
+  // Version 1 blobs carried the RFB server's damage-poll timer in their
+  // RFBC section; version 2 blobs carried the MAC, stream and lease
+  // generation tokens and the lease table's stale checks. Reading either
+  // as the current layout would misparse.
+  for (const std::uint8_t version : {1, 2}) {
     std::vector<std::uint8_t> old = blob;
-    old[8] = 1;
+    old[8] = version;
     old[9] = old[10] = old[11] = 0;
     EXPECT_THROW(snap::SnapReader{old}, snap::SnapError);
   }
