@@ -13,7 +13,6 @@
 namespace aroma::disco {
 
 namespace {
-constexpr net::Port kClientPort = 4161;  // client agent unicast/announce port
 constexpr std::uint64_t kSubLeaseKeyBase = 1ULL << 32;
 }  // namespace
 
@@ -546,6 +545,7 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       const std::uint32_t token = r.u32();
       const ServiceId id = r.u64();
       const auto lease = sim::Time::ns(static_cast<std::int64_t>(r.u64()));
+      if (!r.ok()) return;
       auto it = pending_reg_.find(token);
       if (it == pending_reg_.end()) return;
       auto cb = std::move(it->second.cb);
@@ -560,7 +560,7 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
     case JiniMsg::kRenewResponse: {
       const ServiceId id = r.u64();
       const bool ok = r.u8() != 0;
-      if (ok) return;
+      if (!r.ok() || ok) return;
       // The registrar does not know this lease: it crashed/restarted or we
       // failed over to a different one. Re-register (Jini's JoinManager
       // behaviour) so the service reappears wherever clients now look.
@@ -575,10 +575,13 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       const std::uint32_t token = r.u32();
       const std::uint32_t n = r.u32();
       std::vector<ServiceDescription> services;
-      services.reserve(n);
+      // Every description takes at least one byte: the count read off the
+      // wire cannot size the reservation beyond what the datagram holds.
+      services.reserve(std::min<std::size_t>(n, r.remaining()));
       for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
         services.push_back(ServiceDescription::deserialize(r));
       }
+      if (!r.ok()) return;  // truncated: a partial list is no answer
       auto it = pending_lookup_.find(token);
       if (it == pending_lookup_.end()) return;
       if (auto cb = take_lookup(it)) cb(std::move(services));
@@ -590,6 +593,7 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       // attempt) jitter so the herd that was shed together does not
       // return together.
       const std::uint32_t token = r.u32();
+      if (!r.ok()) return;
       auto it = pending_lookup_.find(token);
       if (it == pending_lookup_.end()) return;
       if (it->second.busy_attempts >= params_.busy_retries) {

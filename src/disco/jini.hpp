@@ -29,6 +29,9 @@ class SectionReader;
 
 namespace aroma::disco {
 
+/// The port every JiniClient binds: registrars answer and announce to it.
+inline constexpr net::Port kClientPort = 4161;
+
 /// Wire message types on the registrar port.
 enum class JiniMsg : std::uint8_t {
   kDiscoveryRequest = 1,   // multicast: "any registrars out there?"

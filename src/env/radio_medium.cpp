@@ -97,10 +97,14 @@ std::uint64_t RadioMedium::transmit(RadioEndpoint& sender, std::size_t bits,
     t->annotate(tx.span, "channel", std::to_string(tx.channel));
     t->annotate(tx.span, "bits", std::to_string(tx.bits));
   }
-  by_channel_[channel_bucket(tx.channel)].push(tx.id);
-  active_by_channel_[channel_bucket(tx.channel)].push_back(tx.id);
-  by_sender_.try_emplace(tx.sender_id, &world_.arena())
-      .first->second.push(tx.id);
+  // Only the scalar paths read (and trim) these logs; the batched ones use
+  // history_ and in_flight_, so with batching on the logs would only grow.
+  if (!options_.batch) {
+    by_channel_[channel_bucket(tx.channel)].push(tx.id);
+    active_by_channel_[channel_bucket(tx.channel)].push_back(tx.id);
+    by_sender_.try_emplace(tx.sender_id, &world_.arena())
+        .first->second.push(tx.id);
+  }
   history_.push_back(std::move(tx));
   in_flight_.push_back(&history_.back());
   // A new contributor: cached CCA answers for every channel this
@@ -484,6 +488,18 @@ void RadioMedium::finish(std::uint64_t tx_id) {
   }
 }
 
+FrameDelivery RadioMedium::frame_record(const Transmission& tx) {
+  FrameDelivery d;
+  d.tx_id = tx.id;
+  d.sender_radio = tx.sender_id;
+  d.start = tx.start;
+  d.end = tx.end;
+  d.bits = tx.bits;
+  d.bitrate_bps = tx.bitrate_bps;
+  d.payload = tx.payload;
+  return d;
+}
+
 void RadioMedium::deliver(const Transmission& tx, RadioEndpoint& ep) {
   const RadioConfig& cfg = ep.radio_config();
   if (cfg.id == tx.sender_id) return;
@@ -494,36 +510,25 @@ void RadioMedium::deliver(const Transmission& tx, RadioEndpoint& ep) {
                           tx.sender_id, cfg.id) +
       10.0 * std::log10(overlap > 0.0 ? overlap : 1e-12);
   if (rssi < cfg.sensitivity_dbm) return;
-  deliver_prepared(tx, ep, rssi);
-}
 
-void RadioMedium::deliver_prepared(const Transmission& tx, RadioEndpoint& ep,
-                                   double rssi) {
-  const RadioConfig& cfg = ep.radio_config();
-  ++stats_.deliveries_attempted;
-  if (m_attempted_) m_attempted_->add();
-
-  FrameDelivery d;
-  d.tx_id = tx.id;
-  d.sender_radio = tx.sender_id;
+  FrameDelivery d = frame_record(tx);
   d.rssi_dbm = rssi;
-  d.start = tx.start;
-  d.end = tx.end;
-  d.bits = tx.bits;
-  d.bitrate_bps = tx.bitrate_bps;
-  d.payload = tx.payload;
-
   // Half duplex: did this receiver transmit at any point during the frame?
   const bool rx_transmitted =
       sender_transmitted_during(cfg.id, tx.start, tx.end);
-
   const double noise = thermal_noise_dbm(cfg.bandwidth_hz, cfg.noise_figure_db);
   d.sinr_db = sinr_db(rssi, interference_mw(tx, ep), noise);
+  deliver_verdict(ep, cfg.id, rx_transmitted, d);
+}
 
+void RadioMedium::deliver_verdict(RadioEndpoint& ep, std::uint64_t rx_id,
+                                  bool half_duplex, FrameDelivery& d) {
+  ++stats_.deliveries_attempted;
+  if (m_attempted_) m_attempted_->add();
   // Folded into the behaviour digest: 0 decoded, 1 half duplex, 2 receiver
   // off, 3 below the SINR threshold.
   std::uint64_t outcome = 0;
-  if (rx_transmitted) {
+  if (half_duplex) {
     d.decodable = false;
     outcome = 1;
     ++stats_.losses_half_duplex;
@@ -533,7 +538,7 @@ void RadioMedium::deliver_prepared(const Transmission& tx, RadioEndpoint& ep,
     outcome = 2;
     ++stats_.losses_rx_off;
     if (m_loss_rx_off_) m_loss_rx_off_->add();
-  } else if (d.sinr_db < required_sinr_db(tx.bitrate_bps)) {
+  } else if (d.sinr_db < required_sinr_db(d.bitrate_bps)) {
     d.decodable = false;
     outcome = 3;
     ++stats_.losses_sinr;
@@ -543,7 +548,7 @@ void RadioMedium::deliver_prepared(const Transmission& tx, RadioEndpoint& ep,
     ++stats_.deliveries_decodable;
     if (m_decodable_) m_decodable_->add();
   }
-  digest_ = sim::mix_hash(sim::mix_hash(digest_, cfg.id), outcome);
+  digest_ = sim::mix_hash(sim::mix_hash(digest_, rx_id), outcome);
   ep.on_frame(d);
 }
 
@@ -585,12 +590,16 @@ void RadioMedium::refresh_endpoint_cache() const {
     s.id = cfg.id;
     s.channel = cfg.channel;
     s.sensitivity_dbm = cfg.sensitivity_dbm;
+    s.bandwidth_hz = cfg.bandwidth_hz;
+    s.noise_figure_db = cfg.noise_figure_db;
     s.max_speed_mps = ep->max_speed_mps();
     bound = std::max(bound, s.max_speed_mps);
     EpSnap& dst = ep_cache_[i];
     changed = changed || dst.pos != s.pos || dst.id != s.id ||
               dst.channel != s.channel ||
-              dst.sensitivity_dbm != s.sensitivity_dbm;
+              dst.sensitivity_dbm != s.sensitivity_dbm ||
+              dst.bandwidth_hz != s.bandwidth_hz ||
+              dst.noise_figure_db != s.noise_figure_db;
     dst = s;
   }
   ep_speed_bound_mps_ = bound;
@@ -764,9 +773,15 @@ void RadioMedium::finish_batched(const Transmission& tx) {
     scratch_passers_.clear();
     for (std::size_t i = 0; i < batch_idx_.size(); ++i) {
       const std::uint32_t idx = batch_idx_[i];
+      const EpSnap& s = ep_cache_[idx];
       const double rssi = batch_results_[i].rssi_dbm;
-      if (rssi < ep_cache_[idx].sensitivity_dbm) continue;
-      scratch_passers_.emplace_back(idx, rssi);
+      if (rssi < s.sensitivity_dbm) continue;
+      // sinr_db's own terms, evaluated once per sweep instead of per frame.
+      Passer p{idx, rssi, dbm_to_mw(rssi),
+               dbm_to_mw(thermal_noise_dbm(s.bandwidth_hz, s.noise_figure_db)),
+               0.0};
+      p.clear_sinr_db = mw_to_dbm(p.rssi_mw / p.noise_mw);
+      scratch_passers_.push_back(p);
     }
     if (sw != nullptr) {
       sw->epoch = ep_epoch_;
@@ -777,12 +792,82 @@ void RadioMedium::finish_batched(const Transmission& tx) {
       sw->valid = true;
     }
   }
+  if (scratch_passers_.empty()) return;
+
+  // The receiver-independent half of every delivery, once per frame: the
+  // history entries that overlap the frame in time, in ascending id order.
+  // Starts ascend with ids, so the scan stops at the first entry that
+  // starts at or after the frame's end; a frame sent from an on_frame
+  // callback below starts at tx.end and never joins.
+  frame_terms_.clear();
+  const double span = (tx.end - tx.start).seconds();
+  for (const Transmission& other : history_) {
+    if (other.start >= tx.end) break;
+    if (other.end <= tx.start || other.id == tx.id ||
+        other.sender_id == tx.sender_id) {
+      continue;
+    }
+    const sim::Time o_start = std::max(other.start, tx.start);
+    const sim::Time o_end = std::min(other.end, tx.end);
+    const bool positive = o_end > o_start;
+    const double frac =
+        positive && span > 0.0 ? (o_end - o_start).seconds() / span : 1.0;
+    frame_terms_.push_back({&other, frac, positive});
+  }
+  FrameDelivery d = frame_record(tx);
+
   // Ascending endpoint index == attach order == the scalar delivery order,
   // so on_frame side effects and stats land in the identical sequence.
   for (std::size_t i = 0; i < scratch_passers_.size(); ++i) {
-    const auto [idx, rssi] = scratch_passers_[i];
-    deliver_prepared(tx, *endpoints_[idx], rssi);
+    const Passer p = scratch_passers_[i];
+    RadioEndpoint& ep = *endpoints_[p.idx];
+    const RadioConfig& cfg = ep.radio_config();
+    bool half_duplex = false;
+    const double i_mw = gather_interference(ep, cfg, half_duplex);
+    d.rssi_dbm = p.rssi_dbm;
+    // sinr_db(rssi, i_mw, noise) from the memoized terms; with no
+    // interference its denominator 0.0 + noise_mw is exactly noise_mw.
+    d.sinr_db = i_mw == 0.0 ? p.clear_sinr_db
+                            : mw_to_dbm(p.rssi_mw / (i_mw + p.noise_mw));
+    deliver_verdict(ep, cfg.id, half_duplex, d);
   }
+}
+
+double RadioMedium::gather_interference(const RadioEndpoint& ep,
+                                        const RadioConfig& cfg,
+                                        bool& half_duplex) const {
+  if (frame_terms_.empty()) return 0.0;
+  // An on_frame callback may have attached or detached a radio: the dense
+  // memo index of this receiver and of each interferer's sender is read
+  // through the epoch-checked memos, never carried across the fan-out.
+  ensure_ep_map();
+  const std::uint32_t oi =
+      dense_n_ != 0 ? observer_index(ep, cfg.id) : kNoEpIdx;
+  const Vec2 rx_pos = ep.position();
+  double total_mw = 0.0;
+  for (const FrameTerm& t : frame_terms_) {
+    const Transmission& other = *t.tx;
+    if (other.sender_id == cfg.id) {
+      half_duplex = true;
+      continue;
+    }
+    if (!t.positive) continue;
+    const int sep = other.channel >= cfg.channel ? other.channel - cfg.channel
+                                                 : cfg.channel - other.channel;
+    if (sep >= 5) continue;
+    double p_mw;
+    std::uint32_t fi;
+    if (oi != kNoEpIdx && tx_sender_index(other, fi)) {
+      p_mw = dense_fill(fi, oi, other.power_dbm, other.sender_pos, rx_pos,
+                        other.sender_id, cfg.id)
+                 .rx_mw;
+    } else {
+      p_mw = model_.received_mw(other.power_dbm, other.sender_pos, rx_pos,
+                                other.sender_id, cfg.id);
+    }
+    total_mw += p_mw * overlap_lin_[static_cast<std::size_t>(sep)] * t.frac;
+  }
+  return total_mw;
 }
 
 double RadioMedium::interference_mw(const Transmission& tx,
@@ -790,21 +875,6 @@ double RadioMedium::interference_mw(const Transmission& tx,
   const RadioConfig& cfg = rx.radio_config();
   const double span = (tx.end - tx.start).seconds();
   double total_mw = 0.0;
-  // Batch mode: resolve the receiver's dense-memo column once, then each
-  // interferer reuses its memoized link budget (guards re-checked, so the
-  // value is bit-identical to the model call it replaces).
-  std::uint32_t oi = kNoEpIdx;
-  Vec2 rx_pos;
-  if (options_.batch) {
-    ensure_ep_map();
-    if (dense_n_ != 0) {
-      const auto it = ep_index_.find(cfg.id);
-      if (it != ep_index_.end()) {
-        oi = it->second;
-        rx_pos = rx.position();
-      }
-    }
-  }
   const auto contribution = [&](const Transmission& other) {
     if (other.id == tx.id || other.sender_id == tx.sender_id ||
         other.sender_id == cfg.id) {
@@ -817,16 +887,9 @@ double RadioMedium::interference_mw(const Transmission& tx,
         span > 0.0 ? (o_end - o_start).seconds() / span : 1.0;
     const double ch = channel_overlap(other.channel, cfg.channel);
     if (ch <= 0.0) return;
-    double p_mw;
-    std::uint32_t fi;
-    if (oi != kNoEpIdx && tx_sender_index(other, fi)) {
-      p_mw = dense_fill(fi, oi, other.power_dbm, other.sender_pos, rx_pos,
-                        other.sender_id, cfg.id)
-                 .rx_mw;
-    } else {
-      p_mw = model_.received_mw(other.power_dbm, other.sender_pos,
-                                rx.position(), other.sender_id, cfg.id);
-    }
+    const double p_mw = model_.received_mw(other.power_dbm, other.sender_pos,
+                                           rx.position(), other.sender_id,
+                                           cfg.id);
     total_mw += p_mw * ch * overlap_frac;
   };
   // The pruned history only spans the interference-overlap window, so for

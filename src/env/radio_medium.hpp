@@ -367,16 +367,28 @@ class RadioMedium {
   /// until the next instant).
   bool sensed_start_now(const RadioEndpoint& ep) const;
 
+  /// The per-frame fields of a delivery record (rssi, SINR and verdict are
+  /// the receiver's).
+  static FrameDelivery frame_record(const Transmission& tx);
+  /// Scalar delivery of `tx` to one endpoint: link budget, half-duplex
+  /// test and interference sum from the history, then deliver_verdict.
   void deliver(const Transmission& tx, RadioEndpoint& ep);
-  /// Tail of deliver() once the RSSI is known to clear sensitivity: stats,
-  /// half-duplex/receiver/SINR verdict, on_frame. Shared by the scalar and
-  /// batched fan-out paths (same code => identical side effects).
-  void deliver_prepared(const Transmission& tx, RadioEndpoint& ep,
-                        double rssi);
+  /// The verdict tail both fan-out paths share, with `d` complete but for
+  /// `decodable`: stats, half-duplex/receiver/SINR verdict, behaviour
+  /// digest, on_frame (same code => identical side effects).
+  void deliver_verdict(RadioEndpoint& ep, std::uint64_t rx_id,
+                       bool half_duplex, FrameDelivery& d);
   /// Batched frame-end fan-out: candidate cull against the cached endpoint
   /// snapshot, one resolve_links sweep (or a cached per-sender sweep
-  /// replay), then deliver_prepared for the passers.
+  /// replay), the frame's interferer list, then per passer one gather and
+  /// deliver_verdict. See DESIGN "Frame-end fan-out".
   void finish_batched(const Transmission& tx);
+  /// One passer's gather over frame_terms_: the interference it hears and
+  /// whether it transmitted during the frame.
+  double gather_interference(const RadioEndpoint& ep, const RadioConfig& cfg,
+                             bool& half_duplex) const;
+  /// Scalar interference sum: rescans the history for `rx`. The oracle the
+  /// batched gather is checked against.
   double interference_mw(const Transmission& tx, const RadioEndpoint& rx) const;
   bool sender_transmitted_during(std::uint64_t sender_id, sim::Time start,
                                  sim::Time end) const;
@@ -501,6 +513,8 @@ class RadioMedium {
     std::uint64_t id = 0;
     int channel = 1;
     double sensitivity_dbm = 0.0;
+    double bandwidth_hz = 0.0;     // the noise floor's inputs, memoized
+    double noise_figure_db = 0.0;  // per passer in the sweep
     double max_speed_mps = 0.0;
   };
   /// Directed per-pair link memo, indexed [from_idx * n + to_idx]. Guard
@@ -535,16 +549,36 @@ class RadioMedium {
   };
   static_assert(sizeof(CcaEntry) == 64);
 
-  /// Cached frame fan-out for one sender: the (receiver index, rssi) pairs
-  /// that cleared sensitivity, valid while the guards match and no endpoint
-  /// state changed (epoch). Static worlds build each sender's sweep once.
+  /// One receiver of a sender's frames that clears sensitivity, with the
+  /// receiver-side SINR terms: rssi_mw = dbm_to_mw(rssi_dbm), noise_mw =
+  /// dbm_to_mw(thermal noise) and clear_sinr_db = mw_to_dbm(rssi_mw /
+  /// noise_mw), the SINR when the interference is exactly 0.0.
+  struct Passer {
+    std::uint32_t idx;
+    double rssi_dbm;
+    double rssi_mw;
+    double noise_mw;
+    double clear_sinr_db;
+  };
+  /// Cached frame fan-out for one sender: the passers in endpoint order,
+  /// valid while the guards match and no endpoint state changed (epoch).
+  /// Static worlds build each sender's sweep once.
   struct SenderSweep {
     std::uint64_t epoch = 0;
     double power_dbm = 0.0;
     int channel = 0;
     Vec2 pos;
     bool valid = false;
-    std::vector<std::pair<std::uint32_t, double>> passers;
+    std::vector<Passer> passers;
+  };
+  /// One history entry that overlaps the frame being finished in time,
+  /// other than the frame and its sender's other frames: the interval
+  /// overlap's fraction of the frame, as interference_mw computes it, and
+  /// whether that overlap has positive length.
+  struct FrameTerm {
+    const Transmission* tx;
+    double frac;
+    bool positive;
   };
 
   mutable std::unordered_map<std::uint64_t, std::uint32_t> ep_index_;
@@ -562,9 +596,11 @@ class RadioMedium {
   mutable std::vector<LinkResult> batch_results_;
   mutable std::vector<std::uint32_t> batch_idx_;
   // Fan-out passers for the frame currently being finished. A member (not a
-  // local) so its capacity survives across frames; iterated by index because
-  // an on_frame callback may attach/detach and rebuild sweeps_ under us.
-  mutable std::vector<std::pair<std::uint32_t, double>> scratch_passers_;
+  // local) so its capacity survives across frames; a copy of the sweep
+  // because an on_frame callback may attach/detach and rebuild sweeps_.
+  std::vector<Passer> scratch_passers_;
+  // The interferer list of the frame being finished, ascending id.
+  std::vector<FrameTerm> frame_terms_;
   mutable std::vector<CcaEntry> cca_cache_;  // indexed by endpoint index
   mutable std::vector<IdleTerm> idle_terms_;  // carrier_idle_at scratch
   /// Per-channel-bucket transmit counters: transmit() bumps every bucket

@@ -320,6 +320,14 @@ class SnapReader {
                       " (expected " + std::to_string(expected_version) + ")");
     }
     const std::uint32_t count = get32();
+    // Each section needs at least its header (tag, flags, len, crc): a
+    // count the remaining bytes cannot hold is rejected before it sizes
+    // the reservation.
+    constexpr std::size_t kSectionHeaderBytes = 4 + 4 + 8 + 4;
+    if (count > (blob.size() - pos) / kSectionHeaderBytes) {
+      throw SnapError("section count " + std::to_string(count) + " exceeds " +
+                      std::to_string(blob.size() - pos) + " remaining bytes");
+    }
     sections_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       Section s;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "disco/federation.hpp"
@@ -375,6 +376,160 @@ TEST(Jini, NoRegistrarLookupFailsGracefully) {
                 });
   tb.run_until(10.0);
   EXPECT_TRUE(called);
+}
+
+// --- Jini client: malformed responses ------------------------------------
+//
+// A node forges registrar responses to a client. A truncated response must
+// leave the client as it was: no callback fires, and the pending exchange
+// or held lease it names goes on as if the datagram never came. Each case
+// then sends the complete response to show the forgery reaches the client.
+// A callback that reports success throws: a client that acts on a
+// truncated register response would otherwise renew a zero-length lease
+// in an endless same-instant loop.
+
+struct ForgedJini {
+  explicit ForgedJini(bool with_registrar = false,
+                      JiniClient::Params p = JiniClient::Params()) {
+    if (with_registrar) {
+      registrar = std::make_unique<JiniRegistrar>(tb.world(),
+                                                  tb.add_node(1, {0, 0}));
+    }
+    client = std::make_unique<JiniClient>(tb.world(), tb.add_node(2, {5, 0}),
+                                          p);
+    forger = &tb.add_node(9, {0, 5});
+  }
+  /// Sends `w`'s bytes to the client as a registrar would, and lets the
+  /// frame arrive.
+  void forge(net::ByteWriter w) {
+    forger->send(net::Endpoint{2, kClientPort}, net::kRegistrarPort,
+                 w.take());
+    tb.world().sim().run_until(tb.world().now() + sim::Time::ms(200));
+  }
+  static net::ByteWriter message(JiniMsg m) {
+    net::ByteWriter w;
+    w.u8(static_cast<std::uint8_t>(m));
+    return w;
+  }
+
+  Testbed tb;
+  std::unique_ptr<JiniRegistrar> registrar;
+  std::unique_ptr<JiniClient> client;
+  net::NetStack* forger = nullptr;
+};
+
+TEST(JiniClient, TruncatedLookupResponseIsIgnored) {
+  ForgedJini f;  // no registrar: lookup token 1 waits on discovery
+  int calls = 0;
+  std::size_t found = 0;
+  f.client->lookup(ServiceTemplate{}, [&](std::vector<ServiceDescription> s) {
+    ++calls;
+    found = s.size();
+  });
+  // Three services claimed, one carried.
+  net::ByteWriter partial = ForgedJini::message(JiniMsg::kLookupResponse);
+  partial.u32(1);
+  partial.u32(3);
+  make_service("projector/display", 2, 5800).serialize(partial);
+  f.forge(std::move(partial));
+  // A count no datagram can hold: the reservation is bounded by the bytes.
+  net::ByteWriter huge = ForgedJini::message(JiniMsg::kLookupResponse);
+  huge.u32(1);
+  huge.u32(0xFFFFFFFFu);
+  f.forge(std::move(huge));
+  EXPECT_EQ(calls, 0);
+  std::string why;
+  EXPECT_FALSE(f.client->snap_quiescent(&why));  // the lookup still waits
+
+  net::ByteWriter whole = ForgedJini::message(JiniMsg::kLookupResponse);
+  whole.u32(1);
+  whole.u32(1);
+  make_service("projector/display", 2, 5800).serialize(whole);
+  f.forge(std::move(whole));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(found, 1u);
+}
+
+TEST(JiniClient, TruncatedRenewResponseKeepsTheLease) {
+  ForgedJini f(/*with_registrar=*/true);
+  ServiceId id = 0;
+  f.client->register_service(make_service("projector/display", 2, 5800),
+                             [&](bool ok, ServiceId sid) {
+                               if (ok) id = sid;
+                             });
+  f.tb.run_until(3.0);
+  ASSERT_NE(id, 0u);
+  const std::uint64_t sent = f.client->messages_sent();
+
+  // The id without the ok byte: once read as "unknown lease, re-register".
+  net::ByteWriter cut = ForgedJini::message(JiniMsg::kRenewResponse);
+  cut.u64(id);
+  f.forge(std::move(cut));
+  EXPECT_EQ(f.client->messages_sent(), sent);
+  EXPECT_EQ(f.registrar->stats().registrations, 1u);
+
+  // The held lease is still renewed on its own schedule.
+  f.tb.run_until(40.0);
+  EXPECT_GT(f.registrar->stats().renewals, 0u);
+  EXPECT_EQ(f.registrar->stats().registrations, 1u);
+  EXPECT_EQ(f.registrar->registered_count(), 1u);
+
+  net::ByteWriter refused = ForgedJini::message(JiniMsg::kRenewResponse);
+  refused.u64(id);
+  refused.u8(0);
+  f.forge(std::move(refused));
+  f.tb.run_until(f.tb.world().now().seconds() + 1.0);
+  EXPECT_EQ(f.registrar->stats().registrations, 2u);  // re-registered
+}
+
+TEST(JiniClient, TruncatedRegisterResponseIsIgnored) {
+  ForgedJini f;  // no registrar: registration token 1 waits on discovery
+  int failed = 0;
+  f.client->register_service(
+      make_service("projector/display", 2, 5800), [&](bool ok, ServiceId) {
+        if (ok) throw std::runtime_error("register callback reported success");
+        ++failed;
+      });
+  // The token alone, then the token and id without the lease.
+  net::ByteWriter token_only = ForgedJini::message(JiniMsg::kRegisterResponse);
+  token_only.u32(1);
+  f.forge(std::move(token_only));
+  net::ByteWriter no_lease = ForgedJini::message(JiniMsg::kRegisterResponse);
+  no_lease.u32(1);
+  no_lease.u64(77);
+  f.forge(std::move(no_lease));
+  std::string why;
+  EXPECT_FALSE(f.client->snap_quiescent(&why));  // still pending
+  // The pending registration ends its own way: discovery gives up.
+  f.tb.run_until(5.0);
+  EXPECT_EQ(failed, 1);
+  EXPECT_TRUE(f.client->snap_quiescent(&why)) << why;
+}
+
+TEST(JiniClient, TruncatedLookupBusyIsIgnored) {
+  JiniClient::Params p;
+  p.busy_retries = 0;  // a busy reply ends the lookup at once
+  ForgedJini f(/*with_registrar=*/false, p);
+  // Tokens are a wrapping u32; a missing token reads as 0. Restore the
+  // client at the wrap so its next lookup holds token 0.
+  snap::SectionWriter w(f.tb.world().now());
+  w.u64(0);  // known registrars
+  w.u32(0);  // next token
+  w.u64(0);  // messages sent
+  w.u64(0);  // held leases
+  const std::vector<std::uint8_t> blob = w.take();
+  snap::SectionReader r({blob.data(), blob.size()}, f.tb.world().now());
+  f.client->restore(r);
+  int calls = 0;
+  f.client->lookup(ServiceTemplate{},
+                   [&](std::vector<ServiceDescription>) { ++calls; });
+  f.forge(ForgedJini::message(JiniMsg::kLookupBusy));
+  EXPECT_EQ(calls, 0);
+
+  net::ByteWriter whole = ForgedJini::message(JiniMsg::kLookupBusy);
+  whole.u32(0);
+  f.forge(std::move(whole));
+  EXPECT_EQ(calls, 1);
 }
 
 // --- SLP ---------------------------------------------------------------

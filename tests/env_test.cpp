@@ -2,6 +2,7 @@
 // acoustics, and mobility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
@@ -420,21 +421,189 @@ std::vector<std::uint64_t> run_traffic_scenario(RadioMedium::Options opt) {
   return summary;
 }
 
-// The batched resolve path (dense per-pair memo, per-sender sweep cache,
-// CCA energy cache) is an acceleration only: same seed and traffic, same
-// bits out, in every combination with the spatial index.
-TEST(RadioMedium, BatchPathMatchesScalarBitForBit) {
-  const auto trace_for = [](bool batch, bool indexed) {
-    RadioMedium::Options opt;
-    opt.batch = batch;
-    opt.spatial_index = indexed;
-    return run_traffic_scenario(opt);
+// A TestRadio that moves at `vel` until `stop`, then stays put.
+class MovingTestRadio : public TestRadio {
+ public:
+  MovingTestRadio(const sim::World& w, std::uint64_t id, Vec2 pos, int channel,
+                  Vec2 vel, sim::Time stop)
+      : TestRadio(id, pos, channel), world_(w), vel_(vel), stop_(stop) {}
+  Vec2 position() const override {
+    const double t = std::min(world_.now(), stop_).seconds();
+    return {pos_.x + vel_.x * t, pos_.y + vel_.y * t};
+  }
+  double max_speed_mps() const override { return vel_.norm(); }
+
+ private:
+  const sim::World& world_;
+  Vec2 vel_;
+  sim::Time stop_;
+};
+
+// A TestRadio that answers every frame it decodes of `bits` with a short
+// frame of its own, sent from inside on_frame: it starts at the decoded
+// frame's end, while the medium is still fanning that frame out.
+class EchoTestRadio : public TestRadio {
+ public:
+  EchoTestRadio(RadioMedium& m, std::uint64_t id, Vec2 pos, int channel,
+                std::size_t bits)
+      : TestRadio(id, pos, channel), medium_(m), bits_(bits) {}
+  void on_frame(const FrameDelivery& d) override {
+    TestRadio::on_frame(d);
+    if (d.decodable && d.bits == bits_) {
+      medium_.transmit(*this, 1'000, 2e6, 8.0, nullptr);
+    }
+  }
+
+ private:
+  RadioMedium& medium_;
+  std::size_t bits_;
+};
+
+// What run_traffic_scenario's 1/6/11 layout and light load never reach, for
+// the batched fan-out's per-frame interferer list and SINR memo:
+//  - channels 1..9, so interferers 1-4 channels away add partial power;
+//  - a dense phase (a 4 ms frame every 100 us from six of the stations):
+//    each sender sends while others' frames are in the air (half duplex),
+//    the other six only listen, and the history holds ~120 frames, past
+//    the scalar scan's 64-entry switch to its per-channel id lists;
+//  - zero-length frames, which count for half duplex but add no energy;
+//  - a sparse phase of isolated frames that hear no interference at all,
+//    each followed back to back by another station's frame that starts at
+//    its end, and a radio that answers from inside on_frame: neither
+//    overlaps the frame it follows, for interference or half duplex;
+//  - one radio that moves through the first dense phase, then stops;
+//  - a receiver with a non-default noise bandwidth and figure, changed in
+//    the sparse phase through invalidate_positions() while nothing moves,
+//    so only the noise fields can tell the stale sweep from the new one.
+// Returns MediumStats, every delivery (frame start, RSSI/SINR to the last
+// bit) and the behaviour digest.
+std::vector<std::uint64_t> run_fanout_edge_scenario(RadioMedium::Options opt) {
+  PathLossModel::Params mp;
+  mp.seed = 5;  // shadowing on (default sigma)
+  sim::World w(11);
+  RadioMedium medium(w, PathLossModel(mp), opt);
+
+  sim::Rng rng(2718);
+  std::vector<std::unique_ptr<TestRadio>> radios;
+  for (int i = 0; i < 12; ++i) {
+    const Vec2 pos{rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)};
+    const auto id = static_cast<std::uint64_t>(i) + 1;
+    const int channel = 1 + i % 9;
+    if (i == 6) {
+      radios.push_back(
+          std::make_unique<EchoTestRadio>(medium, id, pos, channel, 8'000));
+    } else if (i == 7) {
+      radios.push_back(std::make_unique<MovingTestRadio>(
+          w, id, pos, channel, Vec2{900.0, -600.0}, sim::Time::ms(30)));
+    } else {
+      radios.push_back(std::make_unique<TestRadio>(id, pos, channel));
+    }
+    medium.attach(radios.back().get());
+  }
+  TestRadio& tuned = *radios[9];
+  tuned.cfg_.bandwidth_hz = 20e6;
+  tuned.cfg_.noise_figure_db = 9.5;
+
+  const auto send_at = [&](sim::Time t, std::size_t who, std::size_t bits) {
+    w.sim().schedule_at(t, [&medium, &radios, who, bits] {
+      medium.transmit(*radios[who], bits, 2e6, 8.0, nullptr);
+    });
   };
-  const auto scalar = trace_for(false, true);
-  EXPECT_EQ(trace_for(true, true), scalar);
-  EXPECT_EQ(trace_for(true, false), scalar);
-  EXPECT_EQ(trace_for(false, false), scalar);
-  EXPECT_GT(scalar[0], 0u);  // traffic actually flowed
+  const auto dense = [&](sim::Time from, int frames) {
+    for (int k = 0; k < frames; ++k) {
+      const auto who = static_cast<std::size_t>(rng.uniform_int(0, 5));
+      const std::size_t bits = k % 23 == 0 ? 0 : 8'000;
+      send_at(from + sim::Time::us(100 * k), who, bits);
+    }
+  };
+  dense(sim::Time::zero(), 300);
+  for (int k = 0; k < 24; ++k) {  // 10 ms apart: no overlaps at all
+    send_at(sim::Time::ms(60 + 10 * k), static_cast<std::size_t>(k % 12),
+            8'000);
+    send_at(sim::Time::ms(64 + 10 * k), static_cast<std::size_t>((k + 3) % 12),
+            4'000);
+  }
+  w.sim().schedule_at(sim::Time::ms(185), [&] {
+    tuned.cfg_.bandwidth_hz = 11e6;
+    tuned.cfg_.noise_figure_db = 4.5;
+    medium.invalidate_positions();
+  });
+  dense(sim::Time::ms(320), 300);
+  w.sim().run();
+
+  std::vector<std::uint64_t> summary;
+  const MediumStats& ms = medium.stats();
+  summary.insert(summary.end(),
+                 {ms.transmissions, ms.deliveries_attempted,
+                  ms.deliveries_decodable, ms.losses_sinr,
+                  ms.losses_half_duplex, ms.losses_rx_off});
+  for (const auto& r : radios) {
+    summary.push_back(r->deliveries.size());
+    for (const FrameDelivery& d : r->deliveries) {
+      summary.push_back(d.tx_id);
+      summary.push_back(static_cast<std::uint64_t>(d.start.count()));
+      summary.push_back(std::bit_cast<std::uint64_t>(d.rssi_dbm));
+      summary.push_back(std::bit_cast<std::uint64_t>(d.sinr_db));
+      summary.push_back(d.decodable ? 1u : 0u);
+    }
+  }
+  summary.push_back(medium.behaviour_digest());
+  return summary;
+}
+
+// The batched resolve path (dense per-pair memo, per-sender sweep cache,
+// per-frame interferer list and SINR memo, CCA energy cache) is an
+// acceleration only: same seed and traffic, same bits out, in every
+// combination with the spatial index.
+TEST(RadioMedium, BatchPathMatchesScalarBitForBit) {
+  for (const auto scenario : {run_traffic_scenario, run_fanout_edge_scenario}) {
+    SCOPED_TRACE(scenario == run_traffic_scenario ? "traffic scenario"
+                                                  : "fan-out edge scenario");
+    const auto trace_for = [scenario](bool batch, bool indexed) {
+      RadioMedium::Options opt;
+      opt.batch = batch;
+      opt.spatial_index = indexed;
+      return scenario(opt);
+    };
+    const auto scalar = trace_for(false, true);
+    EXPECT_EQ(trace_for(true, true), scalar);
+    EXPECT_EQ(trace_for(true, false), scalar);
+    EXPECT_EQ(trace_for(false, false), scalar);
+    EXPECT_GT(scalar[0], 0u);  // traffic actually flowed
+  }
+}
+
+// The edge scenario reaches what it claims: half-duplex losses, deliveries
+// with and without interference, and the tuned receiver's noise change.
+TEST(RadioMedium, FanoutEdgeScenarioReachesItsCases) {
+  const auto t = run_fanout_edge_scenario(RadioMedium::Options());
+  EXPECT_GT(t[4], 0u);  // losses_half_duplex
+  // A delivery's SINR equals rssi over noise alone exactly when it heard no
+  // interference; the noise is the receiver's at that instant.
+  std::size_t clear = 0, interfered = 0, tuned_before = 0, tuned_after = 0;
+  std::size_t pos = 6;
+  for (std::uint64_t id = 1; id <= 12; ++id) {
+    const std::uint64_t n = t[pos++];
+    for (std::uint64_t k = 0; k < n; ++k, pos += 5) {
+      const double rssi = std::bit_cast<double>(t[pos + 2]);
+      const double sinr = std::bit_cast<double>(t[pos + 3]);
+      const bool late = sim::Time::ns(static_cast<std::int64_t>(t[pos + 1])) >=
+                        sim::Time::ms(185);  // sent after the change
+      const double noise = id == 10 ? thermal_noise_dbm(late ? 11e6 : 20e6,
+                                                       late ? 4.5 : 9.5)
+                                   : thermal_noise_dbm(22e6, 7.0);
+      if (sinr == sinr_db(rssi, 0.0, noise)) {
+        ++clear;
+      } else {
+        ++interfered;
+      }
+      if (id == 10) ++(late ? tuned_after : tuned_before);
+    }
+  }
+  EXPECT_GT(clear, 20u);
+  EXPECT_GT(interfered, 1000u);
+  EXPECT_GT(tuned_before, 0u);
+  EXPECT_GT(tuned_after, 0u);
 }
 
 // carrier_idle_at is the exact idle edge: with no frame starting after the

@@ -235,6 +235,18 @@ TEST(ScnBlob, RejectsTruncation) {
   }
 }
 
+// AROMSCEN shares the snapshot container's reader: a section count beyond
+// what the blob can hold is a typed decode error, not an allocation failure.
+TEST(ScnBlob, RejectsSectionCountBeyondBlob) {
+  std::vector<std::uint8_t> blob(scn::kScnMagic, scn::kScnMagic + 8);
+  for (const std::uint32_t v : {scn::kScnVersion, 0xFFFFFFFFu}) {
+    for (int i = 0; i < 4; ++i) {
+      blob.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+  }
+  EXPECT_THROW(scn::decode(blob), scn::ScnError);
+}
+
 TEST(ScnBlob, RejectsCrcDamage) {
   std::vector<std::uint8_t> blob = scn::compile(kMinimal);
   blob[blob.size() / 2] ^= 0x01;

@@ -157,6 +157,28 @@ TEST(SnapFormat, TrailingGarbageAfterSectionsRejected) {
   EXPECT_THROW(snap::SnapReader{blob}, snap::SnapError);
 }
 
+// A valid header whose section count the remaining bytes cannot hold (each
+// section needs a 20-byte header) is rejected with the typed error before
+// the count sizes any allocation. 0xFFFFFFFF used to ask for ~137 GB.
+TEST(SnapFormat, SectionCountBeyondBlobRejected) {
+  for (const std::uint32_t count : {0xFFFFFFFFu, 1u}) {
+    std::vector<std::uint8_t> blob(snap::kMagic, snap::kMagic + 8);
+    for (const std::uint32_t v : {snap::kFormatVersion, count}) {
+      for (int i = 0; i < 4; ++i) {
+        blob.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      }
+    }
+    blob.resize(blob.size() + 19);  // one byte short of a section header
+    try {
+      snap::SnapReader r(blob);
+      ADD_FAILURE() << "count " << count << " accepted";
+    } catch (const snap::SnapError& e) {
+      EXPECT_NE(std::string(e.what()).find("section count"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- registry semantics ----------------------------------------------------
 
 TEST(SnapshotRegistry, UnknownRequiredSectionRejectedOptionalSkipped) {
