@@ -788,44 +788,8 @@ DISCO_INDEX_KEYS = {
     "scan_ops_per_sec": float,
     "speedup": float,
 }
-DISCO_CACHE_KEYS = {
-    "probes": int,
-    "hits": int,
-    "misses": int,
-    "negative_hits": int,
-    "invalidations": int,
-    "evictions": int,
-    "hit_rate": float,
-}
-DISCO_OVERLOAD_KEYS = {
-    "offered_per_sec": float,
-    "lookups_offered": int,
-    "answered": int,
-    "answered_nonempty": int,
-    "shed": int,
-    "max_queue": int,
-    "capacity": int,
-    "issues_filed": int,
-    "hdr_count": int,
-    "p50_us": int,
-    "p99_us": int,
-    "p99_bound_us": int,
-}
-DISCO_GATEWAY_KEYS = {
-    "sessions": int,
-    "renewals_per_session": int,
-    "naive_wakeups": int,
-    "gateway_wakeups": int,
-    "expired": int,
-    "reduction": float,
-    "sessions_per_sec": float,
-    "fingerprint": str,
-}
 DISCO_GATES = (
-    "index_matches_oracle", "index_speedup_ok", "cache_hit_rate_ok",
-    "overload_shed_engaged", "overload_queue_bounded", "overload_p99_bounded",
-    "gateway_reduction_ok", "gateway_deterministic",
-    "fleet_fingerprint_stable",
+    "index_matches_oracle", "index_speedup_ok", "fleet_fingerprint_stable",
 )
 
 
@@ -852,54 +816,6 @@ def check_disco(doc):
         fail(f'reported speedup {idx["speedup"]:.2f} contradicts the '
              f"throughput fields ({speedup:.2f})")
 
-    cache = doc.get("cache")
-    if not isinstance(cache, dict):
-        fail('top-level "cache" missing')
-    check_keys(cache, DISCO_CACHE_KEYS, '"cache"')
-    if cache["hits"] + cache["misses"] != cache["probes"]:
-        fail(f'cache hits {cache["hits"]} + misses {cache["misses"]} != '
-             f'probes {cache["probes"]}')
-    hit_rate = cache["hits"] / cache["probes"]
-    if hit_rate < 0.8:
-        fail(f"cache hit rate {hit_rate:.3f} below the 0.80 gate")
-    if cache["invalidations"] <= 0:
-        fail("cache leg never exercised epoch invalidation")
-
-    ov = doc.get("overload")
-    if not isinstance(ov, dict):
-        fail('top-level "overload" missing')
-    check_keys(ov, DISCO_OVERLOAD_KEYS, '"overload"')
-    if ov["shed"] <= 0:
-        fail("overload leg never shed a lookup -- admission not engaged")
-    if ov["max_queue"] > ov["capacity"]:
-        fail(f'admission queue {ov["max_queue"]} exceeded capacity '
-             f'{ov["capacity"]}')
-    if ov["answered"] != ov["lookups_offered"]:
-        fail(f'{ov["lookups_offered"]} lookups offered but only '
-             f'{ov["answered"]} answered')
-    if ov["hdr_count"] <= 0:
-        fail("overload leg recorded no lookup latencies in the HDR track")
-    if not 0 < ov["p50_us"] <= ov["p99_us"]:
-        fail("overload latency percentiles are not monotone positive")
-    if ov["p99_us"] > ov["p99_bound_us"]:
-        fail(f'overload p99 {ov["p99_us"]}us breaches the computed bound '
-             f'{ov["p99_bound_us"]}us')
-    if ov["issues_filed"] <= 0:
-        fail("shedding engaged but no lpc issues were filed")
-
-    gw = doc.get("gateway")
-    if not isinstance(gw, dict):
-        fail('top-level "gateway" missing')
-    check_keys(gw, DISCO_GATEWAY_KEYS, '"gateway"')
-    check_fingerprint(gw["fingerprint"], "gateway")
-    if gw["expired"] != gw["sessions"]:
-        fail(f'{gw["sessions"]} sessions churned but {gw["expired"]} expired')
-    if gw["gateway_wakeups"] <= 0:
-        fail("gateway leg armed no wakeups")
-    reduction = gw["naive_wakeups"] / gw["gateway_wakeups"]
-    if reduction < 5.0:
-        fail(f"gateway wakeup reduction {reduction:.1f}x below the 5x gate")
-
     fleet = doc.get("fleet")
     if not isinstance(fleet, dict):
         fail('top-level "fleet" missing')
@@ -921,10 +837,9 @@ def check_disco(doc):
         if gates.get(key) is not True:
             fail(f'"gates.{key}" is not true')
 
-    print(f"check_bench_json: OK (disco: index {speedup:.1f}x over oracle, "
-          f"cache {hit_rate:.2f} hit rate, {ov['shed']} shed under overload "
-          f"p99 {ov['p99_us']/1e3:.0f}ms, gateway {reduction:.1f}x fewer "
-          f"wakeups over {gw['sessions']} sessions)")
+    print(f"check_bench_json: OK (disco: index {speedup:.1f}x over oracle "
+          f"at {idx['services']} services, fleet fingerprint stable across "
+          f"{len(fps)} worker counts)")
 
 
 SCN_LIBRARY = {

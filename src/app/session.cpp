@@ -15,14 +15,8 @@ SessionManager::SessionManager(sim::World& world, std::string resource_name,
 
 std::optional<SessionToken> SessionManager::acquire(std::uint64_t owner) {
   if (current_) {
-    const bool live = params_.gateway ? params_.gateway->active(gw_session_)
-                                      : leases_.active(current_->token);
-    if (current_->owner == owner && live) {
-      if (params_.gateway) {
-        params_.gateway->renew(gw_session_, params_.lease);
-      } else {
-        leases_.renew(current_->token, params_.lease);
-      }
+    if (current_->owner == owner && leases_.active(current_->token)) {
+      leases_.renew(current_->token, params_.lease);
       return current_->token;
     }
     ++stats_.rejections;
@@ -36,12 +30,7 @@ std::optional<SessionToken> SessionManager::acquire(std::uint64_t owner) {
   const SessionToken token = next_token_++;
   current_ = Current{token, owner};
   ++stats_.acquisitions;
-  if (params_.gateway) {
-    gw_session_ =
-        params_.gateway->open(owner, params_.lease, [this] { expire(); });
-  } else {
-    leases_.grant(token, params_.lease, [this] { expire(); });
-  }
+  leases_.grant(token, params_.lease, [this] { expire(); });
   if (on_change_) on_change_(owner);
   return token;
 }
@@ -49,17 +38,12 @@ std::optional<SessionToken> SessionManager::acquire(std::uint64_t owner) {
 bool SessionManager::renew(SessionToken token) {
   if (!current_ || current_->token != token) return false;
   ++stats_.renewals;
-  if (params_.gateway) return params_.gateway->renew(gw_session_, params_.lease);
   return leases_.renew(token, params_.lease);
 }
 
 bool SessionManager::release(SessionToken token) {
   if (!current_ || current_->token != token) return false;
-  if (params_.gateway) {
-    params_.gateway->close(gw_session_);
-  } else {
-    leases_.cancel(token);
-  }
+  leases_.cancel(token);
   current_.reset();
   ++stats_.releases;
   if (on_change_) on_change_(0);
@@ -83,10 +67,6 @@ void SessionManager::expire() {
 }
 
 void SessionManager::save(snap::SectionWriter& w) const {
-  if (params_.gateway) {
-    throw snap::SnapError("session manager '" + name_ +
-                          "': gateway-backed sessions are not checkpointable");
-  }
   w.u64(stats_.acquisitions);
   w.u64(stats_.rejections);
   w.u64(stats_.releases);

@@ -11,7 +11,6 @@
 #include <optional>
 #include <string>
 
-#include "disco/gateway.hpp"
 #include "disco/lease.hpp"
 #include "sim/world.hpp"
 
@@ -38,11 +37,6 @@ class SessionManager {
  public:
   struct Params {
     sim::Time lease = sim::Time::sec(60.0);
-    /// When set, expiry tracking is multiplexed onto this shared gateway
-    /// (one batched wakeup per tick across all managers) instead of the
-    /// manager's private LeaseTable. The gateway must outlive the manager.
-    /// Gateway-backed managers are not checkpointable (see save()).
-    disco::SessionGateway* gateway = nullptr;
   };
 
   SessionManager(sim::World& world, std::string resource_name);
@@ -74,9 +68,7 @@ class SessionManager {
   // --- checkpoint/restore (see src/snap) ------------------------------------
   // Checkpointable at any instant: the only scheduled state is the lease
   // table's tracked expiry checks. The owner-change callback is structural
-  // (re-bound by whoever owns the manager). In gateway mode the expiry
-  // state lives in the shared gateway (whose bucket events hold closures),
-  // so save() throws snap::SnapError.
+  // (re-bound by whoever owns the manager).
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);
 
@@ -91,8 +83,6 @@ class SessionManager {
   std::string name_;
   Params params_;
   disco::LeaseTable leases_;
-  // Gateway handle for the current session (gateway mode only).
-  disco::GatewaySession gw_session_ = 0;
   std::optional<Current> current_;
   SessionToken next_token_ = 1;
   SessionStats stats_;

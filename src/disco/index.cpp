@@ -65,7 +65,6 @@ void ServiceIndex::insert(const ServiceDescription& desc) {
     it = services_.emplace(desc.id, desc).first;
   }
   add_postings(it->second);
-  ++epoch_;
 }
 
 void ServiceIndex::erase(ServiceId id) {
@@ -73,13 +72,11 @@ void ServiceIndex::erase(ServiceId id) {
   if (it == services_.end()) return;
   remove_postings(it->second);
   services_.erase(it);
-  ++epoch_;
 }
 
 void ServiceIndex::clear() {
   services_.clear();
   postings_.clear();
-  ++epoch_;
 }
 
 const ServiceDescription* ServiceIndex::find(ServiceId id) const {

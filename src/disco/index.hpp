@@ -38,10 +38,6 @@ class ServiceIndex {
     return services_;
   }
 
-  /// Monotonic mutation counter. Any insert/erase bumps it, which is what
-  /// invalidates query-cache entries keyed to an older epoch.
-  std::uint64_t epoch() const { return epoch_; }
-
   /// Indexed match: ids of all registrations the template matches, in
   /// ascending id order. Bit-identical to `match_scan`.
   std::vector<ServiceId> match(const ServiceTemplate& tmpl) const;
@@ -63,7 +59,6 @@ class ServiceIndex {
   // term -> ascending service ids. Terms are "a:" key '\x1f' value for
   // attributes and "t:" prefix for every '/'-boundary type prefix.
   std::unordered_map<std::string, std::vector<ServiceId>> postings_;
-  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace aroma::disco

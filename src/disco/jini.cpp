@@ -7,7 +7,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "sim/random.hpp"
 #include "snap/format.hpp"
 
 namespace aroma::disco {
@@ -31,26 +30,6 @@ JiniRegistrar::JiniRegistrar(sim::World& world, net::NetStack& stack,
   announcer_ = std::make_unique<sim::PeriodicTimer>(
       world_.sim(), params_.announce_interval, [this] { announce(); });
   announcer_->start_after(sim::Time::ms(10));
-  if (params_.cache_capacity > 0) {
-    cache_ = std::make_unique<QueryCache>(params_.cache_capacity);
-  }
-  if (params_.admission_capacity > 0) {
-    admission_ = std::make_unique<AdmissionController>(
-        world_, AdmissionController::Params{params_.admission_capacity,
-                                            params_.admission_service_time});
-  }
-  if (params_.federate) {
-    federation_ = std::make_unique<FederationPeer>(
-        world_, stack_, params_.federation,
-        [this](const ServiceTemplate& tmpl) {
-          // Peers answer from the local index only (one hop, no loops).
-          std::vector<ServiceDescription> out;
-          for (const ServiceId id : local_match(tmpl)) {
-            out.push_back(*index_.find(id));
-          }
-          return out;
-        });
-  }
 }
 
 JiniRegistrar::~JiniRegistrar() {
@@ -98,14 +77,6 @@ std::vector<ServiceDescription> JiniRegistrar::snapshot(
   return out;
 }
 
-void JiniRegistrar::set_peers(std::vector<net::NodeId> peers) {
-  if (federation_) federation_->set_peers(std::move(peers));
-}
-
-void JiniRegistrar::set_issue_hook(AdmissionController::IssueHook hook) {
-  if (admission_) admission_->set_issue_hook(std::move(hook));
-}
-
 void JiniRegistrar::expire_service(ServiceId id) {
   const ServiceDescription* found = index_.find(id);
   if (found == nullptr) return;
@@ -113,48 +84,6 @@ void JiniRegistrar::expire_service(ServiceId id) {
   index_.erase(id);
   ++stats_.lease_expirations;
   notify(s, /*appeared=*/false);
-}
-
-std::vector<ServiceId> JiniRegistrar::local_match(const ServiceTemplate& tmpl) {
-  if (!cache_) return index_.match(tmpl);
-  const std::string key = QueryCache::key_of(tmpl);
-  if (const std::vector<ServiceId>* ids = cache_->lookup(key, index_.epoch())) {
-    return *ids;
-  }
-  std::vector<ServiceId> ids = index_.match(tmpl);
-  cache_->insert(key, index_.epoch(), ids);
-  return ids;
-}
-
-void JiniRegistrar::send_lookup_response(
-    net::NodeId requester, std::uint32_t token,
-    const std::vector<ServiceId>& ids,
-    const std::vector<ServiceDescription>& remote) {
-  net::ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(JiniMsg::kLookupResponse));
-  w.u32(token);
-  w.u32(static_cast<std::uint32_t>(ids.size() + remote.size()));
-  for (const ServiceId id : ids) index_.find(id)->serialize(w);
-  for (const auto& m : remote) m.serialize(w);
-  stack_.send(net::Endpoint{requester, kClientPort}, net::kRegistrarPort,
-              w.take());
-}
-
-void JiniRegistrar::answer_lookup(net::NodeId requester, std::uint32_t token,
-                                  const ServiceTemplate& tmpl) {
-  const std::vector<ServiceId> ids = local_match(tmpl);
-  if (ids.empty() && federation_ && !federation_->peers().empty()) {
-    // Local miss: ask the peer pool before answering empty-handed.
-    ++stats_.lookups_delegated;
-    ++pending_replies_;
-    federation_->delegate(
-        tmpl, [this, requester, token](std::vector<ServiceDescription> remote) {
-          --pending_replies_;
-          send_lookup_response(requester, token, {}, remote);
-        });
-    return;
-  }
-  send_lookup_response(requester, token, ids, {});
 }
 
 void JiniRegistrar::notify(const ServiceDescription& s, bool appeared) {
@@ -208,6 +137,7 @@ void JiniRegistrar::on_datagram(const net::Datagram& dg) {
     case JiniMsg::kRenew: {
       const ServiceId id = r.u64();
       const auto lease_req = sim::Time::ns(static_cast<std::int64_t>(r.u64()));
+      if (!r.ok()) return;
       const sim::Time lease = std::min(lease_req, params_.max_lease);
       const bool ok = leases_.renew(id, lease);
       if (ok) ++stats_.renewals;
@@ -221,6 +151,7 @@ void JiniRegistrar::on_datagram(const net::Datagram& dg) {
     }
     case JiniMsg::kCancel: {
       const ServiceId id = r.u64();
+      if (!r.ok()) return;
       if (const ServiceDescription* found = index_.find(id)) {
         const ServiceDescription s = *found;
         index_.erase(id);
@@ -234,33 +165,14 @@ void JiniRegistrar::on_datagram(const net::Datagram& dg) {
       const ServiceTemplate tmpl = ServiceTemplate::deserialize(r);
       if (!r.ok()) return;
       ++stats_.lookups;
-      if (admission_) {
-        const auto decision = admission_->decide();
-        if (!decision.admitted) {
-          ++stats_.lookups_shed;
-          net::ByteWriter w;
-          w.u8(static_cast<std::uint8_t>(JiniMsg::kLookupBusy));
-          w.u32(token);
-          stack_.send(net::Endpoint{dg.src.node, kClientPort},
-                      net::kRegistrarPort, w.take());
-          return;
-        }
-        if (!decision.delay.is_zero()) {
-          // Admitted behind a backlog: the reply leaves when this
-          // request's slot in the virtual queue completes.
-          ++pending_replies_;
-          world_.sim().schedule_in(
-              decision.delay, sim::EventCategory::kDiscovery,
-              [this, requester = dg.src.node, token, tmpl,
-               guard = std::weak_ptr<char>(alive_)] {
-                if (guard.expired()) return;
-                --pending_replies_;
-                answer_lookup(requester, token, tmpl);
-              });
-          return;
-        }
-      }
-      answer_lookup(dg.src.node, token, tmpl);
+      const std::vector<ServiceId> ids = index_.match(tmpl);
+      net::ByteWriter w;
+      w.u8(static_cast<std::uint8_t>(JiniMsg::kLookupResponse));
+      w.u32(token);
+      w.u32(static_cast<std::uint32_t>(ids.size()));
+      for (const ServiceId id : ids) index_.find(id)->serialize(w);
+      stack_.send(net::Endpoint{dg.src.node, kClientPort},
+                  net::kRegistrarPort, w.take());
       return;
     }
     case JiniMsg::kNotifyRequest: {
@@ -430,7 +342,6 @@ void JiniClient::lookup(const ServiceTemplate& tmpl, LookupResult cb) {
   }
   PendingLookup& pending = pending_lookup_[token];
   pending.cb = std::move(cb);
-  pending.tmpl = tmpl;
   // Unanswered lookups (e.g. the registrar died mid-request) fail cleanly.
   pending.timeout = world_.sim().schedule_in(
       params_.lookup_timeout, sim::EventCategory::kDiscovery,
@@ -441,20 +352,7 @@ void JiniClient::lookup(const ServiceTemplate& tmpl, LookupResult cb) {
         it->second.timeout = {};
         if (auto cb = take_lookup(it)) cb({});
       });
-  send_lookup(token);
-}
-
-JiniClient::LookupResult JiniClient::take_lookup(
-    std::map<std::uint32_t, PendingLookup>::iterator it) {
-  world_.sim().cancel(it->second.timeout);
-  world_.sim().cancel(it->second.retry);
-  LookupResult cb = std::move(it->second.cb);
-  pending_lookup_.erase(it);
-  return cb;
-}
-
-void JiniClient::send_lookup(std::uint32_t token) {
-  with_registrar([this, token](net::NodeId reg) {
+  with_registrar([this, token, tmpl](net::NodeId reg) {
     auto it = pending_lookup_.find(token);
     if (it == pending_lookup_.end()) return;
     if (reg == 0) {
@@ -464,10 +362,18 @@ void JiniClient::send_lookup(std::uint32_t token) {
     net::ByteWriter w;
     w.u8(static_cast<std::uint8_t>(JiniMsg::kLookup));
     w.u32(token);
-    it->second.tmpl.serialize(w);
+    tmpl.serialize(w);
     ++messages_sent_;
     stack_.send(net::Endpoint{reg, net::kRegistrarPort}, port_, w.take());
   });
+}
+
+JiniClient::LookupResult JiniClient::take_lookup(
+    std::map<std::uint32_t, PendingLookup>::iterator it) {
+  world_.sim().cancel(it->second.timeout);
+  LookupResult cb = std::move(it->second.cb);
+  pending_lookup_.erase(it);
+  return cb;
 }
 
 void JiniClient::subscribe(const ServiceTemplate& tmpl, EventCallback cb) {
@@ -587,39 +493,6 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
       if (auto cb = take_lookup(it)) cb(std::move(services));
       return;
     }
-    case JiniMsg::kLookupBusy: {
-      // The registrar shed our lookup under overload. Back off and retry:
-      // exponential spacing plus a deterministic per-(client, token,
-      // attempt) jitter so the herd that was shed together does not
-      // return together.
-      const std::uint32_t token = r.u32();
-      if (!r.ok()) return;
-      auto it = pending_lookup_.find(token);
-      if (it == pending_lookup_.end()) return;
-      if (it->second.busy_attempts >= params_.busy_retries) {
-        if (auto cb = take_lookup(it)) cb({});
-        return;
-      }
-      const int attempt = ++it->second.busy_attempts;
-      sim::Time delay = params_.busy_backoff * (1LL << (attempt - 1));
-      const std::uint64_t h = sim::mix_hash(
-          params_.jitter_seed ^ (static_cast<std::uint64_t>(token) << 20 |
-                                 static_cast<std::uint64_t>(attempt)),
-          stack_.node_id());
-      delay += sim::Time::ns(static_cast<std::int64_t>(
-          h % static_cast<std::uint64_t>(params_.busy_backoff.count())));
-      world_.sim().cancel(it->second.retry);
-      it->second.retry = world_.sim().schedule_in(
-          delay, sim::EventCategory::kDiscovery,
-          [this, token, guard = std::weak_ptr<char>(alive_)] {
-            if (guard.expired()) return;
-            auto it = pending_lookup_.find(token);
-            if (it == pending_lookup_.end()) return;
-            it->second.retry = {};
-            send_lookup(token);
-          });
-      return;
-    }
     case JiniMsg::kEvent: {
       const bool appeared = r.u8() != 0;
       const ServiceDescription s = ServiceDescription::deserialize(r);
@@ -639,14 +512,6 @@ void JiniClient::on_datagram(const net::Datagram& dg) {
 // Checkpoint/restore
 
 void JiniRegistrar::save(snap::SectionWriter& w) const {
-  if (pending_replies_ != 0) {
-    throw snap::SnapError(
-        "registrar save: admission-delayed reply in flight (closures are "
-        "code, not data; checkpoint between lookup bursts)");
-  }
-  if (federation_ && !federation_->quiescent()) {
-    throw snap::SnapError("registrar save: federation delegation in flight");
-  }
   w.u64(stats_.registrations);
   w.u64(stats_.renewals);
   w.u64(stats_.lookups);

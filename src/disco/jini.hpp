@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "disco/federation.hpp"
 #include "disco/index.hpp"
 #include "disco/lease.hpp"
 #include "disco/service.hpp"
@@ -47,7 +46,6 @@ enum class JiniMsg : std::uint8_t {
   kNotifyRequest,          // unicast: leased event subscription
   kNotifyResponse,         // subscription id
   kEvent,                  // unicast reg->listener: service appeared/vanished
-  kLookupBusy,             // unicast: lookup shed by admission control
 };
 
 struct RegistrarStats {
@@ -57,8 +55,6 @@ struct RegistrarStats {
   std::uint64_t lease_expirations = 0;
   std::uint64_t events_sent = 0;
   std::uint64_t discovery_responses = 0;
-  std::uint64_t lookups_shed = 0;       // refused with kLookupBusy
-  std::uint64_t lookups_delegated = 0;  // local miss forwarded to peers
 };
 
 /// The lookup service. One per world is typical; several can coexist (the
@@ -68,18 +64,6 @@ class JiniRegistrar {
   struct Params {
     sim::Time announce_interval = sim::Time::sec(10.0);
     sim::Time max_lease = sim::Time::sec(60.0);
-    // --- service-tier features (all off by default: a default-constructed
-    // registrar is bit-identical to the pre-federation one) ---------------
-    /// Query-cache capacity in entries; 0 disables the read-through cache.
-    std::size_t cache_capacity = 0;
-    /// Admission queue capacity in requests; 0 disables admission control
-    /// (every lookup is answered immediately, nothing is shed).
-    std::uint64_t admission_capacity = 0;
-    sim::Time admission_service_time = sim::Time::us(50);
-    /// Enables the federation peering endpoint; peers are then installed
-    /// with set_peers().
-    bool federate = false;
-    FederationPeer::Params federation;
   };
 
   JiniRegistrar(sim::World& world, net::NetStack& stack);
@@ -96,23 +80,6 @@ class JiniRegistrar {
   /// exposes the scalar oracle `match_scan` for equality property tests).
   const ServiceIndex& index() const { return index_; }
 
-  /// Installs federation peers (requires Params::federate).
-  void set_peers(std::vector<net::NodeId> peers);
-  /// Routes shed-overload reports out of the tier (typically into an lpc
-  /// IssueLog via lpc::shed_issue_filer). No-op without admission control.
-  void set_issue_hook(AdmissionController::IssueHook hook);
-
-  /// Service-tier telemetry; null when the matching feature is disabled.
-  const QueryCacheStats* cache_stats() const {
-    return cache_ ? &cache_->stats() : nullptr;
-  }
-  const AdmissionStats* admission_stats() const {
-    return admission_ ? &admission_->stats() : nullptr;
-  }
-  const FederationStats* federation_stats() const {
-    return federation_ ? &federation_->stats() : nullptr;
-  }
-
   /// Publishes RegistrarStats to the world's metrics registry (pull-style;
   /// call before snapshotting). No-op when telemetry is off.
   void publish_metrics() const;
@@ -127,12 +94,9 @@ class JiniRegistrar {
   std::vector<ServiceDescription> snapshot(const ServiceTemplate& t) const;
 
   // --- checkpoint/restore (see src/snap) ------------------------------------
-  // A default-configured registrar is checkpointable at any instant: its
-  // only scheduled events are the announcer (a PeriodicTimer, re-armed
-  // verbatim) and the lease table's tracked expiry checks. With service-
-  // tier features enabled, save() additionally requires quiescence: no
-  // delayed (admission-queued) reply and no delegation in flight, since
-  // both hold reply closures. It throws snap::SnapError otherwise.
+  // Checkpointable at any instant: the only scheduled events are the
+  // announcer (a PeriodicTimer, re-armed verbatim) and the lease table's
+  // tracked expiry checks.
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);
 
@@ -147,13 +111,6 @@ class JiniRegistrar {
   void announce();
   void notify(const ServiceDescription& s, bool appeared);
   void expire_service(ServiceId id);
-  /// Cache-aware local match (read-through on miss), ids ascending.
-  std::vector<ServiceId> local_match(const ServiceTemplate& tmpl);
-  void answer_lookup(net::NodeId requester, std::uint32_t token,
-                     const ServiceTemplate& tmpl);
-  void send_lookup_response(net::NodeId requester, std::uint32_t token,
-                            const std::vector<ServiceId>& ids,
-                            const std::vector<ServiceDescription>& remote);
 
   sim::World& world_;
   net::NetStack& stack_;
@@ -165,14 +122,7 @@ class JiniRegistrar {
   std::uint64_t next_subscription_id_ = 1;
   RegistrarStats stats_;
   std::unique_ptr<sim::PeriodicTimer> announcer_;
-  std::unique_ptr<QueryCache> cache_;
-  std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<FederationPeer> federation_;
-  // Admission-delayed replies scheduled but not yet sent; nonzero blocks
-  // checkpointing (the events hold reply closures).
-  int pending_replies_ = 0;
   bool enabled_ = true;
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
   // save() serializes each description through this reused buffer, so
   // steady-state checkpoints do not allocate.
   mutable net::ByteWriter save_scratch_;
@@ -192,12 +142,6 @@ class JiniClient {
     sim::Time registrar_staleness = sim::Time::sec(25.0);
     /// Unanswered lookups fail with an empty result after this long.
     sim::Time lookup_timeout = sim::Time::sec(5.0);
-    /// Retries after a kLookupBusy (shed) reply before giving up; each
-    /// retry backs off exponentially with deterministic seed-derived
-    /// jitter so a shed storm of clients does not re-converge.
-    int busy_retries = 3;
-    sim::Time busy_backoff = sim::Time::ms(50);
-    std::uint64_t jitter_seed = 0x6a09e667f3bcc909ULL;
   };
 
   using RegistrarFound = std::function<void(net::NodeId registrar)>;
@@ -257,7 +201,6 @@ class JiniClient {
 
   void on_datagram(const net::Datagram& dg);
   void send_discovery(int attempt);
-  void send_lookup(std::uint32_t token);
   void with_registrar(std::function<void(net::NodeId)> action);
   /// Most recently heard non-stale registrar, or 0 when none qualify.
   net::NodeId pick_registrar() const;
@@ -277,16 +220,13 @@ class JiniClient {
   std::map<std::uint32_t, PendingRegistration> pending_reg_;
   struct PendingLookup {
     LookupResult cb;
-    ServiceTemplate tmpl;   // kept for busy retries
-    int busy_attempts = 0;
     sim::EventHandle timeout;
-    sim::EventHandle retry;  // the busy back-off's re-send, if one waits
   };
   std::map<std::uint32_t, PendingLookup> pending_lookup_;
   std::map<ServiceId, HeldRegistration> held_leases_;
 
-  /// Ends a pending lookup: cancels its timeout and retry, erases it and
-  /// returns its callback.
+  /// Ends a pending lookup: cancels its timeout, erases it and returns its
+  /// callback.
   LookupResult take_lookup(std::map<std::uint32_t, PendingLookup>::iterator it);
   /// Schedules `held`'s next renewal, cancelling the one it supersedes.
   void schedule_renewal(ServiceId id, HeldRegistration& held);

@@ -19,76 +19,9 @@ SlpDirectoryAgent::SlpDirectoryAgent(sim::World& world, net::NetStack& stack,
   advertiser_ = std::make_unique<sim::PeriodicTimer>(
       world_.sim(), params_.advert_interval, [this] { advertise(); });
   advertiser_->start_after(sim::Time::ms(5));
-  if (params_.cache_capacity > 0) {
-    cache_ = std::make_unique<QueryCache>(params_.cache_capacity);
-  }
-  if (params_.admission_capacity > 0) {
-    admission_ = std::make_unique<AdmissionController>(
-        world_, AdmissionController::Params{params_.admission_capacity,
-                                            params_.admission_service_time});
-  }
-  if (params_.federate) {
-    federation_ = std::make_unique<FederationPeer>(
-        world_, stack_, params_.federation,
-        [this](const ServiceTemplate& tmpl) {
-          std::vector<ServiceDescription> out;
-          for (const ServiceId id : local_match(tmpl)) {
-            out.push_back(*index_.find(id));
-          }
-          return out;
-        });
-  }
 }
 
 SlpDirectoryAgent::~SlpDirectoryAgent() { stack_.unbind(net::kSlpPort); }
-
-void SlpDirectoryAgent::set_peers(std::vector<net::NodeId> peers) {
-  if (federation_) federation_->set_peers(std::move(peers));
-}
-
-void SlpDirectoryAgent::set_issue_hook(AdmissionController::IssueHook hook) {
-  if (admission_) admission_->set_issue_hook(std::move(hook));
-}
-
-std::vector<ServiceId> SlpDirectoryAgent::local_match(
-    const ServiceTemplate& tmpl) {
-  if (!cache_) return index_.match(tmpl);
-  const std::string key = QueryCache::key_of(tmpl);
-  if (const std::vector<ServiceId>* ids = cache_->lookup(key, index_.epoch())) {
-    return *ids;
-  }
-  std::vector<ServiceId> ids = index_.match(tmpl);
-  cache_->insert(key, index_.epoch(), ids);
-  return ids;
-}
-
-void SlpDirectoryAgent::send_reply(
-    net::NodeId requester, std::uint32_t token,
-    const std::vector<ServiceId>& ids,
-    const std::vector<ServiceDescription>& remote) {
-  net::ByteWriter out;
-  out.u8(static_cast<std::uint8_t>(SlpMsg::kSrvRply));
-  out.u32(token);
-  out.u32(static_cast<std::uint32_t>(ids.size() + remote.size()));
-  for (const ServiceId id : ids) index_.find(id)->serialize(out);
-  for (const auto& m : remote) m.serialize(out);
-  stack_.send(net::Endpoint{requester, net::kSlpPort}, net::kSlpPort,
-              out.take());
-}
-
-void SlpDirectoryAgent::answer_request(net::NodeId requester,
-                                       std::uint32_t token,
-                                       const ServiceTemplate& tmpl) {
-  const std::vector<ServiceId> ids = local_match(tmpl);
-  if (ids.empty() && federation_ && !federation_->peers().empty()) {
-    federation_->delegate(
-        tmpl, [this, requester, token](std::vector<ServiceDescription> remote) {
-          send_reply(requester, token, {}, remote);
-        });
-    return;
-  }
-  send_reply(requester, token, ids, {});
-}
 
 void SlpDirectoryAgent::advertise() {
   net::ByteWriter w;
@@ -130,26 +63,14 @@ void SlpDirectoryAgent::on_datagram(const net::Datagram& dg) {
       const std::uint32_t token = r.u32();
       const ServiceTemplate tmpl = ServiceTemplate::deserialize(r);
       if (!r.ok()) return;
-      if (admission_) {
-        const auto decision = admission_->decide();
-        if (!decision.admitted) {
-          // SLP has no busy reply: a shed request is dropped and the UA's
-          // retransmit schedule recovers.
-          ++requests_shed_;
-          return;
-        }
-        if (!decision.delay.is_zero()) {
-          world_.sim().schedule_in(
-              decision.delay, sim::EventCategory::kDiscovery,
-              [this, requester = dg.src.node, token, tmpl,
-               guard = std::weak_ptr<char>(alive_)] {
-                if (guard.expired()) return;
-                answer_request(requester, token, tmpl);
-              });
-          return;
-        }
-      }
-      answer_request(dg.src.node, token, tmpl);
+      const std::vector<ServiceId> ids = index_.match(tmpl);
+      net::ByteWriter out;
+      out.u8(static_cast<std::uint8_t>(SlpMsg::kSrvRply));
+      out.u32(token);
+      out.u32(static_cast<std::uint32_t>(ids.size()));
+      for (const ServiceId id : ids) index_.find(id)->serialize(out);
+      stack_.send(net::Endpoint{dg.src.node, net::kSlpPort}, net::kSlpPort,
+                  out.take());
       return;
     }
     default:

@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "disco/federation.hpp"
 #include "disco/index.hpp"
 #include "disco/lease.hpp"
 #include "disco/service.hpp"
@@ -36,14 +35,6 @@ class SlpDirectoryAgent {
   struct Params {
     sim::Time advert_interval = sim::Time::sec(10.0);
     sim::Time max_lifetime = sim::Time::sec(60.0);
-    // Service-tier features, all off by default (see JiniRegistrar): a
-    // shed SLP request is silently dropped — the UA's retransmit path is
-    // the protocol's recovery mechanism.
-    std::size_t cache_capacity = 0;
-    std::uint64_t admission_capacity = 0;
-    sim::Time admission_service_time = sim::Time::us(50);
-    bool federate = false;
-    FederationPeer::Params federation;
   };
 
   SlpDirectoryAgent(sim::World& world, net::NetStack& stack);
@@ -55,32 +46,9 @@ class SlpDirectoryAgent {
   std::size_t registered_count() const { return index_.size(); }
   const ServiceIndex& index() const { return index_; }
 
-  /// Installs federation peers (requires Params::federate). The peer set
-  /// may mix SLP DAs and Jini registrars: the federation wire format is
-  /// protocol agnostic.
-  void set_peers(std::vector<net::NodeId> peers);
-  void set_issue_hook(AdmissionController::IssueHook hook);
-
-  std::uint64_t requests_shed() const { return requests_shed_; }
-  const QueryCacheStats* cache_stats() const {
-    return cache_ ? &cache_->stats() : nullptr;
-  }
-  const AdmissionStats* admission_stats() const {
-    return admission_ ? &admission_->stats() : nullptr;
-  }
-  const FederationStats* federation_stats() const {
-    return federation_ ? &federation_->stats() : nullptr;
-  }
-
  private:
   void on_datagram(const net::Datagram& dg);
   void advertise();
-  std::vector<ServiceId> local_match(const ServiceTemplate& tmpl);
-  void answer_request(net::NodeId requester, std::uint32_t token,
-                      const ServiceTemplate& tmpl);
-  void send_reply(net::NodeId requester, std::uint32_t token,
-                  const std::vector<ServiceId>& ids,
-                  const std::vector<ServiceDescription>& remote);
 
   sim::World& world_;
   net::NetStack& stack_;
@@ -89,11 +57,6 @@ class SlpDirectoryAgent {
   ServiceIndex index_;
   ServiceId next_id_ = 1;
   std::unique_ptr<sim::PeriodicTimer> advertiser_;
-  std::unique_ptr<QueryCache> cache_;
-  std::unique_ptr<AdmissionController> admission_;
-  std::unique_ptr<FederationPeer> federation_;
-  std::uint64_t requests_shed_ = 0;
-  std::shared_ptr<char> alive_ = std::make_shared<char>(0);
 };
 
 /// Service Agent: advertises one or more local services. Registers with a

@@ -63,6 +63,7 @@ void RadioMedium::attach(RadioEndpoint* endpoint) {
 }
 
 void RadioMedium::detach(RadioEndpoint* endpoint) {
+  if (in_fanout_) fanout_detached_.push_back(endpoint);
   endpoints_.erase(std::remove(endpoints_.begin(), endpoints_.end(), endpoint),
                    endpoints_.end());
   invalidate_positions();
@@ -422,10 +423,14 @@ void RadioMedium::finish(std::uint64_t tx_id) {
     }
   }
 
+  in_fanout_ = true;
   if (options_.batch && !endpoints_.empty()) {
     finish_batched(*tx);
   } else if (!options_.spatial_index || endpoints_.empty()) {
-    for (RadioEndpoint* ep : endpoints_) deliver(*tx, *ep);
+    fanout_eps_.assign(endpoints_.begin(), endpoints_.end());
+    for (RadioEndpoint* ep : fanout_eps_) {
+      if (!left_fanout(ep)) deliver(*tx, *ep);
+    }
   } else {
     rebuild_grid();
     const double radius = cull_radius_m(tx->power_dbm);
@@ -469,13 +474,19 @@ void RadioMedium::finish(std::uint64_t tx_id) {
       // Attach order == the exhaustive loop's delivery order.
       std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
     }
+    fanout_eps_.clear();
     for (const std::uint32_t idx : scratch_candidates_) {
-      RadioEndpoint* ep = endpoints_[idx];
+      fanout_eps_.push_back(endpoints_[idx]);
+    }
+    for (RadioEndpoint* ep : fanout_eps_) {
+      if (left_fanout(ep)) continue;
       const Vec2 d = ep->position() - pos;
       if (d.norm2() > r2) continue;  // provably below sensitivity
       deliver(*tx, *ep);
     }
   }
+  in_fanout_ = false;
+  fanout_detached_.clear();
 
   // Frame over: the payload is no longer needed, only the transmission's
   // geometry/timing (kept for interference overlap with later frames).
@@ -818,9 +829,14 @@ void RadioMedium::finish_batched(const Transmission& tx) {
 
   // Ascending endpoint index == attach order == the scalar delivery order,
   // so on_frame side effects and stats land in the identical sequence.
+  fanout_eps_.clear();
+  for (const Passer& p : scratch_passers_) {
+    fanout_eps_.push_back(endpoints_[p.idx]);
+  }
   for (std::size_t i = 0; i < scratch_passers_.size(); ++i) {
+    if (left_fanout(fanout_eps_[i])) continue;
     const Passer p = scratch_passers_[i];
-    RadioEndpoint& ep = *endpoints_[p.idx];
+    RadioEndpoint& ep = *fanout_eps_[i];
     const RadioConfig& cfg = ep.radio_config();
     bool half_duplex = false;
     const double i_mw = gather_interference(ep, cfg, half_duplex);

@@ -26,6 +26,7 @@
 // exhaustive reference scans (asserted by env_test and the benches).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -373,6 +374,12 @@ class RadioMedium {
   /// Scalar delivery of `tx` to one endpoint: link budget, half-duplex
   /// test and interference sum from the history, then deliver_verdict.
   void deliver(const Transmission& tx, RadioEndpoint& ep);
+  /// True when `ep` was detached during the current fan-out.
+  bool left_fanout(const RadioEndpoint* ep) const {
+    return !fanout_detached_.empty() &&
+           std::find(fanout_detached_.begin(), fanout_detached_.end(), ep) !=
+               fanout_detached_.end();
+  }
   /// The verdict tail both fan-out paths share, with `d` complete but for
   /// `decodable`: stats, half-duplex/receiver/SINR verdict, behaviour
   /// digest, on_frame (same code => identical side effects).
@@ -459,6 +466,13 @@ class RadioMedium {
   PathLossModel model_;
   Options options_;
   std::vector<RadioEndpoint*> endpoints_;
+  // The receivers of the frame being fanned out, in delivery order, taken
+  // before the first on_frame: a callback that attaches or detaches a radio
+  // shifts endpoints_, not this list. A radio detached during the fan-out
+  // is listed in fanout_detached_ and receives nothing more of the frame.
+  std::vector<RadioEndpoint*> fanout_eps_;
+  std::vector<const RadioEndpoint*> fanout_detached_;
+  bool in_fanout_ = false;
   // Transmission log: active + recently finished frames in id order. Backed
   // by the world's arena — the deque's fixed-size buffer nodes recycle
   // through one free list as frames are pushed and pruned, so steady-state

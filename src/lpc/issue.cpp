@@ -121,17 +121,4 @@ double IssueLog::total_severity_at(Layer layer) const {
   return total;
 }
 
-std::function<void(const std::string&, double)> shed_issue_filer(
-    IssueLog& log, std::string entity) {
-  return [&log, entity = std::move(entity)](const std::string& description,
-                                            double severity) {
-    Issue issue;
-    issue.description = description;
-    issue.layer = Layer::kResource;
-    issue.severity = severity;
-    issue.entity = entity;
-    log.add(issue);
-  };
-}
-
 }  // namespace aroma::lpc

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -72,13 +71,5 @@ class IssueLog {
   std::vector<Issue> issues_;
   std::uint64_t next_id_ = 1;
 };
-
-/// Adapter from the service tier's shed-report hook (a plain
-/// description+severity callback, so aroma_disco stays free of lpc
-/// dependencies) to an IssueLog entry at the resource layer:
-///
-///   registrar.set_issue_hook(lpc::shed_issue_filer(log, "jini-registrar-3"));
-std::function<void(const std::string&, double)> shed_issue_filer(
-    IssueLog& log, std::string entity);
 
 }  // namespace aroma::lpc

@@ -69,14 +69,4 @@ constexpr Time scale(Time t, double factor) {
   return Time::ns(static_cast<std::int64_t>(static_cast<double>(t.count()) * factor + 0.5));
 }
 
-/// Rounds `t` up to the next multiple of `quantum` (identity when already
-/// aligned). Components that coalesce work onto a shared cadence — e.g. the
-/// session gateway's batched ticks — align their wakeups with this so that
-/// independent instances land on the same instant and the kernel's
-/// same-time event trains absorb them.
-constexpr Time align_up(Time t, Time quantum) {
-  const std::int64_t q = quantum.count();
-  return Time::ns(((t.count() + q - 1) / q) * q);
-}
-
 }  // namespace aroma::sim

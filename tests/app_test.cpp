@@ -6,8 +6,6 @@
 
 #include "app/projector.hpp"
 #include "app/session.hpp"
-#include "disco/gateway.hpp"
-#include "snap/format.hpp"
 #include "env/environment.hpp"
 #include "phys/device.hpp"
 #include "rfb/workload.hpp"
@@ -268,67 +266,6 @@ TEST(SmartProjector, ExportsBothServicesToJini) {
   const auto found =
       registrar.snapshot(disco::ServiceTemplate{"projector", {}});
   EXPECT_EQ(found.size(), 2u);
-}
-
-TEST(SessionManager, GatewayModeMatchesLeaseTableSemantics) {
-  sim::World w(1);
-  disco::SessionGateway gateway(w);
-  SessionManager::Params p;
-  p.lease = sim::Time::sec(30);
-  p.gateway = &gateway;
-  SessionManager sm(w, "projector", p);
-
-  const auto t1 = sm.acquire(100);
-  ASSERT_TRUE(t1.has_value());
-  EXPECT_TRUE(sm.busy());
-  EXPECT_FALSE(sm.acquire(200).has_value());  // hijack still refused
-  EXPECT_EQ(sm.acquire(100), t1);             // owner re-acquire, same token
-
-  w.sim().run_until(sim::Time::sec(20));
-  EXPECT_TRUE(sm.renew(*t1));
-  w.sim().run_until(sim::Time::sec(40));
-  EXPECT_TRUE(sm.busy()) << "renewal through the gateway postpones expiry";
-
-  EXPECT_TRUE(sm.release(*t1));
-  EXPECT_FALSE(sm.busy());
-  EXPECT_EQ(gateway.stats().closed, 1u);
-
-  // A forgotten session is recovered by the gateway's batched tick.
-  (void)sm.acquire(300);
-  w.sim().run_until(sim::Time::sec(200));
-  EXPECT_FALSE(sm.busy());
-  EXPECT_EQ(sm.stats().expirations, 1u);
-}
-
-TEST(SessionManager, ManyManagersShareOneGatewaysWakeups) {
-  sim::World w(1);
-  disco::SessionGateway gateway(w);
-  SessionManager::Params p;
-  p.lease = sim::Time::sec(10);
-  p.gateway = &gateway;
-  std::vector<std::unique_ptr<SessionManager>> managers;
-  for (int i = 0; i < 200; ++i) {
-    managers.push_back(std::make_unique<SessionManager>(
-        w, "resource-" + std::to_string(i), p));
-    (void)managers.back()->acquire(1000 + i);
-  }
-  w.sim().run_until(sim::Time::sec(60));
-  for (const auto& m : managers) EXPECT_FALSE(m->busy());
-  // All 200 expiries rode the same quantized ticks: the whole fleet of
-  // managers armed only a handful of kernel wakeups.
-  EXPECT_EQ(gateway.stats().expired, 200u);
-  EXPECT_LE(gateway.stats().wakeups, 4u);
-}
-
-TEST(SessionManager, GatewayModeRefusesCheckpoint) {
-  sim::World w(1);
-  disco::SessionGateway gateway(w);
-  SessionManager::Params p;
-  p.gateway = &gateway;
-  SessionManager sm(w, "projector", p);
-  (void)sm.acquire(100);
-  snap::SectionWriter sw(w.now());
-  EXPECT_THROW(sm.save(sw), snap::SnapError);
 }
 
 }  // namespace

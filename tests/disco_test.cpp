@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "disco/federation.hpp"
-#include "disco/gateway.hpp"
 #include "disco/index.hpp"
 #include "disco/jini.hpp"
 #include "disco/lease.hpp"
@@ -378,25 +376,24 @@ TEST(Jini, NoRegistrarLookupFailsGracefully) {
   EXPECT_TRUE(called);
 }
 
-// --- Jini client: malformed responses ------------------------------------
+// --- Jini: malformed messages ---------------------------------------------
 //
-// A node forges registrar responses to a client. A truncated response must
-// leave the client as it was: no callback fires, and the pending exchange
-// or held lease it names goes on as if the datagram never came. Each case
-// then sends the complete response to show the forgery reaches the client.
-// A callback that reports success throws: a client that acts on a
-// truncated register response would otherwise renew a zero-length lease
-// in an endless same-instant loop.
+// A node forges registrar responses to a client, or client requests to a
+// registrar. A truncated message must leave its receiver as it was: no
+// callback fires, and the pending exchange or held lease it names goes on
+// as if the datagram never came. Each case then sends the complete message
+// to show the forgery reaches its receiver. A callback that reports
+// success throws: a client that acts on a truncated register response
+// would otherwise renew a zero-length lease in an endless same-instant
+// loop.
 
 struct ForgedJini {
-  explicit ForgedJini(bool with_registrar = false,
-                      JiniClient::Params p = JiniClient::Params()) {
+  explicit ForgedJini(bool with_registrar = false) {
     if (with_registrar) {
       registrar = std::make_unique<JiniRegistrar>(tb.world(),
                                                   tb.add_node(1, {0, 0}));
     }
-    client = std::make_unique<JiniClient>(tb.world(), tb.add_node(2, {5, 0}),
-                                          p);
+    client = std::make_unique<JiniClient>(tb.world(), tb.add_node(2, {5, 0}));
     forger = &tb.add_node(9, {0, 5});
   }
   /// Sends `w`'s bytes to the client as a registrar would, and lets the
@@ -405,6 +402,22 @@ struct ForgedJini {
     forger->send(net::Endpoint{2, kClientPort}, net::kRegistrarPort,
                  w.take());
     tb.world().sim().run_until(tb.world().now() + sim::Time::ms(200));
+  }
+  /// Sends `w`'s bytes to the registrar as a client would.
+  void forge_request(net::ByteWriter w) {
+    forger->send(net::Endpoint{1, net::kRegistrarPort}, kClientPort,
+                 w.take());
+    tb.world().sim().run_until(tb.world().now() + sim::Time::ms(200));
+  }
+  /// Registers one service through the client and returns its id.
+  ServiceId register_one() {
+    ServiceId id = 0;
+    client->register_service(make_service("projector/display", 2, 5800),
+                             [&](bool ok, ServiceId sid) {
+                               if (ok) id = sid;
+                             });
+    tb.run_until(3.0);
+    return id;
   }
   static net::ByteWriter message(JiniMsg m) {
     net::ByteWriter w;
@@ -452,12 +465,7 @@ TEST(JiniClient, TruncatedLookupResponseIsIgnored) {
 
 TEST(JiniClient, TruncatedRenewResponseKeepsTheLease) {
   ForgedJini f(/*with_registrar=*/true);
-  ServiceId id = 0;
-  f.client->register_service(make_service("projector/display", 2, 5800),
-                             [&](bool ok, ServiceId sid) {
-                               if (ok) id = sid;
-                             });
-  f.tb.run_until(3.0);
+  const ServiceId id = f.register_one();
   ASSERT_NE(id, 0u);
   const std::uint64_t sent = f.client->messages_sent();
 
@@ -506,30 +514,56 @@ TEST(JiniClient, TruncatedRegisterResponseIsIgnored) {
   EXPECT_TRUE(f.client->snap_quiescent(&why)) << why;
 }
 
-TEST(JiniClient, TruncatedLookupBusyIsIgnored) {
-  JiniClient::Params p;
-  p.busy_retries = 0;  // a busy reply ends the lookup at once
-  ForgedJini f(/*with_registrar=*/false, p);
-  // Tokens are a wrapping u32; a missing token reads as 0. Restore the
-  // client at the wrap so its next lookup holds token 0.
-  snap::SectionWriter w(f.tb.world().now());
-  w.u64(0);  // known registrars
-  w.u32(0);  // next token
-  w.u64(0);  // messages sent
-  w.u64(0);  // held leases
-  const std::vector<std::uint8_t> blob = w.take();
-  snap::SectionReader r({blob.data(), blob.size()}, f.tb.world().now());
-  f.client->restore(r);
+TEST(JiniClient, UnknownMessageTypeIsIgnored) {
+  ForgedJini f;  // no registrar: lookup token 1 waits on discovery
   int calls = 0;
   f.client->lookup(ServiceTemplate{},
                    [&](std::vector<ServiceDescription>) { ++calls; });
-  f.forge(ForgedJini::message(JiniMsg::kLookupBusy));
+  // A type past the last message, followed by the pending lookup's token.
+  net::ByteWriter unknown;
+  unknown.u8(static_cast<std::uint8_t>(JiniMsg::kEvent) + 1);
+  unknown.u32(1);
+  f.forge(std::move(unknown));
   EXPECT_EQ(calls, 0);
+  std::string why;
+  EXPECT_FALSE(f.client->snap_quiescent(&why));  // the lookup still waits
+}
 
-  net::ByteWriter whole = ForgedJini::message(JiniMsg::kLookupBusy);
-  whole.u32(0);
-  f.forge(std::move(whole));
-  EXPECT_EQ(calls, 1);
+TEST(JiniRegistrar, TruncatedRenewKeepsTheLease) {
+  ForgedJini f(/*with_registrar=*/true);
+  const ServiceId id = f.register_one();
+  ASSERT_NE(id, 0u);
+  // The id without the requested lease: once read as a 0 ns renewal that
+  // expired the service at once.
+  net::ByteWriter cut = ForgedJini::message(JiniMsg::kRenew);
+  cut.u64(id);
+  f.forge_request(std::move(cut));
+  EXPECT_EQ(f.registrar->registered_count(), 1u);
+  EXPECT_EQ(f.registrar->stats().renewals, 0u);
+  EXPECT_EQ(f.registrar->stats().lease_expirations, 0u);
+
+  net::ByteWriter whole = ForgedJini::message(JiniMsg::kRenew);
+  whole.u64(id);
+  whole.u64(static_cast<std::uint64_t>(sim::Time::sec(30).count()));
+  f.forge_request(std::move(whole));
+  EXPECT_EQ(f.registrar->stats().renewals, 1u);
+  EXPECT_EQ(f.registrar->registered_count(), 1u);
+}
+
+TEST(JiniRegistrar, TruncatedCancelRemovesNothing) {
+  ForgedJini f(/*with_registrar=*/true);
+  const ServiceId id = f.register_one();
+  ASSERT_NE(id, 0u);
+  // Four of the id's eight bytes.
+  net::ByteWriter cut = ForgedJini::message(JiniMsg::kCancel);
+  cut.u32(static_cast<std::uint32_t>(id));
+  f.forge_request(std::move(cut));
+  EXPECT_EQ(f.registrar->registered_count(), 1u);
+
+  net::ByteWriter whole = ForgedJini::message(JiniMsg::kCancel);
+  whole.u64(id);
+  f.forge_request(std::move(whole));
+  EXPECT_EQ(f.registrar->registered_count(), 0u);
 }
 
 // --- SLP ---------------------------------------------------------------
@@ -736,240 +770,6 @@ TEST(ServiceIndex, MatchEqualsScanOracleRandomized) {
   }
 }
 
-TEST(ServiceIndex, EpochBumpsOnEveryMutation) {
-  ServiceIndex index;
-  const std::uint64_t e0 = index.epoch();
-  ServiceDescription s = make_service("projector/display", 1, 10);
-  s.id = 1;
-  index.insert(s);
-  EXPECT_GT(index.epoch(), e0);
-  const std::uint64_t e1 = index.epoch();
-  index.erase(1);
-  EXPECT_GT(index.epoch(), e1);
-  EXPECT_EQ(index.size(), 0u);
-}
-
-// --- QueryCache / AdmissionController ---------------------------------------
-
-TEST(Federation, CacheHitsRepeatsAndInvalidatesOnReRegistration) {
-  Testbed tb;
-  auto& reg_stack = tb.add_node(1, {0, 0});
-  JiniRegistrar::Params rp;
-  rp.cache_capacity = 16;
-  JiniRegistrar registrar(tb.world(), reg_stack, rp);
-
-  auto& sa = tb.add_node(2, {5, 0});
-  auto& ua = tb.add_node(3, {0, 5});
-  JiniClient provider(tb.world(), sa);
-  JiniClient seeker(tb.world(), ua);
-
-  ServiceId id = 0;
-  provider.register_service(make_service("projector/display", 2, 5800),
-                            [&](bool, ServiceId got) { id = got; });
-  tb.run_until(3.0);
-  ASSERT_NE(id, 0u);
-
-  const ServiceTemplate tmpl{"projector", {{"room", "lab-a"}}};
-  std::vector<ServiceDescription> found;
-  seeker.lookup(tmpl, [&](auto s) { found = std::move(s); });
-  tb.run_until(5.0);
-  ASSERT_EQ(found.size(), 1u);  // miss, then cached
-  seeker.lookup(tmpl, [&](auto s) { found = std::move(s); });
-  tb.run_until(7.0);
-  ASSERT_EQ(found.size(), 1u);
-  ASSERT_NE(registrar.cache_stats(), nullptr);
-  EXPECT_GE(registrar.cache_stats()->hits, 1u);
-
-  // Re-register with changed attributes: the epoch bump must kill the
-  // cached entry, so the old template stops matching.
-  provider.withdraw(id);
-  ServiceDescription moved = make_service("projector/display", 2, 5800);
-  moved.attributes["room"] = "lab-b";
-  provider.register_service(moved, [](bool, ServiceId) {});
-  tb.run_until(9.0);
-
-  found = {make_service("sentinel", 9, 9)};
-  seeker.lookup(tmpl, [&](auto s) { found = std::move(s); });
-  tb.run_until(11.0);
-  EXPECT_TRUE(found.empty());  // stale entry not served
-  EXPECT_GE(registrar.cache_stats()->invalidations, 1u);
-}
-
-TEST(Federation, AdmissionShedsAtCapacityAndFilesIssuesOnCadence) {
-  sim::World w(1);
-  AdmissionController::Params p;
-  p.capacity = 4;
-  p.service_time = sim::Time::ms(1);
-  AdmissionController adm(w, p);
-  std::vector<std::string> reports;
-  adm.set_issue_hook(
-      [&](const std::string& text, double severity) {
-        EXPECT_GT(severity, 0.0);
-        reports.push_back(text);
-      });
-
-  int admitted = 0, shed = 0;
-  for (int i = 0; i < 20; ++i) {
-    if (adm.decide().admitted) ++admitted; else ++shed;
-  }
-  EXPECT_EQ(admitted, 4);
-  EXPECT_EQ(shed, 16);
-  EXPECT_LE(adm.stats().max_queue, p.capacity);
-  // Power-of-two cadence: sheds 1, 2, 4, 8, 16 file reports.
-  EXPECT_EQ(reports.size(), 5u);
-  EXPECT_NE(reports[0].find("shed"), std::string::npos);
-
-  // The virtual queue drains with simulated time.
-  w.sim().run_until(sim::Time::ms(10));
-  EXPECT_EQ(adm.queue_depth(), 0u);
-  EXPECT_TRUE(adm.decide().admitted);
-}
-
-TEST(Federation, ShedLookupRetriesWithBackoffAndSucceeds) {
-  Testbed tb;
-  auto& reg_stack = tb.add_node(1, {0, 0});
-  JiniRegistrar::Params rp;
-  rp.admission_capacity = 1;
-  rp.admission_service_time = sim::Time::ms(100);
-  JiniRegistrar registrar(tb.world(), reg_stack, rp);
-
-  auto& sa = tb.add_node(2, {5, 0});
-  auto& ua1 = tb.add_node(3, {0, 5});
-  auto& ua2 = tb.add_node(4, {5, 5});
-  JiniClient provider(tb.world(), sa);
-  JiniClient::Params cp;
-  cp.busy_backoff = sim::Time::ms(120);  // first retry lands past the backlog
-  JiniClient seeker1(tb.world(), ua1, cp);
-  JiniClient seeker2(tb.world(), ua2, cp);
-
-  provider.register_service(make_service("projector/display", 2, 5800),
-                            [](bool, ServiceId) {});
-  tb.run_until(3.0);
-
-  // Two near-simultaneous lookups against a one-deep queue: one is shed
-  // with kLookupBusy and must succeed on a jittered retry.
-  std::vector<ServiceDescription> r1, r2;
-  bool done1 = false, done2 = false;
-  seeker1.lookup(ServiceTemplate{"projector", {}},
-                 [&](auto s) { r1 = std::move(s); done1 = true; });
-  seeker2.lookup(ServiceTemplate{"projector", {}},
-                 [&](auto s) { r2 = std::move(s); done2 = true; });
-  tb.run_until(10.0);
-  ASSERT_TRUE(done1);
-  ASSERT_TRUE(done2);
-  EXPECT_EQ(r1.size(), 1u);
-  EXPECT_EQ(r2.size(), 1u);
-  EXPECT_GE(registrar.stats().lookups_shed, 1u);
-}
-
-// --- FederationPeer ----------------------------------------------------------
-
-TEST(Federation, DelegationGathersFromLivePeers) {
-  Testbed tb;
-  auto& s1 = tb.add_node(1, {0, 0});
-  auto& s2 = tb.add_node(2, {5, 0});
-  FederationPeer a(tb.world(), s1, {}, [](const ServiceTemplate&) {
-    return std::vector<ServiceDescription>{};
-  });
-  FederationPeer b(tb.world(), s2, {}, [](const ServiceTemplate& t) {
-    std::vector<ServiceDescription> out;
-    if (t.matches(make_service("printer/laser", 2, 631))) {
-      out.push_back(make_service("printer/laser", 2, 631));
-    }
-    return out;
-  });
-  a.set_peers({2});
-
-  std::vector<ServiceDescription> got;
-  bool done = false;
-  tb.world().sim().schedule_at(sim::Time::sec(1), [&] {
-    a.delegate(ServiceTemplate{"printer", {}},
-               [&](auto r) { got = std::move(r); done = true; });
-  });
-  tb.run_until(3.0);
-  ASSERT_TRUE(done);
-  ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].endpoint.node, 2u);
-  EXPECT_EQ(a.stats().remote_hits, 1u);
-  EXPECT_EQ(a.stats().timeouts, 0u);
-  EXPECT_EQ(b.stats().peer_queries, 1u);
-  EXPECT_TRUE(a.quiescent());
-}
-
-TEST(Federation, PeerDeathMidDelegationCompletesViaTimeout) {
-  Testbed tb;
-  auto& s1 = tb.add_node(1, {0, 0});
-  auto& s2 = tb.add_node(2, {5, 0});
-  FederationPeer a(tb.world(), s1, {}, [](const ServiceTemplate&) {
-    return std::vector<ServiceDescription>{};
-  });
-  auto b = std::make_unique<FederationPeer>(
-      tb.world(), s2, FederationPeer::Params{},
-      [](const ServiceTemplate&) {
-        std::vector<ServiceDescription> out;
-        out.push_back(make_service("printer/laser", 2, 631));
-        return out;
-      });
-  a.set_peers({2});
-
-  // The peer dies in the same instant the query departs: its reply never
-  // comes, and the delegation must complete (empty) at the reply timeout
-  // rather than hang.
-  std::vector<ServiceDescription> got = {make_service("sentinel", 9, 9)};
-  bool done = false;
-  tb.world().sim().schedule_at(sim::Time::sec(1), [&] {
-    a.delegate(ServiceTemplate{"printer", {}},
-               [&](auto r) { got = std::move(r); done = true; });
-    b.reset();
-  });
-  tb.run_until(5.0);
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(got.empty());
-  EXPECT_EQ(a.stats().timeouts, 1u);
-  EXPECT_TRUE(a.quiescent());
-}
-
-TEST(Federation, JiniRegistrarDelegatesLocalMissToSlpPeer) {
-  // Cross-protocol federation: a Jini registrar with an empty index peers
-  // with an SLP directory agent that knows a printer. A Jini lookup that
-  // misses locally is answered with the peer's service.
-  Testbed tb;
-  auto& reg_stack = tb.add_node(1, {0, 0});
-  JiniRegistrar::Params rp;
-  rp.federate = true;
-  JiniRegistrar registrar(tb.world(), reg_stack, rp);
-  registrar.set_peers({2});
-
-  auto& da_stack = tb.add_node(2, {5, 0});
-  SlpDirectoryAgent::Params dp;
-  dp.federate = true;
-  SlpDirectoryAgent da(tb.world(), da_stack, dp);
-
-  auto& sa_stack = tb.add_node(3, {0, 5});
-  SlpServiceAgent sa(tb.world(), sa_stack);
-  sa.advertise(make_service("printer/laser", 3, 631));
-
-  auto& ua_stack = tb.add_node(4, {5, 5});
-  JiniClient seeker(tb.world(), ua_stack);
-
-  tb.run_until(12.0);  // DA advert heard, SA registered with the DA
-  ASSERT_EQ(da.registered_count(), 1u);
-  ASSERT_EQ(registrar.registered_count(), 0u);
-
-  std::vector<ServiceDescription> found;
-  seeker.lookup(ServiceTemplate{"printer", {}},
-                [&](auto s) { found = std::move(s); });
-  tb.run_until(20.0);
-  ASSERT_EQ(found.size(), 1u);
-  EXPECT_EQ(found[0].type, "printer/laser");
-  EXPECT_EQ(found[0].endpoint.node, 3u);
-  EXPECT_EQ(registrar.stats().lookups_delegated, 1u);
-  ASSERT_NE(registrar.federation_stats(), nullptr);
-  EXPECT_EQ(registrar.federation_stats()->remote_hits, 1u);
-  ASSERT_NE(da.federation_stats(), nullptr);
-  EXPECT_EQ(da.federation_stats()->peer_queries, 1u);
-}
-
 // --- SLP retransmit backoff ---------------------------------------------------
 
 // Counts the UA messages needed to find a service whose SA only comes up
@@ -1025,71 +825,6 @@ TEST(Slp, JitteredBackoffIsDeterministic) {
   EXPECT_EQ(found_a, found_b);
 }
 
-// --- SessionGateway -----------------------------------------------------------
-
-TEST(Gateway, OpenRenewCloseExpireSemantics) {
-  sim::World w(1);
-  SessionGateway gw(w);
-  int expired = 0;
-  const GatewaySession s =
-      gw.open(7, sim::Time::ms(100), [&] { ++expired; });
-  EXPECT_TRUE(gw.active(s));
-  EXPECT_EQ(gw.owner_of(s), 7u);
-  EXPECT_EQ(gw.size(), 1u);
-
-  w.sim().run_until(sim::Time::ms(60));
-  EXPECT_TRUE(gw.renew(s, sim::Time::ms(100)));
-  w.sim().run_until(sim::Time::ms(120));
-  EXPECT_TRUE(gw.active(s)) << "renewal must postpone expiry";
-  w.sim().run_until(sim::Time::sec(1));
-  EXPECT_EQ(expired, 1);
-  EXPECT_FALSE(gw.active(s));
-  EXPECT_FALSE(gw.renew(s));
-  EXPECT_EQ(gw.size(), 0u);
-
-  int expired2 = 0;
-  const GatewaySession t = gw.open(8, sim::Time::ms(50), [&] { ++expired2; });
-  EXPECT_NE(t, s) << "slot reuse must mint a fresh generation";
-  EXPECT_TRUE(gw.close(t));
-  EXPECT_FALSE(gw.close(t));
-  w.sim().run_until(sim::Time::sec(2));
-  EXPECT_EQ(expired2, 0) << "close suppresses the expiry callback";
-}
-
-TEST(Gateway, ActiveConsultsExactDeadlineNotTickQuantum) {
-  sim::World w(1);
-  SessionGateway::Params p;
-  p.tick = sim::Time::ms(10);
-  SessionGateway gw(w, p);
-  const GatewaySession s = gw.open(1, sim::Time::ms(25), [] {});
-  // At 26 ms the exact deadline has passed but the 30 ms bucket tick has
-  // not fired; the session must already read as inactive.
-  w.sim().run_until(sim::Time::ms(26));
-  EXPECT_FALSE(gw.active(s));
-  EXPECT_FALSE(gw.renew(s));
-}
-
-TEST(Gateway, ThousandsOfSessionsShareBatchedWakeups) {
-  sim::World w(1);
-  SessionGateway::Params p;
-  p.tick = sim::Time::ms(10);
-  SessionGateway gw(w, p);
-  sim::Rng rng(42);
-  int expired = 0;
-  const int kSessions = 5000;
-  for (int i = 0; i < kSessions; ++i) {
-    // Deadlines spread over [1 s, 2 s): at most ~100 distinct ticks.
-    const auto lease = sim::Time::ms(1000 + rng.uniform_int(0, 999));
-    gw.open(i, lease, [&] { ++expired; });
-  }
-  w.sim().run_until(sim::Time::sec(5));
-  EXPECT_EQ(expired, kSessions);
-  EXPECT_EQ(gw.size(), 0u);
-  // One kernel wakeup per non-empty tick, not per session.
-  EXPECT_LE(gw.stats().wakeups, 110u);
-  EXPECT_EQ(gw.stats().expired, static_cast<std::uint64_t>(kSessions));
-}
-
 // --- Registrar snapshot with the index -----------------------------------------
 
 TEST(Jini, RegistrarSnapshotPreservesIndexedMatching) {
@@ -1119,29 +854,6 @@ TEST(Jini, RegistrarSnapshotPreservesIndexedMatching) {
   EXPECT_EQ(projectors[0].type, "projector/display");
   EXPECT_EQ(twin.registrar->index().match(ServiceTemplate{}),
             twin.registrar->index().match_scan(ServiceTemplate{}));
-}
-
-TEST(Jini, RegistrarSaveRefusesMidDelegation) {
-  Testbed tb;
-  auto& reg_stack = tb.add_node(1, {0, 0});
-  JiniRegistrar::Params rp;
-  rp.federate = true;
-  JiniRegistrar registrar(tb.world(), reg_stack, rp);
-  // The peer is a node that does not exist: the delegated query goes
-  // unanswered, holding the delegation open until the 1 s reply timeout.
-  registrar.set_peers({99});
-  auto& ua = tb.add_node(3, {0, 5});
-  JiniClient seeker(tb.world(), ua);
-  tb.run_until(2.0);
-
-  seeker.lookup(ServiceTemplate{"printer", {}}, [](auto) {});
-  // Step into the open delegation window, then try to checkpoint.
-  tb.run_until(2.8);
-  snap::SectionWriter w(tb.world().now());
-  EXPECT_THROW(registrar.save(w), snap::SnapError);
-  tb.run_until(10.0);  // reply timeout fired; quiescent again
-  snap::SectionWriter w2(tb.world().now());
-  EXPECT_NO_THROW(registrar.save(w2));
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "env/acoustics.hpp"
@@ -274,6 +276,65 @@ TEST(RadioMedium, DetachStopsDelivery) {
   medium.transmit(tx, 8'000, 2e6, 15.0, nullptr);
   w.sim().run();
   EXPECT_TRUE(rx.deliveries.empty());
+}
+
+// A TestRadio that detaches another radio from inside its on_frame, while
+// the medium is still fanning the frame out.
+class DetachingTestRadio : public TestRadio {
+ public:
+  DetachingTestRadio(RadioMedium& m, std::uint64_t id, Vec2 pos)
+      : TestRadio(id, pos), medium_(m) {}
+  void on_frame(const FrameDelivery& d) override {
+    TestRadio::on_frame(d);
+    if (victim != nullptr) medium_.detach(std::exchange(victim, nullptr));
+  }
+  RadioEndpoint* victim = nullptr;
+
+ private:
+  RadioMedium& medium_;
+};
+
+// Receivers [det, a, b] in attach order, and det detaches a on the frame:
+// a receives nothing more of it, and b receives exactly the delivery it
+// gets when nobody detaches, on every fan-out path.
+TEST(RadioMedium, DetachDuringFanOutSkipsOnlyTheDetachedRadio) {
+  for (const bool batch : {true, false}) {
+    for (const bool indexed : {true, false}) {
+      SCOPED_TRACE(std::string(batch ? "batch" : "scalar") +
+                   (indexed ? ", spatial index" : ", exhaustive"));
+      const auto run = [&](bool detach) {
+        sim::World w(1);
+        RadioMedium::Options opt;
+        opt.batch = batch;
+        opt.spatial_index = indexed;
+        RadioMedium medium(w, flat_model(), opt);
+        TestRadio tx(1, {0, 0}), a(3, {6, 0}), b(4, {0, 7});
+        DetachingTestRadio det(medium, 2, {5, 0});
+        for (RadioEndpoint* r : {static_cast<RadioEndpoint*>(&tx),
+                                 static_cast<RadioEndpoint*>(&det),
+                                 static_cast<RadioEndpoint*>(&a),
+                                 static_cast<RadioEndpoint*>(&b)}) {
+          medium.attach(r);
+        }
+        if (detach) det.victim = &a;
+        medium.transmit(tx, 8'000, 2e6, 15.0, nullptr);
+        w.sim().run();
+        EXPECT_EQ(det.deliveries.size(), 1u);
+        EXPECT_EQ(medium.attached_count(), detach ? 3u : 4u);
+        return std::make_pair(a.deliveries, b.deliveries);
+      };
+      const auto [a_alone, b_alone] = run(false);
+      const auto [a_cut, b_cut] = run(true);
+      EXPECT_EQ(a_alone.size(), 1u);
+      EXPECT_TRUE(a_cut.empty());
+      EXPECT_EQ(b_cut.size(), 1u);
+      if (b_alone.size() != 1 || b_cut.empty()) continue;
+      EXPECT_EQ(b_cut[0].tx_id, b_alone[0].tx_id);
+      EXPECT_EQ(b_cut[0].rssi_dbm, b_alone[0].rssi_dbm);
+      EXPECT_EQ(b_cut[0].sinr_db, b_alone[0].sinr_db);
+      EXPECT_EQ(b_cut[0].decodable, b_alone[0].decodable);
+    }
+  }
 }
 
 // The spatial grid and per-channel logs are pure accelerations: with the

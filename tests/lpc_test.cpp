@@ -448,20 +448,6 @@ TEST(Harmony, PopulationSimulationMonotoneInPurpose) {
             simulate_adoption(proto, user::AdoptionModel{}, 500, 3));
 }
 
-TEST(IssueLog, ShedIssueFilerRecordsResourceLayerIssue) {
-  IssueLog log;
-  const auto hook = shed_issue_filer(log, "jini-registrar-3");
-  hook("registrar admission queue full: lookup shed under overload (1 shed "
-       "so far)",
-       0.7);
-  ASSERT_EQ(log.issues().size(), 1u);
-  const Issue& issue = log.issues()[0];
-  EXPECT_EQ(issue.layer, Layer::kResource);
-  EXPECT_DOUBLE_EQ(issue.severity, 0.7);
-  EXPECT_EQ(issue.entity, "jini-registrar-3");
-  EXPECT_EQ(log.count_at(Layer::kResource), 1u);
-}
-
 TEST(IssueClassifier, ServiceTierVocabularyLandsAtResourceLayer) {
   const IssueClassifier classifier;
   const auto c = classifier.classify(

@@ -826,6 +826,35 @@ TEST(FlightRecorder, DumpRoundTripsRecordsNamesAndCheckpoint) {
             nullptr);
 }
 
+// A dump whose name or record count claims more entries than its section
+// holds is a typed error, not a reservation sized by the count. The count is
+// rewritten in a real dump and the section's CRC re-sealed, so the count
+// check is what trips.
+TEST(FlightRecorder, ParseRejectsACountTheSectionCannotHold) {
+  FlightRecorder rec(16);
+  rec.record_marker(sim::Time::ms(1), "phase.start");
+  rec.record_marker(sim::Time::ms(2), "phase.end");
+  const std::vector<std::uint8_t> blob = rec.dump("count test");
+  ASSERT_NO_THROW(FlightDump::parse(blob));
+  const snap::SnapReader sections(blob);
+  for (const std::uint32_t tag : {kTagFlightNames, kTagFlightRecords}) {
+    for (const std::uint64_t count : {std::uint64_t{3}, ~std::uint64_t{0}}) {
+      SCOPED_TRACE(snap::tag_name(tag) + " count " + std::to_string(count));
+      snap::SnapWriter resealed;
+      for (snap::Section s : sections.sections()) {
+        if (s.tag == tag) {
+          for (int i = 0; i < 8; ++i) {
+            s.payload[static_cast<std::size_t>(i)] =
+                static_cast<std::uint8_t>(count >> (8 * i));
+          }
+        }
+        resealed.add(s.tag, s.flags, std::move(s.payload));
+      }
+      EXPECT_THROW(FlightDump::parse(resealed.finish()), snap::SnapError);
+    }
+  }
+}
+
 TEST(FlightRecorder, SharesTheTraceSlotWithNoOtherConsumer) {
   // The recorder and a replay harness both consume the kernel's one trace
   // slot; whichever attaches second is refused rather than silently
