@@ -11,15 +11,16 @@
 //                constant density, each multicasting on a 1/6/11 channel
 //                plan, exercising delivery culling, CCA, and interference.
 //
-// Every scenario runs twice: a *scalar* leg with event-train batching and
-// the radio medium's batch path disabled (the pre-batching reference) and a
-// *batched* leg with the defaults. Both legs must produce bit-identical
+// Every scenario runs twice: a *scalar* leg with event-train batching off
+// and the radio medium on its exhaustive oracle (RadioMediumOptions::batch
+// off: every endpoint visited, the whole history scanned) and a *batched*
+// leg with the defaults. Both legs must produce bit-identical
 // fingerprints — batching is a pure mechanical optimization — and the
 // batched leg is the headline result. The JSON gains a "batching" section
 // per scenario (absorbed/dispatched split, per-category wall attribution,
 // RadioMedium::BatchStats, speedups), and radio_256 self-gates: its
 // dominant event category (the most callback wall time on the scalar leg)
-// must run >= 2x faster than the scalar leg or the bench exits nonzero.
+// must run >= 4.3x faster than the scalar leg or the bench exits nonzero.
 // radio_256 runs its legs as 7 interleaved scalar/batched pairs, so host
 // drift hits both legs of a pair alike; the gate reads the median pair
 // ratio and records the ratios' quartiles as its noise.
@@ -318,8 +319,10 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 42;
   // The self-gate: the dominant event category of the densest radio
   // scenario must run at least this much faster with batching on, in the
-  // median of kGatePairs interleaved scalar/batched pairs.
-  constexpr double kGateMinSpeedup = 2.0;
+  // median of kGatePairs interleaved scalar/batched pairs. The scalar leg
+  // is the exhaustive oracle, so the floor covers the grid cull as well
+  // as the memos and caches.
+  constexpr double kGateMinSpeedup = 4.3;
   constexpr int kGatePairs = 7;
   const std::string kGateScenario = "radio_256";
 

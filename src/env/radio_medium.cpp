@@ -16,14 +16,6 @@ RadioMedium::RadioMedium(sim::World& world, PathLossModel model,
                          Options options)
     : world_(world), model_(model), options_(options),
       history_(sim::ArenaAllocator<Transmission>(&world.arena())) {
-  // Rebind the id logs to the world's arena (they default-construct in heap
-  // mode; the allocator propagation traits make move-assignment carry the
-  // arena over).
-  for (auto& log : by_channel_) log = IdLog(&world.arena());
-  for (auto& v : active_by_channel_) {
-    v = IdVector(sim::ArenaAllocator<std::uint64_t>(&world.arena()));
-  }
-  if (options_.cell_size_m > 0.0) cell_size_m_ = options_.cell_size_m;
   // Precompute 10*log10(channel_overlap) per channel separation — the exact
   // expression deliver() evaluates per candidate, so table lookups are
   // bit-identical to the scalar log10 calls.
@@ -97,14 +89,6 @@ std::uint64_t RadioMedium::transmit(RadioEndpoint& sender, std::size_t bits,
     t->annotate(tx.span, "sender", std::to_string(tx.sender_id));
     t->annotate(tx.span, "channel", std::to_string(tx.channel));
     t->annotate(tx.span, "bits", std::to_string(tx.bits));
-  }
-  // Only the scalar paths read (and trim) these logs; the batched ones use
-  // history_ and in_flight_, so with batching on the logs would only grow.
-  if (!options_.batch) {
-    by_channel_[channel_bucket(tx.channel)].push(tx.id);
-    active_by_channel_[channel_bucket(tx.channel)].push_back(tx.id);
-    by_sender_.try_emplace(tx.sender_id, &world_.arena())
-        .first->second.push(tx.id);
   }
   history_.push_back(std::move(tx));
   in_flight_.push_back(&history_.back());
@@ -300,63 +284,12 @@ std::size_t RadioMedium::channel_bucket(int channel) {
   return static_cast<std::size_t>(channel);
 }
 
-const std::vector<std::uint64_t>& RadioMedium::overlapping_channel_ids(
-    int channel) const {
-  const std::uint64_t first = first_history_id();
-  const std::size_t blo = channel_bucket(channel - 4);
-  const std::size_t bhi = channel_bucket(channel + 4);
-  scratch_ids_.clear();
-  for (std::size_t b = blo; b <= bhi; ++b) {
-    IdLog& log = by_channel_[b];
-    log.drop_before(first);
-    scratch_ids_.insert(scratch_ids_.end(), log.ids.begin() + static_cast<std::ptrdiff_t>(log.head),
-                        log.ids.end());
-  }
-  // Ascending id order == history scan order, so floating-point sums over
-  // these candidates are bit-identical to the exhaustive reference.
-  std::sort(scratch_ids_.begin(), scratch_ids_.end());
-  return scratch_ids_;
-}
-
-const std::vector<std::uint64_t>& RadioMedium::active_channel_ids(
-    int channel, sim::Time now) const {
-  const std::size_t blo = channel_bucket(channel - 4);
-  const std::size_t bhi = channel_bucket(channel + 4);
-  scratch_ids_.clear();
-  for (std::size_t b = blo; b <= bhi; ++b) {
-    IdVector& active = active_by_channel_[b];
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const Transmission* tx = find_tx(active[i]);
-      // Once a transmission has ended it can never be sensed again: drop it
-      // from the active list for good (amortized O(1) per transmission).
-      if (!tx || tx->end <= now) continue;
-      active[kept++] = active[i];
-      scratch_ids_.push_back(active[i]);
-    }
-    active.resize(kept);
-  }
-  std::sort(scratch_ids_.begin(), scratch_ids_.end());
-  return scratch_ids_;
-}
-
 bool RadioMedium::sender_transmitted_during(std::uint64_t sender_id,
                                             sim::Time start,
                                             sim::Time end) const {
-  if (!options_.spatial_index) {
-    for (const Transmission& other : history_) {
-      if (other.sender_id != sender_id) continue;
-      if (other.start < end && other.end > start) return true;
-    }
-    return false;
-  }
-  const auto it = by_sender_.find(sender_id);
-  if (it == by_sender_.end()) return false;
-  IdLog& log = it->second;
-  log.drop_before(first_history_id());
-  for (std::size_t i = log.head; i < log.ids.size(); ++i) {
-    const Transmission* other = find_tx(log.ids[i]);
-    if (other && other->start < end && other->end > start) return true;
+  for (const Transmission& other : history_) {
+    if (other.sender_id != sender_id) continue;
+    if (other.start < end && other.end > start) return true;
   }
   return false;
 }
@@ -370,7 +303,7 @@ void RadioMedium::rebuild_grid() const {
     // still exact. A world of static endpoints rebuilds exactly once.
     const double dt = (now - grid_time_).seconds();
     const double drift = dt * grid_speed_bound_mps_;  // dt > 0, so inf is ok
-    if (drift >= 0.0 && drift <= cell_size_m_) {
+    if (drift >= 0.0 && drift <= kCellSizeM) {
       grid_drift_m_ = drift;
       return;
     }
@@ -386,7 +319,7 @@ void RadioMedium::rebuild_grid() const {
   // rebuilds (the common steady state), the array stays sorted and the sort
   // below is skipped entirely.
   for (auto& [key, idx] : grid_) {
-    key = cell_key(cell_of(endpoints_[idx]->position(), cell_size_m_));
+    key = cell_key(cell_of(endpoints_[idx]->position(), kCellSizeM));
     min_sensitivity_dbm_ =
         std::min(min_sensitivity_dbm_,
                  endpoints_[idx]->radio_config().sensitivity_dbm);
@@ -426,63 +359,11 @@ void RadioMedium::finish(std::uint64_t tx_id) {
   in_fanout_ = true;
   if (options_.batch && !endpoints_.empty()) {
     finish_batched(*tx);
-  } else if (!options_.spatial_index || endpoints_.empty()) {
+  } else {
+    // Oracle: every attached endpoint, in attach order.
     fanout_eps_.assign(endpoints_.begin(), endpoints_.end());
     for (RadioEndpoint* ep : fanout_eps_) {
       if (!left_fanout(ep)) deliver(*tx, *ep);
-    }
-  } else {
-    rebuild_grid();
-    const double radius = cull_radius_m(tx->power_dbm);
-    const double r2 = radius * radius;
-    // Grid cells hold positions as of grid_time_; widen the search ring by
-    // the worst-case displacement since then. The exact distance check below
-    // still uses the unpadded radius against *current* positions.
-    const double ring = radius + grid_drift_m_;
-    const Vec2 pos = tx->sender_pos;
-    scratch_candidates_.clear();
-    // A degenerate radius (overflow/NaN from extreme model params) or one
-    // spanning more cells than there are radios means indexing can't win:
-    // scan everything (still exact, just the reference order).
-    bool full_scan = !(ring < 1e7);
-    CellCoord c0, c1;
-    if (!full_scan) {
-      c0 = cell_of({pos.x - ring, pos.y - ring}, cell_size_m_);
-      c1 = cell_of({pos.x + ring, pos.y + ring}, cell_size_m_);
-      const std::uint64_t span_x = static_cast<std::uint64_t>(c1.x - c0.x) + 1;
-      const std::uint64_t span_y = static_cast<std::uint64_t>(c1.y - c0.y) + 1;
-      full_scan = span_x * span_y >= endpoints_.size();
-    }
-    if (full_scan) {
-      for (std::uint32_t i = 0; i < endpoints_.size(); ++i) {
-        scratch_candidates_.push_back(i);
-      }
-    } else {
-      // cell_key is monotonic in (x, y), so for each x-column the cells
-      // [c0.y .. c1.y] are one contiguous key range: one binary search per
-      // column instead of one per cell.
-      for (std::int32_t cx = c0.x; cx <= c1.x; ++cx) {
-        const std::uint64_t klo = cell_key({cx, c0.y});
-        const std::uint64_t khi = cell_key({cx, c1.y});
-        auto it = std::lower_bound(
-            grid_.begin(), grid_.end(), klo,
-            [](const auto& entry, std::uint64_t k) { return entry.first < k; });
-        for (; it != grid_.end() && it->first <= khi; ++it) {
-          scratch_candidates_.push_back(it->second);
-        }
-      }
-      // Attach order == the exhaustive loop's delivery order.
-      std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
-    }
-    fanout_eps_.clear();
-    for (const std::uint32_t idx : scratch_candidates_) {
-      fanout_eps_.push_back(endpoints_[idx]);
-    }
-    for (RadioEndpoint* ep : fanout_eps_) {
-      if (left_fanout(ep)) continue;
-      const Vec2 d = ep->position() - pos;
-      if (d.norm2() > r2) continue;  // provably below sensitivity
-      deliver(*tx, *ep);
     }
   }
   in_fanout_ = false;
@@ -709,62 +590,57 @@ void RadioMedium::finish_batched(const Transmission& tx) {
     scratch_passers_ = sw->passers;
   } else {
     ++batch_stats_.sweep_misses;
-    // Candidate enumeration mirrors the scalar path (same grid, same cull
-    // radius, same final sort into attach order); the exact distance check
-    // runs against the snapshot, which refresh_endpoint_cache() guarantees
-    // agrees with current positions.
-    scratch_candidates_.clear();
-    bool have_r2 = false;
-    double r2 = 0.0;
+    // Candidates: the grid cells around the sender, sorted into attach
+    // order. The exact distance check runs against the snapshot, which
+    // refresh_endpoint_cache() guarantees agrees with current positions.
+    rebuild_grid();
+    const double radius = cull_radius_m(tx.power_dbm);
+    const double r2 = radius * radius;
+    // Grid cells hold positions as of grid_time_; widen the search ring by
+    // the worst-case displacement since then. The distance check below
+    // still uses the unpadded radius.
+    const double ring = radius + grid_drift_m_;
     const Vec2 pos = tx.sender_pos;
-    if (options_.spatial_index) {
-      rebuild_grid();
-      const double radius = cull_radius_m(tx.power_dbm);
-      r2 = radius * radius;
-      have_r2 = true;
-      const double ring = radius + grid_drift_m_;
-      bool full_scan = !(ring < 1e7);
-      CellCoord c0, c1;
-      if (!full_scan) {
-        c0 = cell_of({pos.x - ring, pos.y - ring}, cell_size_m_);
-        c1 = cell_of({pos.x + ring, pos.y + ring}, cell_size_m_);
-        const std::uint64_t span_x =
-            static_cast<std::uint64_t>(c1.x - c0.x) + 1;
-        const std::uint64_t span_y =
-            static_cast<std::uint64_t>(c1.y - c0.y) + 1;
-        full_scan = span_x * span_y >= endpoints_.size();
-      }
-      if (full_scan) {
-        for (std::uint32_t i = 0; i < endpoints_.size(); ++i) {
-          scratch_candidates_.push_back(i);
-        }
-      } else {
-        for (std::int32_t cx = c0.x; cx <= c1.x; ++cx) {
-          const std::uint64_t klo = cell_key({cx, c0.y});
-          const std::uint64_t khi = cell_key({cx, c1.y});
-          auto it = std::lower_bound(grid_.begin(), grid_.end(), klo,
-                                     [](const auto& entry, std::uint64_t k) {
-                                       return entry.first < k;
-                                     });
-          for (; it != grid_.end() && it->first <= khi; ++it) {
-            scratch_candidates_.push_back(it->second);
-          }
-        }
-        std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
-      }
-    } else {
+    scratch_candidates_.clear();
+    // A degenerate radius (overflow/NaN from extreme model params) or one
+    // spanning more cells than there are radios means the grid can't win:
+    // take every endpoint (still exact).
+    bool full_scan = !(ring < 1e7);
+    CellCoord c0, c1;
+    if (!full_scan) {
+      c0 = cell_of({pos.x - ring, pos.y - ring}, kCellSizeM);
+      c1 = cell_of({pos.x + ring, pos.y + ring}, kCellSizeM);
+      const std::uint64_t span_x = static_cast<std::uint64_t>(c1.x - c0.x) + 1;
+      const std::uint64_t span_y = static_cast<std::uint64_t>(c1.y - c0.y) + 1;
+      full_scan = span_x * span_y >= endpoints_.size();
+    }
+    if (full_scan) {
       for (std::uint32_t i = 0; i < endpoints_.size(); ++i) {
         scratch_candidates_.push_back(i);
       }
+    } else {
+      // cell_key is monotonic in (x, y), so for each x-column the cells
+      // [c0.y .. c1.y] are one contiguous key range: one binary search per
+      // column instead of one per cell.
+      for (std::int32_t cx = c0.x; cx <= c1.x; ++cx) {
+        const std::uint64_t klo = cell_key({cx, c0.y});
+        const std::uint64_t khi = cell_key({cx, c1.y});
+        auto it = std::lower_bound(
+            grid_.begin(), grid_.end(), klo,
+            [](const auto& entry, std::uint64_t k) { return entry.first < k; });
+        for (; it != grid_.end() && it->first <= khi; ++it) {
+          scratch_candidates_.push_back(it->second);
+        }
+      }
+      // Attach order == the oracle's delivery order.
+      std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
     }
     batch_queries_.clear();
     batch_idx_.clear();
     for (const std::uint32_t idx : scratch_candidates_) {
       const EpSnap& s = ep_cache_[idx];
-      if (have_r2) {
-        const Vec2 d = s.pos - pos;
-        if (d.norm2() > r2) continue;  // provably below sensitivity
-      }
+      const Vec2 d = s.pos - pos;
+      if (d.norm2() > r2) continue;  // provably below sensitivity
       if (s.id == tx.sender_id) continue;
       // Separation >= 5 is exactly overlap == 0, the scalar early return.
       if (s.channel - tx.channel >= 5 || tx.channel - s.channel >= 5) continue;
@@ -908,17 +784,7 @@ double RadioMedium::interference_mw(const Transmission& tx,
                                            cfg.id);
     total_mw += p_mw * ch * overlap_frac;
   };
-  // The pruned history only spans the interference-overlap window, so for
-  // light traffic a direct scan beats assembling a candidate list. Skipped
-  // transmissions contribute exactly zero milliwatts either way, so both
-  // paths produce bit-identical sums (same additions, same id order).
-  if (!options_.spatial_index || history_.size() <= 64) {
-    for (const Transmission& other : history_) contribution(other);
-  } else {
-    for (const std::uint64_t id : overlapping_channel_ids(cfg.channel)) {
-      if (const Transmission* other = find_tx(id)) contribution(*other);
-    }
-  }
+  for (const Transmission& other : history_) contribution(other);
   return total_mw;
 }
 
@@ -1030,13 +896,7 @@ double RadioMedium::energy_at(Vec2 pos, int channel,
                                    tx.sender_id, observer_id) *
                 ch;
   };
-  if (!options_.spatial_index) {
-    for (const Transmission& tx : history_) contribution(tx);
-  } else {
-    for (const std::uint64_t id : active_channel_ids(channel, now)) {
-      if (const Transmission* tx = find_tx(id)) contribution(*tx);
-    }
-  }
+  for (const Transmission& tx : history_) contribution(tx);
   return mw_to_dbm(total_mw);
 }
 
@@ -1137,13 +997,6 @@ void RadioMedium::restore(snap::SectionReader& r) {
   // Drop all finished-transmission logs and derived indices; they can never
   // affect a post-restore delivery (see header note).
   history_.clear();
-  for (auto& log : by_channel_) {
-    log.ids.clear();
-    log.head = 0;
-  }
-  for (auto& ids : active_by_channel_) ids.clear();
-  by_sender_.clear();
-  scratch_ids_.clear();
   grid_valid_ = false;
   ep_map_valid_ = false;
   ep_cache_valid_ = false;

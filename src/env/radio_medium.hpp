@@ -8,22 +8,23 @@
 // answers clear-channel-assessment queries for CSMA MACs and, seeing every
 // frame start, runs the events of their backoff countdowns.
 //
-// Hot-path indexing (Options::spatial_index, on by default):
-//  - A uniform spatial hash grid over endpoint positions lets frame
-//    delivery cull receivers by a conservative sensitivity radius instead
-//    of scanning every attached endpoint. Shadowing is bounded (see
-//    PathLossModel::shadowing_bound_db), so the cull is exact: a culled
-//    receiver provably cannot clear its sensitivity threshold. Positions
-//    are pure functions of time, so the grid is rebuilt lazily, at most
-//    once per distinct query timestamp.
-//  - Per-channel transmission logs restrict CCA/interference scans to
-//    same/adjacent-channel traffic (channel overlap is zero at a
-//    separation of 5+), and a per-sender log answers the half-duplex
-//    check without walking the whole history.
+// Two implementations, chosen by Options::batch:
+//  - Production (batch on, the default): frame-end fan-out and CCA resolve
+//    link budgets through a dense per-pair memo and per-sender sweep cache.
+//    When a sender's sweep must be rebuilt, a uniform spatial hash grid
+//    over endpoint positions culls receivers by a conservative sensitivity
+//    radius instead of scanning every attached endpoint. Shadowing is
+//    bounded (see PathLossModel::shadowing_bound_db), so the cull is exact:
+//    a culled receiver provably cannot clear its sensitivity threshold.
+//    Positions are pure functions of time, so the grid is rebuilt lazily
+//    and may age while no endpoint can have moved more than one cell edge.
+//  - Oracle (batch off): the exhaustive scalar reference. Every frame end
+//    visits every attached endpoint, and every interference, half-duplex
+//    and CCA question scans the whole transmission history.
 // Candidate sets are always re-sorted into attach/id order before use, so
 // delivery order and floating-point summation order — and therefore
-// MediumStats and every downstream metric — are bit-identical to the
-// exhaustive reference scans (asserted by env_test and the benches).
+// MediumStats and every downstream metric — are bit-identical between the
+// two (asserted by env_test, property_test and kernel_bench).
 #pragma once
 
 #include <algorithm>
@@ -135,20 +136,15 @@ struct MediumStats {
   std::uint64_t losses_rx_off = 0;
 };
 
-/// Tuning knobs for RadioMedium's hot-path indexing (namespace-scope so it
-/// can serve as a default argument).
+/// RadioMedium's one knob (namespace-scope so it can serve as a default
+/// argument).
 struct RadioMediumOptions {
-  /// Use the spatial grid + channel/sender logs. Off = exhaustive scans
-  /// (the reference implementation; kept for equivalence testing).
-  bool spatial_index = true;
-  /// Grid cell edge in meters; 0 picks a default sized for indoor cells.
-  double cell_size_m = 0.0;
-  /// Batched link resolution: frame-end fan-out and CCA resolve link
-  /// budgets through resolve_links() — one sweep over a dense per-pair
-  /// memo with per-sender sweep caching — instead of one memoized model
-  /// call per (candidate, frame). Off = the per-delivery scalar path (the
-  /// reference; kept for equivalence testing and the bench speedup gate).
-  /// Results are bit-identical either way (asserted by env_test).
+  /// The production path: frame-end fan-out and CCA resolve link budgets
+  /// through resolve_links() — one sweep over a dense per-pair memo with
+  /// per-sender sweep caching and a spatial-grid cull — instead of one
+  /// model call per (endpoint, frame). Off = the exhaustive scalar oracle
+  /// (kept for equivalence testing and the bench speedup gate). Results
+  /// are bit-identical either way (asserted by env_test).
   bool batch = true;
 };
 
@@ -312,32 +308,6 @@ class RadioMedium {
     mutable std::uint64_t sender_map_epoch = 0;
   };
 
-  /// Ids drawn from the owning world's arena (heap passthrough until the
-  /// log is rebound; see sim/arena.hpp).
-  using IdVector =
-      std::vector<std::uint64_t, sim::ArenaAllocator<std::uint64_t>>;
-
-  /// Append-only id log with a lazily advancing head so pruned ids are
-  /// skipped without O(n) erasure.
-  struct IdLog {
-    IdLog() = default;
-    explicit IdLog(sim::Arena* arena)
-        : ids(sim::ArenaAllocator<std::uint64_t>(arena)) {}
-
-    IdVector ids;
-    std::size_t head = 0;
-
-    void push(std::uint64_t id) { ids.push_back(id); }
-    void drop_before(std::uint64_t first_id) {
-      while (head < ids.size() && ids[head] < first_id) ++head;
-      if (head > 64 && head * 2 > ids.size()) {
-        ids.erase(ids.begin(),
-                  ids.begin() + static_cast<std::ptrdiff_t>(head));
-        head = 0;
-      }
-    }
-  };
-
   void finish(std::uint64_t tx_id);
 
   /// A live backoff countdown and its kernel events.
@@ -407,17 +377,8 @@ class RadioMedium {
     return history_.empty() ? next_tx_id_ : history_.front().id;
   }
 
-  /// Channel bucket: clamps any int channel into the log array.
+  /// Channel bucket: clamps any int channel into cca_activity_seq_.
   static std::size_t channel_bucket(int channel);
-  /// Ids of history transmissions on channels overlapping `channel`,
-  /// ascending (== history scan order). Result lives in scratch_ids_.
-  const std::vector<std::uint64_t>& overlapping_channel_ids(int channel) const;
-  /// Ids of *in-flight or not-yet-started* transmissions on channels
-  /// overlapping `channel`, ascending. Finished entries are dropped from
-  /// the active lists permanently as they are encountered, so the per-CCA
-  /// cost tracks the number of live transmissions, not the history window.
-  const std::vector<std::uint64_t>& active_channel_ids(int channel,
-                                                       sim::Time now) const;
 
   void rebuild_grid() const;
   double cull_radius_m(double tx_power_dbm) const;
@@ -492,12 +453,7 @@ class RadioMedium {
   obs::Counter* m_loss_half_duplex_ = nullptr;
   obs::Counter* m_loss_rx_off_ = nullptr;
 
-  // --- indices (all derived data; rebuilt or pruned lazily) ---------------
   static constexpr std::size_t kChannelBuckets = 15;  // 0..14, 1..13 typical
-  mutable std::array<IdLog, kChannelBuckets> by_channel_;
-  mutable std::array<IdVector, kChannelBuckets> active_by_channel_;
-  mutable std::unordered_map<std::uint64_t, IdLog> by_sender_;
-  mutable std::vector<std::uint64_t> scratch_ids_;
 
   // Spatial index: (cell key, endpoint index) pairs sorted by key, rebuilt
   // flat so steady-state queries never allocate. The grid is allowed to age
@@ -511,7 +467,7 @@ class RadioMedium {
   mutable double min_sensitivity_dbm_ = 0.0;    // refreshed on rebuild
   mutable double grid_speed_bound_mps_ = 0.0;   // max over endpoints
   mutable double grid_drift_m_ = 0.0;           // pad for the current query
-  double cell_size_m_ = 16.0;
+  static constexpr double kCellSizeM = 16.0;  // grid cell edge
 
   // --- batch-path caches (all derived data; see ensure_ep_map /
   // refresh_endpoint_cache) ------------------------------------------------

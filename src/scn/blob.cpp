@@ -336,6 +336,9 @@ Scenario decode(std::span<const std::uint8_t> blob) {
   } catch (const snap::SnapError& e) {
     throw ScnError(std::string("scenario blob rejected: ") + e.what());
   }
+  // A well-framed blob can still name an unknown profile or persona, or
+  // carry a topology the compiler would refuse: hold it to the same rules.
+  validate(s);
   return s;
 }
 

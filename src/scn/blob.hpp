@@ -47,7 +47,9 @@ std::vector<std::uint8_t> encode(const Scenario& s);
 /// Parses and fully validates a blob into IR without touching any world
 /// state (rejection is always side-effect free). Throws ScnError on
 /// truncation, bad magic, version mismatch, CRC damage, a missing or
-/// unknown required section, or a malformed payload.
+/// unknown required section, a malformed payload, or a scenario the
+/// compiler's validate pass rejects (scn/passes.hpp: unknown profile or
+/// persona, non-positive topology, a broken structural requirement).
 Scenario decode(std::span<const std::uint8_t> blob);
 
 }  // namespace aroma::scn

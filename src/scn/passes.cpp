@@ -54,6 +54,8 @@ void resolve(const Scenario& s, EntityRef& ref) {
   fail("unknown entity '" + ref.name + "'", ref.line, ref.col);
 }
 
+}  // namespace
+
 void validate(Scenario& s) {
   if (s.topo_w <= 0 || s.topo_h <= 0) {
     throw ScnError("scenario '" + s.name +
@@ -184,6 +186,8 @@ void validate(Scenario& s) {
   }
   s.pass_mask |= kPassValidate;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------------
 // fold

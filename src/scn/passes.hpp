@@ -53,6 +53,11 @@ struct PassOptions {
   CostModel cost = CostModel::defaults();
 };
 
+/// Pass 1 alone: resolves entity references, checks profiles, personas,
+/// topology and structure, and fills default phases. Throws ScnError on the
+/// first failure. scn::decode runs it on every blob.
+void validate(Scenario& s);
+
 /// Runs the pipeline in place. Throws ScnError (with source position where
 /// available) on the first validation failure.
 void run_passes(Scenario& s, const PassOptions& options = {});

@@ -296,60 +296,56 @@ class DetachingTestRadio : public TestRadio {
 
 // Receivers [det, a, b] in attach order, and det detaches a on the frame:
 // a receives nothing more of it, and b receives exactly the delivery it
-// gets when nobody detaches, on every fan-out path.
+// gets when nobody detaches, on both fan-out paths.
 TEST(RadioMedium, DetachDuringFanOutSkipsOnlyTheDetachedRadio) {
   for (const bool batch : {true, false}) {
-    for (const bool indexed : {true, false}) {
-      SCOPED_TRACE(std::string(batch ? "batch" : "scalar") +
-                   (indexed ? ", spatial index" : ", exhaustive"));
-      const auto run = [&](bool detach) {
-        sim::World w(1);
-        RadioMedium::Options opt;
-        opt.batch = batch;
-        opt.spatial_index = indexed;
-        RadioMedium medium(w, flat_model(), opt);
-        TestRadio tx(1, {0, 0}), a(3, {6, 0}), b(4, {0, 7});
-        DetachingTestRadio det(medium, 2, {5, 0});
-        for (RadioEndpoint* r : {static_cast<RadioEndpoint*>(&tx),
-                                 static_cast<RadioEndpoint*>(&det),
-                                 static_cast<RadioEndpoint*>(&a),
-                                 static_cast<RadioEndpoint*>(&b)}) {
-          medium.attach(r);
-        }
-        if (detach) det.victim = &a;
-        medium.transmit(tx, 8'000, 2e6, 15.0, nullptr);
-        w.sim().run();
-        EXPECT_EQ(det.deliveries.size(), 1u);
-        EXPECT_EQ(medium.attached_count(), detach ? 3u : 4u);
-        return std::make_pair(a.deliveries, b.deliveries);
-      };
-      const auto [a_alone, b_alone] = run(false);
-      const auto [a_cut, b_cut] = run(true);
-      EXPECT_EQ(a_alone.size(), 1u);
-      EXPECT_TRUE(a_cut.empty());
-      EXPECT_EQ(b_cut.size(), 1u);
-      if (b_alone.size() != 1 || b_cut.empty()) continue;
-      EXPECT_EQ(b_cut[0].tx_id, b_alone[0].tx_id);
-      EXPECT_EQ(b_cut[0].rssi_dbm, b_alone[0].rssi_dbm);
-      EXPECT_EQ(b_cut[0].sinr_db, b_alone[0].sinr_db);
-      EXPECT_EQ(b_cut[0].decodable, b_alone[0].decodable);
-    }
+    SCOPED_TRACE(batch ? "production" : "oracle");
+    const auto run = [&](bool detach) {
+      sim::World w(1);
+      RadioMedium::Options opt;
+      opt.batch = batch;
+      RadioMedium medium(w, flat_model(), opt);
+      TestRadio tx(1, {0, 0}), a(3, {6, 0}), b(4, {0, 7});
+      DetachingTestRadio det(medium, 2, {5, 0});
+      for (RadioEndpoint* r : {static_cast<RadioEndpoint*>(&tx),
+                               static_cast<RadioEndpoint*>(&det),
+                               static_cast<RadioEndpoint*>(&a),
+                               static_cast<RadioEndpoint*>(&b)}) {
+        medium.attach(r);
+      }
+      if (detach) det.victim = &a;
+      medium.transmit(tx, 8'000, 2e6, 15.0, nullptr);
+      w.sim().run();
+      EXPECT_EQ(det.deliveries.size(), 1u);
+      EXPECT_EQ(medium.attached_count(), detach ? 3u : 4u);
+      return std::make_pair(a.deliveries, b.deliveries);
+    };
+    const auto [a_alone, b_alone] = run(false);
+    const auto [a_cut, b_cut] = run(true);
+    EXPECT_EQ(a_alone.size(), 1u);
+    EXPECT_TRUE(a_cut.empty());
+    EXPECT_EQ(b_cut.size(), 1u);
+    if (b_alone.size() != 1 || b_cut.empty()) continue;
+    EXPECT_EQ(b_cut[0].tx_id, b_alone[0].tx_id);
+    EXPECT_EQ(b_cut[0].rssi_dbm, b_alone[0].rssi_dbm);
+    EXPECT_EQ(b_cut[0].sinr_db, b_alone[0].sinr_db);
+    EXPECT_EQ(b_cut[0].decodable, b_alone[0].decodable);
   }
 }
 
-// The spatial grid and per-channel logs are pure accelerations: with the
+// The production path's spatial-grid cull is a pure acceleration: with the
 // same seed and traffic, MediumStats, every per-receiver delivery (RSSI and
 // SINR to the last bit), and every CCA answer must equal the exhaustive
-// reference scan. Shadowing stays enabled so the conservative cull bound is
-// what's actually under test.
+// oracle. Shadowing stays enabled so the conservative cull bound is what's
+// actually under test: a cull radius that is too small fails here.
 TEST(RadioMedium, SpatialIndexMatchesExhaustiveScanBitForBit) {
   PathLossModel::Params mp;
   mp.seed = 99;  // shadowing on (default sigma)
 
-  const auto run = [&](bool indexed) {
+  const auto run = [&](bool batch) {
     sim::World w(7);
     RadioMedium::Options opt;
-    opt.spatial_index = indexed;
+    opt.batch = batch;
     RadioMedium medium(w, PathLossModel(mp), opt);
 
     sim::Rng rng(1234);
@@ -407,11 +403,11 @@ TEST(RadioMedium, SpatialIndexMatchesExhaustiveScanBitForBit) {
     return summary;
   };
 
-  const auto grid = run(true);
-  const auto exhaustive = run(false);
-  EXPECT_EQ(grid, exhaustive);
-  EXPECT_GT(grid[0], 0u);  // traffic actually flowed
-  EXPECT_GT(grid[1], 0u);  // and someone heard it
+  const auto production = run(true);
+  const auto oracle = run(false);
+  EXPECT_EQ(production, oracle);
+  EXPECT_GT(production[0], 0u);  // traffic actually flowed
+  EXPECT_GT(production[1], 0u);  // and someone heard it
 }
 
 // Runs the same randomized traffic-plus-CCA scenario under `opt` and
@@ -525,8 +521,7 @@ class EchoTestRadio : public TestRadio {
 //  - channels 1..9, so interferers 1-4 channels away add partial power;
 //  - a dense phase (a 4 ms frame every 100 us from six of the stations):
 //    each sender sends while others' frames are in the air (half duplex),
-//    the other six only listen, and the history holds ~120 frames, past
-//    the scalar scan's 64-entry switch to its per-channel id lists;
+//    the other six only listen, and the history holds ~120 frames;
 //  - zero-length frames, which count for half duplex but add no energy;
 //  - a sparse phase of isolated frames that hear no interference at all,
 //    each followed back to back by another station's frame that starts at
@@ -612,25 +607,85 @@ std::vector<std::uint64_t> run_fanout_edge_scenario(RadioMedium::Options opt) {
   return summary;
 }
 
-// The batched resolve path (dense per-pair memo, per-sender sweep cache,
-// per-frame interferer list and SINR memo, CCA energy cache) is an
-// acceleration only: same seed and traffic, same bits out, in every
-// combination with the spatial index.
+// A world for the spatial grid's drift pad. The grid ages while no radio
+// can have moved a cell edge, and the production cull pads its search ring
+// by that worst-case drift. Two radios sit just outside the cells the
+// unpadded ring covers when the grid is built, then close in on the sender
+// before its next frame ends, while the grid is still aged: only the pad
+// makes them candidates. Every radio declares its speed bound (a
+// TestRadio's is infinite, which would rebuild the grid at every frame
+// end), and far-off fillers keep the ring's cell count under the endpoint
+// count, so the grid is really used. Returns MediumStats, every delivery
+// and the behaviour digest.
+std::vector<std::uint64_t> run_aging_grid_scenario(RadioMedium::Options opt) {
+  sim::World w(3);
+  RadioMedium medium(w, flat_model(), opt);
+  // -20 dBm against -90 dBm sensitivity: a 10 m range, cull radius 10.1 m.
+  // The sender sits on a cell edge (16 m cells), so the unpadded ring
+  // covers x in [80, 112) and y in [80, 128).
+  const sim::Time stop = sim::Time::ms(60);
+  std::vector<std::unique_ptr<MovingTestRadio>> radios;
+  const auto add = [&](Vec2 pos, Vec2 vel) {
+    radios.push_back(std::make_unique<MovingTestRadio>(
+        w, radios.size() + 1, pos, 6, vel, stop));
+    medium.attach(radios.back().get());
+  };
+  add({100.0, 104.0}, {0, 0});          // the sender
+  add({113.0, 104.0}, {-100.0, 0.0});   // x cell 7; 8.6 m off at 54 ms
+  add({112.5, 108.0}, {-90.0, -40.0});  // x cell 7; 7.9 m off at 54 ms
+  add({96.0, 104.0}, {0, 0});           // always in range
+  for (int i = 0; i < 12; ++i) add({400.0 + 20.0 * i, 400.0}, {0, 0});
+  // The first frame end builds the grid at 4 ms; the second one, at 54 ms,
+  // finds it aged by 5 m of drift.
+  for (const int ms : {0, 50}) {
+    w.sim().schedule_at(sim::Time::ms(ms), [&medium, &radios] {
+      medium.transmit(*radios[0], 8'000, 2e6, -20.0, nullptr);
+    });
+  }
+  w.sim().run();
+  // The movers hear only the second frame, the static neighbour both.
+  EXPECT_EQ(radios[1]->deliveries.size(), 1u);
+  EXPECT_EQ(radios[2]->deliveries.size(), 1u);
+  EXPECT_EQ(radios[3]->deliveries.size(), 2u);
+
+  std::vector<std::uint64_t> summary;
+  const MediumStats& ms = medium.stats();
+  summary.insert(summary.end(),
+                 {ms.transmissions, ms.deliveries_attempted,
+                  ms.deliveries_decodable, ms.losses_sinr,
+                  ms.losses_half_duplex, ms.losses_rx_off});
+  for (const auto& r : radios) {
+    summary.push_back(r->deliveries.size());
+    for (const FrameDelivery& d : r->deliveries) {
+      summary.push_back(d.tx_id);
+      summary.push_back(std::bit_cast<std::uint64_t>(d.rssi_dbm));
+      summary.push_back(std::bit_cast<std::uint64_t>(d.sinr_db));
+    }
+  }
+  summary.push_back(medium.behaviour_digest());
+  return summary;
+}
+
+// The production path (spatial-grid cull, dense per-pair memo, per-sender
+// sweep cache, per-frame interferer list and SINR memo, CCA energy cache)
+// is an acceleration only: same seed and traffic, same bits out as the
+// exhaustive oracle.
 TEST(RadioMedium, BatchPathMatchesScalarBitForBit) {
-  for (const auto scenario : {run_traffic_scenario, run_fanout_edge_scenario}) {
-    SCOPED_TRACE(scenario == run_traffic_scenario ? "traffic scenario"
-                                                  : "fan-out edge scenario");
-    const auto trace_for = [scenario](bool batch, bool indexed) {
+  using Scenario = std::vector<std::uint64_t> (*)(RadioMedium::Options);
+  const std::pair<const char*, Scenario> scenarios[] = {
+      {"traffic scenario", run_traffic_scenario},
+      {"fan-out edge scenario", run_fanout_edge_scenario},
+      {"aging grid scenario", run_aging_grid_scenario}};
+  for (const auto& [name, scenario] : scenarios) {
+    SCOPED_TRACE(name);
+    const auto trace_for = [scenario](bool batch) {
       RadioMedium::Options opt;
       opt.batch = batch;
-      opt.spatial_index = indexed;
       return scenario(opt);
     };
-    const auto scalar = trace_for(false, true);
-    EXPECT_EQ(trace_for(true, true), scalar);
-    EXPECT_EQ(trace_for(true, false), scalar);
-    EXPECT_EQ(trace_for(false, false), scalar);
-    EXPECT_GT(scalar[0], 0u);  // traffic actually flowed
+    const auto oracle = trace_for(false);
+    EXPECT_EQ(trace_for(true), oracle);
+    EXPECT_GT(oracle[0], 0u);  // traffic actually flowed
   }
 }
 
@@ -668,14 +723,13 @@ TEST(RadioMedium, FanoutEdgeScenarioReachesItsCases) {
 }
 
 // carrier_idle_at is the exact idle edge: with no frame starting after the
-// probe, CCA reads busy 1 ns before the edge and idle at it, on every path.
+// probe, CCA reads busy 1 ns before the edge and idle at it, on both paths.
 TEST(RadioMedium, CarrierIdleAtIsTheExactIdleEdge) {
   for (const bool batch : {true, false}) {
     int edges_in_future = 0;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
       RadioMedium::Options opt;
       opt.batch = batch;
-      opt.spatial_index = batch;
       PathLossModel::Params mp;
       mp.seed = seed;
       sim::World w(seed);

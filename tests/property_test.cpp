@@ -374,20 +374,21 @@ TEST_P(KernelEquivalence, RandomInterleavingsMatchNaiveScheduler) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalence,
                          ::testing::Values(3, 71, 2026, 888871, 31337));
 
-// --- Property: spatial indexing never changes what the medium computes ------
+// --- Property: the production medium computes what the oracle does --------
 //
-// The same traffic through a grid-indexed medium and the exhaustive-scan
-// reference must produce bit-identical MediumStats and per-node delivery
-// counts: culling may only skip receivers that provably hear nothing.
+// The same traffic through the production medium (grid cull, memos, caches)
+// and the exhaustive oracle must produce bit-identical MediumStats and
+// per-node delivery counts: culling may only skip receivers that provably
+// hear nothing.
 
 class MediumIndexEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 
 TEST_P(MediumIndexEquivalence, GridAndExhaustiveScansAgreeBitForBit) {
-  const auto run = [&](bool spatial_index) {
+  const auto run = [&](bool batch) {
     env::Environment::Params params;
     params.arena = {{0, 0}, {120, 120}};
-    params.medium.spatial_index = spatial_index;
+    params.medium.batch = batch;
     Cell cell(GetParam(), params);
 
     sim::Rng layout(GetParam() ^ 0xabcdef);
@@ -425,11 +426,11 @@ TEST_P(MediumIndexEquivalence, GridAndExhaustiveScansAgreeBitForBit) {
     summary.push_back(cell.world.sim().executed());
     return summary;
   };
-  const auto indexed = run(true);
-  const auto exhaustive = run(false);
-  EXPECT_EQ(indexed, exhaustive);
-  EXPECT_GT(indexed[0], 0u);   // transmissions happened
-  EXPECT_GT(indexed[2], 0u);   // something decodable got through
+  const auto production = run(true);
+  const auto oracle = run(false);
+  EXPECT_EQ(production, oracle);
+  EXPECT_GT(production[0], 0u);  // transmissions happened
+  EXPECT_GT(production[2], 0u);  // something decodable got through
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MediumIndexEquivalence,

@@ -296,6 +296,31 @@ TEST(ScnBlob, MissingRequiredSectionRejected) {
                scn::ScnError);
 }
 
+// A blob whose framing and CRC are sound can still carry a scenario the
+// compiler refuses. decode holds it to the compiler's validate pass: each
+// mutant of a real library blob is re-encoded (so its CRC is re-sealed)
+// and must be rejected with a typed error.
+TEST(ScnBlob, CrcResealedInvalidScenarioRejected) {
+  const std::vector<std::uint8_t> blob = scn::compile_file(
+      std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn", {});
+  EXPECT_EQ(scn::encode(scn::decode(blob)), blob);  // the unmutated control
+  const auto rejects = [&blob](const char* what,
+                               void (*mutate)(scn::Scenario&)) {
+    scn::Scenario s = scn::decode(blob);
+    mutate(s);
+    EXPECT_THROW(scn::decode(scn::encode(s)), scn::ScnError) << what;
+  };
+  rejects("unknown persona", [](scn::Scenario& s) {
+    ASSERT_FALSE(s.goals.empty());
+    s.goals[0].persona = "nobody";
+  });
+  rejects("negative topology", [](scn::Scenario& s) { s.topo_w = -20.0; });
+  rejects("unknown profile",
+          [](scn::Scenario& s) { s.entities[0].profile = "toaster"; });
+  rejects("duplicate entity name",
+          [](scn::Scenario& s) { s.entities[1].name = s.entities[0].name; });
+}
+
 // --- compile determinism ---------------------------------------------------
 
 TEST(ScnCompiler, CompileTwiceIsByteIdentical) {
