@@ -18,7 +18,7 @@
 
 #include "bench/common.hpp"
 #include "env/propagation.hpp"
-#include "sim/parallel.hpp"
+#include "sim/fleet.hpp"
 #include "sim/stats.hpp"
 
 namespace {
@@ -26,8 +26,8 @@ namespace {
 using namespace aroma;
 
 // Metrics-only telemetry for the single-threaded sweeps (the Monte-Carlo
-// trials on the ParallelRunner stay untouched: the registry is not meant to
-// be shared across threads). Counters land in BENCH_metrics.json.
+// trials on the work-stealing pool stay untouched: the registry is not
+// meant to be shared across threads). Counters land in BENCH_metrics.json.
 obs::Telemetry* g_metrics = nullptr;
 
 struct CellResult {
@@ -140,9 +140,8 @@ void table_c_ranging() {
   env::PathLossModel::Params plp;  // defaults incl. shadowing
   for (double d : {5.0, 20.0, 50.0, 80.0, 110.0, 140.0, 170.0, 200.0}) {
     sim::Accumulator delivered;
-    sim::ParallelRunner pool;
     std::vector<double> results(50);
-    pool.run(50, [&, d](std::size_t trial) {
+    sim::WorkStealingPool::run(0, 50, [&, d](std::size_t trial, std::size_t) {
       benchsup::Cell cell(1000 + trial * 13 + static_cast<std::uint64_t>(d));
       auto rx = cell.add(phys::profiles::aroma_adapter(), {0, 0});
       auto tx = cell.add(phys::profiles::laptop(), {d, 0});

@@ -16,7 +16,6 @@
 
 #include "app/session.hpp"
 #include "bench/common.hpp"
-#include "sim/parallel.hpp"
 #include "sim/stats.hpp"
 #include "user/agent.hpp"
 #include "user/faculties.hpp"

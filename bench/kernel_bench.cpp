@@ -21,9 +21,10 @@
 // RadioMedium::BatchStats, speedups), and radio_256 self-gates: its
 // dominant event category (the most callback wall time on the scalar leg)
 // must run >= 4.3x faster than the scalar leg or the bench exits nonzero.
-// radio_256 runs its legs as 7 interleaved scalar/batched pairs, so host
-// drift hits both legs of a pair alike; the gate reads the median pair
-// ratio and records the ratios' quartiles as its noise.
+// Every scenario runs its legs as 7 interleaved scalar/batched pairs, so
+// host drift hits both legs of a pair alike: its recorded speedup is the
+// median per-pair wall ratio, with the ratios' quartiles as its noise, and
+// the gate reads the median pair ratio of its category the same way.
 //
 // Wall time, simulated events/sec, peak pending-event count, and a
 // deterministic fingerprint (pure function of the seed) are recorded per
@@ -285,32 +286,44 @@ void keep_fastest(ScenarioResult& best, ScenarioResult r) {
   if (r.throughput.wall_sec < best.throughput.wall_sec) best = std::move(r);
 }
 
-/// Runs one scenario leg `kRepeats` times and keeps the fastest run.
-constexpr int kRepeats = 5;
-
-template <typename Fn>
-ScenarioResult best_of(Fn&& make) {
-  ScenarioResult best = make();
-  for (int i = 1; i < kRepeats; ++i) keep_fastest(best, make());
-  return best;
-}
-
 struct Pair {
   ScenarioResult scalar;
   ScenarioResult batched;
 };
 
-/// Runs `n` interleaved scalar/batched pairs (scalar first); `runs` gets
-/// every pair and the result keeps each leg's fastest run.
+/// Scalar/batched pairs per scenario. Each pair runs its legs back to
+/// back, so host drift hits both alike and the per-pair ratio cancels it.
+constexpr int kPairs = 7;
+
+/// One scenario's interleaved pairs (scalar first) and, in `best`, each
+/// leg's fastest run for the throughput tables.
+struct Legs {
+  Pair best;
+  std::vector<Pair> pairs;
+};
+
 template <typename Fn>
-Pair interleaved_pairs(int n, Fn&& make, std::vector<Pair>& runs) {
-  for (int i = 0; i < n; ++i) runs.push_back({make(false), make(true)});
-  Pair best = runs.front();
-  for (const Pair& p : runs) {
-    keep_fastest(best.scalar, p.scalar);
-    keep_fastest(best.batched, p.batched);
+Legs interleaved_pairs(Fn&& make) {
+  Legs out;
+  for (int i = 0; i < kPairs; ++i) out.pairs.push_back({make(false), make(true)});
+  out.best = out.pairs.front();
+  for (const Pair& p : out.pairs) {
+    keep_fastest(out.best.scalar, p.scalar);
+    keep_fastest(out.best.batched, p.batched);
   }
-  return best;
+  return out;
+}
+
+/// Median and quartiles of the per-pair scalar/batched wall ratio.
+benchsup::Quartiles pair_speedup(const std::vector<Pair>& pairs) {
+  std::vector<double> ratios;
+  for (const Pair& p : pairs) {
+    if (p.batched.throughput.wall_sec > 0.0) {
+      ratios.push_back(p.scalar.throughput.wall_sec /
+                       p.batched.throughput.wall_sec);
+    }
+  }
+  return benchsup::quartiles(std::move(ratios));
 }
 
 }  // namespace
@@ -319,11 +332,10 @@ int main(int argc, char** argv) {
   constexpr std::uint64_t kSeed = 42;
   // The self-gate: the dominant event category of the densest radio
   // scenario must run at least this much faster with batching on, in the
-  // median of kGatePairs interleaved scalar/batched pairs. The scalar leg
+  // median of its kPairs interleaved scalar/batched pairs. The scalar leg
   // is the exhaustive oracle, so the floor covers the grid cull as well
   // as the memos and caches.
   constexpr double kGateMinSpeedup = 4.3;
-  constexpr int kGatePairs = 7;
   const std::string kGateScenario = "radio_256";
 
   // Arguments: `--trace` turns on span capture for the radio scenarios;
@@ -346,37 +358,29 @@ int main(int argc, char** argv) {
   std::unique_ptr<obs::Telemetry> telemetry;
   if (trace) telemetry = std::make_unique<obs::Telemetry>();
 
-  // Each scenario: scalar reference leg first, then the batched leg.
-  std::vector<Pair> results;
-  std::vector<Pair> gate_pairs;
+  // Each scenario: kPairs interleaved pairs, scalar reference leg first.
+  std::vector<Legs> measured;
   if (wanted("churn")) {
-    results.push_back({best_of([&] { return bench_churn(kSeed, false); }),
-                       best_of([&] { return bench_churn(kSeed, true); })});
+    measured.push_back(interleaved_pairs(
+        [&](bool batched) { return bench_churn(kSeed, batched); }));
   }
   if (wanted("timers")) {
-    results.push_back({best_of([&] { return bench_timers(kSeed, false); }),
-                       best_of([&] { return bench_timers(kSeed, true); })});
+    measured.push_back(interleaved_pairs(
+        [&](bool batched) { return bench_timers(kSeed, batched); }));
   }
   for (int n : {8, 64, 256}) {
-    const std::string name = "radio_" + std::to_string(n);
-    if (!wanted(name)) continue;
-    const auto leg = [&, n](bool batched) {
+    if (!wanted("radio_" + std::to_string(n))) continue;
+    measured.push_back(interleaved_pairs([&, n](bool batched) {
       return bench_radio(n, kSeed, batched,
                          batched ? telemetry.get() : nullptr);
-    };
-    if (name == kGateScenario) {
-      results.push_back(interleaved_pairs(kGatePairs, leg, gate_pairs));
-    } else {
-      results.push_back({best_of([&] { return leg(false); }),
-                         best_of([&] { return leg(true); })});
-    }
+    }));
   }
 
   benchsup::table_header("KERNEL microbenchmarks (seed 42, batched leg)",
                          {"scenario", "events", "wall_s", "events/s",
                           "peak_pend", "fingerprint"});
-  for (const auto& p : results) {
-    const ScenarioResult& r = p.batched;
+  for (const Legs& m : measured) {
+    const ScenarioResult& r = m.best.batched;
     // 16 hex digits overflow the 14-char table cell; lead with a two-space
     // gutter so the fingerprint stays separated from peak_pend.
     benchsup::table_row(r.name, static_cast<double>(r.throughput.events),
@@ -387,19 +391,20 @@ int main(int argc, char** argv) {
 
   benchsup::table_header("batching vs scalar reference",
                          {"scenario", "scalar_s", "batched_s", "speedup",
-                          "absorbed", "fp_match"});
+                          "q1-q3", "absorbed", "fp_match"});
   bool all_fp_match = true;
-  for (const auto& p : results) {
+  for (const Legs& m : measured) {
+    const Pair& p = m.best;
     const bool fp_match = p.scalar.fingerprint == p.batched.fingerprint;
     all_fp_match = all_fp_match && fp_match;
-    benchsup::table_row(
-        p.batched.name, p.scalar.throughput.wall_sec,
-        p.batched.throughput.wall_sec,
-        p.batched.throughput.wall_sec > 0.0
-            ? p.scalar.throughput.wall_sec / p.batched.throughput.wall_sec
-            : 0.0,
-        static_cast<double>(p.batched.absorbed),
-        std::string(fp_match ? "yes" : "NO"));
+    const benchsup::Quartiles sp = pair_speedup(m.pairs);
+    char spread[32];
+    std::snprintf(spread, sizeof spread, "%.2f-%.2f", sp.q1, sp.q3);
+    benchsup::table_row(p.batched.name, p.scalar.throughput.wall_sec,
+                        p.batched.throughput.wall_sec, sp.median,
+                        std::string(spread),
+                        static_cast<double>(p.batched.absorbed),
+                        std::string(fp_match ? "yes" : "NO"));
   }
 
   // --- self-gates -----------------------------------------------------------
@@ -411,7 +416,8 @@ int main(int argc, char** argv) {
   }
   benchsup::Quartiles gate;
   std::string gate_category;
-  for (const auto& p : results) {
+  for (const Legs& m : measured) {
+    const Pair& p = m.best;
     if (p.batched.name != kGateScenario) continue;
     // Dominant: the most callback wall time on the scalar (reference) leg,
     // so the choice does not depend on the optimization under test.
@@ -424,7 +430,7 @@ int main(int argc, char** argv) {
     // throughput ratio reduces to the wall ratio of the category's
     // callbacks.
     std::vector<double> ratios;
-    for (const Pair& gp : gate_pairs) {
+    for (const Pair& gp : m.pairs) {
       const CatStats* s = find_category(gp.scalar, gate_category);
       const CatStats* b = find_category(gp.batched, gate_category);
       if (s == nullptr || b == nullptr || b->wall_sec <= 0.0 ||
@@ -443,7 +449,7 @@ int main(int argc, char** argv) {
     std::printf("\ngate: %s '%s' category speedup %.2fx, median of %d "
                 "pairs (quartiles %.2f-%.2f; >= %.1fx required)\n",
                 kGateScenario.c_str(), gate_category.c_str(), gate.median,
-                kGatePairs, gate.q1, gate.q3, kGateMinSpeedup);
+                kPairs, gate.q1, gate.q3, kGateMinSpeedup);
     if (gate.median < kGateMinSpeedup) {
       char msg[160];
       std::snprintf(msg, sizeof msg,
@@ -458,7 +464,8 @@ int main(int argc, char** argv) {
   doc.set("bench", "kernel");
   doc.set("seed", kSeed);
   auto arr = benchsup::Json::array();
-  for (const auto& p : results) {
+  for (const Legs& m : measured) {
+    const Pair& p = m.best;
     const ScenarioResult& r = p.batched;
     auto obj = benchsup::Json::object();
     obj.set("scenario", r.name);
@@ -476,10 +483,14 @@ int main(int argc, char** argv) {
     batching.set("scalar_fingerprint", hex16(p.scalar.fingerprint));
     batching.set("fingerprint_match",
                  p.scalar.fingerprint == p.batched.fingerprint);
-    batching.set("speedup",
-                 r.throughput.wall_sec > 0.0
-                     ? p.scalar.throughput.wall_sec / r.throughput.wall_sec
-                     : 0.0);
+    // Median per-pair wall ratio; the quartiles are its noise.
+    const benchsup::Quartiles sp = pair_speedup(m.pairs);
+    batching.set("speedup", sp.median);
+    auto sp_noise = benchsup::Json::object();
+    sp_noise.set("pairs", static_cast<std::uint64_t>(m.pairs.size()));
+    sp_noise.set("q1", sp.q1);
+    sp_noise.set("q3", sp.q3);
+    batching.set("speedup_noise", std::move(sp_noise));
     batching.set("absorbed", r.absorbed);
     batching.set("dispatched", r.throughput.events - r.absorbed);
     auto per_cat = benchsup::Json::array();
@@ -517,7 +528,7 @@ int main(int argc, char** argv) {
       g.set("speedup", gate.median);
       g.set("passed", gate.median >= kGateMinSpeedup);
       auto noise = benchsup::Json::object();
-      noise.set("pairs", static_cast<std::uint64_t>(gate_pairs.size()));
+      noise.set("pairs", static_cast<std::uint64_t>(m.pairs.size()));
       noise.set("q1", gate.q1);
       noise.set("q3", gate.q3);
       g.set("noise", std::move(noise));

@@ -94,7 +94,6 @@ TimedFleet timed_fleet(const scn::Scenario& s, std::size_t shards,
 int main(int argc, char** argv) {
   std::string scn_dir = AROMA_SCENARIO_DIR;
   std::string json_path = "BENCH_scn.json";
-  std::string kernel_json = "BENCH_kernel.json";
   std::uint64_t seed = 2026;
   std::vector<std::size_t> golden_shards = {1, 8, 64};
   std::size_t library_shards = 4;
@@ -111,8 +110,6 @@ int main(int argc, char** argv) {
       scn_dir = need("--scn-dir");
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--kernel-json") == 0) {
-      kernel_json = need("--kernel-json");
     } else if (std::strcmp(argv[i], "--seed") == 0) {
       seed = std::strtoull(need("--seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--golden-shards") == 0) {
@@ -124,7 +121,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: scn_bench [--scn-dir path] [--json path] "
-                   "[--kernel-json path] [--seed n] [--golden-shards n,n,...] "
+                   "[--seed n] [--golden-shards n,n,...] "
                    "[--library-shards n] [--library-workers n,n,...]\n");
       return 2;
     }
@@ -151,23 +148,10 @@ int main(int argc, char** argv) {
 
   bool ok = true;
 
-  // Cost model: measured weights when a kernel bench artifact is present,
-  // baked-in defaults otherwise. Either way the fingerprints below are
-  // unaffected — the cost model only steers launch order.
-  scn::CostModel cost = scn::CostModel::defaults();
-  std::string cost_mode = "defaults";
-  try {
-    cost = scn::CostModel::from_bench_json(kernel_json);
-    cost_mode = "measured";
-  } catch (const scn::ScnError&) {
-    // keep defaults
-  }
-  scn::CompileOptions full;
-  full.cost = cost;
-  scn::CompileOptions off;
+  const scn::PassOptions full;
+  scn::PassOptions off;
   off.fold = false;
   off.trains = false;
-  off.strategy = false;
 
   const std::vector<std::string> library = {
       "smart_projector", "stadium",       "office_tower",
@@ -178,7 +162,7 @@ int main(int argc, char** argv) {
 
   // --- Compile + determinism leg. ------------------------------------------
   benchsup::table_header("Compile (full pass pipeline)",
-                         {"scenario", "bytes", "folds", "trains", "classes",
+                         {"scenario", "bytes", "folds", "trains",
                           "twice-id", "dump-stable"});
   benchsup::Json compile_rows = benchsup::Json::array();
   std::vector<scn::Scenario> compiled;  // decoded IR, library order
@@ -205,16 +189,13 @@ int main(int argc, char** argv) {
       benchsup::table_row(
           name, static_cast<double>(blob1.size()),
           static_cast<double>(ir1.folds), static_cast<double>(ir1.trains_lowered),
-          static_cast<double>(ir1.strategy.class_modulus),
           std::string(twice ? "yes" : "NO"), std::string(stable ? "yes" : "NO"));
       benchsup::Json row = benchsup::Json::object();
       row.set("scenario", name);
       row.set("blob_bytes", static_cast<std::uint64_t>(blob1.size()));
       row.set("folds", static_cast<std::uint64_t>(ir1.folds));
       row.set("trains_lowered", static_cast<std::uint64_t>(ir1.trains_lowered));
-      row.set("class_modulus",
-              static_cast<std::uint64_t>(ir1.strategy.class_modulus));
-      row.set("kernel_trains", ir1.strategy.kernel_trains);
+      row.set("kernel_trains", scn::kernel_trains(ir1));
       row.set("compile_twice_identical", twice);
       row.set("dump_recompile_stable", stable);
       compile_rows.push(std::move(row));
@@ -393,7 +374,6 @@ int main(int argc, char** argv) {
   benchsup::Json doc = benchsup::Json::object();
   doc.set("bench", "scn");
   doc.set("seed", seed);
-  doc.set("cost_model", cost_mode);
   doc.set("compile", std::move(compile_rows));
   {
     benchsup::Json golden = benchsup::Json::object();

@@ -38,6 +38,7 @@ KERNEL_BATCHING_KEYS = {
     "scalar_fingerprint": str,
     "fingerprint_match": bool,
     "speedup": float,
+    "speedup_noise": dict,
     "absorbed": int,
     "dispatched": int,
     "per_category": list,
@@ -228,6 +229,16 @@ def check_kernel(doc):
         if b["absorbed"] + b["dispatched"] != s["events"]:
             fail(f'scenario "{name}": absorbed {b["absorbed"]} + dispatched '
                  f'{b["dispatched"]} != events {s["events"]}')
+        # Every speedup is the median of interleaved scalar/batched pairs;
+        # its noise block carries the pair ratios' quartiles.
+        sp_noise = b["speedup_noise"]
+        check_keys(sp_noise, {"pairs": int, "q1": float, "q3": float},
+                   f'scenario "{name}" batching.speedup_noise')
+        if sp_noise["pairs"] < 7:
+            fail(f'scenario "{name}": speedup measured over '
+                 f'{sp_noise["pairs"]} pairs, fewer than 7')
+        if not sp_noise["q1"] <= b["speedup"] <= sp_noise["q3"]:
+            fail(f'scenario "{name}": median speedup outside its quartiles')
         for co in b["per_category"]:
             cname = co.get("category", "<unnamed>")
             if co.get("absorbed", 0) > co.get("executed", 0):
@@ -856,7 +867,6 @@ SCN_COMPILE_KEYS = {
     "blob_bytes": int,
     "folds": int,
     "trains_lowered": int,
-    "class_modulus": int,
     "kernel_trains": bool,
     "compile_twice_identical": bool,
     "dump_recompile_stable": bool,
@@ -884,10 +894,6 @@ SCN_LIBRARY_RUN_KEYS = {
 
 
 def check_scn(doc):
-    if doc.get("cost_model") not in ("measured", "defaults"):
-        fail(f'"cost_model" is {doc.get("cost_model")!r}, expected '
-             '"measured" or "defaults"')
-
     compiles = doc.get("compile")
     if not isinstance(compiles, list) or not compiles:
         fail('top-level "compile" missing or empty')
@@ -909,9 +915,10 @@ def check_scn(doc):
                  "blobs")
         if not c["dump_recompile_stable"]:
             fail(f'scenario "{name}": dump -> recompile is not a fixpoint')
-        if c["kernel_trains"] and c["trains_lowered"] == 0:
-            fail(f'scenario "{name}": kernel_trains set with no lowered '
-                 "trains")
+        # The runtime batches trains exactly when some flow is lowered.
+        if c["kernel_trains"] != (c["trains_lowered"] > 0):
+            fail(f'scenario "{name}": kernel_trains is {c["kernel_trains"]} '
+                 f'with {c["trains_lowered"]} lowered trains')
         lowered_total += c["trains_lowered"]
     missing = SCN_LIBRARY - names
     if missing:

@@ -1,5 +1,6 @@
 #include "scn/ast.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace aroma::scn {
@@ -55,6 +56,11 @@ std::unique_ptr<Expr> clone(const Expr& e) {
   if (e.lhs != nullptr) out->lhs = clone(*e.lhs);
   if (e.rhs != nullptr) out->rhs = clone(*e.rhs);
   return out;
+}
+
+bool kernel_trains(const Scenario& s) {
+  return std::any_of(s.traffic.begin(), s.traffic.end(),
+                     [](const TrafficDecl& t) { return t.train_lowered; });
 }
 
 }  // namespace aroma::scn

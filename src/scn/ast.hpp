@@ -175,17 +175,6 @@ struct Phases {
   std::unique_ptr<Expr> drain;    // default 2
 };
 
-/// Per-shard-class placement weights plus kernel knobs, computed by the
-/// strategy pass from the cost model (scn/cost.hpp). `classes` maps
-/// shard % class_modulus to an estimated event cost; the fleet runner
-/// launches heavier classes first (safe: fleet fingerprints fold in shard
-/// order, never completion order).
-struct Strategy {
-  bool kernel_trains = false;  // enable same-time train batching
-  std::uint32_t class_modulus = 1;
-  std::vector<double> class_cost;  // size == class_modulus
-};
-
 struct Scenario {
   std::string name;
   double topo_w = 0, topo_h = 0;
@@ -198,10 +187,13 @@ struct Scenario {
   Phases phases;
 
   // Pass artifacts (not parsed; recomputed on every compile).
-  Strategy strategy;
   std::uint32_t pass_mask = 0;    // bit per pass that ran (see passes.hpp)
   std::uint32_t folds = 0;        // subtrees folded to constants
   std::uint32_t trains_lowered = 0;  // traffic decls lowered to trains
 };
+
+/// True when some traffic flow is train-lowered: the runtime turns on the
+/// kernel's same-time train batching exactly then.
+bool kernel_trains(const Scenario& s);
 
 }  // namespace aroma::scn

@@ -1,6 +1,5 @@
 #include "scn/blob.hpp"
 
-#include <functional>
 #include <utility>
 
 #include "scn/passes.hpp"
@@ -172,15 +171,6 @@ std::vector<std::uint8_t> encode(const Scenario& s) {
     write_expr(*s.phases.drain, w);
     out.add(kTagPhases, 0, w.take());
   }
-  if ((s.pass_mask & kPassStrategy) != 0) {
-    snap::SectionWriter w(t0);
-    w.b(s.strategy.kernel_trains);
-    w.u32(s.strategy.class_modulus);
-    w.u64(s.strategy.class_cost.size());
-    for (const double c : s.strategy.class_cost) w.f64(c);
-    out.add(kTagStrategy, snap::kSectionOptional, w.take());
-  }
-
   return out.finish(kScnMagic, kScnVersion);
 }
 
@@ -199,7 +189,6 @@ Scenario decode(std::span<const std::uint8_t> blob) {
   const snap::Section* sections[5] = {};
   constexpr std::uint32_t required[5] = {kTagHeader, kTagEntities, kTagBuild,
                                          kTagTraffic, kTagPhases};
-  const snap::Section* strategy_section = nullptr;
   for (const snap::Section& sec : reader->sections()) {
     bool known = false;
     for (int k = 0; k < 5; ++k) {
@@ -207,10 +196,6 @@ Scenario decode(std::span<const std::uint8_t> blob) {
         sections[k] = &sec;
         known = true;
       }
-    }
-    if (sec.tag == kTagStrategy) {
-      strategy_section = &sec;
-      known = true;
     }
     if (!known && (sec.flags & snap::kSectionOptional) == 0) {
       throw ScnError("scenario blob carries unknown required section " +
@@ -315,23 +300,6 @@ Scenario decode(std::span<const std::uint8_t> blob) {
       s.phases.horizon = read_expr(r);
       s.phases.drain = read_expr(r);
       r.expect_end();
-    }
-    if (strategy_section != nullptr) {
-      snap::SectionReader r(strategy_section->payload, t0);
-      s.strategy.kernel_trains = r.b();
-      s.strategy.class_modulus = r.u32();
-      const std::uint64_t n = r.u64();
-      if (s.strategy.class_modulus == 0 || s.strategy.class_modulus > 64 ||
-          n != s.strategy.class_modulus) {
-        throw ScnError("malformed strategy section");
-      }
-      for (std::uint64_t k = 0; k < n; ++k) {
-        s.strategy.class_cost.push_back(r.f64());
-      }
-      r.expect_end();
-    } else {
-      s.strategy = Strategy{};
-      s.strategy.class_cost = {0.0};
     }
   } catch (const snap::SnapError& e) {
     throw ScnError(std::string("scenario blob rejected: ") + e.what());

@@ -5,13 +5,12 @@
 // The container is snap's sectioned framing (src/snap/format.hpp) under
 // its own identity:
 //
-//   magic "AROMSCEN", version 1, then the standard section table:
+//   magic "AROMSCEN", version 2, then the standard section table:
 //     SCNH  (required)  name, topology, pass mask, pass statistics
 //     ENTS  (required)  entity declarations (profiles by name, exprs)
 //     BULD  (required)  registrars / projectors / displays / goals
 //     TRAF  (required)  traffic declarations + train-lowering marks
 //     PHAS  (required)  the phase timeline
-//     STRA  (optional)  strategy: kernel knobs + per-class cost weights
 //
 // Expressions serialize as postfix opcode streams (source positions are
 // deliberately dropped — a blob carries no provenance, which is what makes
@@ -31,14 +30,13 @@
 namespace aroma::scn {
 
 inline constexpr char kScnMagic[8] = {'A', 'R', 'O', 'M', 'S', 'C', 'E', 'N'};
-inline constexpr std::uint32_t kScnVersion = 1;
+inline constexpr std::uint32_t kScnVersion = 2;
 
 inline constexpr std::uint32_t kTagHeader = snap::tag4("SCNH");
 inline constexpr std::uint32_t kTagEntities = snap::tag4("ENTS");
 inline constexpr std::uint32_t kTagBuild = snap::tag4("BULD");
 inline constexpr std::uint32_t kTagTraffic = snap::tag4("TRAF");
 inline constexpr std::uint32_t kTagPhases = snap::tag4("PHAS");
-inline constexpr std::uint32_t kTagStrategy = snap::tag4("STRA");
 
 /// Serializes a validated scenario. Deterministic: identical IR yields
 /// identical bytes.

@@ -53,26 +53,16 @@ std::string render(const Expr& e) {
 
 std::vector<std::uint8_t> compile(std::string_view source,
                                   const std::string& filename,
-                                  const CompileOptions& options) {
+                                  const PassOptions& options) {
   Scenario s = parse(source, filename);
-  PassOptions passes;
-  passes.fold = options.fold;
-  passes.trains = options.trains;
-  passes.strategy = options.strategy;
-  passes.cost = options.cost;
-  run_passes(s, passes);
+  run_passes(s, options);
   return encode(s);
 }
 
 std::vector<std::uint8_t> compile_file(const std::string& path,
-                                       const CompileOptions& options) {
+                                       const PassOptions& options) {
   Scenario s = parse_file(path);
-  PassOptions passes;
-  passes.fold = options.fold;
-  passes.trains = options.trains;
-  passes.strategy = options.strategy;
-  passes.cost = options.cost;
-  run_passes(s, passes);
+  run_passes(s, options);
   return encode(s);
 }
 

@@ -18,26 +18,15 @@
 
 namespace aroma::scn {
 
-struct CompileOptions {
-  /// Optimizing passes (validation always runs). The all-off configuration
-  /// is the reference compile benches measure train absorption against.
-  bool fold = true;
-  bool trains = true;
-  bool strategy = true;
-  /// Cost model for the strategy pass. defaults() keeps blobs identical
-  /// across machines; seed from BENCH_kernel.json for measured placement.
-  CostModel cost = CostModel::defaults();
-};
-
 /// Compiles scenario text to an executable blob. Throws ScnError with
 /// line/col diagnostics on parse or validation failure.
 std::vector<std::uint8_t> compile(std::string_view source,
                                   const std::string& filename = "<scn>",
-                                  const CompileOptions& options = {});
+                                  const PassOptions& options = {});
 
 /// Compiles a `.scn` file.
 std::vector<std::uint8_t> compile_file(const std::string& path,
-                                       const CompileOptions& options = {});
+                                       const PassOptions& options = {});
 
 /// Renders a scenario as canonical DSL text (defaults made explicit,
 /// expressions fully parenthesized, round-trip-exact number formatting).

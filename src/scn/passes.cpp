@@ -1,8 +1,6 @@
 #include "scn/passes.hpp"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
 #include <optional>
 #include <set>
 #include <string>
@@ -259,113 +257,12 @@ void trains(Scenario& s) {
   s.pass_mask |= kPassTrains;
 }
 
-// ---------------------------------------------------------------------------
-// strategy
-
-std::uint32_t lcm_u32(std::uint32_t a, std::uint32_t b) {
-  return a / std::gcd(a, b) * b;
-}
-
-void collect_moduli(const Expr& e, std::uint32_t* modulus) {
-  if (e.lhs != nullptr) collect_moduli(*e.lhs, modulus);
-  if (e.rhs != nullptr) collect_moduli(*e.rhs, modulus);
-  if (e.op == ExprOp::kMod && e.rhs->op == ExprOp::kNum &&
-      uses_shard(*e.lhs)) {
-    const auto c = static_cast<std::int64_t>(e.rhs->value);
-    if (c > 1 && c <= 64) {
-      *modulus = std::min<std::uint32_t>(
-          64, lcm_u32(*modulus, static_cast<std::uint32_t>(c)));
-    }
-  }
-}
-
-void for_each_expr(const Scenario& s,
-                   const std::function<void(const Expr&)>& fn) {
-  for (const EntityDecl& e : s.entities) {
-    fn(*e.count);
-    fn(*e.pos_x);
-    fn(*e.pos_y);
-    fn(*e.channel);
-  }
-  for (const DisplayDecl& d : s.displays) {
-    fn(*d.width);
-    fn(*d.height);
-    fn(*d.deck_seed);
-  }
-  for (const TrafficDecl& t : s.traffic) {
-    fn(*t.period);
-    if (t.payload != nullptr) fn(*t.payload);
-  }
-  fn(*s.phases.settle);
-  fn(*s.phases.meeting);
-  fn(*s.phases.horizon);
-  fn(*s.phases.drain);
-}
-
-/// Estimated event cost (ns) of one shard of class `c`: infrastructure
-/// setup plus every traffic generator's tick stream priced by category.
-double estimate_class_cost(const Scenario& s, const CostModel& cost,
-                           std::uint64_t c) {
-  const EvalContext shard_ctx{c, 0};
-  const double meeting = eval(*s.phases.meeting, shard_ctx);
-  const double horizon = eval(*s.phases.horizon, shard_ctx);
-  const double window = std::max(0.0, horizon - meeting);
-
-  // Setup: discovery exchanges plus per-device MAC warmup.
-  double total = 400.0 * cost.weight("discovery");
-  for (const EntityDecl& e : s.entities) {
-    total += eval(*e.count, shard_ctx) * 80.0 * cost.weight("mac");
-  }
-  for (const GoalDecl& g : s.goals) {
-    total += (g.kind == GoalKind::kPresent ? 2000.0 : 400.0) *
-             cost.weight("app");
-  }
-
-  for (const TrafficDecl& t : s.traffic) {
-    if (t.kind == TrafficKind::kPing) {
-      const EntityDecl& src =
-          s.entities[static_cast<std::size_t>(t.from.index)];
-      const auto members =
-          static_cast<std::uint64_t>(eval(*src.count, shard_ctx));
-      for (std::uint64_t i = 0; i < members; ++i) {
-        const double period = eval(*t.period, EvalContext{c, i});
-        if (period <= 0) continue;
-        const double ticks = window / period;
-        // One timer tick, a MAC contention round, one radio delivery.
-        total += ticks * (cost.weight("timer") + 3.0 * cost.weight("mac") +
-                          cost.weight("radio"));
-      }
-    } else {
-      const double period = eval(*t.period, shard_ctx);
-      if (period <= 0) continue;
-      const double ticks = window / period;
-      total += ticks * (cost.weight("timer") + cost.weight("rfb") +
-                        cost.weight("stream"));
-    }
-  }
-  return total;
-}
-
-void strategy(Scenario& s, const CostModel& cost) {
-  std::uint32_t modulus = 1;
-  for_each_expr(s, [&modulus](const Expr& e) { collect_moduli(e, &modulus); });
-  s.strategy.class_modulus = modulus;
-  s.strategy.kernel_trains = s.trains_lowered > 0;
-  s.strategy.class_cost.clear();
-  s.strategy.class_cost.reserve(modulus);
-  for (std::uint32_t c = 0; c < modulus; ++c) {
-    s.strategy.class_cost.push_back(estimate_class_cost(s, cost, c));
-  }
-  s.pass_mask |= kPassStrategy;
-}
-
 }  // namespace
 
 void run_passes(Scenario& s, const PassOptions& options) {
   validate(s);
   if (options.fold) fold(s);
   if (options.trains) trains(s);
-  if (options.strategy) strategy(s, options.cost);
 }
 
 }  // namespace aroma::scn

@@ -8,7 +8,9 @@
 //      (present goals need a registrar, a projector, and a display on the
 //      actor; slides traffic needs a display; ping destinations must be
 //      singletons), bounds-checks constant positions against the topology,
-//      and rejects constant division/modulo by zero.
+//      and rejects constant division/modulo by zero. The runtime holds
+//      shard- and member-dependent values to the same rules when it
+//      instantiates a shard (scn/runtime.hpp).
 //
 //   2. fold      — constant-folds every sub-expression with no free
 //      variables (`55 + 10 * 2` but not `10 * shard`), counting eliminated
@@ -22,21 +24,15 @@
 //      (a period using `i`) is left as per-member periodic timers — its
 //      members never share timestamps, so there is nothing to absorb.
 //
-//   4. strategy  — per-shard-class placement selection from the cost
-//      model (scn/cost.hpp). Shard classes are derived from the `shard %
-//      C` constants appearing in the scenario's expressions; each class
-//      gets an estimated event cost so the fleet runner can launch
-//      heavier classes first. Also decides the kernel train-batching knob
-//      (on exactly when the trains pass lowered something).
-//
-// Passes 2-4 can be disabled (PassOptions) to produce a reference compile
-// — the passes-off blob the bench measures absorption against.
+// Passes 2-3 can be disabled (PassOptions) to produce a reference compile
+// — the passes-off blob the bench measures absorption against. The runtime
+// turns on the kernel's train batching exactly when the trains pass
+// lowered some flow (scn::kernel_trains).
 #pragma once
 
 #include <cstdint>
 
 #include "scn/ast.hpp"
-#include "scn/cost.hpp"
 
 namespace aroma::scn {
 
@@ -44,13 +40,13 @@ namespace aroma::scn {
 inline constexpr std::uint32_t kPassValidate = 1u << 0;
 inline constexpr std::uint32_t kPassFold = 1u << 1;
 inline constexpr std::uint32_t kPassTrains = 1u << 2;
-inline constexpr std::uint32_t kPassStrategy = 1u << 3;
 
+/// Optimizing passes for run_passes and scn::compile (validation always
+/// runs). The all-off configuration is the reference compile benches
+/// measure train absorption against.
 struct PassOptions {
   bool fold = true;
   bool trains = true;
-  bool strategy = true;
-  CostModel cost = CostModel::defaults();
 };
 
 /// Pass 1 alone: resolves entity references, checks profiles, personas,

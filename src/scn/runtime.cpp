@@ -1,7 +1,8 @@
 #include "scn/runtime.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
+#include <cstdio>
 #include <set>
 #include <utility>
 
@@ -86,6 +87,18 @@ void restore_outcome(snap::SectionReader& r, user::TaskOutcome& o) {
   o.final_frustration = r.f64();
   o.duration = r.duration();
 }
+
+std::string num(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+/// A shard-dependent value out of validate's range (scn/passes.cpp).
+[[noreturn]] void shard_error(const std::string& what, std::size_t shard,
+                              const std::string& why) {
+  throw ScnError(what + " on shard " + std::to_string(shard) + ": " + why);
+}
 }  // namespace
 
 ScenarioInstance::ScenarioInstance(const Scenario& scenario,
@@ -94,7 +107,7 @@ ScenarioInstance::ScenarioInstance(const Scenario& scenario,
     : scn_(scenario), shard_id_(shard_id), seed_(seed), options_(options) {
   world_ = std::make_unique<sim::World>(seed_);
   world_->arena().set_enabled(options_.use_arena);
-  world_->sim().set_train_batching(scn_.strategy.kernel_trains);
+  world_->sim().set_train_batching(kernel_trains(scn_));
   if (options_.telemetry) {
     telemetry_ = std::make_unique<obs::Telemetry>(*world_);
   }
@@ -103,6 +116,7 @@ ScenarioInstance::ScenarioInstance(const Scenario& scenario,
   eparams.path_loss.seed = seed_;
   env_ = std::make_unique<env::Environment>(*world_, eparams);
   build_devices();
+  check_timeline();
   bind_ping_sinks();
   traffic_.resize(scn_.traffic.size());
   goals_.reserve(scn_.goals.size());
@@ -113,8 +127,12 @@ ScenarioInstance::~ScenarioInstance() = default;
 void ScenarioInstance::build_devices() {
   const EvalContext shard_ctx{shard_id_, 0};
   for (const EntityDecl& e : scn_.entities) {
-    const auto count = static_cast<std::size_t>(
-        std::max(0.0, eval(*e.count, shard_ctx)));
+    const double n = eval(*e.count, shard_ctx);
+    if (!(n >= 0 && n <= 4096)) {
+      shard_error("entity '" + e.name + "'", shard_id_,
+                  "group count " + num(n) + " out of range [0, 4096]");
+    }
+    const auto count = static_cast<std::size_t>(n);
     entity_stacks_.emplace_back(stacks_.size(), count);
     phys::DeviceProfile profile;
     if (!phys::profiles::by_name(e.profile, &profile)) {
@@ -123,6 +141,13 @@ void ScenarioInstance::build_devices() {
     for (std::size_t i = 0; i < count; ++i) {
       const EvalContext ctx{shard_id_, i};
       const env::Vec2 pos{eval(*e.pos_x, ctx), eval(*e.pos_y, ctx)};
+      if (!(pos.x >= 0 && pos.x <= scn_.topo_w && pos.y >= 0 &&
+            pos.y <= scn_.topo_h)) {
+        shard_error("entity '" + e.name + "'", shard_id_,
+                    "member " + std::to_string(i) + " placed at (" +
+                        num(pos.x) + ", " + num(pos.y) +
+                        "), outside the topology");
+      }
       phys::Device::Options opt;
       opt.channel = static_cast<int>(eval(*e.channel, ctx));
       const std::uint64_t id = devices_.size() + 1;
@@ -132,6 +157,47 @@ void ScenarioInstance::build_devices() {
       stacks_.push_back(
           std::make_unique<net::NetStack>(*world_, devices_.back()->mac()));
     }
+  }
+}
+
+void ScenarioInstance::check_timeline() const {
+  for (const TrafficDecl& t : scn_.traffic) {
+    const bool ping = t.kind == TrafficKind::kPing;
+    const auto what = [&t, ping] {
+      return std::string(ping ? "ping" : "slides") + " traffic from '" +
+             t.from.name + "'";
+    };
+    const std::size_t members = ping ? member_count(t.from.index) : 1;
+    for (std::size_t m = 0; m < members; ++m) {
+      const EvalContext ctx{shard_id_, m};
+      const double period = eval(*t.period, ctx);
+      if (!(period > 0 && std::isfinite(period))) {
+        shard_error(what(), shard_id_,
+                    "period " + num(period) + " must be positive");
+      }
+      if (!ping) continue;
+      const double payload = eval(*t.payload, ctx);
+      if (!(payload >= 1 && payload <= 1400)) {
+        shard_error(what(), shard_id_,
+                    "payload " + num(payload) + " out of range [1, 1400] bytes");
+      }
+    }
+  }
+  const EvalContext ctx{shard_id_, 0};
+  const Phases& p = scn_.phases;
+  const double settle = eval(*p.settle, ctx);
+  const double meeting = eval(*p.meeting, ctx);
+  for (const double v : {settle, meeting, eval(*p.horizon, ctx),
+                         eval(*p.drain, ctx)}) {
+    if (!std::isfinite(v)) {
+      shard_error("scenario '" + scn_.name + "'", shard_id_,
+                  "phase instant " + num(v) + " is not finite");
+    }
+  }
+  if (settle > meeting) {
+    shard_error("scenario '" + scn_.name + "'", shard_id_,
+                "settle phase (" + num(settle) + "s) ends after the meeting (" +
+                    num(meeting) + "s)");
   }
 }
 
@@ -882,30 +948,13 @@ ScenarioInstance::DisplayRuntime* ScenarioInstance::display_on(int entity) {
 FleetResult run_fleet(const Scenario& scenario, std::size_t shards,
                       std::uint64_t seed, std::size_t workers,
                       RunOptions options) {
-  // Cost-model placement: launch heavier shard classes first so stragglers
-  // start early and the work-stealing tail stays short. A permutation of
-  // launch order only — results fold in shard order, so the fingerprint
-  // cannot depend on it (or on the worker count).
-  std::vector<std::size_t> order(shards);
-  std::iota(order.begin(), order.end(), 0);
-  const Strategy& strat = scenario.strategy;
-  if (strat.class_modulus > 1 &&
-      strat.class_cost.size() == strat.class_modulus) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&strat](std::size_t a, std::size_t b) {
-                       return strat.class_cost[a % strat.class_modulus] >
-                              strat.class_cost[b % strat.class_modulus];
-                     });
-  }
-
   struct ShardResult {
     std::uint64_t fp = 0, events = 0, absorbed = 0, pings = 0;
     bool succeeded = false;
   };
   std::vector<ShardResult> results(shards);
   sim::WorkStealingPool::run(
-      workers, shards, [&](std::size_t index, std::size_t) {
-        const std::size_t shard = order[index];
+      workers, shards, [&](std::size_t shard, std::size_t) {
         ScenarioInstance inst(scenario, shard, sim::shard_seed(seed, shard),
                               options);
         inst.run();

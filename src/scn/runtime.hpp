@@ -6,11 +6,15 @@
 // during setup determines every downstream random draw. The program, in
 // order:
 //
-//   1. World(seed), arena mode, train batching per the blob's strategy;
-//      telemetry (metrics + spans) attached when RunOptions asks for it.
+//   1. World(seed), arena mode, train batching on exactly when some flow
+//      is train-lowered (scn::kernel_trains); telemetry (metrics + spans)
+//      attached when RunOptions asks for it.
 //   2. Environment with path_loss.seed = seed.
 //   3. Devices in entity declaration order (groups expand member-major);
 //      node ids are assigned 1, 2, 3, ... as devices are constructed.
+//      This shard's group counts, positions, periods, payloads and phases
+//      are held to the compiler's validate rules: a value out of range
+//      throws ScnError naming the entity and the shard.
 //   4. Ping sinks: port 7777 bound on each distinct ping destination, in
 //      traffic declaration order (bound even when a source group is empty
 //      for this shard).
@@ -177,6 +181,9 @@ class ScenarioInstance {
   };
 
   void build_devices();
+  /// Holds this shard's periods, payloads and phases to validate's rules
+  /// (build_devices checks counts and positions).
+  void check_timeline() const;
   void bind_ping_sinks();
   void build_services();
   void start_goals();
@@ -223,10 +230,9 @@ class ScenarioInstance {
 };
 
 /// Fleet-level execution of a compiled scenario: `shards` instances over a
-/// work-stealing pool, seeded with sim::shard_seed(seed, k). When the blob
-/// carries a strategy section, shards are launched heaviest-class-first
-/// (the cost-model placement); results always fold in shard order, so the
-/// fingerprint is independent of both the launch order and worker count.
+/// work-stealing pool, launched in shard order and seeded with
+/// sim::shard_seed(seed, k). Results fold in shard order, so the
+/// fingerprint is independent of the worker count.
 struct FleetResult {
   std::vector<std::uint64_t> shard_fps;
   std::uint64_t fleet_fp = 0;

@@ -43,7 +43,7 @@ class EventHandle {
 
 /// The event kernel. Not thread-safe: one Simulator == one simulated world,
 /// driven by a single thread. Parallel experiments run many independent
-/// Simulators (see sim/parallel.hpp).
+/// Simulators (see sim::WorkStealingPool in sim/fleet.hpp).
 class Simulator {
  public:
   Simulator() = default;

@@ -1,7 +1,7 @@
 // Tests for the fleet engine: the arena allocator, the work-stealing pool,
-// ParallelRunner's pool-backed contract, deterministic shard seeding, and
-// the tentpole property — fleet fingerprints are bit-identical for any
-// worker count and equal to sequential execution.
+// deterministic shard seeding, and the tentpole property — fleet
+// fingerprints are bit-identical for any worker count and equal to
+// sequential execution.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 
 #include "sim/arena.hpp"
 #include "sim/fleet.hpp"
-#include "sim/parallel.hpp"
 #include "sim/random.hpp"
 #include "sim/world.hpp"
 
@@ -198,6 +197,10 @@ TEST(WorkStealingPool, RunsEveryIndexExactlyOnce) {
                         stats.tasks_run_per_worker.end(), std::uint64_t{0});
     EXPECT_EQ(total, hits.size());
   }
+  // An empty batch runs nothing and spawns no worker.
+  const auto none = WorkStealingPool::run(
+      4, 0, [](std::size_t, std::size_t) { ADD_FAILURE(); });
+  EXPECT_TRUE(none.tasks_run_per_worker.empty());
 }
 
 TEST(WorkStealingPool, ClampsWorkersToTaskCount) {
@@ -242,52 +245,22 @@ TEST(WorkStealingPool, StealsMigrateTasksUnderImbalance) {
 }
 
 TEST(WorkStealingPool, FirstExceptionPropagatesAndAbortsBatch) {
-  std::atomic<std::uint64_t> ran{0};
-  try {
-    WorkStealingPool::run(2, 1000, [&](std::size_t i, std::size_t) {
-      if (i == 3) throw std::runtime_error("boom");
-      ran.fetch_add(1);
-    });
-    FAIL() << "expected exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
-  }
-  // Abort semantics: no further tasks start after the throw, so a healthy
-  // chunk of the batch never ran.
-  EXPECT_LT(ran.load(), 1000u);
-}
-
-// --- ParallelRunner ------------------------------------------------------
-
-TEST(ParallelRunner, DefaultWorkersClampsToTrials) {
-  EXPECT_EQ(ParallelRunner::default_workers(0), 1u);
-  EXPECT_EQ(ParallelRunner::default_workers(1), 1u);
-  const std::size_t hw = ParallelRunner::default_workers();
-  EXPECT_EQ(ParallelRunner::default_workers(hw + 5), hw);
-  if (hw > 1) EXPECT_EQ(ParallelRunner::default_workers(hw - 1), hw - 1);
-}
-
-TEST(ParallelRunner, MapReturnsOrderedResultsAndExposesStats) {
-  ParallelRunner runner(3);
-  const std::vector<std::uint64_t> out =
-      runner.map<std::uint64_t>(50, [](std::size_t i) {
-        return static_cast<std::uint64_t>(i * i);
+  // Two workers, and one: the inline single-worker path propagates too.
+  for (const std::size_t workers : {2u, 1u}) {
+    std::atomic<std::uint64_t> ran{0};
+    try {
+      WorkStealingPool::run(workers, 1000, [&](std::size_t i, std::size_t) {
+        if (i == 3) throw std::runtime_error("boom");
+        ran.fetch_add(1);
       });
-  ASSERT_EQ(out.size(), 50u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i * i);
-  const auto& stats = runner.last_stats();
-  EXPECT_EQ(stats.tasks_run_per_worker.size(), 3u);
-  EXPECT_EQ(std::accumulate(stats.tasks_run_per_worker.begin(),
-                            stats.tasks_run_per_worker.end(),
-                            std::uint64_t{0}),
-            50u);
-}
-
-TEST(ParallelRunner, ZeroTrialsIsANoOp) {
-  ParallelRunner runner(4);
-  bool ran = false;
-  runner.run(0, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
+      ADD_FAILURE() << "expected exception with " << workers << " workers";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "boom");
+    }
+    // Abort semantics: no further tasks start after the throw, so a
+    // healthy chunk of the batch never ran.
+    EXPECT_LT(ran.load(), 1000u);
+  }
 }
 
 // --- FleetEngine determinism ---------------------------------------------

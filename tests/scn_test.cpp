@@ -1,8 +1,8 @@
 // Tests for the scenario compiler: parser diagnostics (line/col), the pass
-// pipeline (fold, train lowering, strategy classes), blob robustness
-// (truncation, CRC damage, version/section mismatches), compile
-// determinism (compile-twice, dump-recompile fixpoint), the cost model,
-// the pinned goldens (smart_projector fleets and every library scenario's
+// pipeline (fold, train lowering), blob robustness (truncation, CRC
+// damage, version/section mismatches), compile determinism (compile-twice,
+// dump-recompile fixpoint), the runtime's range checks on shard-dependent
+// values, the pinned goldens (smart_projector fleets and every library scenario's
 // behaviour fingerprint, from scenarios/goldens.txt), the checkpoint ->
 // restore -> resume differential over every library scenario plus one
 // shared-laptop world, and scratch-buffer checkpoint serialization over
@@ -21,7 +21,6 @@
 #include "phys/profile.hpp"
 #include "scn/blob.hpp"
 #include "scn/compiler.hpp"
-#include "scn/cost.hpp"
 #include "scn/golden.hpp"
 #include "scn/parser.hpp"
 #include "scn/passes.hpp"
@@ -174,9 +173,13 @@ TEST(ScnPasses, TrainLoweringNeedsConstantPeriodAndCount) {
   scn::run_passes(lowered);
   ASSERT_EQ(lowered.trains_lowered, 1u);
   EXPECT_TRUE(lowered.traffic[0].train_lowered);
-  EXPECT_TRUE(lowered.strategy.kernel_trains);
+  // The lowered flow turns the kernel's train batching on.
+  scn::ScenarioInstance on(lowered, 0, 42);
+  on.run();
+  EXPECT_GT(on.absorbed(), 0u);
 
-  // A period staggered by `i` never shares timestamps: not lowered.
+  // A period staggered by `i` never shares timestamps: not lowered, and
+  // with no lowered flow the kernel absorbs nothing.
   scn::Scenario staggered = scn::parse(R"(
 scenario t {
   topology 20 x 20;
@@ -184,30 +187,17 @@ scenario t {
   group nodes profile laptop count 4 at (2 + 2 * i, 5);
   registrar on hub;
   traffic ping from nodes to hub period 0.5 + 0.1 * i;
+  phase settle 1;
+  phase meeting 3;
   horizon 9;
 }
 )");
   scn::run_passes(staggered);
   EXPECT_EQ(staggered.trains_lowered, 0u);
-  EXPECT_FALSE(staggered.strategy.kernel_trains);
-}
-
-TEST(ScnPasses, StrategyClassesFromShardModuli) {
-  scn::Scenario s = scn::parse(R"(
-scenario t {
-  topology 40 x 40;
-  entity hub profile desktop_pc_with_radio at (1, 1);
-  group a profile laptop count 1 + shard % 3 at (2 + 2 * i, 5);
-  group b profile laptop count 1 + shard % 4 at (2 + 2 * i, 9);
-  registrar on hub;
-  horizon 9;
-}
-)");
-  scn::run_passes(s);
-  EXPECT_EQ(s.strategy.class_modulus, 12u);  // lcm(3, 4)
-  ASSERT_EQ(s.strategy.class_cost.size(), 12u);
-  // More members -> strictly higher estimated cost.
-  EXPECT_GT(s.strategy.class_cost[11], s.strategy.class_cost[0]);
+  scn::ScenarioInstance off(staggered, 0, 42);
+  off.run();
+  EXPECT_GT(off.pings(), 0u);
+  EXPECT_EQ(off.absorbed(), 0u);
 }
 
 // --- blob ------------------------------------------------------------------
@@ -222,7 +212,10 @@ TEST(ScnBlob, RoundTripPreservesIR) {
   ASSERT_EQ(s.traffic.size(), 1u);
   EXPECT_TRUE(s.traffic[0].train_lowered);
   EXPECT_EQ(s.traffic[0].to.index, 0);
-  EXPECT_TRUE(s.strategy.kernel_trains);
+  // The decoded train mark still turns on the kernel's train batching.
+  scn::ScenarioInstance inst(s, 0, 42);
+  inst.run();
+  EXPECT_GT(inst.absorbed(), 0u);
 }
 
 TEST(ScnBlob, RejectsTruncation) {
@@ -255,10 +248,14 @@ TEST(ScnBlob, RejectsCrcDamage) {
 
 TEST(ScnBlob, RejectsVersionAndMagicMismatch) {
   std::vector<std::uint8_t> blob = scn::compile(kMinimal);
-  {
+  // Version field: little-endian u32 at offset 8. Version 1 blobs carried
+  // a strategy section this reader no longer knows.
+  for (const std::uint32_t version : {scn::kScnVersion + 1, 1u}) {
     std::vector<std::uint8_t> wrong = blob;
-    wrong[8] += 1;  // version field (little-endian u32 at offset 8)
-    EXPECT_THROW(scn::decode(wrong), scn::ScnError);
+    for (int i = 0; i < 4; ++i) {
+      wrong[8 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+    }
+    EXPECT_THROW(scn::decode(wrong), scn::ScnError) << "version " << version;
   }
   {
     std::vector<std::uint8_t> wrong = blob;
@@ -338,32 +335,6 @@ TEST(ScnCompiler, DumpRecompileIsAFixpoint) {
   EXPECT_EQ(scn::dump(scn::decode(blob2)), scn::dump(scn::decode(blob3)));
 }
 
-// --- cost model ------------------------------------------------------------
-
-TEST(ScnCost, FromBenchJsonOverridesMeasuredCategories) {
-  const std::string path = "scn_cost_test_tmp.json";
-  {
-    std::ofstream f(path);
-    f << R"({"scenarios": [{"batching": {"per_category": [
-          {"category": "timer", "executed": 1000, "wall_sec": 0.0001},
-          {"category": "radio", "executed": 500, "wall_sec": 0.0002}
-        ]}}]})";
-  }
-  const scn::CostModel m = scn::CostModel::from_bench_json(path);
-  EXPECT_TRUE(m.measured);
-  EXPECT_DOUBLE_EQ(m.weight("timer"), 100.0);  // 1e-4 s / 1e3 ev * 1e9
-  EXPECT_DOUBLE_EQ(m.weight("radio"), 400.0);
-  // Unmeasured categories keep defaults; unknown ones fall back to "other".
-  EXPECT_EQ(m.weight("mac"), scn::CostModel::defaults().weight("mac"));
-  EXPECT_EQ(m.weight("nonesuch"), m.weight("other"));
-  std::remove(path.c_str());
-}
-
-TEST(ScnCost, MissingArtifactThrows) {
-  EXPECT_THROW(scn::CostModel::from_bench_json("nope_does_not_exist.json"),
-               scn::ScnError);
-}
-
 // --- preset lookups --------------------------------------------------------
 
 TEST(ScnPresets, ProfileAndPersonaByName) {
@@ -379,10 +350,9 @@ TEST(ScnPresets, ProfileAndPersonaByName) {
 // --- runtime ---------------------------------------------------------------
 
 TEST(ScnRuntime, TrainLoweringAbsorbsWithoutChangingDeterminism) {
-  scn::CompileOptions off;
+  scn::PassOptions off;
   off.fold = false;
   off.trains = false;
-  off.strategy = false;
   const scn::Scenario on = scn::decode(scn::compile(kMinimal));
   const scn::Scenario ref = scn::decode(scn::compile(kMinimal, "<scn>", off));
 
@@ -419,6 +389,51 @@ TEST(ScnRuntime, RunTwiceThrows) {
   scn::ScenarioInstance inst(s, 0, 1);
   inst.run();
   EXPECT_THROW(inst.run(), scn::ScnError);
+}
+
+// validate checks constant values only. A shard-dependent value that
+// evaluates out of range on some shard is held to the same rules when that
+// shard is instantiated: construction throws a typed error naming the
+// entity and the shard. Unchecked, a zero or negative period never
+// returns from run(), and a huge count casts out of range.
+TEST(ScnRuntime, ShardDependentValuesOutOfRangeThrow) {
+  struct Case {
+    std::string count, x, traffic, settle;
+    std::size_t shard;  // the out-of-range one; 1 - shard is in range
+    std::string names;  // the entity the error must name
+  };
+  const Case cases[] = {
+      {"4", "2 + 2 * i", "period 0.5 * (shard % 2)", "1", 0, "'nodes'"},
+      {"4", "2 + 2 * i", "period 0.5 - (shard % 2)", "1", 1, "'nodes'"},
+      {"4", "2 + 2 * i", "period 0.5 payload 24 + 2000 * (shard % 2)", "1", 1,
+       "'nodes'"},
+      {"1 + 1e30 * (shard % 2)", "2 + 2 * i", "period 0.5", "1", 1, "'nodes'"},
+      {"4", "2 + 2 * i + 20 * (shard % 2)", "period 0.5", "1", 1, "'nodes'"},
+      {"4", "2 + 2 * i", "period 0.5", "1 + 5 * (shard % 2)", 1, "'t'"},
+  };
+  for (const Case& c : cases) {
+    const scn::Scenario s = scn::decode(scn::compile(
+        "scenario t {\n  topology 20 x 20;\n"
+        "  entity hub profile desktop_pc_with_radio at (1, 1);\n"
+        "  group nodes profile laptop count " + c.count + " at (" + c.x +
+        ", 5);\n  registrar on hub;\n"
+        "  traffic ping from nodes to hub " + c.traffic + ";\n"
+        "  phase settle " + c.settle + ";\n  phase meeting 3;\n"
+        "  horizon 9;\n}\n"));
+    EXPECT_NO_THROW({ scn::ScenarioInstance ok(s, 1 - c.shard, 7); })
+        << scn::dump(s);
+    try {
+      scn::ScenarioInstance bad(s, c.shard, 7);
+      ADD_FAILURE() << "no error at shard " << c.shard << " for\n"
+                    << scn::dump(s);
+    } catch (const scn::ScnError& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find(c.names), std::string::npos) << msg;
+      EXPECT_NE(msg.find("shard " + std::to_string(c.shard)),
+                std::string::npos)
+          << msg;
+    }
+  }
 }
 
 // --- goldens ---------------------------------------------------------------

@@ -2,13 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <functional>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "sim/parallel.hpp"
 #include "sim/profiler.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -715,65 +712,6 @@ TEST(Simulator, TraceContextPropagatesAcrossScheduling) {
   EXPECT_EQ(seen_inside, 77u);
   EXPECT_EQ(seen_follow_up, 77u);  // inherited through the nested schedule
   EXPECT_EQ(s.trace_context(), 0u);  // reset after the queue drains
-}
-
-// --- ParallelRunner ------------------------------------------------------
-
-TEST(ParallelRunner, RunsAllTrials) {
-  ParallelRunner pool(4);
-  std::vector<int> hits(100, 0);
-  pool.run(100, [&](std::size_t i) { hits[i] = static_cast<int>(i) + 1; });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i], static_cast<int>(i) + 1);
-  }
-}
-
-TEST(ParallelRunner, MapCollectsResults) {
-  ParallelRunner pool(3);
-  auto out = pool.map<std::size_t>(50, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(out.size(), 50u);
-  EXPECT_EQ(out[7], 49u);
-}
-
-TEST(ParallelRunner, ZeroTrialsIsFine) {
-  ParallelRunner pool(2);
-  pool.run(0, [](std::size_t) { FAIL(); });
-}
-
-// A throwing trial must not terminate the process: the first exception is
-// rethrown on the caller's thread once all workers have joined.
-TEST(ParallelRunner, TrialExceptionRethrownOnCaller) {
-  ParallelRunner pool(4);
-  std::atomic<int> completed{0};
-  EXPECT_THROW(
-      pool.run(64,
-               [&](std::size_t i) {
-                 if (i == 5) throw std::runtime_error("trial 5 failed");
-                 completed.fetch_add(1, std::memory_order_relaxed);
-               }),
-      std::runtime_error);
-  // No further trials start after the failure, but nothing crashes and
-  // already-running trials complete.
-  EXPECT_LT(completed.load(), 64);
-}
-
-TEST(ParallelRunner, TrialExceptionMessagePreserved) {
-  ParallelRunner pool(2);
-  try {
-    pool.run(8, [](std::size_t i) {
-      if (i == 0) throw std::runtime_error("boom");
-    });
-    FAIL() << "expected the trial exception to propagate";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "boom");
-  }
-}
-
-TEST(ParallelRunner, SingleWorkerExceptionAlsoPropagates) {
-  ParallelRunner pool(1);
-  EXPECT_THROW(
-      pool.run(3, [](std::size_t) { throw std::runtime_error("serial"); }),
-      std::runtime_error);
 }
 
 TEST(World, ForkedRngDiffersFromRoot) {
