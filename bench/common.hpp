@@ -1,11 +1,12 @@
 // Shared scenario plumbing for the benchmark harnesses and examples: a
-// wireless cell with devices, stacks, and helpers for printing result
-// tables in a uniform format.
+// wireless cell with devices, stacks, helpers for printing result tables
+// in a uniform format, and the gate record every BENCH_*.json shares.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -14,10 +15,17 @@
 #include <variant>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
+
 #include "env/environment.hpp"
 #include "net/stack.hpp"
 #include "obs/telemetry.hpp"
 #include "phys/device.hpp"
+#include "scn/golden.hpp"
+#include "sim/fleet.hpp"
+#include "sim/simd.hpp"
 #include "sim/world.hpp"
 
 namespace aroma::benchsup {
@@ -293,6 +301,249 @@ class Json {
   }
 
   Value value_;
+};
+
+/// The one fingerprint format of every artifact: "0x" + 16 hex digits.
+inline std::string hex64(std::uint64_t v) {
+  char buf[20];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+// ---------------------------------------------------------------------------
+// Gates: the one schema every BENCH_*.json shares
+//
+//   "host":    {cores, cpu, compiler, build, simd}
+//   "gates":   [{name, value, op, threshold, noise, pass}]
+//   "equal":   [{name, values}]   fingerprints that must be one value
+//   "goldens": [{scenario, seed, shards, fingerprint, events}]
+//
+// A deterministic gate (a fingerprint, byte or count gate; `noise` null)
+// passes when `value op threshold`, `op` one of ">=", "<=", "==". A timing
+// gate's `value` is the median of at least kMinPairs interleaved pairs and
+// `noise` is {pairs, q1, q3} of the pair values; it passes when its median
+// and its near quartile (q1 for ">=", q3 for "<=") both meet the
+// threshold, since a gate inside its own noise measures nothing. `pass` is
+// null only when the build or host cannot run the gate (a sanitized build,
+// fewer than kMinCores cores, or the scalar SIMD backend). Each bench
+// defines each gate and its threshold once, through this class;
+// check_bench_json.py recomputes every pass by the same rule and
+// re-derives the equal groups and the goldens (scenarios/goldens.txt).
+
+/// True in an AddressSanitizer or ThreadSanitizer build, whose walls time
+/// the instrumentation rather than the program.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+inline constexpr bool kSanitized = true;
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+inline constexpr bool kSanitized = true;
+#else
+inline constexpr bool kSanitized = false;
+#endif
+#else
+inline constexpr bool kSanitized = false;
+#endif
+
+/// The host block: what the numbers were measured on.
+inline Json host() {
+  std::string cpu = "unknown";
+#if defined(__x86_64__) || defined(__i386__)
+  if (__get_cpuid_max(0x80000000u, nullptr) >= 0x80000004u) {
+    unsigned regs[12] = {};
+    for (unsigned i = 0; i < 3; ++i)
+      __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1],
+                  &regs[4 * i + 2], &regs[4 * i + 3]);
+    char brand[49] = {};
+    std::memcpy(brand, regs, 48);
+    const std::string s(brand);
+    const auto first = s.find_first_not_of(' ');
+    const auto last = s.find_last_not_of(' ');
+    if (first != std::string::npos) cpu = s.substr(first, last - first + 1);
+  }
+#endif
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("g++ ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+#if defined(__OPTIMIZE__)
+  std::string build = "optimized";
+#else
+  std::string build = "unoptimized";
+#endif
+  if (kSanitized) build += ", sanitized";
+  Json h = Json::object();
+  h.set("cores", static_cast<std::uint64_t>(
+                     sim::WorkStealingPool::hardware_workers()));
+  h.set("cpu", cpu);
+  h.set("compiler", compiler);
+  h.set("build", build);
+  h.set("simd", sim::simd::kBackend);
+  return h;
+}
+
+enum class Op { kGe, kLe, kEq };
+
+class Gates {
+ public:
+  static constexpr std::size_t kMinPairs = 7;
+  static constexpr std::size_t kMinCores = 4;
+
+  /// A deterministic gate: a fingerprint, byte or count comparison.
+  void check(const std::string& name, double value, Op op, double threshold) {
+    add(name, value, op, threshold, Json(), "", true);
+  }
+
+  /// Why this build or host cannot run a timing gate, or "" when it can.
+  /// A `parallel` gate compares kMinCores workers against one.
+  static std::string cannot_time(bool parallel) {
+    if (kSanitized) return "sanitized build: walls time the instrumentation";
+    const std::size_t hw = sim::WorkStealingPool::hardware_workers();
+    if (parallel && hw < kMinCores)
+      return std::to_string(hw) + "-core host cannot run " +
+             std::to_string(kMinCores) + " workers";
+    return "";
+  }
+
+  /// A timing gate on the per-pair values of interleaved pairs, each pair
+  /// measuring both sides back to back so host drift hits both alike. The
+  /// gate reads their median; their quartiles are its noise, and the near
+  /// quartile must meet the threshold too. Skipped where cannot_time says.
+  void timing(const std::string& name, const std::vector<double>& pairs,
+              Op op, double threshold, bool parallel = false) {
+    if (const std::string why = cannot_time(parallel); !why.empty()) {
+      skip(name, op, threshold, why);
+      return;
+    }
+    const Quartiles q = quartiles(pairs);
+    Json noise = Json::object();
+    noise.set("pairs", static_cast<std::uint64_t>(pairs.size()));
+    noise.set("q1", q.q1);
+    noise.set("q3", q.q3);
+    const double near = op == Op::kLe ? q.q3 : q.q1;
+    char text[96];
+    std::snprintf(text, sizeof text, " (quartiles %.4g-%.4g of %zu pairs)",
+                  q.q1, q.q3, pairs.size());
+    add(name, q.median, op, threshold, std::move(noise), text,
+        op != Op::kEq && holds(near, op, threshold));
+  }
+
+  /// A gate this host cannot run; `why` says which observation ruled it out.
+  void skip(const std::string& name, Op op, double threshold,
+            const std::string& why) {
+    Json g = record(name, Json(), op, threshold, Json());
+    g.set("pass", Json());
+    gates_.push(std::move(g));
+    lines_.push_back("skip " + name + ": " + why);
+  }
+
+  /// Fingerprints that must all be one value.
+  void equal(const std::string& name, const std::vector<std::uint64_t>& fps) {
+    Json values = Json::array();
+    std::string text;
+    bool same = true;
+    for (const std::uint64_t fp : fps) {
+      values.push(hex64(fp));
+      text += " " + hex64(fp);
+      same = same && fp == fps.front();
+    }
+    if (same && !fps.empty())
+      text = " " + std::to_string(fps.size()) + " x " + hex64(fps.front());
+    Json e = Json::object();
+    e.set("name", name);
+    e.set("values", std::move(values));
+    equal_.push(std::move(e));
+    verdict(same, "equal " + name + ":" + text);
+  }
+
+  /// A fleet result pinned in scenarios/goldens.txt.
+  void golden(const scn::FleetGolden& pinned, std::uint64_t fp,
+              std::uint64_t events) {
+    Json g = Json::object();
+    g.set("scenario", pinned.scenario);
+    g.set("seed", pinned.seed);
+    g.set("shards", static_cast<std::uint64_t>(pinned.shards));
+    g.set("fingerprint", hex64(fp));
+    g.set("events", events);
+    goldens_.push(std::move(g));
+    verdict(fp == pinned.fleet_fp && events == pinned.events,
+            "golden " + pinned.scenario + " x" +
+                std::to_string(pinned.shards) + ": " + hex64(fp) + " / " +
+                std::to_string(events) + " events, pinned " +
+                hex64(pinned.fleet_fp) + " / " +
+                std::to_string(pinned.events));
+  }
+
+  /// A leg that could not run to its gates; fails the bench.
+  void fail(const std::string& what) { verdict(false, what); }
+
+  /// Prints every gate, adds the host block and the three gate arrays to
+  /// `doc`, writes it to `path`, and returns the bench's exit status.
+  int finish(Json& doc, const std::string& path) {
+    doc.set("host", host());
+    doc.set("gates", std::move(gates_));
+    doc.set("equal", std::move(equal_));
+    doc.set("goldens", std::move(goldens_));
+    std::printf("\n### gates\n");
+    for (const std::string& l : lines_) std::printf("%s\n", l.c_str());
+    if (!doc.write_file(path)) {
+      std::fprintf(stderr, "cannot write %s\n", path.c_str());
+      return 1;
+    }
+    std::printf("\nwrote %s\n", path.c_str());
+    return failed_ ? 1 : 0;
+  }
+
+ private:
+  static const char* op_text(Op op) {
+    return op == Op::kGe ? ">=" : op == Op::kLe ? "<=" : "==";
+  }
+
+  static Json record(const std::string& name, Json value, Op op,
+                     double threshold, Json noise) {
+    Json g = Json::object();
+    g.set("name", name);
+    g.set("value", std::move(value));
+    g.set("op", op_text(op));
+    g.set("threshold", threshold);
+    g.set("noise", std::move(noise));
+    return g;
+  }
+
+  static bool holds(double value, Op op, double threshold) {
+    return op == Op::kGe   ? value >= threshold
+           : op == Op::kLe ? value <= threshold
+                           : value == threshold;
+  }
+
+  void add(const std::string& name, double value, Op op, double threshold,
+           Json noise, const std::string& spread, bool quartile_ok) {
+    const bool pass = holds(value, op, threshold) && quartile_ok;
+    Json g = record(name, value, op, threshold, std::move(noise));
+    g.set("pass", pass);
+    gates_.push(std::move(g));
+    char text[160];
+    std::snprintf(text, sizeof text, "gate %s: %.6g %s %g", name.c_str(),
+                  value, op_text(op), threshold);
+    verdict(pass, text + spread);
+  }
+
+  void verdict(bool pass, const std::string& line) {
+    lines_.push_back((pass ? "ok   " : "FAIL ") + line);
+    if (!pass) {
+      std::fprintf(stderr, "FAIL: %s\n", line.c_str());
+      failed_ = true;
+    }
+  }
+
+  Json gates_ = Json::array();
+  Json equal_ = Json::array();
+  Json goldens_ = Json::array();
+  std::vector<std::string> lines_;
+  bool failed_ = false;
 };
 
 // ---------------------------------------------------------------------------

@@ -6,15 +6,14 @@
 //  * index: 10k registered services, randomized templates. The inverted
 //    attribute index must return bit-identical ids to the retained scalar
 //    scan oracle (fingerprints compared over every equality query), and
-//    indexed lookup throughput must beat the scan by >= --min-speedup
-//    (gate: 5x at 10k services).
+//    indexed lookup throughput must beat the scan by >= 5x at 10k services
+//    in the median of 7 interleaved indexed/scan pairs.
 //  * fleet: seeded per-shard corpora matched through the index across a
 //    WorkStealingPool under different worker counts; the fleet fingerprint
 //    must not depend on the worker count.
 //
-// Output lands in BENCH_disco.json (schema in README.md, validated and
-// re-derived by scripts/check_bench_json.py). Exit status is nonzero when
-// any gate fails.
+// Output lands in BENCH_disco.json, every gate one record of the schema in
+// bench/common.hpp. Exit status is nonzero when any gate fails.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -36,12 +35,7 @@ namespace {
 
 using namespace aroma;
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using benchsup::hex64;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -115,11 +109,14 @@ std::uint64_t fold_ids(std::uint64_t fp,
 // ---------------------------------------------------------------------------
 // Leg 1: inverted index vs scalar scan oracle.
 
+constexpr std::size_t kPairs = benchsup::Gates::kMinPairs;
+
 struct IndexResult {
   std::uint64_t fp_indexed = 0;
   std::uint64_t fp_scan = 0;
-  double indexed_ops_per_sec = 0;
-  double scan_ops_per_sec = 0;
+  double indexed_ops_per_sec = 0;  // median pair
+  double scan_ops_per_sec = 0;     // median pair
+  std::vector<double> speedups;    // per pair: indexed / scan ops/s
   std::size_t services = 0;
   std::size_t equality_queries = 0;
 };
@@ -142,25 +139,43 @@ IndexResult run_index_leg(std::uint64_t seed, std::size_t n_services,
     r.fp_scan = fold_ids(r.fp_scan, index.match_scan(corpus.queries[q]));
   }
 
-  // Throughput: the indexed path over the full query mix; the scan oracle
-  // over a subsample (it is the O(n) baseline being replaced — timing every
-  // query through it would dominate the bench run).
+  // Throughput: kPairs interleaved pairs, alternating which side runs
+  // first. Each pair times the indexed path over its share of the full
+  // query mix and the scan oracle over a subsample (it is the O(n)
+  // baseline being replaced — timing every query through it would
+  // dominate the bench run).
+  const std::size_t per_pair = std::max<std::size_t>(1, n_throughput / kPairs);
   std::uint64_t sink = 0;
-  auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t q = 0; q < n_throughput; ++q) {
-    sink ^= fold_ids(0, index.match(corpus.queries[q]));
+  const auto indexed_rate = [&](std::size_t pair) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t q = pair * per_pair; q < (pair + 1) * per_pair; ++q) {
+      sink ^= fold_ids(0, index.match(corpus.queries[q % n_throughput]));
+    }
+    const double s = seconds_since(t0);
+    return static_cast<double>(per_pair) / (s > 0 ? s : 1e-9);
+  };
+  const auto scan_rate = [&] {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::size_t q = 0; q < n_scan_sample; ++q) {
+      sink ^= fold_ids(0, index.match_scan(corpus.queries[q]));
+    }
+    const double s = seconds_since(t0);
+    return static_cast<double>(n_scan_sample) / (s > 0 ? s : 1e-9);
+  };
+  std::vector<double> indexed, scan;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    if (p % 2 == 0) {
+      indexed.push_back(indexed_rate(p));
+      scan.push_back(scan_rate());
+    } else {
+      scan.push_back(scan_rate());
+      indexed.push_back(indexed_rate(p));
+    }
+    r.speedups.push_back(indexed.back() / scan.back());
   }
-  const double indexed_s = seconds_since(t0);
-  t0 = std::chrono::steady_clock::now();
-  for (std::size_t q = 0; q < n_scan_sample; ++q) {
-    sink ^= fold_ids(0, index.match_scan(corpus.queries[q]));
-  }
-  const double scan_s = seconds_since(t0);
   if (sink == 0xdeadbeef) std::printf("(unreachable)\n");  // keep `sink` live
-  r.indexed_ops_per_sec =
-      static_cast<double>(n_throughput) / (indexed_s > 0 ? indexed_s : 1e-9);
-  r.scan_ops_per_sec =
-      static_cast<double>(n_scan_sample) / (scan_s > 0 ? scan_s : 1e-9);
+  r.indexed_ops_per_sec = benchsup::quartiles(indexed).median;
+  r.scan_ops_per_sec = benchsup::quartiles(scan).median;
   return r;
 }
 
@@ -186,10 +201,13 @@ std::uint64_t run_fleet_pass(std::uint64_t seed, std::size_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Indexed matching must beat the scan oracle by this much at 10k
+  // services.
+  constexpr double kMinSpeedup = 5.0;
+
   std::uint64_t seed = 2026;
   std::string json_path = "BENCH_disco.json";
   std::size_t services = 10000;
-  double min_speedup = 5.0;
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     const auto need = [&](const char* flag) -> const char* {
@@ -205,14 +223,12 @@ int main(int argc, char** argv) {
       json_path = need("--json");
     } else if (std::strcmp(argv[i], "--services") == 0) {
       services = std::strtoull(need("--services"), nullptr, 10);
-    } else if (std::strcmp(argv[i], "--min-speedup") == 0) {
-      min_speedup = std::strtod(need("--min-speedup"), nullptr);
     } else if (std::strcmp(argv[i], "--quick") == 0) {
       quick = true;
     } else {
       std::fprintf(stderr,
                    "usage: disco_bench [--seed n] [--json path] "
-                   "[--services n] [--min-speedup x] [--quick]\n");
+                   "[--services n] [--quick]\n");
       return 2;
     }
   }
@@ -224,31 +240,21 @@ int main(int argc, char** argv) {
 
   std::printf("== DISCO: registrar matching, seed %llu%s ==\n",
               static_cast<unsigned long long>(seed), quick ? " (quick)" : "");
-  bool ok = true;
+  benchsup::Gates gates;
 
   // --- index ----------------------------------------------------------------
   const IndexResult idx = run_index_leg(seed, services, n_equality,
                                         n_throughput, n_scan_sample);
-  const double speedup = idx.indexed_ops_per_sec / idx.scan_ops_per_sec;
-  const bool index_matches = idx.fp_indexed == idx.fp_scan;
-  const bool speedup_ok = speedup >= min_speedup;
+  const benchsup::Quartiles sp = benchsup::quartiles(idx.speedups);
   benchsup::table_header("Indexed matching vs scalar oracle",
                          {"services", "equality-q", "indexed-ops/s",
-                          "scan-ops/s", "speedup", "identical"});
+                          "scan-ops/s", "speedup"});
   benchsup::table_row(static_cast<double>(idx.services),
                       static_cast<double>(idx.equality_queries),
-                      idx.indexed_ops_per_sec, idx.scan_ops_per_sec, speedup,
-                      std::string(index_matches ? "yes" : "NO"));
-  if (!index_matches) {
-    std::fprintf(stderr, "FAIL: indexed results diverge from the oracle (%s vs %s)\n",
-                 hex64(idx.fp_indexed).c_str(), hex64(idx.fp_scan).c_str());
-    ok = false;
-  }
-  if (!speedup_ok) {
-    std::fprintf(stderr, "FAIL: index speedup %.1fx below the %.1fx gate\n",
-                 speedup, min_speedup);
-    ok = false;
-  }
+                      idx.indexed_ops_per_sec, idx.scan_ops_per_sec,
+                      sp.median);
+  gates.equal("index.fingerprint", {idx.fp_indexed, idx.fp_scan});
+  gates.timing("index.speedup", idx.speedups, benchsup::Op::kGe, kMinSpeedup);
 
   // --- fleet ------------------------------------------------------------------
   const std::size_t hw = sim::WorkStealingPool::hardware_workers();
@@ -258,10 +264,6 @@ int main(int argc, char** argv) {
   for (const std::size_t w : worker_counts) {
     fleet_fps.push_back(run_fleet_pass(seed, shards, w));
   }
-  bool fleet_stable = true;
-  for (const std::uint64_t fp : fleet_fps) {
-    fleet_stable = fleet_stable && fp == fleet_fps[0];
-  }
   benchsup::table_header("Fleet shards across worker counts",
                          {"shards", "workers", "fingerprint"});
   for (std::size_t i = 0; i < worker_counts.size(); ++i) {
@@ -269,10 +271,7 @@ int main(int argc, char** argv) {
                         static_cast<std::uint64_t>(worker_counts[i]),
                         hex64(fleet_fps[i]));
   }
-  if (!fleet_stable) {
-    std::fprintf(stderr, "FAIL: fleet fingerprint depends on worker count\n");
-    ok = false;
-  }
+  gates.equal("fleet.fingerprint", fleet_fps);
 
   // --- JSON artifact ------------------------------------------------------------
   benchsup::Json doc = benchsup::Json::object();
@@ -283,40 +282,14 @@ int main(int argc, char** argv) {
   benchsup::Json jidx = benchsup::Json::object();
   jidx.set("services", static_cast<std::uint64_t>(idx.services));
   jidx.set("equality_queries", static_cast<std::uint64_t>(idx.equality_queries));
-  jidx.set("fp_indexed", hex64(idx.fp_indexed));
-  jidx.set("fp_scan", hex64(idx.fp_scan));
   jidx.set("indexed_ops_per_sec", idx.indexed_ops_per_sec);
   jidx.set("scan_ops_per_sec", idx.scan_ops_per_sec);
-  jidx.set("speedup", speedup);
   doc.set("index", std::move(jidx));
 
   benchsup::Json jfleet = benchsup::Json::object();
   jfleet.set("shards", static_cast<std::uint64_t>(shards));
-  benchsup::Json jw = benchsup::Json::array();
-  benchsup::Json jf = benchsup::Json::array();
-  for (std::size_t i = 0; i < worker_counts.size(); ++i) {
-    jw.push(static_cast<std::uint64_t>(worker_counts[i]));
-    jf.push(hex64(fleet_fps[i]));
-  }
-  jfleet.set("worker_counts", std::move(jw));
-  jfleet.set("fingerprints", std::move(jf));
+  // The fleet fingerprint group runs at 1 worker and at this many.
+  jfleet.set("workers", static_cast<std::uint64_t>(worker_counts.back()));
   doc.set("fleet", std::move(jfleet));
-
-  benchsup::Json gates = benchsup::Json::object();
-  gates.set("index_matches_oracle", index_matches);
-  gates.set("index_speedup_ok", speedup_ok);
-  gates.set("fleet_fingerprint_stable", fleet_stable);
-  doc.set("gates", std::move(gates));
-
-  if (!doc.write_file(json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
-  if (!ok) {
-    std::fprintf(stderr, "disco_bench: one or more gates FAILED\n");
-    return 1;
-  }
-  std::printf("all gates passed\n");
-  return 0;
+  return gates.finish(doc, json_path);
 }

@@ -39,15 +39,13 @@
 //    operator-new counter. The simulation between checkpoints allocates by
 //    design; it is counted separately and not gated.
 //
-// Output lands in BENCH_fleet.json (schema documented in README.md and
-// validated by scripts/check_bench_json.py). Exit status is nonzero when
-// fingerprints drift across worker counts or between allocation modes, when
-// any "proc" gate fails, or — on hardware with >= 4 cores — when 4-worker
-// scaling efficiency falls below --min-efficiency (default 1.5). The
-// in-process gate reads the median of 7 interleaved 1-worker/4-worker pairs
-// at the largest shard count, and records the pair ratios' quartiles as its
-// noise.
-// Single-core machines skip the efficiency gates (there is nothing to scale
+// Output lands in BENCH_fleet.json, every gate one record of the schema in
+// bench/common.hpp. Exit status is nonzero when fingerprints drift across
+// worker counts or between allocation modes, when any "proc" gate fails, or
+// — on hardware with >= 4 cores — when 4 workers (threads in-process on a
+// fixed 64-shard fleet, processes in the scale-out leg) fall below 1.5x
+// one worker in the median of 7 interleaved 1-worker/4-worker pairs.
+// Smaller machines skip the efficiency gates (there is nothing to scale
 // onto) but still enforce determinism.
 #include <fcntl.h>
 #include <unistd.h>
@@ -206,12 +204,7 @@ FleetRun run_fleet(const scn::Scenario& room, std::size_t shards,
   return out;
 }
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using benchsup::hex64;
 
 std::vector<std::size_t> parse_csv(const char* s) {
   std::vector<std::size_t> out;
@@ -297,7 +290,6 @@ struct ZeroAllocResult {
   std::uint64_t iterations = 0;
   std::uint64_t heap_allocs = 0;      // checkpoint_into + send: gated at 0
   std::uint64_t sim_heap_allocs = 0;  // run_until + settle: not gated
-  bool ok = false;
 };
 
 ZeroAllocResult run_zero_alloc_leg(const scn::Scenario& room,
@@ -332,7 +324,6 @@ ZeroAllocResult run_zero_alloc_leg(const scn::Scenario& room,
   constexpr std::uint64_t kIters = 64;
   for (std::uint64_t i = 0; i < kIters; ++i) step();
   out.iterations = kIters;
-  out.ok = out.heap_allocs == 0;
   return out;
 }
 
@@ -346,10 +337,19 @@ int main(int argc, char** argv) {
     return aroma::fleet::worker_main(std::atoi(argv[2]));
   }
 
+  // Both efficiency gates: 4 workers (threads in-process, processes across
+  // the control plane) must beat one by this much, in the median of
+  // kGatePairs interleaved 1-worker/4-worker pairs. The in-process gate
+  // runs on a fixed kGateShards fleet: at 8 shards the whole fleet takes
+  // 3-7 ms and its pair quartiles straddle the threshold.
+  constexpr double kMinEfficiency = 1.5;
+  constexpr std::size_t kGateShards = 64;
+  constexpr std::size_t kGateWorkers = 4;
+  constexpr std::size_t kGatePairs = benchsup::Gates::kMinPairs;
+
   std::vector<std::size_t> shard_counts = {1, 8, 64, 256};
   std::uint64_t seed = 2026;
   std::string json_path = "BENCH_fleet.json";
-  double min_efficiency = 1.5;
   std::size_t scale_shards = 256;
   std::vector<std::size_t> scale_workers = {1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
@@ -366,8 +366,6 @@ int main(int argc, char** argv) {
       seed = std::strtoull(need("--seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--min-efficiency") == 0) {
-      min_efficiency = std::strtod(need("--min-efficiency"), nullptr);
     } else if (std::strcmp(argv[i], "--scale-shards") == 0) {
       scale_shards = std::strtoull(need("--scale-shards"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--scale-workers") == 0) {
@@ -375,7 +373,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: fleet_bench [--shards n,n,...] [--seed n] "
-                   "[--json path] [--min-efficiency x] [--scale-shards n] "
+                   "[--json path] [--scale-shards n] "
                    "[--scale-workers n,n,...]\n"
                    "       fleet_bench --fleet-worker <fd>   (internal)\n");
       return 2;
@@ -395,32 +393,43 @@ int main(int argc, char** argv) {
       *std::max_element(shard_counts.begin(), shard_counts.end());
   std::printf("== FLEET: %zu-core host, seed %llu ==\n", hw,
               static_cast<unsigned long long>(seed));
-  bool ok = true;
+  benchsup::Gates gates;
 
   const std::string room_path =
       std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
   std::vector<std::uint8_t> room_blob;
   scn::Scenario room;
+  scn::Goldens goldens;
   try {
     room_blob = scn::compile_file(room_path);
     room = scn::decode(room_blob);
+    goldens = scn::read_goldens(std::string(AROMA_SCENARIO_DIR) +
+                                "/goldens.txt");
   } catch (const scn::ScnError& e) {
-    std::fprintf(stderr, "FAIL: %s: %s\n", room_path.c_str(), e.what());
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
     return 1;
   }
+  // Every fleet result at a pinned (seed, shard count) must land on it.
+  const auto check_golden = [&](std::size_t shards, std::uint64_t fp,
+                                std::uint64_t events) {
+    if (const scn::FleetGolden* g = goldens.fleet(room.name, seed, shards))
+      gates.golden(*g, fp, events);
+  };
+  std::uint64_t min_events = ~std::uint64_t{0};
 
   // --- Allocation A/B: same fleet, arena off vs on. -----------------------
   const std::size_t ab_shards = max_shards < 8 ? max_shards : 8;
   const FleetRun heap_mode = run_fleet(room, ab_shards, 1, seed, false);
   const FleetRun arena_mode = run_fleet(room, ab_shards, 1, seed, true);
-  const bool alloc_match = heap_mode.fingerprint == arena_mode.fingerprint;
-  if (!alloc_match) {
-    std::fprintf(stderr,
-                 "FAIL: arena changed behavior (%s heap-mode vs %s)\n",
-                 hex64(heap_mode.fingerprint).c_str(),
-                 hex64(arena_mode.fingerprint).c_str());
-    ok = false;
-  }
+  gates.equal("alloc.fingerprint",
+              {heap_mode.fingerprint, arena_mode.fingerprint});
+  gates.check("alloc.arena_allocations",
+              static_cast<double>(arena_mode.arena.allocations),
+              benchsup::Op::kGe, 1);
+  gates.check("alloc.heap_allocs_saved",
+              static_cast<double>(heap_mode.heap_allocs) -
+                  static_cast<double>(arena_mode.heap_allocs),
+              benchsup::Op::kGe, 1);
   benchsup::table_header(
       "Arena allocation delta (" + std::to_string(ab_shards) + " shards)",
       {"mode", "heap-allocs", "arena-allocs", "recycled", "fingerprint"});
@@ -435,7 +444,7 @@ int main(int argc, char** argv) {
 
   // --- Scaling sweep. -----------------------------------------------------
   // Every shard count runs at every distinct worker count in {1, 2, 4, hw}:
-  // the sweep measures scaling and doubles as the determinism check (each
+  // the sweep reports scaling and doubles as the determinism check (each
   // (shards, workers) pair must reproduce the shards' fingerprint exactly).
   std::vector<std::size_t> worker_counts = {1, 2, 4, hw};
   std::sort(worker_counts.begin(), worker_counts.end());
@@ -447,15 +456,9 @@ int main(int argc, char** argv) {
                          {"shards", "workers", "wall-s", "events", "ev/s",
                           "eff-vs-1w", "steals", "fingerprint"});
   benchsup::Json runs = benchsup::Json::array();
-  bool fingerprints_identical = true;
-  // The gated point (largest shard count, 4 workers, on a host that can run
-  // them) is measured as kGatePairs interleaved 1-worker/4-worker runs and
-  // gated on the median pair ratio: at 8 shards a single pair swings
-  // 1.3-3.2x on a shared 4-core host, which straddles the threshold.
-  constexpr int kGatePairs = 7;
   for (const std::size_t shards : shard_counts) {
     double base_rate = 0.0;
-    std::uint64_t expect_fp = 0;
+    std::vector<std::uint64_t> fps;
     for (const std::size_t workers : worker_counts) {
       if (workers > shards && workers != 1) continue;  // clamp would repeat
       const FleetRun r = run_fleet(room, shards, workers, seed, true);
@@ -463,37 +466,11 @@ int main(int argc, char** argv) {
           r.wall_s > 0.0 ? static_cast<double>(r.events) / r.wall_s : 0.0;
       if (workers == 1) {
         base_rate = rate;
-        expect_fp = r.fingerprint;
-      } else if (r.fingerprint != expect_fp) {
-        std::fprintf(stderr,
-                     "FAIL: fingerprint drift at shards=%zu workers=%zu "
-                     "(%s vs %s at 1 worker)\n",
-                     shards, workers, hex64(r.fingerprint).c_str(),
-                     hex64(expect_fp).c_str());
-        fingerprints_identical = false;
-        ok = false;
+        check_golden(shards, r.fingerprint, r.events);
       }
-      double eff = base_rate > 0.0 ? rate / base_rate : 0.0;
-      const bool gated = shards == max_shards && workers == 4 && hw >= 4;
-      benchsup::Quartiles pairs;
-      if (gated) {
-        std::vector<double> ratios;
-        for (int p = 0; p < kGatePairs; ++p) {
-          const FleetRun one = run_fleet(room, shards, 1, seed, true);
-          const FleetRun four = run_fleet(room, shards, 4, seed, true);
-          if (one.fingerprint != expect_fp || four.fingerprint != expect_fp) {
-            std::fprintf(stderr,
-                         "FAIL: fingerprint drift at shards=%zu in gate "
-                         "pair %d\n",
-                         shards, p);
-            fingerprints_identical = false;
-            ok = false;
-          }
-          ratios.push_back(four.wall_s > 0.0 ? one.wall_s / four.wall_s : 0.0);
-        }
-        pairs = benchsup::quartiles(std::move(ratios));
-        eff = pairs.median;
-      }
+      fps.push_back(r.fingerprint);
+      min_events = std::min(min_events, r.events);
+      const double eff = base_rate > 0.0 ? rate / base_rate : 0.0;
       benchsup::table_row(static_cast<double>(shards),
                           static_cast<double>(r.workers), r.wall_s,
                           static_cast<double>(r.events), rate, eff,
@@ -506,31 +483,33 @@ int main(int argc, char** argv) {
       row.set("events", r.events);
       row.set("events_per_s", rate);
       row.set("efficiency_vs_1_worker", eff);
-      if (gated) {
-        benchsup::Json noise = benchsup::Json::object();
-        noise.set("pairs", kGatePairs);
-        noise.set("q1", pairs.q1);
-        noise.set("q3", pairs.q3);
-        row.set("noise", std::move(noise));
-      }
       row.set("steals", r.sched.steals);
       row.set("stolen_tasks", r.sched.stolen_tasks);
       row.set("fleet_fingerprint", hex64(r.fingerprint));
       runs.push(std::move(row));
-
-      // Efficiency gate: only meaningful where the hardware can actually
-      // run 4 workers in parallel; a 1-core container still checks
-      // determinism above.
-      if (gated && eff < min_efficiency) {
-        std::fprintf(stderr,
-                     "FAIL: median scaling efficiency %.2f (quartiles "
-                     "%.2f-%.2f over %d pairs) < %.2f at shards=%zu "
-                     "workers=4\n",
-                     eff, pairs.q1, pairs.q3, kGatePairs, min_efficiency,
-                     shards);
-        ok = false;
-      }
     }
+    if (fps.size() > 1)  // one shard runs at one worker count only
+      gates.equal("sweep." + std::to_string(shards) + ".fingerprint", fps);
+  }
+
+  // --- In-process efficiency gate. ----------------------------------------
+  // Timed only where the build and hardware can run 4 workers in parallel;
+  // elsewhere one pair still checks the gate fleet's determinism.
+  const bool timed = benchsup::Gates::cannot_time(true).empty();
+  {
+    std::vector<double> ratios;
+    std::vector<std::uint64_t> fps;
+    for (std::size_t p = 0; p < (timed ? kGatePairs : 1); ++p) {
+      const FleetRun one = run_fleet(room, kGateShards, 1, seed, true);
+      const FleetRun four =
+          run_fleet(room, kGateShards, kGateWorkers, seed, true);
+      fps.push_back(one.fingerprint);
+      fps.push_back(four.fingerprint);
+      ratios.push_back(four.wall_s > 0.0 ? one.wall_s / four.wall_s : 0.0);
+    }
+    gates.equal("efficiency_fleet.fingerprint", fps);
+    gates.timing("inproc.efficiency_4w", ratios, benchsup::Op::kGe,
+                 kMinEfficiency, true);
   }
 
   // --- Multi-process legs (src/fleet): scale-out, equivalence, migration,
@@ -544,6 +523,8 @@ int main(int argc, char** argv) {
     // heartbeats).
     const scn::FleetResult straight =
         scn::run_fleet(room, scale_shards, seed, hw);
+    check_golden(scale_shards, straight.fleet_fp, straight.events);
+    min_events = std::min(min_events, straight.events);
     std::vector<std::size_t> sw = scale_workers;
     std::sort(sw.begin(), sw.end());
     sw.erase(std::unique(sw.begin(), sw.end()), sw.end());
@@ -553,13 +534,19 @@ int main(int argc, char** argv) {
         {"workers", "wall-s", "events", "rooms/s", "ev/s", "eff-vs-1w",
          "ctl-bytes", "B/event", "fingerprint"});
     benchsup::Json scale_runs = benchsup::Json::array();
-    bool scale_fps_identical = true;
-    bool efficiency_ok = true;
+    std::vector<std::uint64_t> scale_fps = {straight.fleet_fp};
+    std::size_t event_mismatches = 0;
+    const auto scale_run = [&](std::size_t workers) {
+      const ProcRun r =
+          run_proc(room_options(workers, scale_shards, seed, room_blob));
+      scale_fps.push_back(r.report.fleet_fp);
+      event_mismatches += r.report.total_events != straight.events ? 1 : 0;
+      return r;
+    };
     double scale_base_rate = 0.0;
     for (const std::size_t workers : sw) {
       if (workers == 0) continue;
-      const ProcRun r =
-          run_proc(room_options(workers, scale_shards, seed, room_blob));
+      const ProcRun r = scale_run(workers);
       const double rooms_per_s =
           r.wall_s > 0.0 ? static_cast<double>(scale_shards) / r.wall_s : 0.0;
       const double rate = r.wall_s > 0.0
@@ -574,22 +561,6 @@ int main(int argc, char** argv) {
               ? static_cast<double>(r.report.control_bytes) /
                     static_cast<double>(r.report.total_events)
               : 0.0;
-      if (r.report.fleet_fp != straight.fleet_fp) {
-        std::fprintf(stderr,
-                     "FAIL: scale-out fingerprint drift at %zu workers "
-                     "(%s vs in-process %s)\n",
-                     workers, hex64(r.report.fleet_fp).c_str(),
-                     hex64(straight.fleet_fp).c_str());
-        scale_fps_identical = false;
-        ok = false;
-      }
-      if (r.report.total_events != straight.events) {
-        std::fprintf(stderr,
-                     "FAIL: scale-out event-count drift at %zu workers\n",
-                     workers);
-        scale_fps_identical = false;
-        ok = false;
-      }
       benchsup::table_row(static_cast<double>(workers), r.wall_s,
                           static_cast<double>(r.report.total_events),
                           rooms_per_s, rate, eff,
@@ -607,25 +578,36 @@ int main(int argc, char** argv) {
       row.set("control_bytes_per_event", bytes_per_event);
       row.set("fleet_fingerprint", hex64(r.report.fleet_fp));
       scale_runs.push(std::move(row));
-      // The scale-out efficiency gate: 4 worker processes must beat one by
-      // min_efficiency where the hardware can actually run them.
-      if (workers == 4 && hw >= 4 && eff < min_efficiency) {
-        std::fprintf(stderr,
-                     "FAIL: scale-out efficiency %.2f < %.2f at 4 workers\n",
-                     eff, min_efficiency);
-        efficiency_ok = false;
-        ok = false;
-      }
     }
+    // The scale-out efficiency gate: 4 worker processes against one, as
+    // interleaved pairs like the in-process gate, run when --scale-workers
+    // asks for 4 workers.
+    const bool gate_requested =
+        std::find(sw.begin(), sw.end(), kGateWorkers) != sw.end();
+    if (gate_requested && timed) {
+      std::vector<double> ratios;
+      for (std::size_t p = 0; p < kGatePairs; ++p) {
+        const ProcRun one = scale_run(1);
+        const ProcRun four = scale_run(kGateWorkers);
+        ratios.push_back(four.wall_s > 0.0 ? one.wall_s / four.wall_s : 0.0);
+      }
+      gates.timing("scale_out.efficiency_4w", ratios, benchsup::Op::kGe,
+                   kMinEfficiency, true);
+    } else {
+      gates.skip("scale_out.efficiency_4w", benchsup::Op::kGe,
+                 kMinEfficiency,
+                 gate_requested ? benchsup::Gates::cannot_time(true)
+                                : "--scale-workers does not list " +
+                                      std::to_string(kGateWorkers));
+    }
+    gates.equal("scale_out.fingerprint", scale_fps);
+    gates.check("scale_out.event_mismatches",
+                static_cast<double>(event_mismatches), benchsup::Op::kEq, 0);
     benchsup::Json scale = benchsup::Json::object();
     scale.set("scenario", room.name);
     scale.set("shards", static_cast<std::uint64_t>(scale_shards));
     scale.set("single_process_fingerprint", hex64(straight.fleet_fp));
     scale.set("single_process_events", straight.events);
-    scale.set("matches_single_process", scale_fps_identical);
-    scale.set("fingerprints_identical", scale_fps_identical);
-    scale.set("efficiency_gate_active", hw >= 4);
-    scale.set("efficiency_ok", efficiency_ok);
     scale.set("runs", std::move(scale_runs));
     proc.set("scale_out", std::move(scale));
 
@@ -638,18 +620,17 @@ int main(int argc, char** argv) {
     const ProcRun eq1 = run_proc(eq);
     eq.workers = 2;
     const ProcRun eq2 = run_proc(eq);
-    const bool eq_fp = eq1.report.fleet_fp == eq2.report.fleet_fp;
-    const bool eq_events = eq1.report.total_events == eq2.report.total_events;
-    const bool eq_metrics =
-        eq1.merged_metrics_json == eq2.merged_metrics_json &&
-        !eq1.merged_metrics_json.empty();
-    if (!(eq_fp && eq_events && eq_metrics)) {
-      std::fprintf(stderr,
-                   "FAIL: 1-vs-2-worker equivalence (fp %d events %d "
-                   "metrics %d)\n",
-                   eq_fp ? 1 : 0, eq_events ? 1 : 0, eq_metrics ? 1 : 0);
-      ok = false;
-    }
+    gates.equal("equivalence.fingerprint",
+                {eq1.report.fleet_fp, eq2.report.fleet_fp});
+    gates.check("equivalence.events_equal",
+                eq1.report.total_events == eq2.report.total_events ? 1 : 0,
+                benchsup::Op::kEq, 1);
+    gates.check("equivalence.metrics_equal",
+                eq1.merged_metrics_json == eq2.merged_metrics_json &&
+                        !eq1.merged_metrics_json.empty()
+                    ? 1
+                    : 0,
+                benchsup::Op::kEq, 1);
     benchsup::Json equiv = benchsup::Json::object();
     equiv.set("shards", static_cast<std::uint64_t>(2));
     {
@@ -659,9 +640,6 @@ int main(int argc, char** argv) {
       equiv.set("workers", std::move(w));
     }
     equiv.set("fleet_fingerprint", hex64(eq1.report.fleet_fp));
-    equiv.set("fingerprint_match", eq_fp);
-    equiv.set("events_match", eq_events);
-    equiv.set("metrics_match", eq_metrics);
     equiv.set("checkpoints_streamed_1w", eq1.report.checkpoints_streamed);
     equiv.set("checkpoints_streamed_2w", eq2.report.checkpoints_streamed);
     proc.set("equivalence", std::move(equiv));
@@ -675,19 +653,23 @@ int main(int argc, char** argv) {
     fleet::FleetOptions mig = room_options(2, mig_shards, seed, room_blob);
     mig.cadence_ns = sim::Time::sec(2.0).count();
     mig.migrations = {{0, 1}, {3, 2}, {5, 1}};
+    const double planned = static_cast<double>(mig.migrations.size());
     const ProcRun mr = run_proc(mig);
-    const bool mig_fp_match = mr.report.fleet_fp == mig_straight_fp;
-    const bool mig_all = mr.report.migrations == mig.migrations.size() &&
-                         mr.mig_count == mr.report.migrations;
-    if (!mig_fp_match || !mig_all) {
-      std::fprintf(stderr,
-                   "FAIL: migration leg (fp match %d, %llu/%zu migrations, "
-                   "%llu latency samples)\n",
-                   mig_fp_match ? 1 : 0,
-                   (unsigned long long)mr.report.migrations,
-                   mig.migrations.size(), (unsigned long long)mr.mig_count);
-      ok = false;
-    }
+    gates.equal("migration.fingerprint", {mig_straight_fp, mr.report.fleet_fp});
+    gates.check("migration.migrations",
+                static_cast<double>(mr.report.migrations), benchsup::Op::kEq,
+                planned);
+    gates.check("migration.latency_samples",
+                static_cast<double>(mr.mig_count), benchsup::Op::kEq, planned);
+    gates.check("migration.latency_p50_ns", static_cast<double>(mr.mig_p50_ns),
+                benchsup::Op::kGe, 1);
+    gates.check("migration.latency_p99_minus_p50_ns",
+                static_cast<double>(mr.mig_p99_ns) -
+                    static_cast<double>(mr.mig_p50_ns),
+                benchsup::Op::kGe, 0);
+    gates.check("migration.checkpoints_streamed",
+                static_cast<double>(mr.report.checkpoints_streamed),
+                benchsup::Op::kGe, 1);
     const double mig_bytes_per_ckpt =
         mr.report.checkpoints_streamed > 0
             ? static_cast<double>(mr.report.control_bytes) /
@@ -695,18 +677,16 @@ int main(int argc, char** argv) {
             : 0.0;
     benchsup::table_header("Live migration (8 shards, 2 workers)",
                            {"migrations", "p50-us", "p99-us", "ckpts",
-                            "ctl-bytes", "B/ckpt", "fp-match"});
+                            "ctl-bytes", "B/ckpt"});
     benchsup::table_row(static_cast<double>(mr.report.migrations),
                         static_cast<double>(mr.mig_p50_ns) / 1e3,
                         static_cast<double>(mr.mig_p99_ns) / 1e3,
                         static_cast<double>(mr.report.checkpoints_streamed),
                         static_cast<double>(mr.report.control_bytes),
-                        mig_bytes_per_ckpt,
-                        std::string(mig_fp_match ? "yes" : "NO"));
+                        mig_bytes_per_ckpt);
     benchsup::Json migj = benchsup::Json::object();
     migj.set("shards", static_cast<std::uint64_t>(mig_shards));
     migj.set("workers", static_cast<std::uint64_t>(2));
-    migj.set("planned", static_cast<std::uint64_t>(mig.migrations.size()));
     migj.set("migrations", mr.report.migrations);
     {
       benchsup::Json lat = benchsup::Json::object();
@@ -715,7 +695,6 @@ int main(int argc, char** argv) {
       lat.set("p99_ns", mr.mig_p99_ns);
       migj.set("latency", std::move(lat));
     }
-    migj.set("fingerprint_match", mig_fp_match);
     migj.set("checkpoints_streamed", mr.report.checkpoints_streamed);
     migj.set("control_bytes", mr.report.control_bytes);
     migj.set("control_bytes_per_checkpoint", mig_bytes_per_ckpt);
@@ -728,26 +707,21 @@ int main(int argc, char** argv) {
     kill.cadence_ns = sim::Time::sec(2.0).count();
     kill.kill = fleet::KillPlan{1, 3, fleet::KillMode::kExit};
     const ProcRun kr = run_proc(kill);
-    const bool kill_fp_match = kr.report.fleet_fp == mig_straight_fp;
-    const bool kill_clean = kr.report.worker_deaths == 1 &&
-                            kr.report.lost_shards == 0 && kr.issues >= 1;
-    if (!kill_fp_match || !kill_clean) {
-      std::fprintf(stderr,
-                   "FAIL: recovery leg (fp match %d, deaths %llu, lost %zu, "
-                   "issues %zu)\n",
-                   kill_fp_match ? 1 : 0,
-                   (unsigned long long)kr.report.worker_deaths,
-                   kr.report.lost_shards, kr.issues);
-      ok = false;
-    }
+    gates.equal("recovery.fingerprint", {mig_straight_fp, kr.report.fleet_fp});
+    gates.check("recovery.worker_deaths",
+                static_cast<double>(kr.report.worker_deaths),
+                benchsup::Op::kEq, 1);
+    gates.check("recovery.lost_shards",
+                static_cast<double>(kr.report.lost_shards), benchsup::Op::kEq,
+                0);
+    gates.check("recovery.issues_filed", static_cast<double>(kr.issues),
+                benchsup::Op::kGe, 1);
     benchsup::table_header("Worker-kill recovery (8 shards, 3 workers)",
-                           {"deaths", "lost", "recov-ms", "issues",
-                            "fp-match"});
+                           {"deaths", "lost", "recov-ms", "issues"});
     benchsup::table_row(static_cast<double>(kr.report.worker_deaths),
                         static_cast<double>(kr.report.lost_shards),
                         kr.report.recovery_ms,
-                        static_cast<double>(kr.issues),
-                        std::string(kill_fp_match ? "yes" : "NO"));
+                        static_cast<double>(kr.issues));
     benchsup::Json recov = benchsup::Json::object();
     recov.set("shards", static_cast<std::uint64_t>(mig_shards));
     recov.set("workers", static_cast<std::uint64_t>(3));
@@ -758,31 +732,23 @@ int main(int argc, char** argv) {
               static_cast<std::uint64_t>(kr.report.lost_shards));
     recov.set("recovery_ms", kr.report.recovery_ms);
     recov.set("issues_filed", static_cast<std::uint64_t>(kr.issues));
-    recov.set("fingerprint_match", kill_fp_match);
     proc.set("recovery", std::move(recov));
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "FAIL: multi-process legs: %s\n", e.what());
+    gates.fail(std::string("multi-process legs: ") + e.what());
     proc.set("error", std::string(e.what()));
-    ok = false;
   }
 
   // Zero-alloc: steady-state checkpoint streaming through the recycled
   // scratch and channel buffers, measured by the global operator-new
   // counter.
   const ZeroAllocResult za = run_zero_alloc_leg(room, seed);
-  if (!za.ok) {
-    std::fprintf(stderr,
-                 "FAIL: checkpoint streaming allocated %llu times over %llu "
-                 "steady-state iterations\n",
-                 (unsigned long long)za.heap_allocs,
-                 (unsigned long long)za.iterations);
-    ok = false;
-  }
+  gates.check("zero_alloc.heap_allocs", static_cast<double>(za.heap_allocs),
+              benchsup::Op::kEq, 0);
   std::printf("\ncheckpoint streaming (%s shard 0): %llu heap allocs over "
-              "%llu steady-state iterations (%s); simulation between them: "
+              "%llu steady-state iterations; simulation between them: "
               "%llu (not gated)\n",
               room.name.c_str(), (unsigned long long)za.heap_allocs,
-              (unsigned long long)za.iterations, za.ok ? "ok" : "FAIL",
+              (unsigned long long)za.iterations,
               (unsigned long long)za.sim_heap_allocs);
   {
     benchsup::Json zj = benchsup::Json::object();
@@ -790,16 +756,14 @@ int main(int argc, char** argv) {
     zj.set("iterations", za.iterations);
     zj.set("heap_allocs", za.heap_allocs);
     zj.set("sim_heap_allocs", za.sim_heap_allocs);
-    zj.set("ok", za.ok);
     proc.set("zero_alloc", std::move(zj));
   }
+  gates.check("min_events", static_cast<double>(min_events), benchsup::Op::kGe,
+              1);
 
   benchsup::Json doc = benchsup::Json::object();
   doc.set("bench", "fleet");
   doc.set("seed", seed);
-  doc.set("hw_workers", static_cast<std::uint64_t>(hw));
-  doc.set("min_efficiency_gate", min_efficiency);
-  doc.set("efficiency_gate_active", hw >= 4);
   benchsup::Json alloc = benchsup::Json::object();
   alloc.set("shards", static_cast<std::uint64_t>(ab_shards));
   alloc.set("heap_allocs_arena_off", heap_mode.heap_allocs);
@@ -808,24 +772,8 @@ int main(int argc, char** argv) {
   alloc.set("arena_recycled", arena_mode.arena.recycled);
   alloc.set("arena_heap_fallbacks", arena_mode.arena.heap_fallbacks);
   alloc.set("arena_chunks", arena_mode.arena.chunks);
-  alloc.set("fingerprint_match", alloc_match);
   doc.set("alloc", std::move(alloc));
   doc.set("runs", std::move(runs));
-  benchsup::Json determinism = benchsup::Json::object();
-  {
-    benchsup::Json w = benchsup::Json::array();
-    for (const std::size_t workers : worker_counts) {
-      w.push(static_cast<std::uint64_t>(workers));
-    }
-    determinism.set("workers_checked", std::move(w));
-  }
-  determinism.set("fingerprints_identical", fingerprints_identical);
-  doc.set("determinism", std::move(determinism));
   doc.set("proc", std::move(proc));
-  if (!doc.write_file(json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return ok ? 0 : 1;
+  return gates.finish(doc, json_path);
 }

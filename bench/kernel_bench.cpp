@@ -262,13 +262,6 @@ ScenarioResult bench_radio(int n_radios, std::uint64_t seed, bool batched,
   return r;
 }
 
-std::string hex16(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 /// Keeps the faster of `best` and a repeat `r` — wall time on a shared
 /// machine is min-stable, not mean-stable. Counts and fingerprints are
 /// deterministic, so repeats must agree exactly; a mismatch is a
@@ -339,14 +332,22 @@ int main(int argc, char** argv) {
   const std::string kGateScenario = "radio_256";
 
   // Arguments: `--trace` turns on span capture for the radio scenarios;
-  // any other argument is a substring filter (`kernel_bench radio` runs
-  // only radio_N).
+  // `--json path` names the artifact (default BENCH_kernel.json); any other
+  // argument is a substring filter (`kernel_bench radio` runs only
+  // radio_N).
   bool trace = false;
   std::string filter;
+  std::string json_path = "BENCH_kernel.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--trace") {
       trace = true;
+    } else if (arg == "--json") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--json needs a value\n");
+        return 2;
+      }
+      json_path = argv[++i];
     } else {
       filter = arg;
     }
@@ -381,85 +382,29 @@ int main(int argc, char** argv) {
                           "peak_pend", "fingerprint"});
   for (const Legs& m : measured) {
     const ScenarioResult& r = m.best.batched;
-    // 16 hex digits overflow the 14-char table cell; lead with a two-space
-    // gutter so the fingerprint stays separated from peak_pend.
     benchsup::table_row(r.name, static_cast<double>(r.throughput.events),
                         r.throughput.wall_sec, r.throughput.events_per_sec(),
                         static_cast<double>(r.throughput.peak_pending),
-                        "  " + hex16(r.fingerprint));
+                        benchsup::hex64(r.fingerprint));
   }
 
   benchsup::table_header("batching vs scalar reference",
                          {"scenario", "scalar_s", "batched_s", "speedup",
-                          "q1-q3", "absorbed", "fp_match"});
-  bool all_fp_match = true;
+                          "q1-q3", "absorbed"});
   for (const Legs& m : measured) {
     const Pair& p = m.best;
-    const bool fp_match = p.scalar.fingerprint == p.batched.fingerprint;
-    all_fp_match = all_fp_match && fp_match;
     const benchsup::Quartiles sp = pair_speedup(m.pairs);
     char spread[32];
     std::snprintf(spread, sizeof spread, "%.2f-%.2f", sp.q1, sp.q3);
     benchsup::table_row(p.batched.name, p.scalar.throughput.wall_sec,
                         p.batched.throughput.wall_sec, sp.median,
                         std::string(spread),
-                        static_cast<double>(p.batched.absorbed),
-                        std::string(fp_match ? "yes" : "NO"));
+                        static_cast<double>(p.batched.absorbed));
   }
 
-  // --- self-gates -----------------------------------------------------------
-  std::vector<std::string> failures;
-  if (!all_fp_match) {
-    failures.push_back(
-        "fingerprint mismatch between scalar and batched legs (batching must "
-        "be bit-identical)");
-  }
-  benchsup::Quartiles gate;
+  // --- gates ----------------------------------------------------------------
+  benchsup::Gates gates;
   std::string gate_category;
-  for (const Legs& m : measured) {
-    const Pair& p = m.best;
-    if (p.batched.name != kGateScenario) continue;
-    // Dominant: the most callback wall time on the scalar (reference) leg,
-    // so the choice does not depend on the optimization under test.
-    const CatStats* sc = nullptr;
-    for (const CatStats& c : p.scalar.categories) {
-      if (sc == nullptr || c.wall_sec > sc->wall_sec) sc = &c;
-    }
-    if (sc != nullptr) gate_category = sc->name;
-    // Same executed count both legs (fingerprints match), so each pair's
-    // throughput ratio reduces to the wall ratio of the category's
-    // callbacks.
-    std::vector<double> ratios;
-    for (const Pair& gp : m.pairs) {
-      const CatStats* s = find_category(gp.scalar, gate_category);
-      const CatStats* b = find_category(gp.batched, gate_category);
-      if (s == nullptr || b == nullptr || b->wall_sec <= 0.0 ||
-          s->executed != b->executed) {
-        ratios.clear();
-        break;
-      }
-      ratios.push_back(s->wall_sec / b->wall_sec);
-    }
-    if (ratios.empty()) {
-      failures.push_back("gate category '" + gate_category +
-                         "' missing or inconsistent in " + kGateScenario);
-      continue;
-    }
-    gate = benchsup::quartiles(std::move(ratios));
-    std::printf("\ngate: %s '%s' category speedup %.2fx, median of %d "
-                "pairs (quartiles %.2f-%.2f; >= %.1fx required)\n",
-                kGateScenario.c_str(), gate_category.c_str(), gate.median,
-                kPairs, gate.q1, gate.q3, kGateMinSpeedup);
-    if (gate.median < kGateMinSpeedup) {
-      char msg[160];
-      std::snprintf(msg, sizeof msg,
-                    "%s '%s' median speedup %.2fx below the %.1fx gate",
-                    kGateScenario.c_str(), gate_category.c_str(), gate.median,
-                    kGateMinSpeedup);
-      failures.push_back(msg);
-    }
-  }
-
   auto doc = benchsup::Json::object();
   doc.set("bench", "kernel");
   doc.set("seed", kSeed);
@@ -467,22 +412,48 @@ int main(int argc, char** argv) {
   for (const Legs& m : measured) {
     const Pair& p = m.best;
     const ScenarioResult& r = p.batched;
+    // Batching is a pure mechanical optimization: both legs bit-identical.
+    gates.equal(r.name + ".fingerprint", {p.scalar.fingerprint, r.fingerprint});
+    // Every executed event lands in one profiler category, and the kernel's
+    // train-absorbed count splits them exactly: absorbed (kernel) plus
+    // dispatched (profiler: executed - absorbed per category) is every
+    // event, and no category absorbs more than it executed.
+    std::int64_t categorized = 0, dispatched = 0, overabsorbed = 0;
+    for (const CatStats& c : r.categories) {
+      categorized += static_cast<std::int64_t>(c.executed);
+      dispatched += static_cast<std::int64_t>(c.executed - c.absorbed);
+      overabsorbed += c.absorbed > c.executed ? 1 : 0;
+    }
+    const auto events = static_cast<std::int64_t>(r.throughput.events);
+    gates.check(r.name + ".events", static_cast<double>(events),
+                benchsup::Op::kGe, 1);
+    gates.check(r.name + ".uncategorized_events",
+                static_cast<double>(events - categorized), benchsup::Op::kEq,
+                0);
+    gates.check(r.name + ".event_split_gap",
+                static_cast<double>(static_cast<std::int64_t>(r.absorbed) +
+                                    dispatched - events),
+                benchsup::Op::kEq, 0);
+    gates.check(r.name + ".overabsorbed_categories",
+                static_cast<double>(overabsorbed), benchsup::Op::kEq, 0);
+    if (r.has_radio_stats) {
+      gates.check(r.name + ".radio_queries",
+                  static_cast<double>(r.radio.queries), benchsup::Op::kGe, 1);
+    }
+
     auto obj = benchsup::Json::object();
     obj.set("scenario", r.name);
     obj.set("events", r.throughput.events);
     obj.set("wall_sec", r.throughput.wall_sec);
     obj.set("events_per_sec", r.throughput.events_per_sec());
     obj.set("peak_pending", r.throughput.peak_pending);
-    obj.set("fingerprint", hex16(r.fingerprint));
+    obj.set("fingerprint", benchsup::hex64(r.fingerprint));
     auto cats = benchsup::Json::object();
     for (const CatStats& c : r.categories) cats.set(c.name, c.executed);
     obj.set("categories", std::move(cats));
 
     auto batching = benchsup::Json::object();
     batching.set("scalar_wall_sec", p.scalar.throughput.wall_sec);
-    batching.set("scalar_fingerprint", hex16(p.scalar.fingerprint));
-    batching.set("fingerprint_match",
-                 p.scalar.fingerprint == p.batched.fingerprint);
     // Median per-pair wall ratio; the quartiles are its noise.
     const benchsup::Quartiles sp = pair_speedup(m.pairs);
     batching.set("speedup", sp.median);
@@ -492,7 +463,7 @@ int main(int argc, char** argv) {
     sp_noise.set("q3", sp.q3);
     batching.set("speedup_noise", std::move(sp_noise));
     batching.set("absorbed", r.absorbed);
-    batching.set("dispatched", r.throughput.events - r.absorbed);
+    batching.set("dispatched", static_cast<std::int64_t>(dispatched));
     auto per_cat = benchsup::Json::array();
     for (const CatStats& c : r.categories) {
       const CatStats* sc = find_category(p.scalar, c.name);
@@ -521,48 +492,54 @@ int main(int argc, char** argv) {
       rs.set("cca_misses", r.radio.cca_misses);
       batching.set("radio", std::move(rs));
     }
+
     if (r.name == kGateScenario) {
-      auto g = benchsup::Json::object();
-      g.set("category", gate_category);
-      g.set("min_speedup", kGateMinSpeedup);
-      g.set("speedup", gate.median);
-      g.set("passed", gate.median >= kGateMinSpeedup);
-      auto noise = benchsup::Json::object();
-      noise.set("pairs", static_cast<std::uint64_t>(m.pairs.size()));
-      noise.set("q1", gate.q1);
-      noise.set("q3", gate.q3);
-      g.set("noise", std::move(noise));
-      batching.set("gate", std::move(g));
+      // Dominant: the most callback wall time on the scalar (reference)
+      // leg, so the choice does not depend on the optimization under test.
+      const CatStats* sc = nullptr;
+      for (const CatStats& c : p.scalar.categories) {
+        if (sc == nullptr || c.wall_sec > sc->wall_sec) sc = &c;
+      }
+      if (sc != nullptr) gate_category = sc->name;
+      // Same executed count both legs (fingerprints match), so each pair's
+      // throughput ratio reduces to the wall ratio of the category's
+      // callbacks.
+      std::vector<double> ratios;
+      for (const Pair& gp : m.pairs) {
+        const CatStats* s = find_category(gp.scalar, gate_category);
+        const CatStats* b = find_category(gp.batched, gate_category);
+        if (s == nullptr || b == nullptr || b->wall_sec <= 0.0 ||
+            s->executed != b->executed) {
+          ratios.clear();
+          break;
+        }
+        ratios.push_back(s->wall_sec / b->wall_sec);
+      }
+      if (ratios.empty()) {
+        gates.fail("gate category '" + gate_category +
+                   "' missing or inconsistent in " + kGateScenario);
+      } else {
+        gates.timing(kGateScenario + ".dominant_category_speedup", ratios,
+                     benchsup::Op::kGe, kGateMinSpeedup);
+      }
+      batching.set("dominant_category", gate_category);
     }
     obj.set("batching", std::move(batching));
     arr.push(std::move(obj));
   }
   doc.set("scenarios", std::move(arr));
-  const std::string path = "BENCH_kernel.json";
-  if (!doc.write_file(path)) {
-    std::fprintf(stderr, "failed to write %s\n", path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", path.c_str());
 
   if (telemetry) {
     const bool ok =
         obs::write_chrome_trace(telemetry->spans(), "kernel_trace.json") &&
         obs::write_jsonl(telemetry->spans(), "kernel_spans.jsonl") &&
         obs::write_metrics_json(telemetry->metrics(), "kernel_metrics.json");
-    if (!ok) {
-      std::fprintf(stderr, "failed to write trace artifacts\n");
-      return 1;
-    }
+    if (!ok) gates.fail("failed to write trace artifacts");
     std::printf(
         "wrote kernel_trace.json (Perfetto), kernel_spans.jsonl, "
         "kernel_metrics.json (%llu spans, %llu dropped)\n",
         static_cast<unsigned long long>(telemetry->spans().records().size()),
         static_cast<unsigned long long>(telemetry->spans().dropped()));
   }
-
-  for (const std::string& f : failures) {
-    std::fprintf(stderr, "GATE FAILURE: %s\n", f.c_str());
-  }
-  return failures.empty() ? 0 : 1;
+  return gates.finish(doc, json_path);
 }

@@ -6,11 +6,13 @@
 // fleet scale on the compiled scenarios/smart_projector.scn, and exercises
 // the black-box workflow end to end:
 //
-//  * overhead sweep: for each shard count, a telemetry fleet runs with the
-//    plane detached and attached (flight recorder + watchdogs + sampler on
-//    every shard). The fleet fingerprints must be bit-identical, and the
-//    plane's wall-clock overhead at the largest shard count must stay under
-//    --max-overhead percent (default 3),
+//  * perturbation sweep: for each shard count, a telemetry fleet runs with
+//    the plane detached and attached (flight recorder + watchdogs +
+//    sampler on every shard). The fleet fingerprints must be bit-identical,
+//  * overhead gate: a fixed 64-shard gate fleet runs 7 interleaved
+//    plane-off/plane-on pairs, each one pass with the plane-off leg first
+//    and one with it second; the median pair's wall-clock overhead must
+//    stay under --max-overhead percent (default 3),
 //  * latency percentiles: the plane-on fleet's HDR histograms (discovery
 //    lookup, RFB update delivery, MAC service time, stream RTT) merge in
 //    shard order into one registry; p50/p99/p999 land in the JSON and the
@@ -27,10 +29,10 @@
 //    before the fire. The stall leg's span timeline + sampler tracks are
 //    exported as a Perfetto/Chrome trace, and its dump is written to disk.
 //
-// Output lands in BENCH_obs.json (schema documented in README.md and
-// validated by scripts/check_bench_json.py). Exit status is nonzero when
-// any fingerprint drifts, the overhead gate misses, a watchdog stays
-// silent, or a replay fails to reach the faulting event.
+// Output lands in BENCH_obs.json, every gate one record of the schema in
+// bench/common.hpp. Exit status is nonzero when any fingerprint drifts, the
+// overhead gate misses, a latency track is empty, a watchdog stays silent,
+// or a replay fails to reach the faulting event.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -71,12 +73,7 @@ namespace {
 using aroma::scn::ScenarioInstance;
 using aroma::sim::Time;
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using benchsup::hex64;
 
 std::vector<std::size_t> parse_csv(const char* s) {
   std::vector<std::size_t> out;
@@ -154,30 +151,32 @@ struct Plane {
 constexpr double kCheckpointAtSec = 50.0;
 constexpr std::size_t kFaultShard = 1;
 
-struct PairResult {
-  std::uint64_t off_fp = 0;
-  std::uint64_t on_fp = 0;
-};
-
 // One paired fleet pass: each shard runs its plane-off leg and its plane-on
 // leg back to back on the same worker, so both legs see the same machine
 // regime (frequency scaling, co-tenant cache pressure) and the off/on
 // delta survives a noisy host — legs separated by a whole fleet pass do
-// not. The timed window is the meeting phase only, identical in both legs:
-// construction and warmup (where the plane is never attached) would dilute
-// the measurement, and plane boot — the first sample builds the metric
-// tracks — is a per-shard-lifetime cost a real fleet pays once at deploy,
-// not an operating cost. When `merged` is given, each shard's kernel
+// not. `on_first` swaps the leg order (see the overhead gate). The timed
+// window is the meeting phase only, identical in both legs: construction
+// and warmup (where the plane is never attached) would dilute the
+// measurement, and plane boot — the first sample builds the metric tracks
+// — is a per-shard-lifetime cost a real fleet pays once at deploy, not an
+// operating cost. When `merged` is given, each shard's plane-on kernel
 // counters are snapshotted and its registry (HDRs included) merged in
 // shard order.
+struct PairResult {
+  std::uint64_t off_fp = 0;
+  std::uint64_t on_fp = 0;
+  double off_s = 0.0;  // summed per-shard meeting walls
+  double on_s = 0.0;
+  std::vector<std::uint64_t> on_walls_us;  // per shard
+};
+
 PairResult run_fleet_pair(const aroma::scn::Scenario& scn,
                           std::size_t shards, std::size_t workers,
-                          std::uint64_t seed,
-                          aroma::obs::MetricsRegistry* merged,
-                          std::vector<std::uint64_t>& off_walls,
-                          std::vector<std::uint64_t>& on_walls) {
-  std::vector<std::uint64_t> off_fps(shards, 0);
-  std::vector<std::uint64_t> on_fps(shards, 0);
+                          std::uint64_t seed, bool on_first,
+                          aroma::obs::MetricsRegistry* merged) {
+  std::vector<std::uint64_t> off_fps(shards, 0), on_fps(shards, 0);
+  std::vector<std::uint64_t> off_walls(shards, 0), on_walls(shards, 0);
   std::vector<std::unique_ptr<ScenarioInstance>> keep;
   if (merged != nullptr) keep.resize(shards);
   aroma::sim::WorkStealingPool::run(
@@ -202,11 +201,14 @@ PairResult run_fleet_pair(const aroma::scn::Scenario& scn,
           (plane_on ? on_fps : off_fps)[i] = room->fingerprint();
           return room;
         };
-        leg(false);
-        auto room = leg(true);
-        if (merged != nullptr) {
-          room->telemetry()->snapshot_kernel(room->world());
-          keep[i] = std::move(room);
+        // Each leg's room dies before the next leg starts, so neither leg
+        // allocates into memory the other still holds.
+        for (const bool plane_on : {on_first, !on_first}) {
+          auto room = leg(plane_on);
+          if (plane_on && merged != nullptr) {
+            room->telemetry()->snapshot_kernel(room->world());
+            keep[i] = std::move(room);
+          }
         }
       });
   if (merged != nullptr) {
@@ -215,8 +217,15 @@ PairResult run_fleet_pair(const aroma::scn::Scenario& scn,
     for (std::size_t i = 0; i < shards; ++i)
       merged->merge(keep[i]->telemetry()->metrics());
   }
-  return {aroma::sim::fleet_fingerprint(off_fps),
-          aroma::sim::fleet_fingerprint(on_fps)};
+  PairResult out;
+  out.off_fp = aroma::sim::fleet_fingerprint(off_fps);
+  out.on_fp = aroma::sim::fleet_fingerprint(on_fps);
+  for (std::size_t i = 0; i < shards; ++i) {
+    out.off_s += static_cast<double>(off_walls[i]) * 1e-6;
+    out.on_s += static_cast<double>(on_walls[i]) * 1e-6;
+  }
+  out.on_walls_us = std::move(on_walls);
+  return out;
 }
 
 constexpr int kStallChainLen = 6000;
@@ -376,6 +385,11 @@ benchsup::Json hdr_json(const aroma::obs::HdrHistogram* h) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The overhead gate's fleet and pair count: fixed, so the gate reads the
+  // same measurement whatever --shards sweeps.
+  constexpr std::size_t kGateShards = 64;
+  constexpr std::size_t kGatePairs = benchsup::Gates::kMinPairs;
+
   std::vector<std::size_t> shard_counts = {1, 8, 64};
   std::uint64_t seed = 2026;
   std::string json_path = "BENCH_obs.json";
@@ -383,7 +397,6 @@ int main(int argc, char** argv) {
   std::string trace_path = "obs_fault_trace.json";
   std::string dump_path = "obs_fault_dump.bin";
   double max_overhead_pct = 3.0;
-  int reps = 2;
   for (int i = 1; i < argc; ++i) {
     const auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -406,18 +419,16 @@ int main(int argc, char** argv) {
       dump_path = need("--dump");
     } else if (std::strcmp(argv[i], "--max-overhead") == 0) {
       max_overhead_pct = std::strtod(need("--max-overhead"), nullptr);
-    } else if (std::strcmp(argv[i], "--reps") == 0) {
-      reps = std::atoi(need("--reps"));
     } else {
       std::fprintf(stderr,
                    "usage: obs_bench [--shards n,n,...] [--seed n] "
                    "[--json path] [--metrics-json path] [--trace path] "
-                   "[--dump path] [--max-overhead pct] [--reps n]\n");
+                   "[--dump path] [--max-overhead pct]\n");
       return 2;
     }
   }
-  if (shard_counts.empty() || reps < 1) {
-    std::fprintf(stderr, "--shards list is empty or --reps < 1\n");
+  if (shard_counts.empty()) {
+    std::fprintf(stderr, "--shards list is empty\n");
     return 2;
   }
 
@@ -425,7 +436,7 @@ int main(int argc, char** argv) {
   std::printf(
       "== OBS: %zu-core host, seed %llu, plane overhead gate %.1f%% ==\n", hw,
       static_cast<unsigned long long>(seed), max_overhead_pct);
-  bool ok = true;
+  benchsup::Gates gates;
 
   const std::string scn_path =
       std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
@@ -437,81 +448,73 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- Overhead + perturbation sweep. -------------------------------------
-  benchsup::table_header(
-      "Plane overhead (per-shard best of " + std::to_string(reps) + ")",
-      {"shards", "off-s", "on-s", "overhead-%", "fp-match", "fingerprint"});
+  // --- Perturbation sweep. ------------------------------------------------
+  // Fingerprints only: the largest count's pass keeps every plane-on room
+  // alive for the latency merge, so each next shard allocates fresh memory
+  // and its walls would read the plane as faster than no plane.
+  benchsup::table_header("Plane perturbation (one off/on pass)",
+                         {"shards", "fingerprint"});
   benchsup::Json runs = benchsup::Json::array();
-  bool fingerprints_match = true;
-  bool overhead_ok = true;
   aroma::obs::MetricsRegistry merged;
   std::vector<std::uint64_t> shard_wall_us;
   const std::size_t largest =
       *std::max_element(shard_counts.begin(), shard_counts.end());
   for (const std::size_t shards : shard_counts) {
-    const bool is_largest = shards == largest;
-    // Overhead is computed from per-shard best walls, not whole-pass walls:
-    // min over reps per shard, summed. A whole-pass minimum still carries
-    // whichever shard the OS happened to preempt that rep; the per-shard
-    // minimum composes a pass no single rep was lucky enough to produce,
-    // which is the stable estimator on a shared host.
-    std::vector<std::uint64_t> best_off(shards, ~std::uint64_t{0});
-    std::vector<std::uint64_t> best_on(shards, ~std::uint64_t{0});
-    std::uint64_t off_fp = 0, on_fp = 0;
-    for (int r = 0; r < reps; ++r) {
-      std::vector<std::uint64_t> off_walls(shards, 0), on_walls(shards, 0);
-      // Merge metrics on the last rep of the largest count only (keeps
-      // every other rep pure timing).
-      const bool collect = is_largest && r == reps - 1;
-      const PairResult pair =
-          run_fleet_pair(scn, shards, hw, seed, collect ? &merged : nullptr,
-                         off_walls, on_walls);
-      for (std::size_t i = 0; i < shards; ++i) {
-        best_off[i] = std::min(best_off[i], off_walls[i]);
-        best_on[i] = std::min(best_on[i], on_walls[i]);
-      }
-      if (collect) shard_wall_us = on_walls;
-      off_fp = pair.off_fp;
-      on_fp = pair.on_fp;
-    }
-    double off_s = 0.0, on_s = 0.0;
-    for (std::size_t i = 0; i < shards; ++i) {
-      off_s += static_cast<double>(best_off[i]) * 1e-6;
-      on_s += static_cast<double>(best_on[i]) * 1e-6;
-    }
-    const double overhead_pct =
-        off_s > 0.0 ? (on_s - off_s) / off_s * 100.0 : 0.0;
-    const bool fp_match = on_fp == off_fp;
-    if (!fp_match) {
-      std::fprintf(stderr,
-                   "FAIL: plane perturbed the run at shards=%zu (%s vs %s)\n",
-                   shards, hex64(on_fp).c_str(), hex64(off_fp).c_str());
-      fingerprints_match = false;
-      ok = false;
-    }
-    if (is_largest && overhead_pct > max_overhead_pct) {
-      std::fprintf(stderr,
-                   "FAIL: plane overhead %.2f%% > %.2f%% at shards=%zu\n",
-                   overhead_pct, max_overhead_pct, shards);
-      overhead_ok = false;
-      ok = false;
-    }
-    benchsup::table_row(static_cast<double>(shards), off_s, on_s,
-                        overhead_pct, std::string(fp_match ? "yes" : "NO"),
-                        hex64(off_fp));
+    // The largest count's plane-on fleet feeds the latency percentiles.
+    const bool collect = shards == largest;
+    PairResult pass = run_fleet_pair(scn, shards, hw, seed, false,
+                                     collect ? &merged : nullptr);
+    if (collect) shard_wall_us = std::move(pass.on_walls_us);
+    gates.equal("sweep." + std::to_string(shards) + ".fingerprint",
+                {pass.off_fp, pass.on_fp});
+    benchsup::table_row(static_cast<double>(shards), hex64(pass.off_fp));
     benchsup::Json row = benchsup::Json::object();
     row.set("shards", static_cast<std::uint64_t>(shards));
     row.set("workers", static_cast<std::uint64_t>(hw));
-    row.set("reps", static_cast<std::uint64_t>(reps));
-    row.set("plane_off_wall_s", off_s);
-    row.set("plane_on_wall_s", on_s);
-    row.set("overhead_pct", overhead_pct);
-    row.set("overhead_gated", is_largest);
-    row.set("plane_off_fingerprint", hex64(off_fp));
-    row.set("plane_on_fingerprint", hex64(on_fp));
-    row.set("fingerprint_match", fp_match);
+    row.set("fleet_fingerprint", hex64(pass.off_fp));
     runs.push(std::move(row));
   }
+
+  // --- Overhead gate: interleaved pairs on the fixed gate fleet. ----------
+  // The leg that runs second on a shard replays the run the first just
+  // warmed, so each order alone is biased by a few points. Each gate pair
+  // is therefore one pass in each order, its overhead taken over both. A
+  // build that cannot time the gate runs one pair for the fingerprints.
+  const std::size_t gate_pairs =
+      benchsup::Gates::cannot_time(false).empty() ? kGatePairs : 1;
+  std::vector<double> overheads, off_first, on_first;
+  std::vector<std::uint64_t> gate_fps;
+  const auto pct = [](double off_s, double on_s) {
+    return off_s > 0.0 ? (on_s - off_s) / off_s * 100.0 : 0.0;
+  };
+  for (std::size_t p = 0; p < gate_pairs; ++p) {
+    double off_s = 0.0, on_s = 0.0;
+    for (const bool plane_first : {p % 2 == 1, p % 2 == 0}) {
+      const PairResult pass =
+          run_fleet_pair(scn, kGateShards, hw, seed, plane_first, nullptr);
+      (plane_first ? on_first : off_first)
+          .push_back(pct(pass.off_s, pass.on_s));
+      off_s += pass.off_s;
+      on_s += pass.on_s;
+      gate_fps.push_back(pass.off_fp);
+      gate_fps.push_back(pass.on_fp);
+    }
+    overheads.push_back(pct(off_s, on_s));
+  }
+  gates.equal("gate_fleet.fingerprint", gate_fps);
+  gates.timing("plane.overhead_pct", overheads, benchsup::Op::kLe,
+               max_overhead_pct);
+  const double off_first_pct = benchsup::quartiles(off_first).median;
+  const double on_first_pct = benchsup::quartiles(on_first).median;
+  std::printf("\nplane overhead at %zu shards: median %.2f%% over %zu pairs "
+              "(off-first passes %.2f%%, on-first passes %.2f%%)\n",
+              kGateShards, benchsup::quartiles(overheads).median, gate_pairs,
+              off_first_pct, on_first_pct);
+  benchsup::Json overhead = benchsup::Json::object();
+  overhead.set("shards", static_cast<std::uint64_t>(kGateShards));
+  overhead.set("workers", static_cast<std::uint64_t>(hw));
+  overhead.set("off_first_median_pct", off_first_pct);
+  overhead.set("on_first_median_pct", on_first_pct);
 
   // --- Fleet latency percentiles (plane-on leg, largest shard count). -----
   {
@@ -525,10 +528,13 @@ int main(int argc, char** argv) {
   benchsup::table_header("End-to-end latency (µs, merged across shards)",
                          {"metric", "count", "p50", "p99", "p999"});
   benchsup::Json latency = benchsup::Json::object();
-  bool latency_instrumented = true;
+  std::uint64_t bad_tracks = 0;
   for (const char* name : kLatencyNames) {
     const aroma::obs::HdrHistogram* h = merged.find_hdr(name);
-    if (h == nullptr || h->count() == 0) latency_instrumented = false;
+    // Every track populated, percentiles monotone.
+    if (h == nullptr || h->count() == 0 || h->p50() > h->p99() ||
+        h->p99() > h->p999())
+      ++bad_tracks;
     benchsup::table_row(std::string(name),
                         static_cast<double>(h != nullptr ? h->count() : 0),
                         static_cast<double>(h != nullptr ? h->p50() : 0),
@@ -538,12 +544,8 @@ int main(int argc, char** argv) {
     std::replace(key.begin(), key.end(), '.', '_');
     latency.set(key, hdr_json(h));
   }
-  if (!latency_instrumented) {
-    std::fprintf(stderr,
-                 "FAIL: a latency histogram is missing or empty (the "
-                 "plane-on fleet should populate all of them)\n");
-    ok = false;
-  }
+  gates.check("latency.bad_tracks", static_cast<double>(bad_tracks),
+              benchsup::Op::kEq, 0);
   if (!benchsup::write_metrics_section(metrics_path, "obs", merged))
     std::fprintf(stderr, "warning: cannot update %s\n", metrics_path.c_str());
 
@@ -598,11 +600,15 @@ int main(int argc, char** argv) {
     o.set("replay_events", static_cast<std::uint64_t>(f.replay_events));
     return o;
   };
-  if (!stall.fired)
-    std::fprintf(stderr, "FAIL: sim-stall watchdog never fired\n");
-  if (!jam.fired)
-    std::fprintf(stderr, "FAIL: rf-jam retry-storm watchdog never fired\n");
-  ok = ok && stall.fired && stall.replay_ok && jam.fired && jam.replay_ok;
+  for (const auto& [name, f] :
+       {std::pair<std::string, const FaultResult*>{"stall", &stall},
+        std::pair<std::string, const FaultResult*>{"jam", &jam}}) {
+    gates.check(name + ".fired", f->fired ? 1 : 0, benchsup::Op::kEq, 1);
+    gates.check(name + ".dump_parses", f->dump_ok ? 1 : 0, benchsup::Op::kEq,
+                1);
+    gates.check(name + ".replay_reaches_fault", f->replay_ok ? 1 : 0,
+                benchsup::Op::kEq, 1);
+  }
   if (!dump_path.empty() && !stall.dump.empty() &&
       !write_blob(dump_path, stall.dump))
     std::fprintf(stderr, "warning: cannot write %s\n", dump_path.c_str());
@@ -611,33 +617,18 @@ int main(int argc, char** argv) {
   benchsup::Json doc = benchsup::Json::object();
   doc.set("bench", "obs");
   doc.set("seed", seed);
-  doc.set("hw_workers", static_cast<std::uint64_t>(hw));
-  doc.set("max_overhead_pct", max_overhead_pct);
   doc.set("checkpoint_at_s", kCheckpointAtSec);
   doc.set("runs", std::move(runs));
+  doc.set("overhead", std::move(overhead));
   doc.set("latency", std::move(latency));
   benchsup::Json faults = benchsup::Json::object();
   faults.set("stall", fault_json(stall));
   faults.set("jam", fault_json(jam));
   doc.set("faults", std::move(faults));
-  benchsup::Json gates = benchsup::Json::object();
-  gates.set("fingerprints_match", fingerprints_match);
-  gates.set("overhead_ok", overhead_ok);
-  gates.set("latency_instrumented", latency_instrumented);
-  gates.set("stall_detected", stall.fired);
-  gates.set("jam_detected", jam.fired);
-  gates.set("stall_replay_reaches_fault", stall.replay_ok);
-  gates.set("jam_replay_reaches_fault", jam.replay_ok);
-  doc.set("gates", std::move(gates));
-  if (!doc.write_file(json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
   if (!trace_path.empty())
-    std::printf("wrote %s (Perfetto/chrome://tracing)\n", trace_path.c_str());
+    std::printf("\nwrote %s (Perfetto/chrome://tracing)\n",
+                trace_path.c_str());
   if (!dump_path.empty() && !stall.dump.empty())
     std::printf("wrote %s (flight-recorder black box)\n", dump_path.c_str());
-  ok = ok && latency_instrumented;
-  return ok ? 0 : 1;
+  return gates.finish(doc, json_path);
 }

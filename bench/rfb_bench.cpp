@@ -12,18 +12,20 @@
 //     original gather-based reference implementation, with byte-equality
 //     checked on every iteration.
 //
-// Output lands in BENCH_rfb.json (schema documented in README.md and
-// validated by scripts/check_bench_json.py). Exit status is nonzero when
+// Output lands in BENCH_rfb.json, every gate one record of the schema in
+// bench/common.hpp. Exit status is nonzero when
 //   - any run fails to converge to an identical replica (synced) or
 //     reports decode errors,
 //   - the replica content hash drifts across encodings for the same
 //     (scenario, bitrate) — the encodings must be observationally
 //     equivalent,
-//   - the cached encoding does not cut slide-flip bytes by at least
-//     --min-ratio (default 5x) against tiled at the lowest bitrate, or
-//   - a zero-copy encoder's output ever differs from the reference.
-// Throughput ratios are reported but never gated: wall-clock is machine-
-// dependent, byte counts and fingerprints are not.
+//   - the cached encoding does not cut slide-flip bytes by at least 5x
+//     against tiled at the lowest bitrate,
+//   - a zero-copy encoder's output ever differs from the reference, or a
+//     SIMD inner loop from its scalar oracle, or
+//   - with a SIMD backend compiled in, tile hashing is not 2x faster than
+//     its oracle in the median of 7 interleaved pairs.
+// Encoder throughput is reported but never gated.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -49,12 +51,7 @@ using namespace aroma;
 constexpr int kWidth = 320;
 constexpr int kHeight = 240;
 
-std::string hex64(std::uint64_t v) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using benchsup::hex64;
 
 // ---------------------------------------------------------------------------
 // Slide deck with revisits. SlideDeckWorkload draws a fresh random slide on
@@ -237,49 +234,51 @@ ThroughputResult measure_throughput(rfb::Encoding enc, int iters) {
 // their scalar oracles, over every tile of a rendered slide — solid
 // background, text bars, and the noise photo, so all three content classes
 // are in the mix. Equality is checked on every tile of both a tile-aligned
-// and an odd-sized framebuffer (non-multiple-of-4 tails); timing uses the
-// min over kBatchRepeats passes (shared machine: min-stable, not
-// mean-stable). Only the tile-hash speedup is gated (>= min_speedup, and
-// only when a SIMD backend is compiled in); the others are reported.
+// and an odd-sized framebuffer (non-multiple-of-4 tails); timing runs
+// kPairs interleaved SIMD/oracle passes, alternating which goes first, so
+// host drift hits both sides of a pair alike. Only the tile-hash speedup
+// is gated (and only when a SIMD backend is compiled in); the others are
+// reported.
+
+constexpr std::size_t kPairs = benchsup::Gates::kMinPairs;
 
 struct KernelTiming {
-  double simd_mb_s = 0.0;
-  double reference_mb_s = 0.0;
-  double speedup = 0.0;
+  double simd_mb_s = 0.0;       // from the median SIMD pass
+  double reference_mb_s = 0.0;  // from the median oracle pass
+  std::vector<double> ratios;   // per pair: oracle time / SIMD time
   bool equal = true;
 };
 
-constexpr int kBatchRepeats = 3;
-
-template <typename Fn>
-double min_seconds(Fn&& fn) {
-  double best = 0.0;
-  for (int rep = 0; rep < kBatchRepeats; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double s = std::chrono::duration<double>(t1 - t0).count();
-    if (rep == 0 || s < best) best = s;
-  }
-  return best;
-}
-
 /// Times `simd_pass` and `ref_pass` (each a full sweep over `mbytes` of
-/// pixels, repeated `iters` times) and fills the rate/speedup fields.
+/// pixels, repeated `iters` times) as kPairs interleaved pairs.
 template <typename SimdFn, typename RefFn>
 KernelTiming time_kernel(double mbytes, int iters, SimdFn&& simd_pass,
                          RefFn&& ref_pass) {
+  const auto seconds = [iters](auto& pass) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) pass();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
   KernelTiming t;
+  std::vector<double> simd_s, ref_s;
+  for (std::size_t p = 0; p < kPairs; ++p) {
+    if (p % 2 == 0) {
+      simd_s.push_back(seconds(simd_pass));
+      ref_s.push_back(seconds(ref_pass));
+    } else {
+      ref_s.push_back(seconds(ref_pass));
+      simd_s.push_back(seconds(simd_pass));
+    }
+    t.ratios.push_back(simd_s.back() > 0.0 ? ref_s.back() / simd_s.back()
+                                           : 0.0);
+  }
   const double total = mbytes * iters;
-  const double simd_s = min_seconds([&] {
-    for (int i = 0; i < iters; ++i) simd_pass();
-  });
-  const double ref_s = min_seconds([&] {
-    for (int i = 0; i < iters; ++i) ref_pass();
-  });
-  t.simd_mb_s = simd_s > 0.0 ? total / simd_s : 0.0;
-  t.reference_mb_s = ref_s > 0.0 ? total / ref_s : 0.0;
-  t.speedup = ref_s > 0.0 && simd_s > 0.0 ? ref_s / simd_s : 0.0;
+  const double simd_med = benchsup::quartiles(simd_s).median;
+  const double ref_med = benchsup::quartiles(ref_s).median;
+  t.simd_mb_s = simd_med > 0.0 ? total / simd_med : 0.0;
+  t.reference_mb_s = ref_med > 0.0 ? total / ref_med : 0.0;
   return t;
 }
 
@@ -384,10 +383,14 @@ BatchingResults measure_batching(int iters) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // The tile cache must cut slide-flip bytes this much against tiled at
+  // the lowest bitrate, and SIMD tile hashing must beat its oracle this
+  // much.
+  constexpr double kMinCachedRatio = 5.0;
+  constexpr double kMinTileHashSpeedup = 2.0;
+
   std::uint64_t seed = 2026;
   std::string json_path = "BENCH_rfb.json";
-  double min_ratio = 5.0;
-  double min_simd_speedup = 2.0;
   double run_s = 45.0;
   int throughput_iters = 120;
   for (int i = 1; i < argc; ++i) {
@@ -402,18 +405,13 @@ int main(int argc, char** argv) {
       seed = std::strtoull(need("--seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--min-ratio") == 0) {
-      min_ratio = std::strtod(need("--min-ratio"), nullptr);
-    } else if (std::strcmp(argv[i], "--min-simd-speedup") == 0) {
-      min_simd_speedup = std::strtod(need("--min-simd-speedup"), nullptr);
     } else if (std::strcmp(argv[i], "--run-s") == 0) {
       run_s = std::strtod(need("--run-s"), nullptr);
     } else if (std::strcmp(argv[i], "--throughput-iters") == 0) {
       throughput_iters = std::atoi(need("--throughput-iters"));
     } else {
       std::fprintf(stderr,
-                   "usage: rfb_bench [--seed n] [--json path] "
-                   "[--min-ratio x] [--min-simd-speedup x] [--run-s s] "
+                   "usage: rfb_bench [--seed n] [--json path] [--run-s s] "
                    "[--throughput-iters n]\n");
       return 2;
     }
@@ -427,14 +425,14 @@ int main(int argc, char** argv) {
 
   std::printf("== RFB: remote-display pipeline, seed %llu ==\n",
               static_cast<unsigned long long>(seed));
-  bool ok = true;
-  bool all_synced = true;
+  benchsup::Gates gates;
 
   benchsup::Json runs = benchsup::Json::array();
   // (scenario, bitrate) -> replica hash per encoding, for the equivalence
-  // gate; slides@lowest-bitrate byte counts for the cache-ratio gate.
+  // groups; slides@lowest-bitrate byte counts for the cache-ratio gate.
   std::map<std::pair<std::string, double>, std::vector<std::uint64_t>> hashes;
   std::uint64_t slides_tiled_bytes = 0, slides_cached_bytes = 0;
+  std::uint64_t unsynced = 0, decode_errors = 0, silent = 0;
 
   benchsup::table_header(
       "Display runs (offered slides 1 Hz, animation/typing 20 Hz, " +
@@ -453,15 +451,9 @@ int main(int argc, char** argv) {
             static_cast<double>(r.tiles_encoded),
             static_cast<double>(r.cache_hits),
             static_cast<double>(r.tiles_skipped), r.synced ? 1.0 : 0.0);
-        if (!r.synced || r.decode_errors != 0) {
-          std::fprintf(stderr,
-                       "FAIL: %s/%s at %g Mb/s did not converge "
-                       "(synced=%d decode_errors=%llu)\n",
-                       scenario.c_str(), rfb::to_string(enc), mbps, r.synced,
-                       static_cast<unsigned long long>(r.decode_errors));
-          all_synced = false;
-          ok = false;
-        }
+        unsynced += r.synced ? 0 : 1;
+        decode_errors += r.decode_errors;
+        silent += r.updates_sent == 0 || r.bytes_sent == 0 ? 1 : 0;
         hashes[{scenario, mbps}].push_back(r.replica_hash);
         if (scenario == "slides" && mbps == bitrates_mbps.front()) {
           if (enc == rfb::Encoding::kTiled) slides_tiled_bytes = r.bytes_sent;
@@ -488,46 +480,33 @@ int main(int argc, char** argv) {
       }
     }
   }
-
-  // --- Gate: encodings are observationally equivalent. ---------------------
-  bool hashes_consistent = true;
+  gates.check("display.unsynced_runs", static_cast<double>(unsynced),
+              benchsup::Op::kEq, 0);
+  gates.check("display.decode_errors", static_cast<double>(decode_errors),
+              benchsup::Op::kEq, 0);
+  gates.check("display.silent_runs", static_cast<double>(silent),
+              benchsup::Op::kEq, 0);
+  // Encodings are observationally equivalent: one replica per point.
   for (const auto& [key, hs] : hashes) {
-    for (const std::uint64_t h : hs) {
-      if (h != hs.front()) {
-        std::fprintf(stderr,
-                     "FAIL: replica hash drift in %s at %g Mb/s "
-                     "(%s vs %s)\n",
-                     key.first.c_str(), key.second, hex64(h).c_str(),
-                     hex64(hs.front()).c_str());
-        hashes_consistent = false;
-        ok = false;
-      }
-    }
+    char name[64];
+    std::snprintf(name, sizeof name, "replica.%s@%gMbps", key.first.c_str(),
+                  key.second);
+    gates.equal(name, hs);
   }
-
-  // --- Gate: the cache pays on slide revisits. -----------------------------
-  const double cached_ratio =
-      slides_cached_bytes > 0
-          ? static_cast<double>(slides_tiled_bytes) /
-                static_cast<double>(slides_cached_bytes)
-          : 0.0;
-  std::printf("\nslide-flip bytes at %g Mb/s: tiled %llu, cached %llu "
-              "(%.1fx, gate %.1fx)\n",
-              bitrates_mbps.front(),
-              static_cast<unsigned long long>(slides_tiled_bytes),
-              static_cast<unsigned long long>(slides_cached_bytes),
-              cached_ratio, min_ratio);
-  if (cached_ratio < min_ratio) {
-    std::fprintf(stderr, "FAIL: cached/tiled byte ratio %.2f < %.2f\n",
-                 cached_ratio, min_ratio);
-    ok = false;
-  }
+  // The cache pays on slide revisits.
+  gates.check("slides.cached_byte_ratio",
+              slides_cached_bytes > 0
+                  ? static_cast<double>(slides_tiled_bytes) /
+                        static_cast<double>(slides_cached_bytes)
+                  : 0.0,
+              benchsup::Op::kGe, kMinCachedRatio);
 
   // --- Encoder throughput (reported, not gated; bytes-equality gated). -----
   benchsup::table_header("Zero-copy encoder throughput (slide content)",
                          {"encoding", "zero-copy-MB/s", "reference-MB/s",
                           "speedup", "bytes-equal"});
   benchsup::Json throughput = benchsup::Json::array();
+  std::uint64_t encode_mismatches = 0;
   for (const auto enc :
        {rfb::Encoding::kRaw, rfb::Encoding::kRle, rfb::Encoding::kTiled}) {
     const ThroughputResult t = measure_throughput(enc, throughput_iters);
@@ -535,12 +514,7 @@ int main(int argc, char** argv) {
         t.reference_mb_s > 0.0 ? t.zero_copy_mb_s / t.reference_mb_s : 0.0;
     benchsup::table_row(std::string(rfb::to_string(enc)), t.zero_copy_mb_s,
                         t.reference_mb_s, speedup, t.bytes_equal ? 1.0 : 0.0);
-    if (!t.bytes_equal) {
-      std::fprintf(stderr,
-                   "FAIL: zero-copy %s output differs from reference\n",
-                   rfb::to_string(enc));
-      ok = false;
-    }
+    encode_mismatches += t.bytes_equal ? 0 : 1;
     benchsup::Json row = benchsup::Json::object();
     row.set("encoding", rfb::to_string(enc));
     row.set("zero_copy_mb_s", t.zero_copy_mb_s);
@@ -549,26 +523,28 @@ int main(int argc, char** argv) {
     row.set("bytes_equal", t.bytes_equal);
     throughput.push(std::move(row));
   }
+  gates.check("encode.zero_copy_mismatches",
+              static_cast<double>(encode_mismatches), benchsup::Op::kEq, 0);
 
   // --- SIMD inner loops: equality gated; tile-hash speedup gated when a
   // --- SIMD backend is compiled in. ----------------------------------------
   const BatchingResults batching = measure_batching(throughput_iters / 2);
   benchsup::table_header(
       std::string("SIMD inner loops (backend ") + sim::simd::kBackend + ")",
-      {"kernel", "simd-MB/s", "reference-MB/s", "speedup", "equal"});
+      {"kernel", "simd-MB/s", "reference-MB/s", "speedup", "q1-q3", "equal"});
+  std::uint64_t oracle_mismatches = 0;
   const auto batch_row = [&](const char* kernel, const KernelTiming& t) {
+    const benchsup::Quartiles q = benchsup::quartiles(t.ratios);
+    char spread[32];
+    std::snprintf(spread, sizeof spread, "%.2f-%.2f", q.q1, q.q3);
     benchsup::table_row(std::string(kernel), t.simd_mb_s, t.reference_mb_s,
-                        t.speedup, t.equal ? 1.0 : 0.0);
-    if (!t.equal) {
-      std::fprintf(stderr, "FAIL: %s disagrees with its scalar oracle\n",
-                   kernel);
-      ok = false;
-    }
+                        q.median, std::string(spread), t.equal ? 1.0 : 0.0);
+    oracle_mismatches += t.equal ? 0 : 1;
     benchsup::Json row = benchsup::Json::object();
     row.set("kernel", kernel);
     row.set("simd_mb_s", t.simd_mb_s);
     row.set("reference_mb_s", t.reference_mb_s);
-    row.set("speedup", t.speedup);
+    row.set("speedup", q.median);
     row.set("oracle_equal", t.equal);
     return row;
   };
@@ -576,21 +552,15 @@ int main(int argc, char** argv) {
   kernels.push(batch_row("tile_hash", batching.tile_hash));
   kernels.push(batch_row("solid_scan", batching.solid_scan));
   kernels.push(batch_row("rle_scan", batching.rle_scan));
-  const bool simd_gate_applies = sim::simd::kEnabled;
-  bool simd_gate_ok = true;
-  if (simd_gate_applies) {
-    simd_gate_ok = batching.tile_hash.speedup >= min_simd_speedup;
-    std::printf("\ntile-hash SIMD speedup %.2fx (gate %.1fx, backend %s)\n",
-                batching.tile_hash.speedup, min_simd_speedup,
-                sim::simd::kBackend);
-    if (!simd_gate_ok) {
-      std::fprintf(stderr, "FAIL: tile-hash SIMD speedup %.2f < %.2f\n",
-                   batching.tile_hash.speedup, min_simd_speedup);
-      ok = false;
-    }
+  gates.check("simd.oracle_mismatches", static_cast<double>(oracle_mismatches),
+              benchsup::Op::kEq, 0);
+  if (sim::simd::kEnabled) {
+    gates.timing("simd.tile_hash_speedup", batching.tile_hash.ratios,
+                 benchsup::Op::kGe, kMinTileHashSpeedup);
   } else {
-    std::printf("\ntile-hash speedup gate skipped: scalar backend "
-                "(AROMA_FORCE_SCALAR or no SIMD ISA)\n");
+    gates.skip("simd.tile_hash_speedup", benchsup::Op::kGe,
+               kMinTileHashSpeedup,
+               "scalar backend (AROMA_FORCE_SCALAR or no SIMD ISA)");
   }
 
   benchsup::Json doc = benchsup::Json::object();
@@ -606,26 +576,7 @@ int main(int argc, char** argv) {
   doc.set("encode_throughput", std::move(throughput));
   benchsup::Json batching_doc = benchsup::Json::object();
   batching_doc.set("simd_backend", sim::simd::kBackend);
-  batching_doc.set("simd_enabled", sim::simd::kEnabled);
   batching_doc.set("kernels", std::move(kernels));
   doc.set("batching", std::move(batching_doc));
-  benchsup::Json gates = benchsup::Json::object();
-  gates.set("all_synced", all_synced);
-  gates.set("replica_hash_consistent", hashes_consistent);
-  gates.set("min_cached_ratio", min_ratio);
-  gates.set("slides_cached_ratio", cached_ratio);
-  gates.set("simd_oracles_equal", batching.tile_hash.equal &&
-                                      batching.solid_scan.equal &&
-                                      batching.rle_scan.equal);
-  gates.set("min_simd_speedup", min_simd_speedup);
-  gates.set("tile_hash_speedup", batching.tile_hash.speedup);
-  gates.set("simd_gate_applied", simd_gate_applies);
-  gates.set("simd_gate_ok", simd_gate_ok);
-  doc.set("gates", std::move(gates));
-  if (!doc.write_file(json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return ok ? 0 : 1;
+  return gates.finish(doc, json_path);
 }

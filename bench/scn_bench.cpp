@@ -16,12 +16,13 @@
 //    trains (absorbed > 0) while the passes-off compile of the same source
 //    absorbs none; each mode's fleet fingerprint must be identical across
 //    worker counts,
-//  * library — every scenarios/*.scn compiles, runs to completion at
-//    several worker counts, and fingerprints are worker-count-invariant.
+//  * library — every scenarios/*.scn compiles, runs to completion with
+//    pings delivered at several worker counts, and fingerprints are
+//    worker-count-invariant.
 //
-// Output lands in BENCH_scn.json (schema in README.md, validated by
-// scripts/check_bench_json.py). Exit status is nonzero when any gate fails.
-#include <chrono>
+// Wall time is not measured here: perfbench times the same runs. Output
+// lands in BENCH_scn.json, every gate one record of the schema in
+// bench/common.hpp. Exit status is nonzero when any gate fails.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -43,12 +44,7 @@ namespace {
 
 using namespace aroma;
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using benchsup::hex64;
 
 std::vector<std::size_t> parse_csv(const char* s) {
   std::vector<std::size_t> out;
@@ -73,21 +69,6 @@ std::vector<std::size_t> parse_csv(const char* s) {
 
 /// Seed of the pinned smart_projector fleet goldens (scenarios/goldens.txt).
 constexpr std::uint64_t kGoldenSeed = 2026;
-
-struct TimedFleet {
-  scn::FleetResult result;
-  double wall_s = 0.0;
-};
-
-TimedFleet timed_fleet(const scn::Scenario& s, std::size_t shards,
-                       std::uint64_t seed, std::size_t workers) {
-  TimedFleet out;
-  const auto t0 = std::chrono::steady_clock::now();
-  out.result = scn::run_fleet(s, shards, seed, workers);
-  const auto t1 = std::chrono::steady_clock::now();
-  out.wall_s = std::chrono::duration<double>(t1 - t0).count();
-  return out;
-}
 
 }  // namespace
 
@@ -146,7 +127,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool ok = true;
+  benchsup::Gates gates;
 
   const scn::PassOptions full;
   scn::PassOptions off;
@@ -166,6 +147,8 @@ int main(int argc, char** argv) {
                           "twice-id", "dump-stable"});
   benchsup::Json compile_rows = benchsup::Json::array();
   std::vector<scn::Scenario> compiled;  // decoded IR, library order
+  std::size_t errors = 0, nondeterministic = 0, unstable = 0, empty = 0,
+              trains_mismatch = 0, lowered_total = 0;
   for (const std::string& name : library) {
     const std::string path = scn_dir + "/" + name + ".scn";
     try {
@@ -181,11 +164,13 @@ int main(int argc, char** argv) {
       const std::vector<std::uint8_t> blob3 =
           scn::compile(scn::dump(scn::decode(blob2)), name + ".dump2", full);
       const bool stable = blob2 == blob3;
-      if (!twice || !stable) {
-        std::fprintf(stderr, "FAIL: %s compile determinism (twice=%d stable=%d)\n",
-                     name.c_str(), twice ? 1 : 0, stable ? 1 : 0);
-        ok = false;
-      }
+      nondeterministic += twice ? 0 : 1;
+      unstable += stable ? 0 : 1;
+      empty += blob1.empty() ? 1 : 0;
+      // The runtime batches trains exactly when some flow is lowered.
+      trains_mismatch +=
+          scn::kernel_trains(ir1) != (ir1.trains_lowered > 0) ? 1 : 0;
+      lowered_total += ir1.trains_lowered;
       benchsup::table_row(
           name, static_cast<double>(blob1.size()),
           static_cast<double>(ir1.folds), static_cast<double>(ir1.trains_lowered),
@@ -196,59 +181,41 @@ int main(int argc, char** argv) {
       row.set("folds", static_cast<std::uint64_t>(ir1.folds));
       row.set("trains_lowered", static_cast<std::uint64_t>(ir1.trains_lowered));
       row.set("kernel_trains", scn::kernel_trains(ir1));
-      row.set("compile_twice_identical", twice);
-      row.set("dump_recompile_stable", stable);
       compile_rows.push(std::move(row));
       compiled.push_back(scn::decode(blob1));
     } catch (const scn::ScnError& e) {
-      std::fprintf(stderr, "FAIL: %s: %s\n", name.c_str(), e.what());
-      ok = false;
+      std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+      ++errors;
       compiled.emplace_back();  // placeholder; library leg skips empty IR
-      benchsup::Json row = benchsup::Json::object();
-      row.set("scenario", name);
-      row.set("error", std::string(e.what()));
-      compile_rows.push(std::move(row));
     }
   }
+  gates.check("compile.errors", static_cast<double>(errors), benchsup::Op::kEq,
+              0);
+  gates.check("compile.twice_differs", static_cast<double>(nondeterministic),
+              benchsup::Op::kEq, 0);
+  gates.check("compile.dump_unstable", static_cast<double>(unstable),
+              benchsup::Op::kEq, 0);
+  gates.check("compile.empty_blobs", static_cast<double>(empty),
+              benchsup::Op::kEq, 0);
+  gates.check("compile.kernel_trains_mismatches",
+              static_cast<double>(trains_mismatch), benchsup::Op::kEq, 0);
+  gates.check("compile.trains_lowered", static_cast<double>(lowered_total),
+              benchsup::Op::kGe, 1);
 
   // --- Golden leg: compiled smart_projector vs its pinned fingerprints. ---
-  // Gated at the golden seed only; any other seed reports the fleet
-  // fingerprints without a reference.
-  const bool golden_gated = seed == kGoldenSeed;
+  // Gated where scenarios/goldens.txt pins (seed, shards): every shard
+  // count at seed 2026; any other seed reports the fleet fingerprints.
   benchsup::table_header("Goldens: compiled smart_projector",
-                         {"shards", "events", "fingerprint", "golden", "match"});
-  benchsup::Json golden_runs = benchsup::Json::array();
-  bool golden_ok = !compiled[0].entities.empty();
-  for (const std::size_t shards : golden_shards) {
-    if (!golden_ok) break;
-    const scn::FleetGolden& g =
-        *goldens.fleet("smart_projector", kGoldenSeed, shards);
-    const TimedFleet c = timed_fleet(compiled[0], shards, seed, 1);
-    const bool match =
-        c.result.fleet_fp == g.fleet_fp && c.result.events == g.events;
-    if (golden_gated && !match) {
-      std::fprintf(stderr,
-                   "FAIL: golden drift at %zu shards (%s / %llu events vs "
-                   "pinned %s / %llu)\n",
-                   shards, hex64(c.result.fleet_fp).c_str(),
-                   (unsigned long long)c.result.events,
-                   hex64(g.fleet_fp).c_str(), (unsigned long long)g.events);
-      golden_ok = false;
-      ok = false;
+                         {"shards", "events", "fingerprint"});
+  if (!compiled[0].entities.empty()) {
+    for (const std::size_t shards : golden_shards) {
+      const scn::FleetResult r = scn::run_fleet(compiled[0], shards, seed, 1);
+      if (const scn::FleetGolden* g =
+              goldens.fleet(library[0], seed, shards))
+        gates.golden(*g, r.fleet_fp, r.events);
+      benchsup::table_row(static_cast<double>(shards),
+                          static_cast<double>(r.events), hex64(r.fleet_fp));
     }
-    benchsup::table_row(static_cast<double>(shards),
-                        static_cast<double>(c.result.events),
-                        hex64(c.result.fleet_fp), hex64(g.fleet_fp),
-                        std::string(!golden_gated ? "-" : match ? "yes" : "NO"));
-    benchsup::Json row = benchsup::Json::object();
-    row.set("shards", static_cast<std::uint64_t>(shards));
-    row.set("fingerprint", hex64(c.result.fleet_fp));
-    row.set("events", c.result.events);
-    row.set("golden_fingerprint", hex64(g.fleet_fp));
-    row.set("golden_events", g.events);
-    row.set("wall_s", c.wall_s);
-    row.set("match", match);
-    golden_runs.push(std::move(row));
   }
 
   // --- Trains leg: stadium with the pipeline on vs off. --------------------
@@ -259,131 +226,93 @@ int main(int argc, char** argv) {
   {
     const std::size_t tr_shards = 2;
     const std::string path = scn_dir + "/stadium.scn";
-    bool trains_ok = true;
     try {
       const scn::Scenario on = scn::decode(scn::compile_file(path, full));
       scn::Scenario off_ir = scn::decode(scn::compile_file(path, off));
-      const TimedFleet on1 = timed_fleet(on, tr_shards, seed, 1);
-      const TimedFleet on2 = timed_fleet(on, tr_shards, seed, 2);
-      const TimedFleet off1 = timed_fleet(off_ir, tr_shards, seed, 1);
-      const TimedFleet off2 = timed_fleet(off_ir, tr_shards, seed, 2);
-      const bool fp_on_stable = on1.result.fleet_fp == on2.result.fleet_fp;
-      const bool fp_off_stable = off1.result.fleet_fp == off2.result.fleet_fp;
-      const bool absorbs = on1.result.absorbed > 0;
-      const bool off_clean = off1.result.absorbed == 0;
-      trains_ok = fp_on_stable && fp_off_stable && absorbs && off_clean;
-      if (!trains_ok) {
-        std::fprintf(stderr,
-                     "FAIL: trains leg (on-stable=%d off-stable=%d "
-                     "absorbed_on=%llu absorbed_off=%llu)\n",
-                     fp_on_stable ? 1 : 0, fp_off_stable ? 1 : 0,
-                     (unsigned long long)on1.result.absorbed,
-                     (unsigned long long)off1.result.absorbed);
-        ok = false;
-      }
+      const scn::FleetResult on1 = scn::run_fleet(on, tr_shards, seed, 1);
+      const scn::FleetResult on2 = scn::run_fleet(on, tr_shards, seed, 2);
+      const scn::FleetResult off1 = scn::run_fleet(off_ir, tr_shards, seed, 1);
+      const scn::FleetResult off2 = scn::run_fleet(off_ir, tr_shards, seed, 2);
+      gates.equal("trains.full.fingerprint", {on1.fleet_fp, on2.fleet_fp});
+      gates.equal("trains.passes_off.fingerprint",
+                  {off1.fleet_fp, off2.fleet_fp});
+      gates.check("trains.absorbed_full", static_cast<double>(on1.absorbed),
+                  benchsup::Op::kGe, 1);
+      gates.check("trains.absorbed_passes_off",
+                  static_cast<double>(off1.absorbed), benchsup::Op::kEq, 0);
       const double ratio =
-          on1.result.events > 0
-              ? static_cast<double>(on1.result.absorbed) /
-                    static_cast<double>(on1.result.events)
-              : 0.0;
+          on1.events > 0 ? static_cast<double>(on1.absorbed) /
+                               static_cast<double>(on1.events)
+                         : 0.0;
       benchsup::table_header("Train absorption (stadium, 2 shards)",
-                             {"mode", "events", "absorbed", "abs/event",
-                              "fp-stable"});
+                             {"mode", "events", "absorbed", "abs/event"});
       benchsup::table_row(std::string("full"),
-                          static_cast<double>(on1.result.events),
-                          static_cast<double>(on1.result.absorbed), ratio,
-                          std::string(fp_on_stable ? "yes" : "NO"));
+                          static_cast<double>(on1.events),
+                          static_cast<double>(on1.absorbed), ratio);
       benchsup::table_row(std::string("passes-off"),
-                          static_cast<double>(off1.result.events),
-                          static_cast<double>(off1.result.absorbed), 0.0,
-                          std::string(fp_off_stable ? "yes" : "NO"));
+                          static_cast<double>(off1.events),
+                          static_cast<double>(off1.absorbed), 0.0);
       trains.set("shards", static_cast<std::uint64_t>(tr_shards));
-      trains.set("events_full", on1.result.events);
-      trains.set("absorbed_full", on1.result.absorbed);
-      trains.set("events_passes_off", off1.result.events);
-      trains.set("absorbed_passes_off", off1.result.absorbed);
+      trains.set("events_full", on1.events);
+      trains.set("absorbed_full", on1.absorbed);
+      trains.set("events_passes_off", off1.events);
+      trains.set("absorbed_passes_off", off1.absorbed);
       trains.set("absorbed_per_event_full", ratio);
-      trains.set("fingerprint_stable_full", fp_on_stable);
-      trains.set("fingerprint_stable_passes_off", fp_off_stable);
     } catch (const scn::ScnError& e) {
-      std::fprintf(stderr, "FAIL: trains leg: %s\n", e.what());
+      gates.fail(std::string("trains leg: ") + e.what());
       trains.set("error", std::string(e.what()));
-      trains_ok = false;
-      ok = false;
     }
-    trains.set("ok", trains_ok);
   }
 
   // --- Library leg: every scenario, several worker counts. -----------------
   benchsup::table_header("Scenario library",
                          {"scenario", "shards", "events", "absorbed", "pings",
-                          "goals-ok", "wall-s", "fp-stable", "fingerprint"});
+                          "goals-ok", "fingerprint"});
   benchsup::Json lib_runs = benchsup::Json::array();
-  bool library_ok = true;
+  std::size_t silent = 0, run_errors = 0;
   for (std::size_t si = 0; si < library.size(); ++si) {
     const scn::Scenario& s = compiled[si];
-    if (s.entities.empty()) {
-      library_ok = false;
-      continue;  // compile already failed and reported
-    }
+    if (s.entities.empty()) continue;  // compile already failed and counted
     try {
-      bool fp_stable = true;
-      TimedFleet first;
+      std::vector<std::uint64_t> fps;
+      scn::FleetResult first;
       for (std::size_t wi = 0; wi < library_workers.size(); ++wi) {
-        const TimedFleet r =
-            timed_fleet(s, library_shards, seed, library_workers[wi]);
-        if (wi == 0) {
-          first = r;
-        } else if (r.result.fleet_fp != first.result.fleet_fp) {
-          fp_stable = false;
-        }
+        const scn::FleetResult r =
+            scn::run_fleet(s, library_shards, seed, library_workers[wi]);
+        if (wi == 0) first = r;
+        fps.push_back(r.fleet_fp);
       }
-      if (!fp_stable) {
-        std::fprintf(stderr, "FAIL: %s fingerprint drifts across workers\n",
-                     library[si].c_str());
-        library_ok = false;
-        ok = false;
-      }
+      gates.equal("library." + library[si] + ".fingerprint", fps);
+      silent += first.events == 0 || first.pings == 0 ? 1 : 0;
       benchsup::table_row(
           library[si], static_cast<double>(library_shards),
-          static_cast<double>(first.result.events),
-          static_cast<double>(first.result.absorbed),
-          static_cast<double>(first.result.pings),
-          static_cast<double>(first.result.goals_succeeded), first.wall_s,
-          std::string(fp_stable ? "yes" : "NO"),
-          hex64(first.result.fleet_fp));
+          static_cast<double>(first.events),
+          static_cast<double>(first.absorbed),
+          static_cast<double>(first.pings),
+          static_cast<double>(first.goals_succeeded), hex64(first.fleet_fp));
       benchsup::Json row = benchsup::Json::object();
       row.set("scenario", library[si]);
       row.set("shards", static_cast<std::uint64_t>(library_shards));
-      row.set("fleet_fingerprint", hex64(first.result.fleet_fp));
-      row.set("events", first.result.events);
-      row.set("absorbed", first.result.absorbed);
-      row.set("pings", first.result.pings);
-      row.set("goals_succeeded", first.result.goals_succeeded);
-      row.set("wall_s", first.wall_s);
-      row.set("fingerprints_identical", fp_stable);
+      row.set("fleet_fingerprint", hex64(first.fleet_fp));
+      row.set("events", first.events);
+      row.set("absorbed", first.absorbed);
+      row.set("pings", first.pings);
+      row.set("goals_succeeded", first.goals_succeeded);
       lib_runs.push(std::move(row));
     } catch (const scn::ScnError& e) {
-      std::fprintf(stderr, "FAIL: %s run: %s\n", library[si].c_str(),
-                   e.what());
-      library_ok = false;
-      ok = false;
+      std::fprintf(stderr, "%s run: %s\n", library[si].c_str(), e.what());
+      ++run_errors;
     }
   }
+  gates.check("library.run_errors", static_cast<double>(run_errors),
+              benchsup::Op::kEq, 0);
+  gates.check("library.silent_scenarios", static_cast<double>(silent),
+              benchsup::Op::kEq, 0);
 
   benchsup::Json doc = benchsup::Json::object();
   doc.set("bench", "scn");
   doc.set("seed", seed);
   doc.set("compile", std::move(compile_rows));
-  {
-    benchsup::Json golden = benchsup::Json::object();
-    golden.set("scenario", library[0]);
-    golden.set("seed", kGoldenSeed);
-    golden.set("gated", golden_gated);
-    golden.set("runs", std::move(golden_runs));
-    golden.set("ok", golden_ok);
-    doc.set("golden", std::move(golden));
-  }
   doc.set("trains", std::move(trains));
   {
     benchsup::Json lib = benchsup::Json::object();
@@ -394,14 +323,7 @@ int main(int argc, char** argv) {
     }
     lib.set("workers_checked", std::move(w));
     lib.set("runs", std::move(lib_runs));
-    lib.set("ok", library_ok);
     doc.set("library", std::move(lib));
   }
-  doc.set("ok", ok);
-  if (!doc.write_file(json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return ok ? 0 : 1;
+  return gates.finish(doc, json_path);
 }

@@ -14,16 +14,17 @@
 //    must all land on the same fleet fingerprint,
 //  * full-vs-incremental checkpoint sizes on the steady-state projector
 //    workload at a sub-second cadence (the pixel section only churns on
-//    slide flips, so incrementals must be at least --min-incr-ratio times
-//    smaller than fulls), plus the materialize() chain check: overlaying
+//    slide flips, so incrementals must be at least 2x smaller than fulls),
+//    plus the materialize() chain check: overlaying
 //    every incremental onto the base full must rebuild the byte-identical
 //    full blob at the final instant,
 //  * save/restore throughput (MB/s of blob serialized / deserialized).
 //
-// Output lands in BENCH_snap.json (schema documented in README.md and
-// validated by scripts/check_bench_json.py). Exit status is nonzero when
-// any fingerprint drifts, the incremental ratio misses the gate, or the
-// incremental chain fails to materialize the full blob.
+// Output lands in BENCH_snap.json, every gate one record of the schema in
+// bench/common.hpp. Exit status is nonzero when any fingerprint drifts
+// (at seed 2026 the reference fleet must also land on its pinned golden),
+// the incremental ratio misses the gate, or the incremental chain fails to
+// materialize the full blob.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -53,12 +54,7 @@ namespace {
 using aroma::scn::ScenarioInstance;
 using aroma::sim::Time;
 
-std::string hex64(std::uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+using benchsup::hex64;
 
 std::vector<std::size_t> parse_csv(const char* s) {
   std::vector<std::size_t> out;
@@ -93,21 +89,26 @@ constexpr double kCheckpointAtSec = 50.0;
 
 struct PassResult {
   std::uint64_t fleet_fp = 0;
+  std::uint64_t events = 0;
   double wall_s = 0.0;
 };
 
 // Uninterrupted reference fleet: warmup + finish, no checkpoint.
 PassResult run_reference(const aroma::scn::Scenario& scn, std::size_t shards,
                          std::size_t workers, std::uint64_t seed) {
-  std::vector<std::uint64_t> fps(shards, 0);
+  std::vector<std::uint64_t> fps(shards, 0), events(shards, 0);
   const auto t0 = std::chrono::steady_clock::now();
   aroma::sim::WorkStealingPool::run(
       workers, shards, [&](std::size_t i, std::size_t) {
         ScenarioInstance room(scn, i, aroma::sim::shard_seed(seed, i));
         room.run();
         fps[i] = room.fingerprint();
+        events[i] = room.events();
       });
-  return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
+  const double wall_s = seconds_since(t0);
+  std::uint64_t total = 0;
+  for (const std::uint64_t e : events) total += e;
+  return {aroma::sim::fleet_fingerprint(fps), total, wall_s};
 }
 
 // Checkpointed fleet: full checkpoint at the capture target, then resume
@@ -128,7 +129,7 @@ PassResult run_capture(const aroma::scn::Scenario& scn, std::size_t shards,
         room.finish();
         fps[i] = room.fingerprint();
       });
-  return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
+  return {aroma::sim::fleet_fingerprint(fps), 0, seconds_since(t0)};
 }
 
 // Restored fleet: fresh instances (structural rebuild), overwrite from the
@@ -146,16 +147,19 @@ PassResult run_restore(const aroma::scn::Scenario& scn, std::size_t shards,
         room.finish();
         fps[i] = room.fingerprint();
       });
-  return {aroma::sim::fleet_fingerprint(fps), seconds_since(t0)};
+  return {aroma::sim::fleet_fingerprint(fps), 0, seconds_since(t0)};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Dirty-section incrementals must average this many times smaller than
+  // a full checkpoint.
+  constexpr double kMinIncrRatio = 2.0;
+
   std::vector<std::size_t> shard_counts = {1, 8, 64};
   std::uint64_t seed = 2026;
   std::string json_path = "BENCH_snap.json";
-  double min_incr_ratio = 2.0;
   double cadence_s = 0.25;
   for (int i = 1; i < argc; ++i) {
     const auto need = [&](const char* flag) -> const char* {
@@ -171,14 +175,12 @@ int main(int argc, char** argv) {
       seed = std::strtoull(need("--seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--min-incr-ratio") == 0) {
-      min_incr_ratio = std::strtod(need("--min-incr-ratio"), nullptr);
     } else if (std::strcmp(argv[i], "--cadence") == 0) {
       cadence_s = std::strtod(need("--cadence"), nullptr);
     } else {
       std::fprintf(stderr,
                    "usage: snap_bench [--shards n,n,...] [--seed n] "
-                   "[--json path] [--min-incr-ratio x] [--cadence s]\n");
+                   "[--json path] [--cadence s]\n");
       return 2;
     }
   }
@@ -194,25 +196,27 @@ int main(int argc, char** argv) {
   const std::size_t restore_workers = hw > 1 ? hw - 1 : 2;
   std::printf("== SNAP: %zu-core host, seed %llu, checkpoint at %.1f s ==\n",
               hw, static_cast<unsigned long long>(seed), kCheckpointAtSec);
-  bool ok = true;
+  benchsup::Gates gates;
 
   const std::string scn_path =
       std::string(AROMA_SCENARIO_DIR) + "/smart_projector.scn";
   aroma::scn::Scenario scn;
+  aroma::scn::Goldens goldens;
   try {
     scn = aroma::scn::decode(aroma::scn::compile_file(scn_path));
+    goldens = aroma::scn::read_goldens(std::string(AROMA_SCENARIO_DIR) +
+                                       "/goldens.txt");
   } catch (const aroma::scn::ScnError& e) {
-    std::fprintf(stderr, "FAIL: %s: %s\n", scn_path.c_str(), e.what());
+    std::fprintf(stderr, "FAIL: %s\n", e.what());
     return 1;
   }
 
   // --- Restore-then-resume equality sweep. --------------------------------
   benchsup::table_header(
       "Restore-then-resume equality",
-      {"shards", "blob-KiB-avg", "ckpt-match", "restore-match",
-       "fingerprint"});
+      {"shards", "blob-KiB-avg", "fingerprint"});
   benchsup::Json runs = benchsup::Json::array();
-  bool fingerprints_match = true;
+  std::uint64_t min_blob_bytes = ~std::uint64_t{0};
   for (const std::size_t shards : shard_counts) {
     std::vector<std::vector<std::uint8_t>> blobs;
     const PassResult ref = run_reference(scn, shards, capture_workers, seed);
@@ -222,31 +226,17 @@ int main(int argc, char** argv) {
         run_restore(scn, shards, restore_workers, seed, blobs);
     std::uint64_t blob_total = 0;
     for (const auto& b : blobs) blob_total += b.size();
+    min_blob_bytes = std::min(min_blob_bytes, blob_total);
     const double blob_avg =
         static_cast<double>(blob_total) / static_cast<double>(shards);
-    const bool cap_match = cap.fleet_fp == ref.fleet_fp;
-    const bool res_match = res.fleet_fp == ref.fleet_fp;
-    if (!cap_match) {
-      std::fprintf(stderr,
-                   "FAIL: checkpointing perturbed the run at shards=%zu "
-                   "(%s vs reference %s)\n",
-                   shards, hex64(cap.fleet_fp).c_str(),
-                   hex64(ref.fleet_fp).c_str());
-      fingerprints_match = false;
-      ok = false;
-    }
-    if (!res_match) {
-      std::fprintf(stderr,
-                   "FAIL: restored fleet diverged at shards=%zu "
-                   "(%s vs reference %s)\n",
-                   shards, hex64(res.fleet_fp).c_str(),
-                   hex64(ref.fleet_fp).c_str());
-      fingerprints_match = false;
-      ok = false;
-    }
+    // Checkpointing must not perturb the run, and the restored fleet
+    // (different worker count) must land on the reference fingerprint.
+    gates.equal("fleet." + std::to_string(shards) + ".fingerprint",
+                {ref.fleet_fp, cap.fleet_fp, res.fleet_fp});
+    if (const aroma::scn::FleetGolden* g =
+            goldens.fleet(scn.name, seed, shards))
+      gates.golden(*g, ref.fleet_fp, ref.events);
     benchsup::table_row(static_cast<double>(shards), blob_avg / 1024.0,
-                        std::string(cap_match ? "yes" : "NO"),
-                        std::string(res_match ? "yes" : "NO"),
                         hex64(ref.fleet_fp));
     benchsup::Json row = benchsup::Json::object();
     row.set("shards", static_cast<std::uint64_t>(shards));
@@ -257,12 +247,10 @@ int main(int argc, char** argv) {
     row.set("reference_wall_s", ref.wall_s);
     row.set("restore_wall_s", res.wall_s);
     row.set("reference_fingerprint", hex64(ref.fleet_fp));
-    row.set("checkpointed_fingerprint", hex64(cap.fleet_fp));
-    row.set("restored_fingerprint", hex64(res.fleet_fp));
-    row.set("checkpoint_match", cap_match);
-    row.set("restore_match", res_match);
     runs.push(std::move(row));
   }
+  gates.check("min_blob_bytes", static_cast<double>(min_blob_bytes),
+              benchsup::Op::kGe, 1);
 
   // --- Full vs incremental cadence. ---------------------------------------
   // One steady-state shard, checkpointed every `cadence_s`. The control
@@ -294,26 +282,15 @@ int main(int argc, char** argv) {
   // The overlay chain must land on the byte-identical full blob for the
   // final instant (the shard is still at that instant: take it directly).
   const bool chain_ok = materialized == cadence_room.checkpoint();
-  if (!chain_ok) {
-    std::fprintf(stderr,
-                 "FAIL: incremental chain does not materialize the full "
-                 "checkpoint\n");
-    ok = false;
-  }
+  gates.check("incremental.chain_materializes", chain_ok ? 1 : 0,
+              benchsup::Op::kEq, 1);
   const double incr_avg =
       static_cast<double>(incr_total) / kCadenceCycles;
   const double incr_ratio =
       incr_avg > 0.0 ? static_cast<double>(base_full.blob.size()) / incr_avg
                      : 0.0;
-  const bool ratio_ok = incr_ratio >= min_incr_ratio;
-  if (!ratio_ok) {
-    std::fprintf(stderr,
-                 "FAIL: incremental ratio %.2f < %.2f (full %zu B, "
-                 "avg incremental %.0f B)\n",
-                 incr_ratio, min_incr_ratio, base_full.blob.size(),
-                 incr_avg);
-    ok = false;
-  }
+  gates.check("incremental.ratio", incr_ratio, benchsup::Op::kGe,
+              kMinIncrRatio);
   const aroma::snap::CheckpointStats& cstats = cadence_cm.stats();
   benchsup::table_header(
       "Checkpoint cadence (" + std::to_string(kCadenceCycles) +
@@ -360,7 +337,6 @@ int main(int argc, char** argv) {
   benchsup::Json doc = benchsup::Json::object();
   doc.set("bench", "snap");
   doc.set("seed", seed);
-  doc.set("hw_workers", static_cast<std::uint64_t>(hw));
   doc.set("checkpoint_at_s", kCheckpointAtSec);
   doc.set("runs", std::move(runs));
   benchsup::Json incr = benchsup::Json::object();
@@ -369,9 +345,6 @@ int main(int argc, char** argv) {
   incr.set("full_bytes", static_cast<std::uint64_t>(base_full.blob.size()));
   incr.set("incremental_bytes_avg", incr_avg);
   incr.set("incremental_bytes_max", incr_max);
-  incr.set("ratio", incr_ratio);
-  incr.set("min_ratio_gate", min_incr_ratio);
-  incr.set("chain_materializes", chain_ok);
   incr.set("deferral_steps", cstats.deferral_steps);
   doc.set("incremental", std::move(incr));
   benchsup::Json tp = benchsup::Json::object();
@@ -381,15 +354,5 @@ int main(int argc, char** argv) {
   tp.set("restore_iters", static_cast<std::uint64_t>(kRestoreIters));
   tp.set("restore_mb_per_s", restore_mb_s);
   doc.set("throughput", std::move(tp));
-  benchsup::Json gates = benchsup::Json::object();
-  gates.set("fingerprints_match", fingerprints_match);
-  gates.set("incremental_ratio_ok", ratio_ok);
-  gates.set("chain_materializes", chain_ok);
-  doc.set("gates", std::move(gates));
-  if (!doc.write_file(json_path)) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s\n", json_path.c_str());
-  return ok ? 0 : 1;
+  return gates.finish(doc, json_path);
 }
