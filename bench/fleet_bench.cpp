@@ -172,18 +172,18 @@ struct FleetRun {
 
 FleetRun run_fleet(const scn::Scenario& room, std::size_t shards,
                    std::size_t workers, std::uint64_t seed, bool use_arena) {
-  sim::FleetEngine engine(workers);
+  std::vector<RoomResult> rooms(shards);
   const std::uint64_t heap0 = g_heap_allocs.load(std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<RoomResult> rooms = engine.run<RoomResult>(
-      shards, seed, [&room, use_arena](const sim::ShardContext& ctx) {
-        return run_shard(room, ctx.shard_id, ctx.seed, use_arena);
+  const sim::WorkStealingPool::Stats sched = sim::WorkStealingPool::run(
+      workers, shards, [&](std::size_t i, std::size_t) {
+        rooms[i] = run_shard(room, i, sim::shard_seed(seed, i), use_arena);
       });
   const auto t1 = std::chrono::steady_clock::now();
 
   FleetRun out;
   out.shards = shards;
-  out.workers = engine.workers();
+  out.workers = workers;
   out.wall_s = std::chrono::duration<double>(t1 - t0).count();
   out.heap_allocs =
       g_heap_allocs.load(std::memory_order_relaxed) - heap0;
@@ -200,7 +200,7 @@ FleetRun run_fleet(const scn::Scenario& room, std::size_t shards,
     out.arena.chunk_bytes += r.arena.chunk_bytes;
   }
   out.fingerprint = sim::fleet_fingerprint(fps);
-  out.sched = engine.last_stats();
+  out.sched = sched;
   return out;
 }
 

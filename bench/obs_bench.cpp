@@ -59,7 +59,6 @@
 #include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
-#include "snap/checkpoint.hpp"
 #include "snap/replay.hpp"
 
 #ifndef AROMA_SCENARIO_DIR
@@ -290,9 +289,9 @@ FaultResult run_fault(const aroma::scn::Scenario& scn, std::uint64_t seed,
   room.warmup();
   Plane plane(room, kFaultShard, Plane::kDeepRing, Time::ms(250), wopts);
   room.world().sim().run_until(Time::sec(kCheckpointAtSec));
-  aroma::snap::CheckpointManager cm(room.world(), room.registry());
-  const aroma::snap::Checkpoint ck = cm.take_full();
-  plane.rec.note_checkpoint(ck.id, ck.captured_at, ck.blob);
+  const std::vector<std::uint8_t> blob = room.checkpoint();
+  const Time captured_at = room.world().now();
+  plane.rec.note_checkpoint(1, captured_at, blob);
 
   aroma::obs::WatchdogFire fire;
   plane.dogs.set_dump_hook([&](const aroma::obs::WatchdogFire& f) {
@@ -301,7 +300,7 @@ FaultResult run_fault(const aroma::scn::Scenario& scn, std::uint64_t seed,
       out.dump = plane.rec.dump(fault.name);
     }
   });
-  fault.inject(room, ck.captured_at);
+  fault.inject(room, captured_at);
   room.finish();
   plane.sampler.take_sample(room.world().now());
 

@@ -12,19 +12,12 @@
 //    t=50 s, then resumed in-process), and a restored fleet (fresh
 //    instances, warmup + restore(blob) under a different worker count)
 //    must all land on the same fleet fingerprint,
-//  * full-vs-incremental checkpoint sizes on the steady-state projector
-//    workload at a sub-second cadence (the pixel section only churns on
-//    slide flips, so incrementals must be at least 2x smaller than fulls),
-//    plus the materialize() chain check: overlaying
-//    every incremental onto the base full must rebuild the byte-identical
-//    full blob at the final instant,
 //  * save/restore throughput (MB/s of blob serialized / deserialized).
 //
 // Output lands in BENCH_snap.json, every gate one record of the schema in
 // bench/common.hpp. Exit status is nonzero when any fingerprint drifts
-// (at seed 2026 the reference fleet must also land on its pinned golden),
-// the incremental ratio misses the gate, or the incremental chain fails to
-// materialize the full blob.
+// (at seed 2026 the reference fleet must also land on its pinned golden)
+// or a fleet wrote no checkpoint bytes.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -41,7 +34,6 @@
 #include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
-#include "snap/checkpoint.hpp"
 
 #ifndef AROMA_SCENARIO_DIR
 #define AROMA_SCENARIO_DIR "scenarios"
@@ -124,8 +116,7 @@ PassResult run_capture(const aroma::scn::Scenario& scn, std::size_t shards,
         ScenarioInstance room(scn, i, aroma::sim::shard_seed(seed, i));
         room.warmup();
         room.world().sim().run_until(Time::sec(kCheckpointAtSec));
-        aroma::snap::CheckpointManager cm(room.world(), room.registry());
-        blobs[i] = cm.take_full().blob;
+        blobs[i] = room.checkpoint();
         room.finish();
         fps[i] = room.fingerprint();
       });
@@ -153,14 +144,9 @@ PassResult run_restore(const aroma::scn::Scenario& scn, std::size_t shards,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Dirty-section incrementals must average this many times smaller than
-  // a full checkpoint.
-  constexpr double kMinIncrRatio = 2.0;
-
   std::vector<std::size_t> shard_counts = {1, 8, 64};
   std::uint64_t seed = 2026;
   std::string json_path = "BENCH_snap.json";
-  double cadence_s = 0.25;
   for (int i = 1; i < argc; ++i) {
     const auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -175,12 +161,10 @@ int main(int argc, char** argv) {
       seed = std::strtoull(need("--seed"), nullptr, 10);
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json_path = need("--json");
-    } else if (std::strcmp(argv[i], "--cadence") == 0) {
-      cadence_s = std::strtod(need("--cadence"), nullptr);
     } else {
       std::fprintf(stderr,
                    "usage: snap_bench [--shards n,n,...] [--seed n] "
-                   "[--json path] [--cadence s]\n");
+                   "[--json path]\n");
       return 2;
     }
   }
@@ -252,72 +236,28 @@ int main(int argc, char** argv) {
   gates.check("min_blob_bytes", static_cast<double>(min_blob_bytes),
               benchsup::Op::kGe, 1);
 
-  // --- Full vs incremental cadence. ---------------------------------------
-  // One steady-state shard, checkpointed every `cadence_s`. The control
-  // sections (RFB client state, stream timers) churn with every update;
-  // the pixel section only churns when a slide flips (every 4 s), so the
-  // dirty-section delta must shrink the average blob by at least the gate.
-  constexpr std::size_t kCadenceShard = 1;
-  constexpr int kCadenceCycles = 16;
-  ScenarioInstance cadence_room(scn, kCadenceShard,
-                                aroma::sim::shard_seed(seed, kCadenceShard));
-  cadence_room.warmup();
-  cadence_room.world().sim().run_until(Time::sec(46.0));
-  aroma::snap::CheckpointManager::Options cadence_opts;
-  cadence_opts.full_every = 1u << 30;  // never cycle back to full on its own
-  aroma::snap::CheckpointManager cadence_cm(
-      cadence_room.world(), cadence_room.registry(), cadence_opts);
-  const aroma::snap::Checkpoint base_full = cadence_cm.take_full();
-  std::vector<std::uint8_t> materialized = base_full.blob;
-  std::uint64_t incr_total = 0, incr_max = 0;
-  for (int c = 0; c < kCadenceCycles; ++c) {
-    cadence_room.world().sim().run_until(cadence_room.world().now() +
-                                         Time::sec(cadence_s));
-    const aroma::snap::Checkpoint incr = cadence_cm.take_incremental();
-    incr_total += incr.blob.size();
-    incr_max = std::max<std::uint64_t>(incr_max, incr.blob.size());
-    materialized = aroma::snap::CheckpointManager::materialize(
-        materialized, incr.blob);
-  }
-  // The overlay chain must land on the byte-identical full blob for the
-  // final instant (the shard is still at that instant: take it directly).
-  const bool chain_ok = materialized == cadence_room.checkpoint();
-  gates.check("incremental.chain_materializes", chain_ok ? 1 : 0,
-              benchsup::Op::kEq, 1);
-  const double incr_avg =
-      static_cast<double>(incr_total) / kCadenceCycles;
-  const double incr_ratio =
-      incr_avg > 0.0 ? static_cast<double>(base_full.blob.size()) / incr_avg
-                     : 0.0;
-  gates.check("incremental.ratio", incr_ratio, benchsup::Op::kGe,
-              kMinIncrRatio);
-  const aroma::snap::CheckpointStats& cstats = cadence_cm.stats();
-  benchsup::table_header(
-      "Checkpoint cadence (" + std::to_string(kCadenceCycles) +
-          " cycles @ " + std::to_string(cadence_s) + " s)",
-      {"full-B", "incr-avg-B", "incr-max-B", "ratio", "chain", "defer-steps"});
-  benchsup::table_row(static_cast<double>(base_full.blob.size()), incr_avg,
-                      static_cast<double>(incr_max), incr_ratio,
-                      std::string(chain_ok ? "exact" : "BROKEN"),
-                      static_cast<double>(cstats.deferral_steps));
-
   // --- Save / restore throughput. -----------------------------------------
-  // The cadence shard sits at a quiescent instant; serialize and restore the
-  // same state repeatedly and report blob MB/s. Restoring with a zero gap
-  // onto the capture instant is idempotent, so every iteration does the
-  // full parse + rebase + overwrite work.
-  const std::vector<std::uint8_t> tp_blob = cadence_room.checkpoint();
+  // One shard settled at the capture target; serialize and restore the same
+  // state repeatedly and report blob MB/s. Restoring with a zero gap onto
+  // the capture instant is idempotent, so every iteration does the full
+  // parse + rebase + overwrite work.
+  constexpr std::size_t kThroughputShard = 1;
+  ScenarioInstance tp_room(scn, kThroughputShard,
+                           aroma::sim::shard_seed(seed, kThroughputShard));
+  tp_room.warmup();
+  tp_room.world().sim().run_until(Time::sec(kCheckpointAtSec));
+  const std::vector<std::uint8_t> tp_blob = tp_room.checkpoint();
   constexpr int kSaveIters = 64;
   constexpr int kRestoreIters = 32;
   const auto save_t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kSaveIters; ++i) {
-    const std::vector<std::uint8_t> b = cadence_room.checkpoint();
+    const std::vector<std::uint8_t> b = tp_room.checkpoint();
     if (b.size() != tp_blob.size()) std::abort();
   }
   const double save_s = seconds_since(save_t0);
   const auto restore_t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kRestoreIters; ++i) {
-    cadence_room.restore(tp_blob, Time::sec(0.0));
+    tp_room.restore(tp_blob, Time::sec(0.0));
   }
   const double restore_s = seconds_since(restore_t0);
   const double save_mb_s =
@@ -339,14 +279,6 @@ int main(int argc, char** argv) {
   doc.set("seed", seed);
   doc.set("checkpoint_at_s", kCheckpointAtSec);
   doc.set("runs", std::move(runs));
-  benchsup::Json incr = benchsup::Json::object();
-  incr.set("cadence_s", cadence_s);
-  incr.set("cycles", static_cast<std::uint64_t>(kCadenceCycles));
-  incr.set("full_bytes", static_cast<std::uint64_t>(base_full.blob.size()));
-  incr.set("incremental_bytes_avg", incr_avg);
-  incr.set("incremental_bytes_max", incr_max);
-  incr.set("deferral_steps", cstats.deferral_steps);
-  doc.set("incremental", std::move(incr));
   benchsup::Json tp = benchsup::Json::object();
   tp.set("blob_bytes", static_cast<std::uint64_t>(tp_blob.size()));
   tp.set("save_iters", static_cast<std::uint64_t>(kSaveIters));

@@ -25,20 +25,6 @@ std::size_t round_up_pow2(std::size_t v) {
   while (p < v) p <<= 1;
   return p;
 }
-
-// Reads a section's entry count. Each entry takes at least `min_bytes`, so a
-// count the rest of the section cannot hold is rejected before it sizes a
-// reservation.
-std::uint64_t entry_count(snap::SectionReader& r, std::size_t min_bytes,
-                          const char* section) {
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / min_bytes) {
-    throw snap::SnapError(std::string(section) + " count " +
-                          std::to_string(n) + " exceeds " +
-                          std::to_string(r.remaining()) + " remaining bytes");
-  }
-  return n;
-}
 }  // namespace
 
 FlightRecorder::FlightRecorder(std::size_t capacity, std::uint32_t shard)
@@ -284,7 +270,7 @@ FlightDump FlightDump::parse(std::span<const std::uint8_t> blob) {
 
   if (const snap::Section* s = snap.find(kTagFlightNames)) {
     snap::SectionReader r(s->payload, sim::Time::zero());
-    const std::uint64_t n = entry_count(r, 8, "FLTN name");  // u64 length
+    const std::uint64_t n = r.entry_count(8, "FLTN name");  // u64 length
     dump.names.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) dump.names.push_back(r.str());
     r.expect_end();
@@ -293,7 +279,7 @@ FlightDump FlightDump::parse(std::span<const std::uint8_t> blob) {
   if (const snap::Section* s = snap.find(kTagFlightRecords)) {
     snap::SectionReader r(s->payload, sim::Time::zero());
     const std::uint64_t n =
-        entry_count(r, 8 + 2 + 2 + 4 + 8 + 8, "FLTR record");  // see dump()
+        r.entry_count(8 + 2 + 2 + 4 + 8 + 8, "FLTR record");  // see dump()
     dump.records.reserve(static_cast<std::size_t>(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       FlightRecord rec;

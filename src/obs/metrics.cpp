@@ -286,7 +286,9 @@ void MetricsRegistry::restore(snap::SectionReader& r) {
       case Kind::kHistogram: {
         const double lo = r.f64();
         const double hi = r.f64();
-        const std::uint64_t bins = r.u64();
+        // Bounded by the payload left, not sized by a forged count (total
+        // and clamped sit between count and bins: loose by two u64s).
+        const std::uint64_t bins = r.entry_count(8, "OBSM histogram bin");
         const std::uint64_t total = r.u64();
         const std::uint64_t clamped = r.u64();
         std::vector<std::uint64_t> counts(static_cast<std::size_t>(bins));

@@ -157,7 +157,10 @@ void SpanTracer::restore(snap::SectionReader& r) {
   capacity_ = static_cast<std::size_t>(r.u64());
   dropped_ = r.u64();
   next_id_ = r.u64();
-  const std::uint64_t n = r.u64();
+  // Smallest record: id, parent, start, open flag, name length, layer,
+  // level, instant flag, arg count (see save()).
+  const std::uint64_t n =
+      r.entry_count(8 + 8 + 8 + 1 + 8 + 1 + 1 + 1 + 8, "OBSS span");
   records_.reserve(static_cast<std::size_t>(n));
   for (std::uint64_t i = 0; i < n; ++i) {
     SpanRecord rec;
@@ -170,7 +173,8 @@ void SpanTracer::restore(snap::SectionReader& r) {
     rec.layer = static_cast<lpc::Layer>(r.u8());
     rec.level = static_cast<sim::TraceLevel>(r.u8());
     rec.instant = r.b();
-    const std::uint64_t n_args = r.u64();
+    const std::uint64_t n_args =
+        r.entry_count(8 + 8, "OBSS span arg");  // two string lengths
     rec.args.reserve(static_cast<std::size_t>(n_args));
     for (std::uint64_t a = 0; a < n_args; ++a) {
       const std::string key = r.str();

@@ -96,9 +96,8 @@ class RfbServer {
   // The encode-completion one-shot captures the framed update bytes, so the
   // server is only checkpointable between encodes. Control state (request
   // flags, stats) and the bulky cached-encoder state (cache mirror +
-  // per-tile last-sent hashes) serialize into separate sections:
-  // the latter only churns when screen content changes, which is what makes
-  // incremental checkpoints small on slide-deck workloads.
+  // per-tile last-sent hashes) serialize into separate sections (RFBC and
+  // PIXL in a scenario checkpoint).
   bool snap_quiescent(std::string* why) const;
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);

@@ -466,9 +466,8 @@ bool ScenarioInstance::quiescent(std::string* why) {
 
 void ScenarioInstance::settle() {
   // Deterministic: the first quiescent instant is a pure function of the
-  // seed, found in the same 1 ms steps CheckpointManager defers in. Bounded
-  // by the horizon: finish() stops traffic there, so a capture past it
-  // could not resume the same timeline.
+  // seed, found in fixed 1 ms steps. Bounded by the horizon: finish() stops
+  // traffic there, so a capture past it could not resume the same timeline.
   std::string why;
   while (!quiescent(&why)) {
     if (world_->now() >= horizon_time()) {
@@ -726,9 +725,9 @@ void ScenarioInstance::register_sections() {
         }
       });
 
-  // RFBC — protocol control state (request flags, stats). Kept separate
-  // from PIXL so steady-state incremental checkpoints stay small: control
-  // churns with every update, pixels only churn on slide flips.
+  // RFBC — protocol control state (request flags, stats); the caches and
+  // pixels behind it go in PIXL. The split is part of format version 3:
+  // merging the two sections would change every blob.
   reg.add(
       kTagRfb, "rfb",
       [this](SectionWriter& w) {

@@ -134,7 +134,7 @@ class ScenarioInstance {
   // --- checkpoint path (after warmup) ---------------------------------------
 
   /// Every stateful core's section and quiescence predicate, built on
-  /// first use (use with snap::CheckpointManager for cadenced captures).
+  /// first use.
   snap::SnapshotRegistry& registry();
   /// True when every registered core is at a quiescent point; `why` names
   /// the first blocking core otherwise.

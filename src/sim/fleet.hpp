@@ -71,46 +71,4 @@ class WorkStealingPool {
   }
 };
 
-/// Context handed to each shard task.
-struct ShardContext {
-  std::size_t shard_id = 0;
-  std::uint64_t seed = 0;    // == shard_seed(fleet seed, shard_id)
-  std::size_t worker = 0;    // executing worker (informational only)
-};
-
-/// Runs `shards` shard tasks over a work-stealing pool and returns their
-/// results in shard order. `Result` must be default-constructible and
-/// movable; the task must derive all behavior from ctx.seed for the fleet
-/// to be deterministic across worker counts.
-class FleetEngine {
- public:
-  explicit FleetEngine(std::size_t workers = 0)
-      : workers_(workers ? workers : WorkStealingPool::hardware_workers()) {}
-
-  std::size_t workers() const { return workers_; }
-
-  template <typename Result>
-  std::vector<Result> run(std::size_t shards, std::uint64_t seed,
-                          const std::function<Result(const ShardContext&)>&
-                              fn) {
-    std::vector<Result> out(shards);
-    last_stats_ = WorkStealingPool::run(
-        workers_, shards, [&](std::size_t i, std::size_t worker) {
-          ShardContext ctx;
-          ctx.shard_id = i;
-          ctx.seed = shard_seed(seed, i);
-          ctx.worker = worker;
-          out[i] = fn(ctx);
-        });
-    return out;
-  }
-
-  /// Scheduling stats of the most recent run().
-  const WorkStealingPool::Stats& last_stats() const { return last_stats_; }
-
- private:
-  std::size_t workers_;
-  WorkStealingPool::Stats last_stats_;
-};
-
 }  // namespace aroma::sim

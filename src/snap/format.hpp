@@ -3,7 +3,7 @@
 // A checkpoint is a flat byte blob:
 //
 //   [8]  magic "AROMSNAP"
-//   [4]  format version (little-endian u32, currently 1)
+//   [4]  format version (little-endian u32, currently 3)
 //   [4]  section count
 //   then per section:
 //   [4]  tag (a four-character code, e.g. 'SIM!')
@@ -160,6 +160,19 @@ class SectionReader {
   sim::Time now() const { return now_; }
   std::size_t remaining() const { return data_.size() - pos_; }
 
+  /// Reads a u64 entry count. Each entry takes at least `min_bytes`, so a
+  /// count the rest of the payload cannot hold is rejected before it sizes
+  /// a container.
+  std::uint64_t entry_count(std::size_t min_bytes, const char* what) {
+    const std::uint64_t n = u64();
+    if (n > remaining() / min_bytes) {
+      throw SnapError(std::string(what) + " count " + std::to_string(n) +
+                      " exceeds " + std::to_string(remaining()) +
+                      " remaining bytes");
+    }
+    return n;
+  }
+
   std::uint8_t u8() { return take_byte(); }
   bool b() { return u8() != 0; }
   std::uint16_t u16() { return le<std::uint16_t>(); }
@@ -239,6 +252,37 @@ struct Section {
   std::vector<std::uint8_t> payload;
 };
 
+namespace detail {
+inline void put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+inline void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+}
+}  // namespace detail
+
+/// Appends the container header (magic, version, section count) to `out`.
+/// With put_section(), the only writer of the container framing: pushes
+/// into `out`, so a warmed buffer takes both without allocating.
+inline void put_header(std::vector<std::uint8_t>& out, const char (&magic)[8],
+                       std::uint32_t version, std::uint32_t count) {
+  out.insert(out.end(), magic, magic + 8);
+  detail::put32(out, version);
+  detail::put32(out, count);
+}
+
+/// Appends one section-table entry (tag, flags, length, CRC) and its
+/// payload to `out`.
+inline void put_section(std::vector<std::uint8_t>& out, std::uint32_t tag,
+                        std::uint32_t flags,
+                        std::span<const std::uint8_t> payload) {
+  detail::put32(out, tag);
+  detail::put32(out, flags);
+  detail::put64(out, payload.size());
+  detail::put32(out, crc32(payload.data(), payload.size()));
+  out.insert(out.end(), payload.begin(), payload.end());
+}
+
 /// Assembles a checkpoint blob from sections.
 class SnapWriter {
  public:
@@ -256,29 +300,15 @@ class SnapWriter {
   std::vector<std::uint8_t> finish(const char (&magic)[8],
                                    std::uint32_t version) const {
     std::vector<std::uint8_t> out;
-    out.insert(out.end(), magic, magic + 8);
-    put32(out, version);
-    put32(out, static_cast<std::uint32_t>(sections_.size()));
+    put_header(out, magic, version,
+               static_cast<std::uint32_t>(sections_.size()));
     for (const Section& s : sections_) {
-      put32(out, s.tag);
-      put32(out, s.flags);
-      put64(out, s.payload.size());
-      put32(out, crc32(s.payload.data(), s.payload.size()));
-      out.insert(out.end(), s.payload.begin(), s.payload.end());
+      put_section(out, s.tag, s.flags, s.payload);
     }
     return out;
   }
 
-  const std::vector<Section>& sections() const { return sections_; }
-
  private:
-  static void put32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-  static void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-
   std::vector<Section> sections_;
 };
 

@@ -11,11 +11,11 @@
 //   * quiesce — optional: report whether the component is at a quiescent
 //               point (no in-flight frames, no un-rearmable pending events).
 //
-// Checkpoints are only taken at quiescent instants (CheckpointManager
-// defers deterministically until one is reached), which is what makes C++
-// closures a non-problem: the only events pending at quiescence are the
-// re-armed classes (periodic timers, lease checks, lease renewals), each of
-// which its owner knows how to rebuild verbatim.
+// Checkpoints are only taken at quiescent instants (ScenarioInstance::
+// settle() steps deterministically until one is reached), which is what
+// makes C++ closures a non-problem: the only events pending at quiescence
+// are the re-armed classes (periodic timers, lease checks, lease renewals),
+// each of which its owner knows how to rebuild verbatim.
 #pragma once
 
 #include <cstdint>
@@ -69,52 +69,22 @@ class SnapshotRegistry {
     return true;
   }
 
-  /// Serializes every section against capture instant `now`, in
-  /// registration order. Returns (tag, flags, payload) triples — the
-  /// CheckpointManager diffs these for incremental checkpoints.
-  std::vector<Section> save_sections(sim::Time now) const {
-    std::vector<Section> out;
-    out.reserve(entries_.size());
-    for (const Entry& e : entries_) {
-      SectionWriter w(now);
-      e.save(w);
-      out.push_back(Section{e.tag, e.flags, w.take()});
-    }
-    return out;
-  }
-
-  /// Serializes a complete blob.
-  std::vector<std::uint8_t> save_all(sim::Time now) const {
-    SnapWriter w;
-    for (Section& s : save_sections(now)) {
-      w.add(s.tag, s.flags, std::move(s.payload));
-    }
-    return w.finish();
-  }
-
-  /// Serializes a complete blob into recycled buffers. Identical output to
-  /// save_all(), but once the scratch has warmed to its high-water
-  /// capacity the serialization performs zero heap allocations — this is
-  /// the path the fleet control plane streams live-migration checkpoints
-  /// through (fleet_bench gates on an operator-new counter around it).
+  /// Serializes a complete blob against capture instant `now`, sections in
+  /// registration order, into recycled buffers: once the scratch has
+  /// warmed to its high-water capacity the serialization performs zero
+  /// heap allocations — this is the path the fleet control plane streams
+  /// live-migration checkpoints through (fleet_bench gates on an
+  /// operator-new counter around it).
   void save_all_into(sim::Time now, SaveScratch& scratch) const {
     std::vector<std::uint8_t>& blob = scratch.blob;
     blob.clear();
-    for (const char c : kMagic) {
-      blob.push_back(static_cast<std::uint8_t>(c));
-    }
-    append32(blob, kFormatVersion);
-    append32(blob, static_cast<std::uint32_t>(entries_.size()));
+    put_header(blob, kMagic, kFormatVersion,
+               static_cast<std::uint32_t>(entries_.size()));
     for (const Entry& e : entries_) {
       SectionWriter w(now, std::move(scratch.payload));
       e.save(w);
       scratch.payload = w.take();
-      const std::vector<std::uint8_t>& p = scratch.payload;
-      append32(blob, e.tag);
-      append32(blob, e.flags);
-      append64(blob, p.size());
-      append32(blob, crc32(p.data(), p.size()));
-      blob.insert(blob.end(), p.begin(), p.end());
+      put_section(blob, e.tag, e.flags, scratch.payload);
     }
   }
 
@@ -151,17 +121,6 @@ class SnapshotRegistry {
   }
 
  private:
-  static void append32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-  static void append64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
   struct Entry {
     std::uint32_t tag;
     std::uint32_t flags;

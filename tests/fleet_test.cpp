@@ -263,7 +263,7 @@ TEST(WorkStealingPool, FirstExceptionPropagatesAndAbortsBatch) {
   }
 }
 
-// --- FleetEngine determinism ---------------------------------------------
+// --- Fleet determinism ---------------------------------------------------
 
 // A miniature but real shard: a world whose RNG and event kernel both feed
 // the fingerprint, so any cross-shard contamination or seed drift shows.
@@ -286,7 +286,19 @@ std::uint64_t mini_world_fingerprint(std::uint64_t seed) {
   return acc;
 }
 
-TEST(FleetEngine, FingerprintIdenticalAcrossWorkerCounts) {
+// Shard i of a fleet seeded with `seed` runs on shard_seed(seed, i) over
+// the pool; results land in shard order.
+std::vector<std::uint64_t> pool_fingerprints(std::size_t workers,
+                                             std::size_t shards,
+                                             std::uint64_t seed) {
+  std::vector<std::uint64_t> fps(shards);
+  WorkStealingPool::run(workers, shards, [&](std::size_t i, std::size_t) {
+    fps[i] = mini_world_fingerprint(shard_seed(seed, i));
+  });
+  return fps;
+}
+
+TEST(FleetDeterminism, FingerprintIdenticalAcrossWorkerCounts) {
   const std::uint64_t seed = 2026;
   const std::size_t shards = 24;
 
@@ -300,40 +312,29 @@ TEST(FleetEngine, FingerprintIdenticalAcrossWorkerCounts) {
   std::vector<std::size_t> worker_counts = {1, 2,
                                             WorkStealingPool::hardware_workers()};
   for (const std::size_t workers : worker_counts) {
-    FleetEngine engine(workers);
-    const std::vector<std::uint64_t> fps = engine.run<std::uint64_t>(
-        shards, seed, [](const ShardContext& ctx) {
-          return mini_world_fingerprint(ctx.seed);
-        });
+    const std::vector<std::uint64_t> fps =
+        pool_fingerprints(workers, shards, seed);
     EXPECT_EQ(fps, reference) << "workers=" << workers;
     EXPECT_EQ(fleet_fingerprint(fps), reference_fp) << "workers=" << workers;
   }
 }
 
-TEST(FleetEngine, PropertyFingerprintStableOverSeeds) {
+TEST(FleetDeterminism, PropertyFingerprintStableOverSeeds) {
   // Property over seeds: for every seed, 1-worker and multi-worker fleets
   // agree shard-for-shard.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    FleetEngine one(1);
-    FleetEngine many(3);
-    const auto a = one.run<std::uint64_t>(
-        9, seed,
-        [](const ShardContext& ctx) { return mini_world_fingerprint(ctx.seed); });
-    const auto b = many.run<std::uint64_t>(
-        9, seed,
-        [](const ShardContext& ctx) { return mini_world_fingerprint(ctx.seed); });
-    EXPECT_EQ(a, b) << "seed=" << seed;
+    EXPECT_EQ(pool_fingerprints(1, 9, seed), pool_fingerprints(3, 9, seed))
+        << "seed=" << seed;
   }
 }
 
-TEST(FleetEngine, ShardContextCarriesDerivedSeed) {
-  FleetEngine engine(2);
+TEST(FleetDeterminism, ShardSeedDerivesFromIndex) {
   const std::uint64_t seed = 99;
-  const auto seeds = engine.run<std::uint64_t>(
-      6, seed, [&](const ShardContext& ctx) {
-        EXPECT_EQ(ctx.seed, shard_seed(seed, ctx.shard_id));
-        return ctx.seed;
-      });
+  std::vector<std::uint64_t> seeds(6);
+  WorkStealingPool::run(2, seeds.size(), [&](std::size_t i, std::size_t) {
+    seeds[i] = shard_seed(seed, i);
+  });
+  // Derived on pool workers, the seeds equal the caller-side derivation.
   for (std::size_t k = 0; k < seeds.size(); ++k) {
     EXPECT_EQ(seeds[k], shard_seed(seed, k));
   }

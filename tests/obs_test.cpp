@@ -735,6 +735,75 @@ TEST(HdrHistogram, SnapRoundTripThroughMetricsRegistry) {
   }
 }
 
+// --- forged telemetry counts ----------------------------------------------
+
+void put_u64_at(std::vector<std::uint8_t>& payload, std::size_t at,
+                std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    payload.at(at + static_cast<std::size_t>(i)) =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+// A span or histogram count that claims more entries than the payload holds
+// is a typed error before it sizes a container: 2^60 records or 2^61 bins
+// used to escape as std::length_error, a smaller forge as a huge allocation.
+TEST(SpanTracer, RestoreRejectsACountThePayloadCannotHold) {
+  SpanTracer spans;
+  spans.end(spans.begin(sim::Time::ms(1), "rfb.update", lpc::Layer::kAbstract,
+                        0),
+            sim::Time::ms(2));
+  snap::SectionWriter w(sim::Time::zero());
+  spans.save(w);
+  const std::vector<std::uint8_t> good = w.take();
+  {
+    SpanTracer back;
+    snap::SectionReader r(good, sim::Time::zero());
+    ASSERT_NO_THROW(back.restore(r));
+    ASSERT_EQ(back.records().size(), 1u);
+  }
+  // Record count after enabled, capacity, dropped, next_id; the lone
+  // record's arg count is the payload's last u64.
+  for (const std::size_t at : {std::size_t{1 + 8 + 8 + 8}, good.size() - 8}) {
+    for (const std::uint64_t count : {std::uint64_t{1} << 60,
+                                      std::uint64_t{1} << 20}) {
+      SCOPED_TRACE("offset " + std::to_string(at) + " count " +
+                   std::to_string(count));
+      std::vector<std::uint8_t> forged = good;
+      put_u64_at(forged, at, count);
+      SpanTracer back;
+      snap::SectionReader r(forged, sim::Time::zero());
+      EXPECT_THROW(back.restore(r), snap::SnapError);
+    }
+  }
+}
+
+TEST(MetricsRegistry, RestoreRejectsAHistogramBinCountThePayloadCannotHold) {
+  const std::string name = "forged.hist";
+  MetricsRegistry m;
+  m.histogram(name, lpc::Layer::kResource, 0.0, 1.0, 4).add(0.5);
+  snap::SectionWriter w(sim::Time::zero());
+  m.save(w);
+  const std::vector<std::uint8_t> good = w.take();
+  {
+    MetricsRegistry back;
+    snap::SectionReader r(good, sim::Time::zero());
+    ASSERT_NO_THROW(back.restore(r));
+    ASSERT_NE(back.find_histogram(name), nullptr);
+  }
+  // Entry count, kind, name, layer, lo, hi, then the bin count.
+  const std::size_t at = 8 + 1 + 8 + name.size() + 1 + 8 + 8;
+  for (const std::uint64_t bins : {std::uint64_t{1} << 61,
+                                   std::uint64_t{1} << 20}) {
+    SCOPED_TRACE("bins " + std::to_string(bins));
+    std::vector<std::uint8_t> forged = good;
+    put_u64_at(forged, at, bins);
+    MetricsRegistry back;
+    snap::SectionReader r(forged, sim::Time::zero());
+    EXPECT_THROW(back.restore(r), snap::SnapError);
+  }
+}
+
 TEST(HdrHistogram, RegistryJsonAndMergeCarryHdrs) {
   MetricsRegistry m;
   m.hdr("net.stream.rtt_us", lpc::Layer::kResource).record(500);

@@ -660,7 +660,8 @@ class ScnCheckpointScratch : public ::testing::TestWithParam<std::string> {};
 
 // checkpoint_into() streams through recycled buffers the way the fleet
 // worker does: repeated captures into one scratch, across several instants,
-// each equal byte for byte to save_all() at the same instant.
+// each equal byte for byte to a fresh-buffer checkpoint() at the same
+// instant, and each a blob SnapReader parses with every registered section.
 TEST_P(ScnCheckpointScratch, RepeatedCheckpointIntoMatchesSaveAll) {
   const scn::Scenario s = scn::decode(scn::compile_file(
       std::string(AROMA_SCENARIO_DIR) + "/" + GetParam() + ".scn", {}));
@@ -672,9 +673,17 @@ TEST_P(ScnCheckpointScratch, RepeatedCheckpointIntoMatchesSaveAll) {
   for (int quarter = 1; quarter <= 3; ++quarter) {
     live.world().sim().run_until(live.meeting_time() + span * quarter / 4);
     for (int repeat = 0; repeat < 2; ++repeat) {
+      SCOPED_TRACE("quarter " + std::to_string(quarter) + " repeat " +
+                   std::to_string(repeat));
       live.checkpoint_into(scratch);
-      EXPECT_EQ(scratch.blob, live.registry().save_all(live.world().now()))
-          << "quarter " << quarter << " repeat " << repeat;
+      const sim::Time captured_at = live.world().now();
+      EXPECT_EQ(scratch.blob, live.checkpoint());
+      EXPECT_EQ(live.world().now(), captured_at);
+      const snap::SnapReader reader(scratch.blob);
+      EXPECT_EQ(reader.sections().size(), live.registry().section_count());
+      for (const auto& [tag, name] : live.registry().table()) {
+        EXPECT_NE(reader.find(tag), nullptr) << name;
+      }
     }
   }
 }

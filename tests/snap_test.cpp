@@ -1,8 +1,7 @@
-// Tests for the snap subsystem: wire format, registry semantics, the
-// checkpoint manager's full/incremental blobs, replay divergence search,
-// and the end-to-end durability property on the compiled Smart Projector
-// scenario — run(seed, N+M) == run(seed, N) -> checkpoint -> restore ->
-// run(M), bit-equal fingerprints and metrics.
+// Tests for the snap subsystem: wire format, registry semantics, replay
+// divergence search, and the end-to-end durability property on the
+// compiled Smart Projector scenario — run(seed, N+M) == run(seed, N) ->
+// checkpoint -> restore -> run(M), bit-equal fingerprints and metrics.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "scn/runtime.hpp"
 #include "sim/fleet.hpp"
 #include "sim/world.hpp"
-#include "snap/checkpoint.hpp"
 #include "snap/format.hpp"
 #include "snap/replay.hpp"
 #include "snap/snapshot.hpp"
@@ -191,9 +189,10 @@ TEST(SnapshotRegistry, UnknownRequiredSectionRejectedOptionalSkipped) {
       });
 
   value = 123;
-  std::vector<std::uint8_t> blob = reg.save_all(Time::zero());
+  snap::SaveScratch scratch;
+  reg.save_all_into(Time::zero(), scratch);
   value = 0;
-  reg.restore_all(snap::SnapReader{blob}, snap::RestoreCtx{});
+  reg.restore_all(snap::SnapReader{scratch.blob}, snap::RestoreCtx{});
   EXPECT_EQ(value, 123u);
 
   // A section this build does not know: required -> hard error.
@@ -427,8 +426,8 @@ const scn::Scenario& room_scenario() {
 constexpr scn::RunOptions kTelemetry{.telemetry = true};
 
 // Flattens every non-snap metric into comparable strings. snap.* metrics
-// are excluded: the interrupted run legitimately counts its checkpoint and
-// restore activity there, the uninterrupted run has none.
+// are excluded: the restored run legitimately counts its restore there
+// (snap.restores), the uninterrupted run has none.
 struct MetricFlattener : obs::MetricsRegistry::Visitor {
   std::vector<std::string> lines;
   static bool skipped(const std::string& name) {
@@ -483,10 +482,9 @@ TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
   ScenarioInstance live(room_scenario(), kShard, seed, kTelemetry);
   live.warmup();
   live.world().sim().run_until(Time::sec(50.0));
-  snap::CheckpointManager cm(live.world(), live.registry());
-  const snap::Checkpoint cp = cm.take();
-  ASSERT_TRUE(cp.full());
-  ASSERT_GT(cp.blob.size(), 0u);
+  const std::vector<std::uint8_t> blob = live.checkpoint();
+  const Time captured_at = live.world().now();
+  ASSERT_GT(blob.size(), 0u);
   live.finish();
   EXPECT_EQ(live.fingerprint(), fp_ref)
       << "taking a checkpoint perturbed the observed run";
@@ -495,8 +493,8 @@ TEST(SnapRoom, CheckpointRestoreResumesBitIdentically) {
   // indistinguishable from the reference.
   ScenarioInstance resumed(room_scenario(), kShard, seed, kTelemetry);
   resumed.warmup();
-  resumed.restore(cp.blob, Time::zero());
-  EXPECT_EQ(resumed.world().now(), cp.captured_at);
+  resumed.restore(blob, Time::zero());
+  EXPECT_EQ(resumed.world().now(), captured_at);
   resumed.finish();
   EXPECT_EQ(resumed.fingerprint(), fp_ref);
   EXPECT_EQ(flatten_metrics(resumed), metrics_ref);
@@ -510,8 +508,7 @@ TEST(SnapRoom, RestoredEventStreamMatchesReference) {
   ScenarioInstance live(room_scenario(), kShard, seed);
   live.warmup();
   live.world().sim().run_until(Time::sec(50.0));
-  snap::CheckpointManager cm(live.world(), live.registry());
-  const snap::Checkpoint cp = cm.take();
+  const std::vector<std::uint8_t> blob = live.checkpoint();
 
   snap::ReplayHarness expected;
   expected.attach(live.world().sim());
@@ -520,7 +517,7 @@ TEST(SnapRoom, RestoredEventStreamMatchesReference) {
 
   ScenarioInstance resumed(room_scenario(), kShard, seed);
   resumed.warmup();
-  resumed.restore(cp.blob, Time::zero());
+  resumed.restore(blob, Time::zero());
   snap::ReplayHarness actual;
   actual.attach(resumed.world().sim());
   resumed.finish();
@@ -547,14 +544,63 @@ TEST(SnapRoom, TelemetrySectionsAreForwardSkippable) {
   ScenarioInstance live(room_scenario(), kShard, seed, kTelemetry);
   live.warmup();
   live.world().sim().run_until(Time::sec(50.0));
-  snap::CheckpointManager cm(live.world(), live.registry());
-  const snap::Checkpoint cp = cm.take();
+  const std::vector<std::uint8_t> blob = live.checkpoint();
 
   ScenarioInstance resumed(room_scenario(), kShard, seed);
   resumed.warmup();
-  resumed.restore(cp.blob, Time::zero());
+  resumed.restore(blob, Time::zero());
   resumed.finish();
   EXPECT_EQ(resumed.fingerprint(), fp_ref);
+}
+
+std::vector<std::uint8_t> with_u64_at(std::vector<std::uint8_t> payload,
+                                      std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    payload.at(at + static_cast<std::size_t>(i)) =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+  return payload;
+}
+
+// A telemetry blob whose span count or histogram bin count is forged (the
+// section re-sealed with a correct CRC) is refused with the typed error,
+// not sized into a container.
+TEST(SnapRoom, ForgedTelemetryCountsRejected) {
+  const std::uint64_t seed = sim::shard_seed(7, kShard);
+  ScenarioInstance live(room_scenario(), kShard, seed, kTelemetry);
+  live.warmup();
+  live.world().sim().run_until(Time::sec(50.0));
+  const std::vector<std::uint8_t> blob = live.checkpoint();
+  const snap::SnapReader sections(blob);
+
+  // OBSS: the record count follows enabled, capacity, dropped and next_id.
+  const snap::Section* spans = sections.find(snap::tag4("OBSS"));
+  ASSERT_NE(spans, nullptr);
+  const std::vector<std::uint8_t> forged_spans =
+      with_u64_at(spans->payload, 1 + 8 + 8 + 8, std::uint64_t{1} << 60);
+  // OBSM: one fixed-range histogram whose bin count claims 2^61 bins.
+  const std::string hist = "forged.hist";
+  obs::MetricsRegistry m;
+  m.histogram(hist, lpc::Layer::kResource, 0.0, 1.0, 4).add(0.5);
+  snap::SectionWriter mw(Time::zero());
+  m.save(mw);
+  const std::vector<std::uint8_t> forged_metrics =
+      with_u64_at(mw.take(), 8 + 1 + 8 + hist.size() + 1 + 8 + 8,
+                  std::uint64_t{1} << 61);
+
+  for (const auto& [tag, payload] :
+       {std::pair{snap::tag4("OBSS"), &forged_spans},
+        std::pair{snap::tag4("OBSM"), &forged_metrics}}) {
+    SCOPED_TRACE(snap::tag_name(tag));
+    snap::SnapWriter resealed;
+    for (const snap::Section& s : sections.sections()) {
+      resealed.add(s.tag, s.flags, s.tag == tag ? *payload : s.payload);
+    }
+    ScenarioInstance victim(room_scenario(), kShard, seed, kTelemetry);
+    victim.warmup();
+    EXPECT_THROW(victim.restore(resealed.finish(), Time::zero()),
+                 snap::SnapError);
+  }
 }
 
 TEST(SnapRoom, CorruptedAndTruncatedBlobsRejectedBeforeMutation) {
@@ -562,77 +608,22 @@ TEST(SnapRoom, CorruptedAndTruncatedBlobsRejectedBeforeMutation) {
   ScenarioInstance live(room_scenario(), 0, seed);
   live.warmup();
   live.world().sim().run_until(Time::sec(50.0));
-  snap::CheckpointManager cm(live.world(), live.registry());
-  const snap::Checkpoint cp = cm.take();
+  const std::vector<std::uint8_t> blob = live.checkpoint();
 
   ScenarioInstance victim(room_scenario(), 0, seed);
   victim.warmup();
   const std::uint64_t executed_before = victim.world().sim().executed();
 
-  std::vector<std::uint8_t> corrupt = cp.blob;
+  std::vector<std::uint8_t> corrupt = blob;
   corrupt[corrupt.size() / 2] ^= 0x40;
   EXPECT_THROW(victim.restore(corrupt, Time::zero()), snap::SnapError);
 
-  std::vector<std::uint8_t> truncated(cp.blob.begin(),
-                                      cp.blob.begin() +
-                                          static_cast<long>(cp.blob.size() / 2));
+  std::vector<std::uint8_t> truncated(
+      blob.begin(), blob.begin() + static_cast<long>(blob.size() / 2));
   EXPECT_THROW(victim.restore(truncated, Time::zero()), snap::SnapError);
   // Framing damage is caught before the world moves: no settle step ran.
   EXPECT_EQ(victim.world().now(), victim.meeting_time());
   EXPECT_EQ(victim.world().sim().executed(), executed_before);
-}
-
-// --- checkpoint manager ----------------------------------------------------
-
-TEST(CheckpointManager, IncrementalMaterializesToByteIdenticalFull) {
-  const std::uint64_t seed = sim::shard_seed(31337, kShard);
-  ScenarioInstance room(room_scenario(), kShard, seed);
-  room.warmup();
-  room.world().sim().run_until(Time::sec(48.0));
-
-  snap::CheckpointManager cm(room.world(), room.registry());
-  const snap::Checkpoint base = cm.take_full();
-  room.world().sim().run_until(room.world().now() + Time::sec(1.0));
-  const snap::Checkpoint incr = cm.take_incremental();
-  ASSERT_FALSE(incr.full());
-  EXPECT_EQ(incr.base, base.id);
-  // Same quiescent instant, so a direct full must byte-match the overlay.
-  const snap::Checkpoint full = cm.take_full();
-  EXPECT_EQ(full.captured_at, incr.captured_at);
-
-  EXPECT_LT(incr.blob.size(), full.blob.size());
-  EXPECT_EQ(snap::CheckpointManager::materialize(base.blob, incr.blob),
-            full.blob);
-
-  // A bare incremental blob is not restorable on its own.
-  ScenarioInstance victim(room_scenario(), kShard, seed);
-  victim.warmup();
-  EXPECT_THROW(victim.restore(incr.blob, Time::zero()), snap::SnapError);
-
-  const snap::CheckpointStats& st = cm.stats();
-  EXPECT_EQ(st.full_taken, 2u);
-  EXPECT_EQ(st.incremental_taken, 1u);
-  EXPECT_EQ(st.bytes_written,
-            base.blob.size() + incr.blob.size() + full.blob.size());
-}
-
-TEST(CheckpointManager, CadenceAlternatesFullAndIncremental) {
-  const std::uint64_t seed = sim::shard_seed(8, kShard);
-  ScenarioInstance room(room_scenario(), kShard, seed);
-  room.warmup();
-  room.world().sim().run_until(Time::sec(46.0));
-
-  snap::CheckpointManager::Options opts;
-  opts.full_every = 4;
-  snap::CheckpointManager cm(room.world(), room.registry(), opts);
-  std::vector<bool> fulls;
-  for (int i = 0; i < 8; ++i) {
-    const snap::Checkpoint cp = cm.take();
-    fulls.push_back(cp.full());
-    room.world().sim().run_until(room.world().now() + Time::ms(250));
-  }
-  EXPECT_EQ(fulls, std::vector<bool>(
-                       {true, false, false, false, true, false, false, false}));
 }
 
 }  // namespace
