@@ -146,7 +146,10 @@ struct Plane {
   ~Plane() { rec.detach(room.world().sim()); }
 };
 
-// The mid-meeting capture target; see snap_bench.cpp.
+// The mid-meeting capture target. Every smart_projector shard's meeting
+// runs at least 45..55 s, so 50 s is inside the steady state for all of
+// them; the actual capture instant is the first quiescent point at or
+// after it.
 constexpr double kCheckpointAtSec = 50.0;
 constexpr std::size_t kFaultShard = 1;
 

@@ -6,7 +6,6 @@ namespace aroma::obs {
 
 Telemetry::Telemetry(TelemetryOptions options) : options_(options) {
   spans_.set_enabled(options_.spans);
-  spans_.set_capacity(options_.span_capacity);
 }
 
 Telemetry::Telemetry(sim::World& world, TelemetryOptions options)
@@ -19,7 +18,7 @@ Telemetry::~Telemetry() {
 }
 
 void Telemetry::attach(sim::World& world) {
-  if (options_.metrics) world.set_metrics(&metrics_);
+  world.set_metrics(&metrics_);
   if (options_.spans) world.set_spans(&spans_);
   attached_.push_back(&world);
 }

@@ -16,9 +16,7 @@
 namespace aroma::obs {
 
 struct TelemetryOptions {
-  bool metrics = true;
   bool spans = true;
-  std::size_t span_capacity = 1 << 20;
 };
 
 class Telemetry {

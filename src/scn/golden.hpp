@@ -1,5 +1,5 @@
 // Pinned behaviour goldens for the scenario library, read from one text
-// file (scenarios/goldens.txt) that tests/scn_test.cpp, bench/scn_bench.cpp
+// file (scenarios/goldens.txt) that tests/scn_test.cpp, bench/fleet_bench.cpp
 // and scripts/check_bench_json.py all check against.
 //
 // One record per line, whitespace-separated; '#' starts a comment:

@@ -23,9 +23,17 @@
 //      batching absorbs (sim/event_queue.hpp "Trains"). Staggered traffic
 //      (a period using `i`) is left as per-member periodic timers — its
 //      members never share timestamps, so there is nothing to absorb.
+//      Lowering changes behaviour, not only the scheduling
+//      representation: a generator tick queues its sends at the instant
+//      it runs, so they take that instant's newest sequence numbers and
+//      run after timers other flows queued a period earlier. Same-instant
+//      order, and with it the fingerprint, can differ from the passes-off
+//      compile (conference_hall and campus_mesh do at some seeds and
+//      shards). Each compile is deterministic and worker-count-invariant
+//      on its own, and the goldens pin the full pipeline.
 //
 // Passes 2-3 can be disabled (PassOptions) to produce a reference compile
-// — the passes-off blob the bench measures absorption against. The runtime
+// — the passes-off blob tests measure absorption against. The runtime
 // turns on the kernel's train batching exactly when the trains pass
 // lowered some flow (scn::kernel_trains).
 #pragma once
@@ -42,7 +50,7 @@ inline constexpr std::uint32_t kPassFold = 1u << 1;
 inline constexpr std::uint32_t kPassTrains = 1u << 2;
 
 /// Optimizing passes for run_passes and scn::compile (validation always
-/// runs). The all-off configuration is the reference compile benches
+/// runs). The all-off configuration is the reference compile tests
 /// measure train absorption against.
 struct PassOptions {
   bool fold = true;

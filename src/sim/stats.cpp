@@ -111,29 +111,4 @@ double Histogram::bin_lo(std::size_t i) const {
   return lo_ + static_cast<double>(i) * width_;
 }
 
-void TimeWeighted::update(Time now, double new_value) {
-  if (!started_) {
-    started_ = true;
-    start_ = now;
-  } else {
-    integral_ += value_ * (now - last_).seconds();
-  }
-  last_ = now;
-  value_ = new_value;
-}
-
-double TimeWeighted::average(Time now) const {
-  if (!started_) return 0.0;
-  const double span = (now - start_).seconds();
-  if (span <= 0.0) return value_;
-  const double integral = integral_ + value_ * (now - last_).seconds();
-  return integral / span;
-}
-
-double RateMeter::rate_per_sec(Time now) const {
-  if (!started_) return 0.0;
-  const double span = (now - start_).seconds();
-  return span > 0.0 ? static_cast<double>(count_) / span : 0.0;
-}
-
 }  // namespace aroma::sim

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
 
 namespace aroma::sim {
 
@@ -100,37 +99,6 @@ class Histogram {
   std::vector<std::uint64_t> counts_;
   std::uint64_t total_ = 0;
   std::uint64_t clamped_ = 0;
-};
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length):
-/// integrates value * dt between updates.
-class TimeWeighted {
- public:
-  void update(Time now, double new_value);
-  double average(Time now) const;
-  double current() const { return value_; }
-
- private:
-  bool started_ = false;
-  Time last_ = Time::zero();
-  double value_ = 0.0;
-  double integral_ = 0.0;
-  Time start_ = Time::zero();
-};
-
-/// Event-rate meter: counts events and reports events/second over the
-/// observation window.
-class RateMeter {
- public:
-  void start(Time now) { start_ = now; started_ = true; }
-  void add(std::uint64_t n = 1) { count_ += n; }
-  std::uint64_t count() const { return count_; }
-  double rate_per_sec(Time now) const;
-
- private:
-  bool started_ = false;
-  Time start_ = Time::zero();
-  std::uint64_t count_ = 0;
 };
 
 /// Wall-clock stopwatch for measuring the real execution time of a bench

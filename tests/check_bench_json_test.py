@@ -14,7 +14,7 @@ import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 CHECKER = os.path.join(ROOT, "scripts", "check_bench_json.py")
-BENCHES = ("kernel", "fleet", "rfb", "snap", "obs", "disco", "scn")
+BENCHES = ("kernel", "fleet", "rfb", "obs", "disco")
 
 
 def run_checker(paths):
@@ -90,18 +90,18 @@ def missing_goldens(doc):
 # (bench artifact to mutate, mutation, text the rejection must carry)
 MUTANTS = [
     ("kernel", contradicting_pass, '"pass" is True but'),
-    ("snap", failing_gate, "does not hold"),
+    ("rfb", failing_gate, "does not hold"),
     ("kernel", timing_without_noise, "timing gate in the reference"),
     ("disco", too_few_pairs, "fewer than 7"),
     ("fleet", iqr_straddles, '"pass" is True but q1 '),
     ("obs", iqr_straddles, '"pass" is True but q3 '),
     ("rfb", equal_two_values, "distinct values"),
-    ("scn", golden_mismatch, "pinned"),
+    ("fleet", golden_mismatch, "pinned"),
     ("fleet", missing_gate, "missing ["),
     ("kernel", missing_timing_gate,
      "missing ['radio_256.dominant_category_speedup']"),
     ("fleet", missing_equal_group, "missing ['recovery.fingerprint']"),
-    ("scn", missing_goldens, "goldens differ"),
+    ("fleet", missing_goldens, "goldens differ"),
 ]
 
 

@@ -1,7 +1,8 @@
 // Tests for the scenario compiler: parser diagnostics (line/col), the pass
 // pipeline (fold, train lowering), blob robustness (truncation, CRC
 // damage, version/section mismatches), compile determinism (compile-twice,
-// dump-recompile fixpoint), the runtime's range checks on shard-dependent
+// dump-recompile fixpoint) and worker-count-independent fleet fingerprints
+// over every library scenario, the runtime's range checks on shard-dependent
 // values, the pinned goldens (smart_projector fleets and every library scenario's
 // behaviour fingerprint, from scenarios/goldens.txt), the checkpoint ->
 // restore -> resume differential over every library scenario plus one
@@ -51,6 +52,32 @@ scenario t {
   drain 1;
 }
 )";
+
+std::vector<std::string> library_scenarios() {
+  std::vector<std::string> names;
+  for (const auto& e :
+       std::filesystem::directory_iterator(AROMA_SCENARIO_DIR)) {
+    if (e.path().extension() == ".scn") names.push_back(e.path().stem());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+scn::Scenario compile_library(const std::string& name) {
+  return scn::decode(scn::compile_file(
+      std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn", {}));
+}
+
+// kMinimal and the source text of every library scenario, by name.
+std::vector<std::pair<std::string, std::string>> compile_inputs() {
+  std::vector<std::pair<std::string, std::string>> inputs = {{"t", kMinimal}};
+  for (const std::string& name : library_scenarios()) {
+    std::ifstream in(std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn");
+    inputs.emplace_back(name, std::string(std::istreambuf_iterator<char>(in),
+                                          std::istreambuf_iterator<char>()));
+  }
+  return inputs;
+}
 
 // --- expressions -----------------------------------------------------------
 
@@ -321,18 +348,25 @@ TEST(ScnBlob, CrcResealedInvalidScenarioRejected) {
 // --- compile determinism ---------------------------------------------------
 
 TEST(ScnCompiler, CompileTwiceIsByteIdentical) {
-  EXPECT_EQ(scn::compile(kMinimal), scn::compile(kMinimal));
+  for (const auto& [name, text] : compile_inputs()) {
+    const std::vector<std::uint8_t> blob = scn::compile(text, name);
+    EXPECT_FALSE(blob.empty()) << name;
+    EXPECT_EQ(blob, scn::compile(text, name)) << name;
+  }
 }
 
 TEST(ScnCompiler, DumpRecompileIsAFixpoint) {
-  const std::vector<std::uint8_t> blob1 = scn::compile(kMinimal);
-  const std::vector<std::uint8_t> blob2 =
-      scn::compile(scn::dump(scn::decode(blob1)));
-  const std::vector<std::uint8_t> blob3 =
-      scn::compile(scn::dump(scn::decode(blob2)));
-  EXPECT_EQ(blob2, blob3);
-  // And the canonical text itself is stable from the first round.
-  EXPECT_EQ(scn::dump(scn::decode(blob2)), scn::dump(scn::decode(blob3)));
+  for (const auto& [name, text] : compile_inputs()) {
+    const std::vector<std::uint8_t> blob1 = scn::compile(text, name);
+    const std::vector<std::uint8_t> blob2 =
+        scn::compile(scn::dump(scn::decode(blob1)));
+    const std::vector<std::uint8_t> blob3 =
+        scn::compile(scn::dump(scn::decode(blob2)));
+    EXPECT_EQ(blob2, blob3) << name;
+    // And the canonical text itself is stable from the first round.
+    EXPECT_EQ(scn::dump(scn::decode(blob2)), scn::dump(scn::decode(blob3)))
+        << name;
+  }
 }
 
 // --- preset lookups --------------------------------------------------------
@@ -375,13 +409,32 @@ TEST(ScnRuntime, TrainLoweringAbsorbsWithoutChangingDeterminism) {
 }
 
 TEST(ScnRuntime, FleetFingerprintIndependentOfWorkers) {
-  const scn::Scenario s = scn::decode(scn::compile(kMinimal));
-  const scn::FleetResult one = scn::run_fleet(s, 5, 7, 1);
-  const scn::FleetResult two = scn::run_fleet(s, 5, 7, 2);
-  EXPECT_EQ(one.fleet_fp, two.fleet_fp);
-  EXPECT_EQ(one.events, two.events);
-  ASSERT_EQ(one.shard_fps.size(), 5u);
-  EXPECT_EQ(one.fleet_fp, sim::fleet_fingerprint(one.shard_fps));
+  // kMinimal with the full pipeline and as the passes-off reference.
+  scn::PassOptions off;
+  off.fold = false;
+  off.trains = false;
+  for (const scn::PassOptions& options : {scn::PassOptions{}, off}) {
+    const scn::Scenario s =
+        scn::decode(scn::compile(kMinimal, "<scn>", options));
+    const scn::FleetResult one = scn::run_fleet(s, 5, 7, 1);
+    const scn::FleetResult two = scn::run_fleet(s, 5, 7, 2);
+    EXPECT_EQ(one.fleet_fp, two.fleet_fp);
+    EXPECT_EQ(one.events, two.events);
+    ASSERT_EQ(one.shard_fps.size(), 5u);
+    EXPECT_EQ(one.fleet_fp, sim::fleet_fingerprint(one.shard_fps));
+  }
+
+  // Every library scenario, 4 shards on 1 and on 2 workers; each one
+  // executes events and delivers pings.
+  for (const std::string& name : library_scenarios()) {
+    const scn::Scenario lib = compile_library(name);
+    const scn::FleetResult a = scn::run_fleet(lib, 4, 2026, 1);
+    const scn::FleetResult b = scn::run_fleet(lib, 4, 2026, 2);
+    EXPECT_EQ(a.fleet_fp, b.fleet_fp) << name;
+    EXPECT_EQ(a.events, b.events) << name;
+    EXPECT_GT(a.events, 0u) << name;
+    EXPECT_GT(a.pings, 0u) << name;
+  }
 }
 
 TEST(ScnRuntime, RunTwiceThrows) {
@@ -438,8 +491,8 @@ TEST(ScnRuntime, ShardDependentValuesOutOfRangeThrow) {
 
 // --- goldens ---------------------------------------------------------------
 
-// Every golden lives in scenarios/goldens.txt (see scn/golden.hpp); the
-// bench and the artifact checker read the same file.
+// Every golden lives in scenarios/goldens.txt (see scn/golden.hpp);
+// bench/fleet_bench.cpp and the artifact checker read the same file.
 const scn::Goldens& goldens() {
   static const scn::Goldens g =
       scn::read_goldens(std::string(AROMA_SCENARIO_DIR) + "/goldens.txt");
@@ -492,16 +545,6 @@ TEST(ScnGolden, MalformedRecordThrowsTypedError) {
 
 // --- checkpoint differential -----------------------------------------------
 
-std::vector<std::string> library_scenarios() {
-  std::vector<std::string> names;
-  for (const auto& e :
-       std::filesystem::directory_iterator(AROMA_SCENARIO_DIR)) {
-    if (e.path().extension() == ".scn") names.push_back(e.path().stem());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
 // Two present goals on one laptop, so the second goal's start-vnc-server
 // step mutates a screen that may already be served. Not a library
 // scenario: it rides along as one more input of the differential below.
@@ -534,8 +577,7 @@ std::vector<std::string> differential_inputs() {
 
 scn::Scenario load_input(const std::string& name) {
   if (name == "shared_laptop") return scn::decode(scn::compile(kSharedLaptop));
-  return scn::decode(scn::compile_file(
-      std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn", {}));
+  return compile_library(name);
 }
 
 // Library scenarios with no quiescent instant between the capture target
@@ -620,8 +662,7 @@ class ScnShardGolden : public ::testing::TestWithParam<std::string> {};
 // update fails here, while one that only saves kernel events does not.
 TEST_P(ScnShardGolden, BehaviourFingerprintPinned) {
   const std::string name = GetParam();
-  const scn::Scenario s = scn::decode(scn::compile_file(
-      std::string(AROMA_SCENARIO_DIR) + "/" + name + ".scn", {}));
+  const scn::Scenario s = compile_library(name);
   for (const std::uint64_t seed : {2026, 7}) {
     for (const std::size_t shard : {0, 1}) {
       const auto& all = goldens().shards;
@@ -663,8 +704,7 @@ class ScnCheckpointScratch : public ::testing::TestWithParam<std::string> {};
 // each equal byte for byte to a fresh-buffer checkpoint() at the same
 // instant, and each a blob SnapReader parses with every registered section.
 TEST_P(ScnCheckpointScratch, RepeatedCheckpointIntoMatchesSaveAll) {
-  const scn::Scenario s = scn::decode(scn::compile_file(
-      std::string(AROMA_SCENARIO_DIR) + "/" + GetParam() + ".scn", {}));
+  const scn::Scenario s = compile_library(GetParam());
   constexpr std::size_t kShard = 1;
   scn::ScenarioInstance live(s, kShard, sim::shard_seed(2026, kShard));
   live.warmup();

@@ -487,23 +487,6 @@ TEST(Histogram, ClampsOutOfRange) {
   EXPECT_EQ(h.clamped(), 2u);
 }
 
-TEST(TimeWeighted, AveragesQueueLength) {
-  TimeWeighted tw;
-  tw.update(Time::sec(0), 0.0);
-  tw.update(Time::sec(10), 2.0);  // 0 for 10 s
-  tw.update(Time::sec(20), 0.0);  // 2 for 10 s
-  EXPECT_DOUBLE_EQ(tw.average(Time::sec(20)), 1.0);
-  // Continues integrating the current value.
-  EXPECT_NEAR(tw.average(Time::sec(40)), 0.5, 1e-9);
-}
-
-TEST(RateMeter, Rate) {
-  RateMeter m;
-  m.start(Time::sec(0));
-  m.add(10);
-  EXPECT_DOUBLE_EQ(m.rate_per_sec(Time::sec(5)), 2.0);
-}
-
 // --- Kernel counters & profiler -----------------------------------------
 
 TEST(Simulator, CancelledAndStaleRejectCounters) {

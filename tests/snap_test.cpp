@@ -1,7 +1,8 @@
 // Tests for the snap subsystem: wire format, registry semantics, replay
 // divergence search, and the end-to-end durability property on the
 // compiled Smart Projector scenario — run(seed, N+M) == run(seed, N) ->
-// checkpoint -> restore -> run(M), bit-equal fingerprints and metrics.
+// checkpoint -> restore -> run(M), bit-equal fingerprints and metrics, for
+// one room and for fleets restored under another worker count.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -624,6 +625,42 @@ TEST(SnapRoom, CorruptedAndTruncatedBlobsRejectedBeforeMutation) {
   // Framing damage is caught before the world moves: no settle step ran.
   EXPECT_EQ(victim.world().now(), victim.meeting_time());
   EXPECT_EQ(victim.world().sim().executed(), executed_before);
+}
+
+// --- the fleet: durability across the work-stealing pool -------------------
+
+// Every shard of a fleet checkpoints at 50 s on 2 workers and resumes in
+// place; fresh instances restore those blobs on 3 workers. Both fleets land
+// on the uninterrupted fleet's fingerprint.
+TEST(SnapFleet, CheckpointedAndRestoredFleetsMatchUninterrupted) {
+  constexpr std::uint64_t kSeed = 2026;
+  for (const std::size_t shards : {1, 8, 64}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    std::vector<std::vector<std::uint8_t>> blobs(shards);
+    std::vector<std::uint64_t> captured(shards), restored(shards);
+    sim::WorkStealingPool::run(2, shards, [&](std::size_t i, std::size_t) {
+      ScenarioInstance room(room_scenario(), i, sim::shard_seed(kSeed, i));
+      room.warmup();
+      room.world().sim().run_until(Time::sec(50.0));
+      blobs[i] = room.checkpoint();
+      room.finish();
+      captured[i] = room.fingerprint();
+    });
+    sim::WorkStealingPool::run(3, shards, [&](std::size_t i, std::size_t) {
+      ScenarioInstance room(room_scenario(), i, sim::shard_seed(kSeed, i));
+      room.warmup();
+      room.restore(blobs[i], Time::zero());
+      room.finish();
+      restored[i] = room.fingerprint();
+    });
+    const std::uint64_t reference =
+        scn::run_fleet(room_scenario(), shards, kSeed, 2).fleet_fp;
+    EXPECT_EQ(sim::fleet_fingerprint(captured), reference);
+    EXPECT_EQ(sim::fleet_fingerprint(restored), reference);
+    for (const std::vector<std::uint8_t>& blob : blobs) {
+      EXPECT_FALSE(blob.empty());
+    }
+  }
 }
 
 }  // namespace
