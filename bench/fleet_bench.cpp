@@ -7,8 +7,9 @@
 // Smart Projector with a live RFB session, and a user agent running the
 // documented procedure — across the work-stealing pool, and reports:
 //
-//  * aggregate throughput (events/s) per (shards, workers) point and the
-//    scaling efficiency against a single worker,
+//  * aggregate throughput (events/s) per (shards, workers) point (scaling
+//    is read from the paired 4-worker efficiency gates below, not from
+//    these single cold runs),
 //  * the fleet fingerprint at every worker count (must be bit-identical:
 //    shard k is a pure function of shard_seed(seed, k)),
 //  * the heap-allocation delta from the per-world arena (a global
@@ -446,7 +447,7 @@ int main(int argc, char** argv) {
 
   // --- Scaling sweep. -----------------------------------------------------
   // Every shard count runs at every distinct worker count in {1, 2, 4, hw}:
-  // the sweep reports scaling and doubles as the determinism check (each
+  // the sweep reports throughput and doubles as the determinism check (each
   // (shards, workers) pair must reproduce the shards' fingerprint exactly).
   std::vector<std::size_t> worker_counts = {1, 2, 4, hw};
   std::sort(worker_counts.begin(), worker_counts.end());
@@ -456,26 +457,21 @@ int main(int argc, char** argv) {
 
   benchsup::table_header("Fleet scaling",
                          {"shards", "workers", "wall-s", "events", "ev/s",
-                          "eff-vs-1w", "steals", "fingerprint"});
+                          "steals", "fingerprint"});
   benchsup::Json runs = benchsup::Json::array();
   for (const std::size_t shards : shard_counts) {
-    double base_rate = 0.0;
     std::vector<std::uint64_t> fps;
     for (const std::size_t workers : worker_counts) {
       if (workers > shards && workers != 1) continue;  // clamp would repeat
       const FleetRun r = run_fleet(room, shards, workers, seed, true);
       const double rate =
           r.wall_s > 0.0 ? static_cast<double>(r.events) / r.wall_s : 0.0;
-      if (workers == 1) {
-        base_rate = rate;
-        check_golden(shards, r.fingerprint, r.events);
-      }
+      if (workers == 1) check_golden(shards, r.fingerprint, r.events);
       fps.push_back(r.fingerprint);
       min_events = std::min(min_events, r.events);
-      const double eff = base_rate > 0.0 ? rate / base_rate : 0.0;
       benchsup::table_row(static_cast<double>(shards),
                           static_cast<double>(r.workers), r.wall_s,
-                          static_cast<double>(r.events), rate, eff,
+                          static_cast<double>(r.events), rate,
                           static_cast<double>(r.sched.steals),
                           hex64(r.fingerprint));
       benchsup::Json row = benchsup::Json::object();
@@ -484,7 +480,6 @@ int main(int argc, char** argv) {
       row.set("wall_s", r.wall_s);
       row.set("events", r.events);
       row.set("events_per_s", rate);
-      row.set("efficiency_vs_1_worker", eff);
       row.set("steals", r.sched.steals);
       row.set("stolen_tasks", r.sched.stolen_tasks);
       row.set("fleet_fingerprint", hex64(r.fingerprint));
@@ -517,8 +512,8 @@ int main(int argc, char** argv) {
     benchsup::table_header(
         "Scale-out (" + std::to_string(scale_shards) + " " + room.name +
             " rooms)",
-        {"workers", "wall-s", "events", "rooms/s", "ev/s", "eff-vs-1w",
-         "ctl-bytes", "B/event", "fingerprint"});
+        {"workers", "wall-s", "events", "rooms/s", "ev/s", "ctl-bytes",
+         "B/event", "fingerprint"});
     benchsup::Json scale_runs = benchsup::Json::array();
     std::vector<std::uint64_t> scale_fps = {straight.fleet_fp};
     std::size_t event_mismatches = 0;
@@ -529,7 +524,6 @@ int main(int argc, char** argv) {
       event_mismatches += r.report.total_events != straight.events ? 1 : 0;
       return r;
     };
-    double scale_base_rate = 0.0;
     for (const std::size_t workers : sw) {
       if (workers == 0) continue;
       const ProcRun r = scale_run(workers);
@@ -539,9 +533,6 @@ int main(int argc, char** argv) {
                               ? static_cast<double>(r.report.total_events) /
                                     r.wall_s
                               : 0.0;
-      if (workers == sw.front()) scale_base_rate = rooms_per_s;
-      const double eff =
-          scale_base_rate > 0.0 ? rooms_per_s / scale_base_rate : 0.0;
       const double bytes_per_event =
           r.report.total_events > 0
               ? static_cast<double>(r.report.control_bytes) /
@@ -549,7 +540,7 @@ int main(int argc, char** argv) {
               : 0.0;
       benchsup::table_row(static_cast<double>(workers), r.wall_s,
                           static_cast<double>(r.report.total_events),
-                          rooms_per_s, rate, eff,
+                          rooms_per_s, rate,
                           static_cast<double>(r.report.control_bytes),
                           bytes_per_event, hex64(r.report.fleet_fp));
       benchsup::Json row = benchsup::Json::object();
@@ -558,7 +549,6 @@ int main(int argc, char** argv) {
       row.set("events", r.report.total_events);
       row.set("rooms_per_s", rooms_per_s);
       row.set("events_per_s", rate);
-      row.set("efficiency_vs_1_worker", eff);
       row.set("control_bytes", r.report.control_bytes);
       row.set("control_frames", r.report.control_frames);
       row.set("control_bytes_per_event", bytes_per_event);

@@ -71,17 +71,17 @@ void JiniRegistrar::announce() {
 std::vector<ServiceDescription> JiniRegistrar::snapshot(
     const ServiceTemplate& t) const {
   std::vector<ServiceDescription> out;
-  for (const ServiceId id : index_.match(t)) {
-    out.push_back(*index_.find(id));
+  for (const auto& [id, s] : services_) {
+    if (t.matches(s)) out.push_back(s);
   }
   return out;
 }
 
 void JiniRegistrar::expire_service(ServiceId id) {
-  const ServiceDescription* found = index_.find(id);
-  if (found == nullptr) return;
-  const ServiceDescription s = *found;
-  index_.erase(id);
+  const auto it = services_.find(id);
+  if (it == services_.end()) return;
+  const ServiceDescription s = std::move(it->second);
+  services_.erase(it);
   ++stats_.lease_expirations;
   notify(s, /*appeared=*/false);
 }
@@ -120,7 +120,7 @@ void JiniRegistrar::on_datagram(const net::Datagram& dg) {
       if (!r.ok()) return;
       const ServiceId id = next_service_id_++;
       desc.id = id;
-      index_.insert(desc);
+      services_.insert_or_assign(id, desc);
       const sim::Time lease = std::min(lease_req, params_.max_lease);
       leases_.grant(id, lease, [this, id] { expire_service(id); });
       ++stats_.registrations;
@@ -152,9 +152,9 @@ void JiniRegistrar::on_datagram(const net::Datagram& dg) {
     case JiniMsg::kCancel: {
       const ServiceId id = r.u64();
       if (!r.ok()) return;
-      if (const ServiceDescription* found = index_.find(id)) {
-        const ServiceDescription s = *found;
-        index_.erase(id);
+      if (const auto it = services_.find(id); it != services_.end()) {
+        const ServiceDescription s = std::move(it->second);
+        services_.erase(it);
         leases_.cancel(id);
         notify(s, /*appeared=*/false);
       }
@@ -165,12 +165,10 @@ void JiniRegistrar::on_datagram(const net::Datagram& dg) {
       const ServiceTemplate tmpl = ServiceTemplate::deserialize(r);
       if (!r.ok()) return;
       ++stats_.lookups;
-      const std::vector<ServiceId> ids = index_.match(tmpl);
       net::ByteWriter w;
       w.u8(static_cast<std::uint8_t>(JiniMsg::kLookupResponse));
       w.u32(token);
-      w.u32(static_cast<std::uint32_t>(ids.size()));
-      for (const ServiceId id : ids) index_.find(id)->serialize(w);
+      write_matches(w, tmpl, services_);
       stack_.send(net::Endpoint{dg.src.node, kClientPort},
                   net::kRegistrarPort, w.take());
       return;
@@ -521,8 +519,8 @@ void JiniRegistrar::save(snap::SectionWriter& w) const {
   w.u64(next_service_id_);
   w.u64(next_subscription_id_);
   w.b(enabled_);
-  w.u64(index_.services().size());
-  for (const auto& [id, desc] : index_.services()) {
+  w.u64(services_.size());
+  for (const auto& [id, desc] : services_) {
     w.u64(id);
     save_scratch_.clear();
     desc.serialize(save_scratch_);
@@ -551,7 +549,7 @@ void JiniRegistrar::restore(snap::SectionReader& r) {
   next_service_id_ = r.u64();
   next_subscription_id_ = r.u64();
   enabled_ = r.b();
-  index_.clear();
+  services_.clear();
   const std::uint64_t n_services = r.u64();
   for (std::uint64_t i = 0; i < n_services; ++i) {
     const ServiceId id = r.u64();
@@ -562,7 +560,7 @@ void JiniRegistrar::restore(snap::SectionReader& r) {
       throw snap::SnapError("registrar restore: bad service description");
     }
     desc.id = id;
-    index_.insert(desc);
+    services_.insert_or_assign(id, std::move(desc));
   }
   subscriptions_.clear();
   const std::uint64_t n_subs = r.u64();

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "disco/index.hpp"
 #include "disco/lease.hpp"
 #include "disco/service.hpp"
 #include "net/stack.hpp"
@@ -72,13 +71,9 @@ class JiniRegistrar {
   JiniRegistrar(const JiniRegistrar&) = delete;
   JiniRegistrar& operator=(const JiniRegistrar&) = delete;
 
-  std::size_t registered_count() const { return index_.size(); }
+  std::size_t registered_count() const { return services_.size(); }
   const RegistrarStats& stats() const { return stats_; }
   net::NodeId node() const { return stack_.node_id(); }
-
-  /// The inverted attribute index over current registrations (read-only;
-  /// exposes the scalar oracle `match_scan` for equality property tests).
-  const ServiceIndex& index() const { return index_; }
 
   /// Publishes RegistrarStats to the world's metrics registry (pull-style;
   /// call before snapshotting). No-op when telemetry is off.
@@ -116,7 +111,7 @@ class JiniRegistrar {
   net::NetStack& stack_;
   Params params_;
   LeaseTable leases_;
-  ServiceIndex index_;
+  ServiceTable services_;
   std::vector<Subscription> subscriptions_;
   ServiceId next_service_id_ = 1;
   std::uint64_t next_subscription_id_ = 1;

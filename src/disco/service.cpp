@@ -65,4 +65,14 @@ ServiceTemplate ServiceTemplate::deserialize(net::ByteReader& r) {
   return t;
 }
 
+void write_matches(net::ByteWriter& w, const ServiceTemplate& tmpl,
+                   const ServiceTable& services) {
+  std::uint32_t n = 0;
+  for (const auto& [id, s] : services) n += tmpl.matches(s) ? 1 : 0;
+  w.u32(n);
+  for (const auto& [id, s] : services) {
+    if (tmpl.matches(s)) s.serialize(w);
+  }
+}
+
 }  // namespace aroma::disco

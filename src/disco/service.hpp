@@ -40,4 +40,13 @@ struct ServiceTemplate {
   static ServiceTemplate deserialize(net::ByteReader& r);
 };
 
+/// A registrar's registrations by id. A lookup scans it in ascending id
+/// order, so replies list their matches in that order.
+using ServiceTable = std::map<ServiceId, ServiceDescription>;
+
+/// Appends a lookup reply body: the number of registrations in `services`
+/// that `tmpl` matches, then each of them in ascending id order.
+void write_matches(net::ByteWriter& w, const ServiceTemplate& tmpl,
+                   const ServiceTable& services);
+
 }  // namespace aroma::disco

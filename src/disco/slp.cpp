@@ -41,7 +41,7 @@ void SlpDirectoryAgent::on_datagram(const net::Datagram& dg) {
       if (!r.ok()) return;
       // Re-registration of the same endpoint+type replaces the old entry.
       ServiceId id = 0;
-      for (const auto& [sid, s] : index_.services()) {
+      for (const auto& [sid, s] : services_) {
         if (s.endpoint == desc.endpoint && s.type == desc.type) {
           id = sid;
           break;
@@ -49,9 +49,9 @@ void SlpDirectoryAgent::on_datagram(const net::Datagram& dg) {
       }
       if (id == 0) id = next_id_++;
       desc.id = id;
-      index_.insert(desc);
+      services_[id] = std::move(desc);
       const sim::Time granted = std::min(lifetime, params_.max_lifetime);
-      leases_.grant(id, granted, [this, id] { index_.erase(id); });
+      leases_.grant(id, granted, [this, id] { services_.erase(id); });
       net::ByteWriter w;
       w.u8(static_cast<std::uint8_t>(SlpMsg::kSrvAck));
       w.u64(id);
@@ -63,12 +63,10 @@ void SlpDirectoryAgent::on_datagram(const net::Datagram& dg) {
       const std::uint32_t token = r.u32();
       const ServiceTemplate tmpl = ServiceTemplate::deserialize(r);
       if (!r.ok()) return;
-      const std::vector<ServiceId> ids = index_.match(tmpl);
       net::ByteWriter out;
       out.u8(static_cast<std::uint8_t>(SlpMsg::kSrvRply));
       out.u32(token);
-      out.u32(static_cast<std::uint32_t>(ids.size()));
-      for (const ServiceId id : ids) index_.find(id)->serialize(out);
+      write_matches(out, tmpl, services_);
       stack_.send(net::Endpoint{dg.src.node, net::kSlpPort}, net::kSlpPort,
                   out.take());
       return;

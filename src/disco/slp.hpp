@@ -13,7 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "disco/index.hpp"
 #include "disco/lease.hpp"
 #include "disco/service.hpp"
 #include "net/stack.hpp"
@@ -43,8 +42,7 @@ class SlpDirectoryAgent {
   SlpDirectoryAgent(const SlpDirectoryAgent&) = delete;
   SlpDirectoryAgent& operator=(const SlpDirectoryAgent&) = delete;
 
-  std::size_t registered_count() const { return index_.size(); }
-  const ServiceIndex& index() const { return index_; }
+  std::size_t registered_count() const { return services_.size(); }
 
  private:
   void on_datagram(const net::Datagram& dg);
@@ -54,7 +52,7 @@ class SlpDirectoryAgent {
   net::NetStack& stack_;
   Params params_;
   LeaseTable leases_;
-  ServiceIndex index_;
+  ServiceTable services_;
   ServiceId next_id_ = 1;
   std::unique_ptr<sim::PeriodicTimer> advertiser_;
 };

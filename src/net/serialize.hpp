@@ -38,8 +38,10 @@ class ByteWriter {
 
  private:
   void raw(const void* p, std::size_t n) {
-    const auto* b = static_cast<const std::byte*>(p);
-    buf_.insert(buf_.end(), b, b + n);
+    if (n == 0) return;
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    std::memcpy(buf_.data() + at, p, n);
   }
   std::vector<std::byte> buf_;
 };

@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -85,11 +86,9 @@ class Arena {
     hw_.live_bytes += std::size_t{1} << cls;
     if (hw_.live_blocks > hw_.peak_blocks) hw_.peak_blocks = hw_.live_blocks;
     if (hw_.live_bytes > hw_.peak_bytes) hw_.peak_bytes = hw_.live_bytes;
-    std::vector<void*>& free = free_lists_[cls];
-    if (!free.empty()) {
+    if (void* p = free_heads_[cls]) {
       ++stats_.recycled;
-      void* p = free.back();
-      free.pop_back();
+      std::memcpy(&free_heads_[cls], p, sizeof(void*));
       return p;
     }
     const std::size_t block = std::size_t{1} << cls;
@@ -110,14 +109,15 @@ class Arena {
     const std::size_t cls = size_class(bytes);
     --hw_.live_blocks;
     hw_.live_bytes -= std::size_t{1} << cls;
-    free_lists_[cls].push_back(p);
+    std::memcpy(p, &free_heads_[cls], sizeof(void*));
+    free_heads_[cls] = p;
   }
 
   /// Drops all free lists and rewinds into the first chunk. Only valid when
   /// nothing allocated from the arena is still live; meant for reusing one
   /// arena across sequential trials.
   void reset() {
-    for (auto& list : free_lists_) list.clear();
+    for (void*& head : free_heads_) head = nullptr;
     if (!chunks_.empty()) {
       bump_ = static_cast<std::byte*>(chunks_.front());
       bump_end_ = bump_ + chunk_sizes_.front();
@@ -168,7 +168,9 @@ class Arena {
   std::byte* bump_end_ = nullptr;
   std::vector<void*> chunks_;
   std::vector<std::size_t> chunk_sizes_;
-  std::vector<void*> free_lists_[kMaxClass + 1];
+  // Per size class, the most recently recycled block; each free block
+  // holds the pointer to the next one in its first bytes.
+  void* free_heads_[kMaxClass + 1] = {};
   Stats stats_;
   HighWater hw_;
 };

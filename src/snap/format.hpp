@@ -266,7 +266,7 @@ inline void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 /// into `out`, so a warmed buffer takes both without allocating.
 inline void put_header(std::vector<std::uint8_t>& out, const char (&magic)[8],
                        std::uint32_t version, std::uint32_t count) {
-  out.insert(out.end(), magic, magic + 8);
+  for (const char c : magic) out.push_back(static_cast<std::uint8_t>(c));
   detail::put32(out, version);
   detail::put32(out, count);
 }

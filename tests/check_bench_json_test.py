@@ -14,7 +14,7 @@ import tempfile
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 CHECKER = os.path.join(ROOT, "scripts", "check_bench_json.py")
-BENCHES = ("kernel", "fleet", "rfb", "obs", "disco")
+BENCHES = ("kernel", "fleet", "rfb", "obs")
 
 
 def run_checker(paths):
@@ -92,7 +92,7 @@ MUTANTS = [
     ("kernel", contradicting_pass, '"pass" is True but'),
     ("rfb", failing_gate, "does not hold"),
     ("kernel", timing_without_noise, "timing gate in the reference"),
-    ("disco", too_few_pairs, "fewer than 7"),
+    ("rfb", too_few_pairs, "fewer than 7"),
     ("fleet", iqr_straddles, '"pass" is True but q1 '),
     ("obs", iqr_straddles, '"pass" is True but q3 '),
     ("rfb", equal_two_values, "distinct values"),

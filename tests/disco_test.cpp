@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "disco/index.hpp"
 #include "disco/jini.hpp"
 #include "disco/lease.hpp"
 #include "disco/service.hpp"
@@ -15,7 +14,6 @@
 #include "env/environment.hpp"
 #include "net/serialize.hpp"
 #include "phys/device.hpp"
-#include "sim/random.hpp"
 #include "sim/world.hpp"
 #include "snap/format.hpp"
 
@@ -204,12 +202,21 @@ TEST(Jini, RegisterLookupRoundTrip) {
   JiniClient provider(jw.tb.world(), sa);
   JiniClient seeker(jw.tb.world(), ua);
 
+  // A non-matching registration with the lower id: the reply skips it.
+  ServiceId printer_id = 0, projector_id = 0;
+  provider.register_service(make_service("printer/laser", 2, 631),
+                            [&](bool, ServiceId id) { printer_id = id; });
+  jw.tb.run_until(2.0);
   bool registered = false;
   provider.register_service(make_service("projector/display", 2, 5800),
-                            [&](bool ok, ServiceId) { registered = ok; });
+                            [&](bool ok, ServiceId id) {
+                              registered = ok;
+                              projector_id = id;
+                            });
   jw.tb.run_until(3.0);
   ASSERT_TRUE(registered);
-  EXPECT_EQ(jw.registrar->registered_count(), 1u);
+  ASSERT_LT(printer_id, projector_id);
+  EXPECT_EQ(jw.registrar->registered_count(), 2u);
 
   // The answer cancels the lookup's timeout, so the seeker is quiescent
   // the instant its callback runs.
@@ -580,9 +587,12 @@ TEST(Slp, DirectoryAgentModeRoundTrip) {
   EXPECT_TRUE(sa.has_da());
   EXPECT_TRUE(ua.has_da());
 
+  // A non-matching registration first: the reply skips it.
+  sa.advertise(make_service("scanner/flatbed", 2, 701));
+  tb.run_until(2.0);
   sa.advertise(make_service("printer/laser", 2, 700));
   tb.run_until(3.0);
-  EXPECT_EQ(da.registered_count(), 1u);
+  EXPECT_EQ(da.registered_count(), 2u);
 
   std::vector<ServiceDescription> found;
   ua.find(ServiceTemplate{"printer", {}},
@@ -721,55 +731,6 @@ TEST(Ssdp, SilentDeathLeavesStaleCacheUntilMaxAge) {
   EXPECT_TRUE(cp.cached(ServiceTemplate{}).empty());
 }
 
-// --- ServiceIndex ----------------------------------------------------------
-
-TEST(ServiceIndex, MatchEqualsScanOracleRandomized) {
-  sim::Rng rng(0xd15c0);
-  const char* kTypes[] = {"projector", "projector/display",
-                          "projector/display/hd", "printer", "printer/laser",
-                          "media/renderer"};
-  const char* kKeys[] = {"room", "floor", "owner"};
-  const char* kVals[] = {"lab-a", "lab-b", "2", "3", "alice", "bob"};
-
-  ServiceIndex index;
-  for (int round = 0; round < 40; ++round) {
-    // Mutate: insert a few random services, erase a random live one.
-    for (int i = 0; i < 8; ++i) {
-      ServiceDescription s;
-      s.id = static_cast<ServiceId>(rng.uniform_int(1, 200));
-      s.type = kTypes[rng.uniform_int(0, 5)];
-      s.endpoint = {static_cast<net::NodeId>(rng.uniform_int(1, 9)), 80};
-      const int nattrs = static_cast<int>(rng.uniform_int(0, 3));
-      for (int a = 0; a < nattrs; ++a) {
-        s.attributes[kKeys[rng.uniform_int(0, 2)]] =
-            kVals[rng.uniform_int(0, 5)];
-      }
-      index.insert(s);
-    }
-    if (!index.services().empty() && rng.uniform_int(0, 1) == 0) {
-      index.erase(index.services().begin()->first);
-    }
-
-    // Probe: randomized templates, including wildcard and absent terms.
-    for (int q = 0; q < 20; ++q) {
-      ServiceTemplate t;
-      switch (rng.uniform_int(0, 3)) {
-        case 0: break;  // wildcard
-        case 1: t.type = kTypes[rng.uniform_int(0, 5)]; break;
-        case 2: t.type = "nonexistent/type"; break;
-        default: t.type = kTypes[rng.uniform_int(0, 5)]; break;
-      }
-      const int nattrs = static_cast<int>(rng.uniform_int(0, 2));
-      for (int a = 0; a < nattrs; ++a) {
-        t.attributes[kKeys[rng.uniform_int(0, 2)]] =
-            kVals[rng.uniform_int(0, 5)];
-      }
-      EXPECT_EQ(index.match(t), index.match_scan(t))
-          << "round " << round << " probe " << q;
-    }
-  }
-}
-
 // --- SLP retransmit backoff ---------------------------------------------------
 
 // Counts the UA messages needed to find a service whose SA only comes up
@@ -825,9 +786,9 @@ TEST(Slp, JitteredBackoffIsDeterministic) {
   EXPECT_EQ(found_a, found_b);
 }
 
-// --- Registrar snapshot with the index -----------------------------------------
+// --- Registrar snapshot ---------------------------------------------------------
 
-TEST(Jini, RegistrarSnapshotPreservesIndexedMatching) {
+TEST(Jini, RegistrarSnapshotPreservesMatching) {
   JiniWorld jw;
   auto& sa = jw.tb.add_node(2, {5, 0});
   JiniClient provider(jw.tb.world(), sa);
@@ -842,7 +803,7 @@ TEST(Jini, RegistrarSnapshotPreservesIndexedMatching) {
   jw.registrar->save(w);
   const std::vector<std::uint8_t> blob = w.take();
 
-  // Restore into a twin world and query through the rebuilt index.
+  // Restore into a twin world and query the refilled registrations.
   JiniWorld twin;
   twin.tb.run_until(3.0);
   snap::SectionReader r({blob.data(), blob.size()}, twin.tb.world().now());
@@ -852,8 +813,12 @@ TEST(Jini, RegistrarSnapshotPreservesIndexedMatching) {
       twin.registrar->snapshot(ServiceTemplate{"projector", {}});
   ASSERT_EQ(projectors.size(), 1u);
   EXPECT_EQ(projectors[0].type, "projector/display");
-  EXPECT_EQ(twin.registrar->index().match(ServiceTemplate{}),
-            twin.registrar->index().match_scan(ServiceTemplate{}));
+  // Lookup replies list matches in ascending id order; restore keeps it.
+  const auto all = twin.registrar->snapshot(ServiceTemplate{});
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_LT(all[0].id, all[1].id);
+  EXPECT_EQ(all[0].type, "projector/display");
+  EXPECT_EQ(all[1].type, "printer/laser");
 }
 
 }  // namespace
