@@ -268,7 +268,7 @@ def check_bench(doc, goldens, path, as_reference):
             f"goldens")
 
 
-METRIC_KINDS = {"counter", "gauge", "histogram", "hdr"}
+METRIC_KINDS = {"counter", "gauge", "hdr"}
 METRIC_LAYERS = {"environment", "physical", "resource", "abstract"}
 
 
@@ -294,8 +294,6 @@ def check_metrics(doc):
                 fail(f'{what} has unknown LPC layer {m.get("layer")!r}')
             if m["kind"] in ("counter", "gauge"):
                 keys = ("value",)
-            elif m["kind"] == "histogram":
-                keys = ("count", "p50", "p99")
             else:
                 keys = ("count", "p50", "p99", "p999", "min", "max", "mean")
                 hdrs += 1

@@ -20,7 +20,7 @@ std::optional<SessionToken> SessionManager::acquire(std::uint64_t owner) {
       return current_->token;
     }
     ++stats_.rejections;
-    if (obs::SpanTracer* t = world_.spans(); t != nullptr && t->enabled()) {
+    if (obs::SpanTracer* t = world_.spans()) {
       t->instant(world_.now(), "app.session.hijack_rejected",
                  lpc::Layer::kAbstract, world_.sim().trace_context(),
                  sim::TraceLevel::kWarn, {{"session", name_}});

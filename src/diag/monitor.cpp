@@ -73,7 +73,7 @@ void HealthMonitor::tick() {
     latest_[p.name] = sample;
     if (sample.health != prev) {
       if (m_transitions_) m_transitions_->add();
-      if (obs::SpanTracer* t = world_.spans(); t != nullptr && t->enabled()) {
+      if (obs::SpanTracer* t = world_.spans()) {
         const obs::SpanId id = t->instant(
             world_.now(), "diag.monitor.transition", p.layer,
             world_.sim().trace_context(),

@@ -82,7 +82,7 @@ std::uint64_t RadioMedium::transmit(RadioEndpoint& sender, std::size_t bits,
   // transmission (typically a MAC or fault-injection span); the frame-end
   // event inherits the span as its causal context, so everything delivery
   // triggers downstream parents to this frame.
-  if (obs::SpanTracer* t = world_.spans(); t != nullptr && t->enabled()) {
+  if (obs::SpanTracer* t = world_.spans()) {
     tx.span = t->begin(world_.now(), "env.radio.frame",
                        lpc::Layer::kEnvironment,
                        world_.sim().trace_context());

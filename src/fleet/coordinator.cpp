@@ -494,10 +494,16 @@ FleetReport Coordinator::run() {
     report.total_events += s.events;
     if (!s.done) ++report.lost_shards;
     if (s.done && !s.metrics_payload.empty()) {
-      snap::SectionReader r(s.metrics_payload, sim::Time::ns(s.result_now_ns));
-      obs::MetricsRegistry shard_metrics;
-      shard_metrics.restore(r);
-      merged_.merge(shard_metrics);
+      try {
+        snap::SectionReader r(s.metrics_payload,
+                              sim::Time::ns(s.result_now_ns));
+        obs::MetricsRegistry shard_metrics;
+        shard_metrics.restore(r);
+        merged_.merge(shard_metrics);  // a name under two kinds throws
+      } catch (const std::exception& e) {
+        throw FleetError("shard " + std::to_string(&s - shards.data()) +
+                         " metrics: " + e.what());
+      }
     }
   }
   report.shards_completed = done_count;

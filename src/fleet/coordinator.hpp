@@ -91,7 +91,9 @@ class Coordinator {
 
   /// Executes the whole fleet run. Throws FleetError when the options are
   /// unusable (no worker, shard or scenario; checked before anything is
-  /// spawned) or the run cannot complete (e.g. every worker died).
+  /// spawned), the run cannot complete (e.g. every worker died), or a
+  /// shard's metrics payload does not restore or merge (a name under two
+  /// kinds).
   FleetReport run();
 
   /// fleet.migrations / fleet.worker_deaths / fleet.control_bytes counters

@@ -91,20 +91,39 @@ void HdrHistogram::save(snap::SectionWriter& w) const {
 }
 
 void HdrHistogram::restore(snap::SectionReader& r) {
-  buckets_.fill(0);
-  count_ = r.u64();
-  saturated_ = r.u64();
-  sum_ = r.u64();
-  min_ = r.u64();
-  max_ = r.u64();
+  // Decoded aside and checked before it replaces this histogram, so a
+  // forged payload never leaves state value_at_quantile cannot walk.
+  HdrHistogram in;
+  in.count_ = r.u64();
+  in.saturated_ = r.u64();
+  in.sum_ = r.u64();
+  in.min_ = r.u64();
+  in.max_ = r.u64();
   const std::uint64_t nonzero = r.u64();
+  std::uint64_t total = 0;
   for (std::uint64_t i = 0; i < nonzero; ++i) {
     const std::uint32_t index = r.u32();
-    if (index >= kBucketCount) {
-      throw snap::SnapError("HdrHistogram bucket index out of range");
+    if (index >= kBucketCount || in.buckets_[index] != 0) {
+      throw snap::SnapError("HdrHistogram bucket index out of range or "
+                            "repeated");
     }
-    buckets_[index] = r.u64();
+    const std::uint64_t n = r.u64();
+    if (n == 0 || n > in.count_ - total) {
+      throw snap::SnapError("HdrHistogram bucket counts exceed its count");
+    }
+    in.buckets_[index] = n;
+    total += n;
   }
+  if (total != in.count_) {
+    throw snap::SnapError("HdrHistogram bucket counts do not sum to its count");
+  }
+  if (in.saturated_ > in.count_) {
+    throw snap::SnapError("HdrHistogram saturated count exceeds its count");
+  }
+  if (in.count_ > 0 && in.min_ > in.max_) {
+    throw snap::SnapError("HdrHistogram min exceeds max");
+  }
+  *this = in;
 }
 
 }  // namespace aroma::obs

@@ -1,17 +1,18 @@
-// Log-bucketed HDR histogram for latency percentiles.
+// Log-bucketed HDR histogram: the registry's one distribution kind.
 //
-// `sim::Histogram` is fixed-range with linear bins — good for bounded
-// quantities (queue depths, payload sizes), useless for latencies that span
-// five decades. `HdrHistogram` buckets a non-negative integer value (callers
-// record microseconds or nanoseconds) on a log-linear grid: exact buckets
-// below 2^kSubBucketBits, then kSubBucketCount/2 sub-buckets per octave, so
-// relative error is bounded by 1/2^(kSubBucketBits-1) (~3%) at every scale.
+// `HdrHistogram` buckets a non-negative integer value (latencies in
+// microseconds, update sizes in bytes) on a log-linear grid: exact buckets
+// below 2^kSubBucketBits, then kSubBucketCount/2 = 32 sub-buckets per
+// octave, so relative error is bounded by 1/2^(kSubBucketBits-1) = 1/32 at
+// every scale up to kMaxValue. One fixed shape covers latencies that span
+// five decades and byte counts alike, with no range to pick per metric.
 //
 // Everything is integer arithmetic on recorded counts, so percentile
 // extraction is deterministic (a pure function of the recorded multiset),
 // and merge is bucket-exact, associative, and commutative — fleet shards
 // fold in any grouping with one result. Wired into MetricsRegistry as its
-// own metric kind (see metrics.hpp) and round-trips through snap.
+// `hdr` kind (see metrics.hpp) and round-trips through snap; restore
+// rejects a payload whose counts or bounds disagree (snap::SnapError).
 #pragma once
 
 #include <array>

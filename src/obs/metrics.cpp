@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <cstdio>
+#include <stdexcept>
 
 #include "snap/format.hpp"
 
@@ -17,46 +18,37 @@ std::string_view layer_label(lpc::Layer layer) {
   return "?";
 }
 
-Counter& MetricsRegistry::counter(std::string_view name, lpc::Layer layer) {
+template <typename Entries>
+auto& MetricsRegistry::get_or_create(Entries& entries, Kind kind,
+                                     std::string_view name, lpc::Layer layer) {
+  static constexpr const char* kKindNames[] = {"counter", "gauge", "hdr"};
   auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) return counters_[it->second.index].metric;
-  const Entry e{Kind::kCounter, counters_.size()};
-  counters_.push_back(CounterEntry{{std::string(name), layer}, Counter{}});
+  if (it != by_name_.end()) {
+    if (it->second.kind != kind) {
+      throw std::invalid_argument(
+          "metric " + std::string(name) + " is a " +
+          kKindNames[static_cast<int>(it->second.kind)] + ", not a " +
+          kKindNames[static_cast<int>(kind)]);
+    }
+    return entries[it->second.index].metric;
+  }
+  const Entry e{kind, entries.size()};
+  entries.push_back({{std::string(name), layer}, {}});
   by_name_.emplace(std::string(name), e);
   order_.push_back(e);
-  return counters_.back().metric;
+  return entries.back().metric;
+}
+
+Counter& MetricsRegistry::counter(std::string_view name, lpc::Layer layer) {
+  return get_or_create(counters_, Kind::kCounter, name, layer);
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name, lpc::Layer layer) {
-  auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) return gauges_[it->second.index].metric;
-  const Entry e{Kind::kGauge, gauges_.size()};
-  gauges_.push_back(GaugeEntry{{std::string(name), layer}, Gauge{}});
-  by_name_.emplace(std::string(name), e);
-  order_.push_back(e);
-  return gauges_.back().metric;
-}
-
-sim::Histogram& MetricsRegistry::histogram(std::string_view name,
-                                           lpc::Layer layer, double lo,
-                                           double hi, std::size_t bins) {
-  auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) return histograms_[it->second.index].metric;
-  const Entry e{Kind::kHistogram, histograms_.size()};
-  histograms_.emplace_back(MetricInfo{std::string(name), layer}, lo, hi, bins);
-  by_name_.emplace(std::string(name), e);
-  order_.push_back(e);
-  return histograms_.back().metric;
+  return get_or_create(gauges_, Kind::kGauge, name, layer);
 }
 
 HdrHistogram& MetricsRegistry::hdr(std::string_view name, lpc::Layer layer) {
-  auto it = by_name_.find(std::string(name));
-  if (it != by_name_.end()) return hdrs_[it->second.index].metric;
-  const Entry e{Kind::kHdr, hdrs_.size()};
-  hdrs_.push_back(HdrEntry{{std::string(name), layer}, HdrHistogram{}});
-  by_name_.emplace(std::string(name), e);
-  order_.push_back(e);
-  return hdrs_.back().metric;
+  return get_or_create(hdrs_, Kind::kHdr, name, layer);
 }
 
 void MetricsRegistry::set_counter(std::string_view name, lpc::Layer layer,
@@ -73,12 +65,6 @@ void MetricsRegistry::merge(const MetricsRegistry& other) {
     }
     void on_gauge(const MetricInfo& info, const Gauge& g) override {
       to.gauge(info.name, info.layer).set(g.value());
-    }
-    void on_histogram(const MetricInfo& info,
-                      const sim::Histogram& h) override {
-      sim::Histogram& mine =
-          to.histogram(info.name, info.layer, h.lo(), h.hi(), h.bin_count());
-      mine.merge_from(h);  // throws on shape mismatch
     }
     void on_hdr(const MetricInfo& info, const HdrHistogram& h) override {
       to.hdr(info.name, info.layer).merge_from(h);
@@ -106,15 +92,6 @@ const Gauge* MetricsRegistry::find_gauge(std::string_view name) const {
   return &gauges_[it->second.index].metric;
 }
 
-const sim::Histogram* MetricsRegistry::find_histogram(
-    std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  if (it == by_name_.end() || it->second.kind != Kind::kHistogram) {
-    return nullptr;
-  }
-  return &histograms_[it->second.index].metric;
-}
-
 void MetricsRegistry::visit(Visitor& v) const {
   for (const Entry& e : order_) {
     switch (e.kind) {
@@ -123,9 +100,6 @@ void MetricsRegistry::visit(Visitor& v) const {
         break;
       case Kind::kGauge:
         v.on_gauge(gauges_[e.index].info, gauges_[e.index].metric);
-        break;
-      case Kind::kHistogram:
-        v.on_histogram(histograms_[e.index].info, histograms_[e.index].metric);
         break;
       case Kind::kHdr:
         v.on_hdr(hdrs_[e.index].info, hdrs_[e.index].metric);
@@ -176,21 +150,6 @@ class JsonVisitor : public MetricsRegistry::Visitor {
     out_ += "\"value\": ";
     json_number(out_, g.value());
     out_ += "}";
-  }
-  void on_histogram(const MetricInfo& info, const sim::Histogram& h) override {
-    open(info, "histogram");
-    out_ += "\"count\": " + std::to_string(h.count());
-    out_ += ", \"clamped\": " + std::to_string(h.clamped());
-    out_ += ", \"p50\": ";
-    json_number(out_, h.median());
-    out_ += ", \"p99\": ";
-    json_number(out_, h.p99());
-    out_ += ", \"bins\": [";
-    for (std::size_t i = 0; i < h.bin_count(); ++i) {
-      if (i) out_ += ", ";
-      out_ += std::to_string(h.bin(i));
-    }
-    out_ += "]}";
   }
   void on_hdr(const MetricInfo& info, const HdrHistogram& h) override {
     open(info, "hdr");
@@ -245,20 +204,6 @@ void MetricsRegistry::save(snap::SectionWriter& w) const {
         w.f64(g.metric.value());
         break;
       }
-      case Kind::kHistogram: {
-        const HistogramEntry& h = histograms_[e.index];
-        w.str(h.info.name);
-        w.u8(static_cast<std::uint8_t>(h.info.layer));
-        w.f64(h.metric.lo());
-        w.f64(h.metric.hi());
-        w.u64(h.metric.bin_count());
-        w.u64(h.metric.count());
-        w.u64(h.metric.clamped());
-        for (std::size_t i = 0; i < h.metric.bin_count(); ++i) {
-          w.u64(h.metric.bin(i));
-        }
-        break;
-      }
       case Kind::kHdr: {
         const HdrEntry& h = hdrs_[e.index];
         w.str(h.info.name);
@@ -276,38 +221,22 @@ void MetricsRegistry::restore(snap::SectionReader& r) {
     const auto kind = static_cast<Kind>(r.u8());
     const std::string name = r.str();
     const auto layer = static_cast<lpc::Layer>(r.u8());
-    switch (kind) {
-      case Kind::kCounter:
-        counter(name, layer).set(r.u64());
-        break;
-      case Kind::kGauge:
-        gauge(name, layer).set(r.f64());
-        break;
-      case Kind::kHistogram: {
-        const double lo = r.f64();
-        const double hi = r.f64();
-        // Bounded by the payload left, not sized by a forged count (total
-        // and clamped sit between count and bins: loose by two u64s).
-        const std::uint64_t bins = r.entry_count(8, "OBSM histogram bin");
-        const std::uint64_t total = r.u64();
-        const std::uint64_t clamped = r.u64();
-        std::vector<std::uint64_t> counts(static_cast<std::size_t>(bins));
-        for (auto& c : counts) c = r.u64();
-        sim::Histogram& h =
-            histogram(name, layer, lo, hi, static_cast<std::size_t>(bins));
-        if (h.lo() != lo || h.hi() != hi ||
-            h.bin_count() != static_cast<std::size_t>(bins)) {
-          throw snap::SnapError("histogram " + name +
-                                " shape differs from checkpoint");
-        }
-        h.load_counts(counts, total, clamped);
-        break;
+    try {
+      switch (kind) {
+        case Kind::kCounter:
+          counter(name, layer).set(r.u64());
+          break;
+        case Kind::kGauge:
+          gauge(name, layer).set(r.f64());
+          break;
+        case Kind::kHdr:
+          hdr(name, layer).restore(r);
+          break;
+        default:
+          throw snap::SnapError("unknown metric kind in checkpoint");
       }
-      case Kind::kHdr:
-        hdr(name, layer).restore(r);
-        break;
-      default:
-        throw snap::SnapError("unknown metric kind in checkpoint");
+    } catch (const std::invalid_argument& e) {
+      throw snap::SnapError(std::string("OBSM: ") + e.what());
     }
   }
 }

@@ -1,4 +1,4 @@
-// Metrics registry: named counters, gauges, and histograms with LPC-layer
+// Metrics registry: named counters, gauges and HDR histograms with LPC-layer
 // labels.
 //
 // Components resolve metric handles once (construction time) and bump them
@@ -24,7 +24,6 @@
 
 #include "lpc/layers.hpp"
 #include "obs/hdr.hpp"
-#include "sim/stats.hpp"
 #include "sim/world.hpp"
 
 namespace aroma::snap {
@@ -70,7 +69,8 @@ struct MetricInfo {
 /// Registry of named metrics. Get-or-create by name; handles are stable for
 /// the registry's lifetime (deque storage), so components may cache raw
 /// pointers. The registry must outlive every component holding a handle —
-/// attach telemetry to a World before constructing components on it.
+/// attach telemetry to a World before constructing components on it. A name
+/// belongs to one kind: asking for it as another throws std::invalid_argument.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -79,12 +79,9 @@ class MetricsRegistry {
 
   Counter& counter(std::string_view name, lpc::Layer layer);
   Gauge& gauge(std::string_view name, lpc::Layer layer);
-  /// Fixed-range histogram (sim::Histogram semantics: clamped edge bins).
-  sim::Histogram& histogram(std::string_view name, lpc::Layer layer,
-                            double lo, double hi, std::size_t bins);
-  /// Log-bucketed latency histogram (obs::HdrHistogram semantics: ~3%
-  /// relative error at any scale, deterministic percentiles). All HDR
-  /// metrics share one shape, so merge never throws.
+  /// Log-bucketed histogram (obs::HdrHistogram semantics: at most 1/32
+  /// relative error up to 2^40, deterministic percentiles). All HDR metrics
+  /// share one shape, so two of them always merge.
   HdrHistogram& hdr(std::string_view name, lpc::Layer layer);
 
   /// Convenience for pull-style publication of existing stats structs.
@@ -96,17 +93,17 @@ class MetricsRegistry {
 
   /// Merges `other` into this registry, walking `other` in its registration
   /// order: counters add, gauges last-write-wins (the incoming value
-  /// replaces ours), histograms merge bucket-exact (shapes must match —
-  /// std::invalid_argument otherwise). Metrics unknown here are created in
-  /// the order encountered, so folding N identically-shaped shard
-  /// registries in shard order yields one deterministic fleet registry
-  /// (merge is associative: (a+b)+c == a+(b+c) entry-for-entry).
+  /// replaces ours), HDRs merge bucket-exact. Metrics unknown here are
+  /// created in the order encountered, so folding N shard registries in
+  /// shard order yields one deterministic fleet registry (merge is
+  /// associative: (a+b)+c == a+(b+c) entry-for-entry). A name held here
+  /// under another kind throws std::invalid_argument; the entries before it
+  /// are already merged.
   void merge(const MetricsRegistry& other);
 
   /// Lookup without creation; nullptr when the name was never registered.
   const Counter* find_counter(std::string_view name) const;
   const Gauge* find_gauge(std::string_view name) const;
-  const sim::Histogram* find_histogram(std::string_view name) const;
   const HdrHistogram* find_hdr(std::string_view name) const;
 
   std::size_t size() const { return order_.size(); }
@@ -116,9 +113,7 @@ class MetricsRegistry {
     virtual ~Visitor() = default;
     virtual void on_counter(const MetricInfo&, const Counter&) = 0;
     virtual void on_gauge(const MetricInfo&, const Gauge&) = 0;
-    virtual void on_histogram(const MetricInfo&, const sim::Histogram&) = 0;
-    /// Default no-op so visitors written before HDR metrics keep compiling.
-    virtual void on_hdr(const MetricInfo&, const HdrHistogram&) {}
+    virtual void on_hdr(const MetricInfo&, const HdrHistogram&) = 0;
   };
   void visit(Visitor& v) const;
 
@@ -130,16 +125,23 @@ class MetricsRegistry {
   // order. Restore writes values back through get-or-create, so metrics the
   // warmed-up registry has not registered yet are created in snapshot order
   // and component-cached handles stay valid — counters survive a restore
-  // with their checkpointed counts.
+  // with their checkpointed counts. A name the registry holds under another
+  // kind is a snap::SnapError.
   void save(snap::SectionWriter& w) const;
   void restore(snap::SectionReader& r);
 
  private:
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram, kHdr };
+  enum class Kind : std::uint8_t { kCounter, kGauge, kHdr };
   struct Entry {
     Kind kind;
     std::size_t index;  // into the kind's deque
   };
+
+  /// Get-or-create core: the existing entry for `name` (throwing when it is
+  /// another kind), or a new one appended to the deque `entries`.
+  template <typename Entries>
+  auto& get_or_create(Entries& entries, Kind kind, std::string_view name,
+                      lpc::Layer layer);
 
   struct CounterEntry {
     MetricInfo info;
@@ -149,13 +151,6 @@ class MetricsRegistry {
     MetricInfo info;
     Gauge metric;
   };
-  struct HistogramEntry {
-    MetricInfo info;
-    sim::Histogram metric;
-    HistogramEntry(MetricInfo i, double lo, double hi, std::size_t bins)
-        : info(std::move(i)), metric(lo, hi, bins) {}
-  };
-
   struct HdrEntry {
     MetricInfo info;
     HdrHistogram metric;
@@ -163,7 +158,6 @@ class MetricsRegistry {
 
   std::deque<CounterEntry> counters_;
   std::deque<GaugeEntry> gauges_;
-  std::deque<HistogramEntry> histograms_;
   std::deque<HdrEntry> hdrs_;
   std::unordered_map<std::string, Entry> by_name_;
   std::vector<Entry> order_;  // registration order for stable snapshots
@@ -180,12 +174,6 @@ inline Gauge* gauge(sim::World& world, std::string_view name,
                     lpc::Layer layer) {
   MetricsRegistry* m = world.metrics();
   return m ? &m->gauge(name, layer) : nullptr;
-}
-inline sim::Histogram* histogram(sim::World& world, std::string_view name,
-                                 lpc::Layer layer, double lo, double hi,
-                                 std::size_t bins) {
-  MetricsRegistry* m = world.metrics();
-  return m ? &m->histogram(name, layer, lo, hi, bins) : nullptr;
 }
 inline HdrHistogram* hdr(sim::World& world, std::string_view name,
                          lpc::Layer layer) {

@@ -25,7 +25,7 @@ void TimeseriesSampler::rebuild_sources() {
     void on_gauge(const MetricInfo& info, const Gauge& g) override {
       add(info, /*is_counter=*/false, &g);
     }
-    void on_histogram(const MetricInfo&, const sim::Histogram&) override {}
+    void on_hdr(const MetricInfo&, const HdrHistogram&) override {}
 
     void add(const MetricInfo& info, bool is_counter, const void* metric) {
       auto it = s.track_index_.find(std::string_view(info.name));

@@ -9,7 +9,6 @@ namespace aroma::obs {
 SpanId SpanTracer::begin(sim::Time now, std::string_view name,
                          lpc::Layer layer, SpanId parent,
                          sim::TraceLevel level) {
-  if (!enabled_) return 0;
   if (records_.size() >= capacity_) {
     ++dropped_;
     return 0;
@@ -47,7 +46,6 @@ SpanId SpanTracer::instant(
     sim::Time now, std::string_view name, lpc::Layer layer, SpanId parent,
     sim::TraceLevel level,
     std::vector<std::pair<std::string, std::string>> args) {
-  if (!enabled_) return 0;
   SpanRecord rec;
   rec.parent = parent;
   rec.start = now;
@@ -127,7 +125,6 @@ void SpanTracer::clear() {
 }
 
 void SpanTracer::save(snap::SectionWriter& w) const {
-  w.b(enabled_);
   w.u64(capacity_);
   w.u64(dropped_);
   w.u64(next_id_);
@@ -153,7 +150,6 @@ void SpanTracer::save(snap::SectionWriter& w) const {
 void SpanTracer::restore(snap::SectionReader& r) {
   records_.clear();
   index_.clear();
-  enabled_ = r.b();
   capacity_ = static_cast<std::size_t>(r.u64());
   dropped_ = r.u64();
   next_id_ = r.u64();

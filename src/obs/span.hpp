@@ -63,17 +63,13 @@ class SpanTracer {
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = on; }
-
   /// Caps the record buffer; further spans are counted in dropped()
   /// instead of stored (instants still reach the hook, so miners keep
   /// working past the cap).
   void set_capacity(std::size_t cap) { capacity_ = cap; }
   std::uint64_t dropped() const { return dropped_; }
 
-  /// Opens a span. Returns 0 (a safe no-op id) when disabled or at
-  /// capacity.
+  /// Opens a span. Returns 0 (a safe no-op id) at capacity.
   SpanId begin(sim::Time now, std::string_view name, lpc::Layer layer,
                SpanId parent, sim::TraceLevel level = sim::TraceLevel::kInfo);
   /// Closes an open span; no-op for 0 or unknown ids.
@@ -126,7 +122,6 @@ class SpanTracer {
   void clear();
 
  private:
-  bool enabled_ = true;
   std::size_t capacity_ = 1 << 20;
   std::uint64_t dropped_ = 0;
   SpanId next_id_ = 1;
@@ -145,7 +140,7 @@ class ScopedSpan {
              sim::TraceLevel level = sim::TraceLevel::kInfo)
       : world_(world) {
     SpanTracer* t = world.spans();
-    if (t == nullptr || !t->enabled()) return;
+    if (t == nullptr) return;
     tracer_ = t;
     prev_ctx_ = world.sim().trace_context();
     id_ = t->begin(world.now(), name, layer, prev_ctx_, level);
@@ -177,7 +172,7 @@ inline SpanId emit_instant(sim::World& world, std::string_view name,
                            lpc::Layer layer,
                            sim::TraceLevel level = sim::TraceLevel::kInfo) {
   SpanTracer* t = world.spans();
-  if (t == nullptr || !t->enabled()) return 0;
+  if (t == nullptr) return 0;
   return t->instant(world.now(), name, layer, world.sim().trace_context(),
                     level);
 }

@@ -4,9 +4,7 @@
 
 namespace aroma::obs {
 
-Telemetry::Telemetry(TelemetryOptions options) : options_(options) {
-  spans_.set_enabled(options_.spans);
-}
+Telemetry::Telemetry(TelemetryOptions options) : options_(options) {}
 
 Telemetry::Telemetry(sim::World& world, TelemetryOptions options)
     : Telemetry(options) {

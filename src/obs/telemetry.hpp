@@ -16,6 +16,8 @@
 namespace aroma::obs {
 
 struct TelemetryOptions {
+  /// False leaves every attached world's spans() null, so no span is
+  /// recorded; the registry still attaches.
   bool spans = true;
 };
 

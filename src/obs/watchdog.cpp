@@ -124,7 +124,7 @@ void WatchdogSet::fire(Watchdog which, std::string_view detail, sim::Time at,
   // The emitting layer is a placeholder: the "classify" arg routes the
   // issue through SpanIssueMiner's IssueClassifier, which assigns the
   // layer from the detail text.
-  if (SpanTracer* t = world_.spans(); t != nullptr && t->enabled()) {
+  if (SpanTracer* t = world_.spans()) {
     t->instant(at, name, lpc::Layer::kResource, 0, sim::TraceLevel::kWarn,
                {{"classify", std::string(detail)},
                 {"value", std::to_string(value)},

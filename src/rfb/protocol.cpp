@@ -37,8 +37,7 @@ RfbServer::RfbServer(sim::World& world, Framebuffer& source,
   m_bytes_ = obs::counter(world_, "rfb.server.bytes_sent", layer);
   m_tiles_ = obs::counter(world_, "rfb.tiles_encoded", layer);
   m_cache_hits_ = obs::counter(world_, "rfb.cache_hits", layer);
-  m_update_bytes_ = obs::histogram(world_, "rfb.server.update_bytes", layer,
-                                   0.0, 65536.0, 32);
+  m_update_bytes_ = obs::hdr(world_, "rfb.server.update_bytes", layer);
 }
 
 RfbServer::~RfbServer() {
@@ -182,7 +181,7 @@ void RfbServer::transmit(net::ByteWriter& w, double encode_s) {
   stats_.bytes_sent += framed.size();
   if (m_updates_) m_updates_->add();
   if (m_bytes_) m_bytes_->add(framed.size());
-  if (m_update_bytes_) m_update_bytes_->add(static_cast<double>(framed.size()));
+  if (m_update_bytes_) m_update_bytes_->record(framed.size());
   encoding_in_progress_ = true;
   world_.sim().schedule_in(sim::Time::sec(encode_s), sim::EventCategory::kRfb,
                            [this, framed = std::move(framed)]() mutable {

@@ -25,6 +25,7 @@
 
 namespace aroma::obs {
 class Counter;
+class HdrHistogram;
 }  // namespace aroma::obs
 
 namespace aroma::net {
@@ -135,7 +136,7 @@ class RfbServer {
   obs::Counter* m_bytes_ = nullptr;
   obs::Counter* m_tiles_ = nullptr;
   obs::Counter* m_cache_hits_ = nullptr;
-  sim::Histogram* m_update_bytes_ = nullptr;
+  obs::HdrHistogram* m_update_bytes_ = nullptr;
 };
 
 struct RfbClientStats {

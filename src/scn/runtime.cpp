@@ -726,7 +726,7 @@ void ScenarioInstance::register_sections() {
       });
 
   // RFBC — protocol control state (request flags, stats); the caches and
-  // pixels behind it go in PIXL. The split is part of format version 3:
+  // pixels behind it go in PIXL. The split is part of the format since v3:
   // merging the two sections would change every blob.
   reg.add(
       kTagRfb, "rfb",

@@ -3,10 +3,7 @@
 
 #include <chrono>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
-#include <vector>
-
 
 namespace aroma::sim {
 
@@ -45,60 +42,6 @@ class Accumulator {
   double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
-};
-
-/// Fixed-bin histogram with quantile estimation; values outside the range
-/// are clamped into the edge bins (and counted as clamped).
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::uint64_t count() const { return total_; }
-  std::uint64_t clamped() const { return clamped_; }
-
-  /// Bucket-exact merge: adds `other`'s bin counts (and total/clamped) into
-  /// this histogram. Requires an identical shape (lo, hi, bin count) —
-  /// throws std::invalid_argument otherwise. Associative and commutative,
-  /// so fleet shards can be folded in any grouping with one deterministic
-  /// result.
-  void merge_from(const Histogram& other);
-
-  /// True when two histograms can merge_from each other.
-  bool same_shape(const Histogram& other) const {
-    return lo_ == other.lo_ && hi_ == other.hi_ &&
-           counts_.size() == other.counts_.size();
-  }
-
-  double lo() const { return lo_; }
-  double hi() const { return hi_; }
-
-  /// Linear-interpolated quantile estimate, q in [0,1].
-  double quantile(double q) const;
-  double median() const { return quantile(0.5); }
-  double p99() const { return quantile(0.99); }
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_[i]; }
-  double bin_lo(std::size_t i) const;
-
-  /// Overwrites the bin counts from a checkpoint. The shape (lo, hi, bin
-  /// count) is structural and must already match.
-  void load_counts(const std::vector<std::uint64_t>& counts,
-                   std::uint64_t total, std::uint64_t clamped) {
-    if (counts.size() != counts_.size()) {
-      throw std::invalid_argument("Histogram::load_counts: shape mismatch");
-    }
-    counts_ = counts;
-    total_ = total;
-    clamped_ = clamped;
-  }
-
- private:
-  double lo_, hi_, width_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t clamped_ = 0;
 };
 
 /// Wall-clock stopwatch for measuring the real execution time of a bench

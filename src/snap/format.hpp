@@ -3,7 +3,7 @@
 // A checkpoint is a flat byte blob:
 //
 //   [8]  magic "AROMSNAP"
-//   [4]  format version (little-endian u32, currently 3)
+//   [4]  format version (little-endian u32, currently 4)
 //   [4]  section count
 //   then per section:
 //   [4]  tag (a four-character code, e.g. 'SIM!')
@@ -48,7 +48,8 @@ class SnapError : public std::runtime_error {
 };
 
 inline constexpr char kMagic[8] = {'A', 'R', 'O', 'M', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 3;
+/// 4: OBSM lost the fixed-bin histogram kind and OBSS its enabled byte.
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 /// Section flag: readers that do not recognize the tag may skip it.
 inline constexpr std::uint32_t kSectionOptional = 1u << 0;

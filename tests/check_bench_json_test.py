@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Runs scripts/check_bench_json.py on the committed BENCH_*.json artifacts,
 which must pass when checked as themselves (--reference) and be refused
-otherwise, and on mutants of them, each of which must be rejected.
+otherwise, on mutants of them, each of which must be rejected, and on a
+metrics export whose only distribution kind is "hdr".
 
 Usage: check_bench_json_test.py   (ctest registers it as check_bench_json)
 """
@@ -105,6 +106,35 @@ MUTANTS = [
 ]
 
 
+# cs_projector's rfb.server.update_bytes as the registry exports it (an HDR),
+# and as the fixed-bin "histogram" kind it had before, which the checker no
+# longer knows.
+UPDATE_BYTES_HDR = {"layer": "abstract", "kind": "hdr", "count": 11,
+                    "saturated": 0, "min": 3276, "max": 4620,
+                    "mean": 3901.454545, "p50": 3903, "p99": 4620,
+                    "p999": 4620}
+UPDATE_BYTES_HISTOGRAM = {"layer": "abstract", "kind": "histogram",
+                          "count": 11, "clamped": 0, "p50": 3456,
+                          "p99": 6068.906667,
+                          "bins": [0, 8, 3] + [0] * 29}
+
+
+def check_metrics_export(tmp, failures):
+    for entry, accepted in ((UPDATE_BYTES_HDR, True),
+                            (UPDATE_BYTES_HISTOGRAM, False)):
+        path = os.path.join(tmp, f"metrics_{entry['kind']}.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump({"cs_projector": {"rfb.server.update_bytes": entry}}, f)
+        result = run_checker([path])
+        if accepted and result.returncode != 0:
+            failures.append(f"metrics/{entry['kind']}: rejected: "
+                            f"{result.stderr.strip()}")
+        elif not accepted and "unknown kind 'histogram'" not in result.stderr:
+            failures.append(f"metrics/{entry['kind']}: not rejected for its "
+                            f"kind: {result.returncode} "
+                            f"{result.stderr.strip()}")
+
+
 def main():
     failures = []
     committed = [os.path.join(ROOT, f"BENCH_{b}.json") for b in BENCHES]
@@ -117,6 +147,7 @@ def main():
         failures.append(f"a committed artifact passed as a run: "
                         f"{result.stderr.strip()}")
     with tempfile.TemporaryDirectory() as tmp:
+        check_metrics_export(tmp, failures)
         for bench, mutate, reason in MUTANTS:
             doc = copy.deepcopy(load(bench))
             mutate(doc)

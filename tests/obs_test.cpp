@@ -45,17 +45,18 @@ TEST(MetricsRegistry, GetOrCreateReturnsStableHandles) {
 
   Gauge& g = m.gauge("phys.mac.queue_depth_peak", lpc::Layer::kPhysical);
   g.set(7.0);
-  sim::Histogram& h =
-      m.histogram("rfb.server.update_bytes", lpc::Layer::kAbstract, 0.0,
-                  1024.0, 8);
-  h.add(100.0);
+  m.hdr("rfb.server.update_bytes", lpc::Layer::kAbstract).record(100);
   EXPECT_EQ(m.size(), 3u);
 
   ASSERT_NE(m.find_counter("net.stack.delivered"), nullptr);
   EXPECT_EQ(m.find_counter("net.stack.delivered")->value(), 3u);
   EXPECT_EQ(m.find_counter("never.registered"), nullptr);
   EXPECT_EQ(m.find_gauge("net.stack.delivered"), nullptr);  // kind mismatch
-  ASSERT_NE(m.find_histogram("rfb.server.update_bytes"), nullptr);
+  ASSERT_NE(m.find_hdr("rfb.server.update_bytes"), nullptr);
+  // A name belongs to one kind: get-or-create under another throws.
+  EXPECT_THROW(m.gauge("net.stack.delivered", lpc::Layer::kResource),
+               std::invalid_argument);
+  EXPECT_EQ(m.size(), 3u);
 }
 
 TEST(MetricsRegistry, SetCounterIsMonotonic) {
@@ -86,8 +87,7 @@ TEST(MetricsHelpers, NullSafeWhenNoRegistryAttached) {
   sim::World w(1);
   EXPECT_EQ(counter(w, "a.b.c", lpc::Layer::kEnvironment), nullptr);
   EXPECT_EQ(gauge(w, "a.b.g", lpc::Layer::kEnvironment), nullptr);
-  EXPECT_EQ(histogram(w, "a.b.h", lpc::Layer::kEnvironment, 0, 1, 2),
-            nullptr);
+  EXPECT_EQ(hdr(w, "a.b.h", lpc::Layer::kEnvironment), nullptr);
   EXPECT_EQ(emit_instant(w, "a.b.e", lpc::Layer::kEnvironment), 0u);
   // ScopedSpan degrades to a no-op as well.
   ScopedSpan span(w, "a.b.s", lpc::Layer::kEnvironment);
@@ -154,13 +154,6 @@ TEST(SpanTracer, CapacityCapCountsDropsAndKeepsHookAlive) {
   EXPECT_EQ(hook_seen, 3);
   t.clear();
   EXPECT_EQ(t.dropped(), 0u);
-  EXPECT_TRUE(t.records().empty());
-}
-
-TEST(SpanTracer, DisabledReturnsNoOpIds) {
-  SpanTracer t;
-  t.set_enabled(false);
-  EXPECT_EQ(t.begin(sim::Time::zero(), "s", lpc::Layer::kEnvironment, 0), 0u);
   EXPECT_TRUE(t.records().empty());
 }
 
@@ -272,6 +265,19 @@ TEST(Telemetry, AttachDetachTogglesWorldPointers) {
   }
   EXPECT_EQ(w.metrics(), nullptr);
   EXPECT_EQ(w.spans(), nullptr);
+  // spans = false attaches the registry only: no tracer, so no span lands.
+  {
+    Telemetry telemetry(w, TelemetryOptions{.spans = false});
+    EXPECT_EQ(w.metrics(), &telemetry.metrics());
+    EXPECT_EQ(w.spans(), nullptr);
+    {
+      ScopedSpan span(w, "off", lpc::Layer::kResource);
+      EXPECT_FALSE(span.active());
+    }
+    EXPECT_EQ(emit_instant(w, "off", lpc::Layer::kResource), 0u);
+    EXPECT_TRUE(telemetry.spans().records().empty());
+  }
+  EXPECT_EQ(w.metrics(), nullptr);
 }
 
 TEST(Telemetry, KernelSnapshotPullsSimCounters) {
@@ -470,38 +476,42 @@ TEST(MetricsMerge, CountersAddGaugesLastWriteWinsHistogramsBucketExact) {
   MetricsRegistry a;
   a.counter("net.stack.delivered", lpc::Layer::kResource).add(10);
   a.gauge("phys.mac.queue_depth_peak", lpc::Layer::kPhysical).set(3.0);
-  sim::Histogram& ha =
-      a.histogram("rfb.latency", lpc::Layer::kAbstract, 0.0, 10.0, 5);
-  ha.add(1.0);
-  ha.add(9.0);
+  HdrHistogram& ha = a.hdr("rfb.latency", lpc::Layer::kAbstract);
+  ha.record(1);
+  ha.record(9000);
 
   MetricsRegistry b;
   b.counter("net.stack.delivered", lpc::Layer::kResource).add(32);
   b.gauge("phys.mac.queue_depth_peak", lpc::Layer::kPhysical).set(7.0);
-  sim::Histogram& hb =
-      b.histogram("rfb.latency", lpc::Layer::kAbstract, 0.0, 10.0, 5);
-  hb.add(1.5);
-  hb.add(-4.0);  // clamps into the first bin
+  HdrHistogram& hb = b.hdr("rfb.latency", lpc::Layer::kAbstract);
+  hb.record(1);
+  hb.record(HdrHistogram::kMaxValue + 1);  // saturates into the top bucket
   b.counter("only.in.b", lpc::Layer::kEnvironment).add(2);
 
   a.merge(b);
   EXPECT_EQ(a.find_counter("net.stack.delivered")->value(), 42u);
   EXPECT_EQ(a.find_gauge("phys.mac.queue_depth_peak")->value(), 7.0);
   EXPECT_EQ(a.find_counter("only.in.b")->value(), 2u);
-  const sim::Histogram* merged = a.find_histogram("rfb.latency");
+  const HdrHistogram* merged = a.find_hdr("rfb.latency");
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->count(), 4u);
-  EXPECT_EQ(merged->clamped(), 1u);
-  EXPECT_EQ(merged->bin(0), 3u);  // 1.0, 1.5, clamped -4.0
-  EXPECT_EQ(merged->bin(4), 1u);  // 9.0
+  EXPECT_EQ(merged->saturated(), 1u);
+  EXPECT_EQ(merged->bucket(1), 2u);  // both 1s
+  EXPECT_EQ(merged->bucket(HdrHistogram::bucket_index(9000)), 1u);
+  EXPECT_EQ(merged->bucket(HdrHistogram::kBucketCount - 1), 1u);
 }
 
-TEST(MetricsMerge, ShapeMismatchThrows) {
+// A shard registry holding a name under another kind than ours used to
+// index the wrong deque, past its end; merge now refuses it before
+// touching the entry.
+TEST(MetricsMerge, RejectsANameUnderTwoKinds) {
   MetricsRegistry a;
-  a.histogram("h", lpc::Layer::kEnvironment, 0.0, 10.0, 5);
+  a.counter("n", lpc::Layer::kResource).add(1);
   MetricsRegistry b;
-  b.histogram("h", lpc::Layer::kEnvironment, 0.0, 10.0, 6);
+  b.hdr("n", lpc::Layer::kResource).record(5);
   EXPECT_THROW(a.merge(b), std::invalid_argument);
+  EXPECT_EQ(a.find_counter("n")->value(), 1u);
+  EXPECT_EQ(a.find_hdr("n"), nullptr);
 }
 
 TEST(MetricsMerge, AssociativeAndOrderDeterministic) {
@@ -513,8 +523,7 @@ TEST(MetricsMerge, AssociativeAndOrderDeterministic) {
     m->counter("common.events", lpc::Layer::kEnvironment).add(k + 1);
     m->gauge("common.level", lpc::Layer::kResource)
         .set(static_cast<double>(k));
-    m->histogram("common.h", lpc::Layer::kAbstract, 0.0, 8.0, 4)
-        .add(static_cast<double>(k));
+    m->hdr("common.h", lpc::Layer::kAbstract).record(k);
     m->counter("shard." + std::to_string(k), lpc::Layer::kIntentional).add(k);
     return m;
   };
@@ -707,6 +716,14 @@ TEST(HdrHistogram, MergeIsAssociativeAcrossShardOrders) {
   EXPECT_EQ(abc.count(), a.count() + b.count() + c.count());
 }
 
+void put_u64_at(std::vector<std::uint8_t>& payload, std::size_t at,
+                std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    payload.at(at + static_cast<std::size_t>(i)) =
+        static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
 TEST(HdrHistogram, SnapRoundTripThroughMetricsRegistry) {
   MetricsRegistry m;
   HdrHistogram& h = m.hdr("disco.lookup.latency_us", lpc::Layer::kAbstract);
@@ -733,21 +750,38 @@ TEST(HdrHistogram, SnapRoundTripThroughMetricsRegistry) {
   for (std::size_t i = 0; i < HdrHistogram::kBucketCount; ++i) {
     ASSERT_EQ(g->bucket(i), h.bucket(i));
   }
+
+  // Fields that disagree are a typed error, not state the percentile walk
+  // trips on: min above max (std::clamp with hi < lo), bucket counts that
+  // do not sum to count, more saturated samples than samples. The HDR
+  // fields follow the entry count, kind, name and layer: count, saturated,
+  // sum, min, max.
+  const std::size_t at =
+      8 + 1 + 8 + std::string("disco.lookup.latency_us").size() + 1;
+  struct Forge {
+    const char* what;
+    std::size_t offset;
+    std::uint64_t value;
+  };
+  for (const Forge& f : {Forge{"min above max", at + 24, h.max() + 1},
+                         Forge{"count above its buckets", at, h.count() + 1},
+                         Forge{"count below its buckets", at, h.count() - 1},
+                         Forge{"saturated above count", at + 8,
+                               h.count() + 1}}) {
+    SCOPED_TRACE(f.what);
+    std::vector<std::uint8_t> forged = bytes;
+    put_u64_at(forged, f.offset, f.value);
+    MetricsRegistry bad;
+    snap::SectionReader fr(forged, sim::Time::zero());
+    EXPECT_THROW(bad.restore(fr), snap::SnapError);
+  }
 }
 
 // --- forged telemetry counts ----------------------------------------------
 
-void put_u64_at(std::vector<std::uint8_t>& payload, std::size_t at,
-                std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    payload.at(at + static_cast<std::size_t>(i)) =
-        static_cast<std::uint8_t>(v >> (8 * i));
-  }
-}
-
-// A span or histogram count that claims more entries than the payload holds
-// is a typed error before it sizes a container: 2^60 records or 2^61 bins
-// used to escape as std::length_error, a smaller forge as a huge allocation.
+// A span or arg count that claims more entries than the payload holds is a
+// typed error before it sizes a container: 2^60 records used to escape as
+// std::length_error, a smaller forge as a huge allocation.
 TEST(SpanTracer, RestoreRejectsACountThePayloadCannotHold) {
   SpanTracer spans;
   spans.end(spans.begin(sim::Time::ms(1), "rfb.update", lpc::Layer::kAbstract,
@@ -762,9 +796,9 @@ TEST(SpanTracer, RestoreRejectsACountThePayloadCannotHold) {
     ASSERT_NO_THROW(back.restore(r));
     ASSERT_EQ(back.records().size(), 1u);
   }
-  // Record count after enabled, capacity, dropped, next_id; the lone
-  // record's arg count is the payload's last u64.
-  for (const std::size_t at : {std::size_t{1 + 8 + 8 + 8}, good.size() - 8}) {
+  // Record count after capacity, dropped, next_id; the lone record's arg
+  // count is the payload's last u64.
+  for (const std::size_t at : {std::size_t{8 + 8 + 8}, good.size() - 8}) {
     for (const std::uint64_t count : {std::uint64_t{1} << 60,
                                       std::uint64_t{1} << 20}) {
       SCOPED_TRACE("offset " + std::to_string(at) + " count " +
@@ -778,30 +812,38 @@ TEST(SpanTracer, RestoreRejectsACountThePayloadCannotHold) {
   }
 }
 
-TEST(MetricsRegistry, RestoreRejectsAHistogramBinCountThePayloadCannotHold) {
-  const std::string name = "forged.hist";
-  MetricsRegistry m;
-  m.histogram(name, lpc::Layer::kResource, 0.0, 1.0, 4).add(0.5);
+std::vector<std::uint8_t> payload_of(const MetricsRegistry& m) {
   snap::SectionWriter w(sim::Time::zero());
   m.save(w);
-  const std::vector<std::uint8_t> good = w.take();
+  return w.take();
+}
+
+// A payload that registers one name under two kinds, or a name the
+// registry already holds under another kind, used to index the wrong
+// deque: accepted silently, an overrun past its end under
+// _GLIBCXX_ASSERTIONS. Both are a SnapError now, before the entry is
+// touched.
+TEST(MetricsRegistry, RestoreRejectsANameUnderTwoKinds) {
+  MetricsRegistry as_gauge;
+  as_gauge.gauge("n", lpc::Layer::kResource).set(1.0);
+  MetricsRegistry as_hdr;
+  as_hdr.hdr("n", lpc::Layer::kResource).record(5);
+  const std::vector<std::uint8_t> hdr_only = payload_of(as_hdr);
+  // {gauge "n"}, {hdr "n"}: an entry count of 2, then both entries.
+  std::vector<std::uint8_t> both = payload_of(as_gauge);
+  put_u64_at(both, 0, 2);
+  both.insert(both.end(), hdr_only.begin() + 8, hdr_only.end());
   {
     MetricsRegistry back;
-    snap::SectionReader r(good, sim::Time::zero());
-    ASSERT_NO_THROW(back.restore(r));
-    ASSERT_NE(back.find_histogram(name), nullptr);
-  }
-  // Entry count, kind, name, layer, lo, hi, then the bin count.
-  const std::size_t at = 8 + 1 + 8 + name.size() + 1 + 8 + 8;
-  for (const std::uint64_t bins : {std::uint64_t{1} << 61,
-                                   std::uint64_t{1} << 20}) {
-    SCOPED_TRACE("bins " + std::to_string(bins));
-    std::vector<std::uint8_t> forged = good;
-    put_u64_at(forged, at, bins);
-    MetricsRegistry back;
-    snap::SectionReader r(forged, sim::Time::zero());
+    snap::SectionReader r(both, sim::Time::zero());
     EXPECT_THROW(back.restore(r), snap::SnapError);
   }
+  MetricsRegistry warmed;
+  warmed.counter("n", lpc::Layer::kResource).add(3);
+  snap::SectionReader r(hdr_only, sim::Time::zero());
+  EXPECT_THROW(warmed.restore(r), snap::SnapError);
+  EXPECT_EQ(warmed.find_counter("n")->value(), 3u);
+  EXPECT_EQ(warmed.find_hdr("n"), nullptr);
 }
 
 TEST(HdrHistogram, RegistryJsonAndMergeCarryHdrs) {

@@ -469,24 +469,6 @@ TEST(Accumulator, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(a.ci95_halfwidth(), 0.0);
 }
 
-TEST(Histogram, QuantilesOfUniform) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100'000; ++i) {
-    h.add(static_cast<double>(i % 100) + 0.5);
-  }
-  EXPECT_NEAR(h.median(), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-  EXPECT_EQ(h.clamped(), 0u);
-}
-
-TEST(Histogram, ClampsOutOfRange) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-5.0);
-  h.add(15.0);
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.clamped(), 2u);
-}
-
 // --- Kernel counters & profiler -----------------------------------------
 
 TEST(Simulator, CancelledAndStaleRejectCounters) {

@@ -140,9 +140,10 @@ TEST(SnapFormat, BadMagicAndVersionRejected) {
   }
   // Version 1 blobs carried the RFB server's damage-poll timer in their
   // RFBC section; version 2 blobs carried the MAC, stream and lease
-  // generation tokens and the lease table's stale checks. Reading either
-  // as the current layout would misparse.
-  for (const std::uint8_t version : {1, 2}) {
+  // generation tokens and the lease table's stale checks; version 3 blobs
+  // carried a fixed-bin histogram kind in OBSM and an enabled byte in OBSS.
+  // Reading any of them as the current layout would misparse.
+  for (const std::uint8_t version : {1, 2, 3}) {
     std::vector<std::uint8_t> old = blob;
     old[8] = version;
     old[9] = old[10] = old[11] = 0;
@@ -358,7 +359,7 @@ TEST(SnapObs, MetricsRegistryRoundTripsThroughGetOrCreate) {
   obs::MetricsRegistry src;
   src.counter("net.tx", lpc::Layer::kResource).add(17);
   src.gauge("env.temp", lpc::Layer::kEnvironment).set(21.5);
-  src.histogram("mac.backoff", lpc::Layer::kPhysical, 0.0, 10.0, 5).add(3.0);
+  src.hdr("mac.backoff_us", lpc::Layer::kPhysical).record(3);
 
   snap::SectionWriter w(Time::zero());
   src.save(w);
@@ -377,7 +378,7 @@ TEST(SnapObs, MetricsRegistryRoundTripsThroughGetOrCreate) {
   const obs::Gauge* g = dst.find_gauge("env.temp");
   ASSERT_NE(g, nullptr);
   EXPECT_DOUBLE_EQ(g->value(), 21.5);
-  const sim::Histogram* h = dst.find_histogram("mac.backoff");
+  const obs::HdrHistogram* h = dst.find_hdr("mac.backoff_us");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 1u);
 }
@@ -444,12 +445,14 @@ struct MetricFlattener : obs::MetricsRegistry::Visitor {
       lines.push_back("g " + i.name + "=" + std::to_string(g.value()));
     }
   }
-  void on_histogram(const obs::MetricInfo& i,
-                    const sim::Histogram& h) override {
+  void on_hdr(const obs::MetricInfo& i,
+              const obs::HdrHistogram& h) override {
     if (skipped(i.name)) return;
     std::string line = "h " + i.name + " =";
-    for (std::size_t b = 0; b < h.bin_count(); ++b) {
-      line += " " + std::to_string(h.bin(b));
+    for (std::size_t b = 0; b < obs::HdrHistogram::kBucketCount; ++b) {
+      if (h.bucket(b) != 0) {
+        line += " " + std::to_string(b) + ":" + std::to_string(h.bucket(b));
+      }
     }
     lines.push_back(line);
   }
@@ -563,9 +566,10 @@ std::vector<std::uint8_t> with_u64_at(std::vector<std::uint8_t> payload,
   return payload;
 }
 
-// A telemetry blob whose span count or histogram bin count is forged (the
-// section re-sealed with a correct CRC) is refused with the typed error,
-// not sized into a container.
+// A telemetry blob whose span count is forged, or whose metrics re-register
+// a counter the room already holds as an HDR (each section re-sealed with a
+// correct CRC), is refused with the typed error: not sized into a
+// container, not indexed into the wrong deque.
 TEST(SnapRoom, ForgedTelemetryCountsRejected) {
   const std::uint64_t seed = sim::shard_seed(7, kShard);
   ScenarioInstance live(room_scenario(), kShard, seed, kTelemetry);
@@ -574,20 +578,18 @@ TEST(SnapRoom, ForgedTelemetryCountsRejected) {
   const std::vector<std::uint8_t> blob = live.checkpoint();
   const snap::SnapReader sections(blob);
 
-  // OBSS: the record count follows enabled, capacity, dropped and next_id.
+  // OBSS: the record count follows capacity, dropped and next_id.
   const snap::Section* spans = sections.find(snap::tag4("OBSS"));
   ASSERT_NE(spans, nullptr);
   const std::vector<std::uint8_t> forged_spans =
-      with_u64_at(spans->payload, 1 + 8 + 8 + 8, std::uint64_t{1} << 60);
-  // OBSM: one fixed-range histogram whose bin count claims 2^61 bins.
-  const std::string hist = "forged.hist";
+      with_u64_at(spans->payload, 8 + 8 + 8, std::uint64_t{1} << 60);
+  // OBSM: one HDR under the name of a counter every warmed room holds.
+  const std::string counter = "net.stack.bytes_sent";
   obs::MetricsRegistry m;
-  m.histogram(hist, lpc::Layer::kResource, 0.0, 1.0, 4).add(0.5);
+  m.hdr(counter, lpc::Layer::kResource).record(1);
   snap::SectionWriter mw(Time::zero());
   m.save(mw);
-  const std::vector<std::uint8_t> forged_metrics =
-      with_u64_at(mw.take(), 8 + 1 + 8 + hist.size() + 1 + 8 + 8,
-                  std::uint64_t{1} << 61);
+  const std::vector<std::uint8_t> forged_metrics = mw.take();
 
   for (const auto& [tag, payload] :
        {std::pair{snap::tag4("OBSS"), &forged_spans},
@@ -599,6 +601,7 @@ TEST(SnapRoom, ForgedTelemetryCountsRejected) {
     }
     ScenarioInstance victim(room_scenario(), kShard, seed, kTelemetry);
     victim.warmup();
+    ASSERT_NE(victim.telemetry()->metrics().find_counter(counter), nullptr);
     EXPECT_THROW(victim.restore(resealed.finish(), Time::zero()),
                  snap::SnapError);
   }
