@@ -447,11 +447,16 @@ class Gates {
     bool same = true;
     for (const std::uint64_t fp : fps) {
       values.push(hex64(fp));
-      text += " " + hex64(fp);
+      text += ' ';
+      text += hex64(fp);
       same = same && fp == fps.front();
     }
-    if (same && !fps.empty())
-      text = " " + std::to_string(fps.size()) + " x " + hex64(fps.front());
+    if (same && !fps.empty()) {
+      text = " ";
+      text += std::to_string(fps.size());
+      text += " x ";
+      text += hex64(fps.front());
+    }
     Json e = Json::object();
     e.set("name", name);
     e.set("values", std::move(values));

@@ -10,15 +10,18 @@
 //   radio_N    — N-radio broadcast scaling (N = 8/64/256): nodes spread at
 //                constant density, each multicasting on a 1/6/11 channel
 //                plan, exercising delivery culling, CCA, and interference.
+//                A sweep rebuild visits all N endpoints and culls each by
+//                range.
 //
 // Every scenario runs twice: a *scalar* leg with event-train batching off
 // and the radio medium on its exhaustive oracle (RadioMediumOptions::batch
-// off: every endpoint visited, the whole history scanned) and a *batched*
-// leg with the defaults. Both legs must produce bit-identical
-// fingerprints — batching is a pure mechanical optimization — and the
-// batched leg is the headline result. The JSON gains a "batching" section
-// per scenario (absorbed/dispatched split, per-category wall attribution,
-// RadioMedium::BatchStats, speedups), and radio_256 self-gates: its
+// off: every endpoint visited, the whole history scanned, every link
+// budget computed uncached) and a *batched* leg with the defaults. Both
+// legs must produce bit-identical fingerprints — batching is a pure
+// mechanical optimization — and the batched leg is the headline result.
+// The JSON gains a "batching" section per scenario (absorbed/dispatched
+// split, per-category wall attribution, RadioMedium::BatchStats,
+// speedups), and radio_256 self-gates: its
 // dominant event category (the most callback wall time on the scalar leg)
 // must run >= 4.3x faster than the scalar leg or the bench exits nonzero.
 // Every scenario runs its legs as 7 interleaved scalar/batched pairs, so
@@ -326,7 +329,7 @@ int main(int argc, char** argv) {
   // The self-gate: the dominant event category of the densest radio
   // scenario must run at least this much faster with batching on, in the
   // median of its kPairs interleaved scalar/batched pairs. The scalar leg
-  // is the exhaustive oracle, so the floor covers the grid cull as well
+  // is the exhaustive oracle, so the floor covers the range cull as well
   // as the memos and caches.
   constexpr double kGateMinSpeedup = 4.3;
   const std::string kGateScenario = "radio_256";

@@ -269,7 +269,9 @@ def check_bench(doc, goldens, path, as_reference):
 
 
 METRIC_KINDS = {"counter", "gauge", "hdr"}
-METRIC_LAYERS = {"environment", "physical", "resource", "abstract"}
+# obs::layer_label's names for the five LPC layers.
+METRIC_LAYERS = {"environment", "physical", "resource", "abstract",
+                 "intentional"}
 
 
 def check_metrics(doc):

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cmath>
-#include <cstdint>
 
 namespace aroma::env {
 
@@ -47,32 +46,5 @@ struct Rect {
             p.y < lo.y ? lo.y : (p.y > hi.y ? hi.y : p.y)};
   }
 };
-
-/// Integer coordinate of a cell on an unbounded uniform grid. Used by the
-/// radio medium's spatial index; positions anywhere in the plane map to a
-/// cell, so mobility models that wander outside an arena stay indexable.
-struct CellCoord {
-  std::int32_t x = 0;
-  std::int32_t y = 0;
-
-  friend constexpr bool operator==(CellCoord a, CellCoord b) {
-    return a.x == b.x && a.y == b.y;
-  }
-};
-
-inline CellCoord cell_of(Vec2 p, double cell_size) {
-  return {static_cast<std::int32_t>(std::floor(p.x / cell_size)),
-          static_cast<std::int32_t>(std::floor(p.y / cell_size))};
-}
-
-/// Packs a cell coordinate into a single sortable key. XORing the sign bit
-/// maps int32 order onto uint32 order, so keys are monotonic in (x, y): for
-/// a fixed x, the cells y0..y1 occupy one contiguous key range — a sorted
-/// key array answers a whole column of cells with a single binary search.
-constexpr std::uint64_t cell_key(CellCoord c) {
-  const auto ux = static_cast<std::uint32_t>(c.x) ^ 0x80000000u;
-  const auto uy = static_cast<std::uint32_t>(c.y) ^ 0x80000000u;
-  return (static_cast<std::uint64_t>(ux) << 32) | static_cast<std::uint64_t>(uy);
-}
 
 }  // namespace aroma::env

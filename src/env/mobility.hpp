@@ -23,9 +23,10 @@ class MobilityModel {
   virtual ~MobilityModel() = default;
   virtual Vec2 position_at(sim::Time t) const = 0;
   /// Hard upper bound on the entity's speed, in m/s: over any interval dt,
-  /// |position_at(t + dt) - position_at(t)| <= max_speed_mps() * dt. The
-  /// radio medium's spatial index uses this to bound how stale its grid may
-  /// be while staying exact. Infinity (the default) is always safe.
+  /// |position_at(t + dt) - position_at(t)| <= max_speed_mps() * dt. A
+  /// radio on a zero-bound model caches its position and its MAC polls no
+  /// backoff slots; the radio medium snapshots a world whose bounds are all
+  /// zero once. Infinity (the default) is always safe.
   virtual double max_speed_mps() const {
     return std::numeric_limits<double>::infinity();
   }

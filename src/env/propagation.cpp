@@ -84,69 +84,14 @@ double PathLossModel::loss_db(Vec2 from, Vec2 to, std::uint64_t id_a,
   return pl + shadowing_db(id_a, id_b);
 }
 
-PathLossModel::LinkEntry* PathLossModel::link_lookup(
-    double tx_dbm, Vec2 from, Vec2 to, std::uint64_t id_a,
-    std::uint64_t id_b) const {
-  if (id_a == 0 && id_b == 0) return nullptr;
-
-  if (link_cache_.empty()) link_cache_.resize(1024);
-  const std::size_t mask = link_cache_.size() - 1;
-  std::size_t slot = sim::mix_hash(id_a, id_b) & mask;
-  while (link_cache_[slot].used) {
-    LinkEntry& e = link_cache_[slot];
-    if (e.id_a == id_a && e.id_b == id_b) {
-      if (e.from == from && e.to == to && e.tx_dbm == tx_dbm) {
-        ++cache_stats_.link_hits;
-      } else {
-        // Same link, new geometry/power: recompute and refresh in place.
-        ++cache_stats_.link_misses;
-        e.from = from;
-        e.to = to;
-        e.tx_dbm = tx_dbm;
-        e.rx_dbm = tx_dbm - loss_db(from, to, id_a, id_b);
-        e.mw_valid = false;
-      }
-      return &e;
-    }
-    slot = (slot + 1) & mask;
-  }
-  ++cache_stats_.link_misses;
-  const double rx = tx_dbm - loss_db(from, to, id_a, id_b);
-  link_cache_[slot] = {id_a, id_b, from, to, tx_dbm, rx, 0.0, false, true};
-  if (++link_cache_size_ * 10 > link_cache_.size() * 7) {
-    std::vector<LinkEntry> old;
-    old.swap(link_cache_);
-    link_cache_.resize(old.size() * 2);
-    const std::size_t m2 = link_cache_.size() - 1;
-    for (const LinkEntry& e : old) {
-      if (!e.used) continue;
-      std::size_t s = sim::mix_hash(e.id_a, e.id_b) & m2;
-      while (link_cache_[s].used) s = (s + 1) & m2;
-      link_cache_[s] = e;
-    }
-    slot = sim::mix_hash(id_a, id_b) & m2;
-    while (!(link_cache_[slot].id_a == id_a && link_cache_[slot].id_b == id_b)) {
-      slot = (slot + 1) & m2;
-    }
-  }
-  return &link_cache_[slot];
-}
-
 double PathLossModel::received_dbm(double tx_dbm, Vec2 from, Vec2 to,
                                    std::uint64_t id_a, std::uint64_t id_b) const {
-  if (LinkEntry* e = link_lookup(tx_dbm, from, to, id_a, id_b)) return e->rx_dbm;
   return tx_dbm - loss_db(from, to, id_a, id_b);
 }
 
 double PathLossModel::received_mw(double tx_dbm, Vec2 from, Vec2 to,
                                   std::uint64_t id_a, std::uint64_t id_b) const {
-  LinkEntry* e = link_lookup(tx_dbm, from, to, id_a, id_b);
-  if (!e) return dbm_to_mw(tx_dbm - loss_db(from, to, id_a, id_b));
-  if (!e->mw_valid) {
-    e->rx_mw = dbm_to_mw(e->rx_dbm);
-    e->mw_valid = true;
-  }
-  return e->rx_mw;
+  return dbm_to_mw(received_dbm(tx_dbm, from, to, id_a, id_b));
 }
 
 double PathLossModel::shadowing_bound_db() const {

@@ -47,12 +47,9 @@ class PathLossModel {
     std::uint64_t seed = 1;       // world seed for shadowing draws
   };
 
-  /// Memo effectiveness counters (telemetry; see RadioMedium::
-  /// publish_metrics). A "hit" returns a cached value untouched; a guard
-  /// mismatch (node moved, power changed) recomputes and counts as a miss.
+  /// Shadowing memo effectiveness counters (telemetry; see RadioMedium::
+  /// publish_metrics). A "hit" returns a cached draw; a "miss" computes one.
   struct CacheStats {
-    std::uint64_t link_hits = 0;
-    std::uint64_t link_misses = 0;
     std::uint64_t shadow_hits = 0;
     std::uint64_t shadow_misses = 0;
   };
@@ -68,15 +65,14 @@ class PathLossModel {
   double loss_db(Vec2 from, Vec2 to, std::uint64_t id_a = 0,
                  std::uint64_t id_b = 0) const;
 
-  /// Received power in dBm given transmit power, positions, and link ids.
-  /// Memoized per (id_a, id_b) link: repeated queries with unchanged
-  /// positions and power (the common case — static nodes, periodic CCA)
-  /// return the cached, bit-identical value without redoing the path math.
+  /// Received power in dBm given transmit power, positions, and link ids:
+  /// tx_dbm - loss_db(...). Uncached; RadioMedium's dense per-pair memo is
+  /// the link-budget cache.
   double received_dbm(double tx_dbm, Vec2 from, Vec2 to, std::uint64_t id_a = 0,
                       std::uint64_t id_b = 0) const;
 
-  /// dbm_to_mw(received_dbm(...)), memoized the same way — the interference
-  /// and CCA paths sum milliwatts, and the pow() is as hot as the path loss.
+  /// dbm_to_mw(received_dbm(...)): the interference and CCA paths sum
+  /// milliwatts.
   double received_mw(double tx_dbm, Vec2 from, Vec2 to, std::uint64_t id_a = 0,
                      std::uint64_t id_b = 0) const;
 
@@ -87,7 +83,7 @@ class PathLossModel {
   /// Hard upper bound on |shadowing_db| for any link. The Irwin-Hall(4)
   /// draw keeps z strictly inside (-2*sqrt(3), 2*sqrt(3)), so shadowing can
   /// never exceed 2*sqrt(3)*sigma — which makes exact conservative range
-  /// culling possible (see RadioMedium's spatial index).
+  /// culling possible (see RadioMedium::cull_radius_m).
   double shadowing_bound_db() const;
 
  private:
@@ -110,26 +106,6 @@ class PathLossModel {
   mutable std::vector<ShadowEntry> shadow_cache_;
   mutable std::size_t shadow_cache_size_ = 0;
 
-  // Directed per-link received-power memo. The guard fields (positions and
-  // tx power) are compared exactly on every hit, so moving nodes simply
-  // refresh their entry — correctness never depends on staleness.
-  struct LinkEntry {
-    std::uint64_t id_a = 0;
-    std::uint64_t id_b = 0;
-    Vec2 from;
-    Vec2 to;
-    double tx_dbm = 0.0;
-    double rx_dbm = 0.0;
-    double rx_mw = 0.0;
-    bool mw_valid = false;  // rx_mw computed lazily from rx_dbm
-    bool used = false;
-  };
-  /// Finds (or fills) the link cache entry, re-deriving rx_dbm if the guard
-  /// fields changed. Returns nullptr for the uncacheable (0, 0) link.
-  LinkEntry* link_lookup(double tx_dbm, Vec2 from, Vec2 to, std::uint64_t id_a,
-                         std::uint64_t id_b) const;
-  mutable std::vector<LinkEntry> link_cache_;
-  mutable std::size_t link_cache_size_ = 0;
   mutable CacheStats cache_stats_;
 };
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -41,8 +42,6 @@ void RadioMedium::publish_metrics() {
   if (m == nullptr) return;
   const auto layer = lpc::Layer::kEnvironment;
   const PathLossModel::CacheStats& cs = model_.cache_stats();
-  m->set_counter("env.radio.path_cache.link_hits", layer, cs.link_hits);
-  m->set_counter("env.radio.path_cache.link_misses", layer, cs.link_misses);
   m->set_counter("env.radio.path_cache.shadow_hits", layer, cs.shadow_hits);
   m->set_counter("env.radio.path_cache.shadow_misses", layer,
                  cs.shadow_misses);
@@ -294,46 +293,6 @@ bool RadioMedium::sender_transmitted_during(std::uint64_t sender_id,
   return false;
 }
 
-void RadioMedium::rebuild_grid() const {
-  const sim::Time now = world_.now();
-  if (grid_valid_) {
-    if (grid_time_ == now) return;
-    // Let the grid age while the worst-case displacement stays under one
-    // cell edge: queries pad the cull radius by the drift, so the cull is
-    // still exact. A world of static endpoints rebuilds exactly once.
-    const double dt = (now - grid_time_).seconds();
-    const double drift = dt * grid_speed_bound_mps_;  // dt > 0, so inf is ok
-    if (drift >= 0.0 && drift <= kCellSizeM) {
-      grid_drift_m_ = drift;
-      return;
-    }
-  }
-  const bool fresh = grid_.size() != endpoints_.size();
-  if (fresh) {
-    grid_.resize(endpoints_.size());
-    for (std::uint32_t i = 0; i < endpoints_.size(); ++i) grid_[i].second = i;
-  }
-  min_sensitivity_dbm_ = std::numeric_limits<double>::infinity();
-  grid_speed_bound_mps_ = 0.0;
-  // Refresh keys in the previous sorted order: when nobody moved between
-  // rebuilds (the common steady state), the array stays sorted and the sort
-  // below is skipped entirely.
-  for (auto& [key, idx] : grid_) {
-    key = cell_key(cell_of(endpoints_[idx]->position(), kCellSizeM));
-    min_sensitivity_dbm_ =
-        std::min(min_sensitivity_dbm_,
-                 endpoints_[idx]->radio_config().sensitivity_dbm);
-    grid_speed_bound_mps_ =
-        std::max(grid_speed_bound_mps_, endpoints_[idx]->max_speed_mps());
-  }
-  if (!std::is_sorted(grid_.begin(), grid_.end())) {
-    std::sort(grid_.begin(), grid_.end());
-  }
-  grid_time_ = now;
-  grid_drift_m_ = 0.0;
-  grid_valid_ = true;
-}
-
 double RadioMedium::cull_radius_m(double tx_power_dbm) const {
   // A receiver needs rssi >= its sensitivity; channel mismatch only
   // subtracts. With |shadowing| < shadowing_bound_db, anything beyond the
@@ -474,6 +433,7 @@ void RadioMedium::refresh_endpoint_cache() const {
   bool changed = ep_cache_.size() != n;
   ep_cache_.resize(n);
   double bound = 0.0;
+  double min_sensitivity = std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
     const RadioEndpoint* ep = endpoints_[i];
     const RadioConfig& cfg = ep->radio_config();
@@ -486,6 +446,7 @@ void RadioMedium::refresh_endpoint_cache() const {
     s.noise_figure_db = cfg.noise_figure_db;
     s.max_speed_mps = ep->max_speed_mps();
     bound = std::max(bound, s.max_speed_mps);
+    min_sensitivity = std::min(min_sensitivity, s.sensitivity_dbm);
     EpSnap& dst = ep_cache_[i];
     changed = changed || dst.pos != s.pos || dst.id != s.id ||
               dst.channel != s.channel ||
@@ -495,6 +456,7 @@ void RadioMedium::refresh_endpoint_cache() const {
     dst = s;
   }
   ep_speed_bound_mps_ = bound;
+  min_sensitivity_dbm_ = min_sensitivity;
   ep_cache_time_ = now;
   ep_cache_valid_ = true;
   // Per-sender sweeps stay valid across a refresh that changed nothing (a
@@ -502,64 +464,51 @@ void RadioMedium::refresh_endpoint_cache() const {
   if (changed) ++ep_epoch_;
 }
 
-RadioMedium::DenseLink& RadioMedium::dense_fill(
-    std::uint32_t fi, std::uint32_t oi, double tx_dbm, Vec2 from, Vec2 to,
-    std::uint64_t from_id, std::uint64_t to_id) const {
-  DenseLink& e =
-      dense_[static_cast<std::size_t>(fi) * dense_n_ + oi];
-  if (e.state != 0 && e.tx_dbm == tx_dbm && e.from == from && e.to == to) {
-    ++batch_stats_.memo_hits;
-  } else {
-    ++batch_stats_.memo_misses;
-    e.tx_dbm = tx_dbm;
-    e.from = from;
-    e.to = to;
-    // The exact expression of PathLossModel::link_lookup's miss path, so the
-    // memo returns bit-identical values to the model's own cache.
-    e.rx_dbm = tx_dbm - model_.loss_db(from, to, from_id, to_id);
-    e.state = 1;
-  }
-  if (e.state < 2) {
-    e.rx_mw = dbm_to_mw(e.rx_dbm);
-    e.state = 2;
-  }
-  return e;
-}
-
-bool RadioMedium::tx_sender_index(const Transmission& tx,
-                                  std::uint32_t& idx) const {
+std::uint32_t RadioMedium::tx_sender_index(const Transmission& tx) const {
   ensure_ep_map();
   if (tx.sender_map_epoch != ep_map_epoch_) {
     const auto it = ep_index_.find(tx.sender_id);
     tx.sender_idx = it == ep_index_.end() ? kNoEpIdx : it->second;
     tx.sender_map_epoch = ep_map_epoch_;
   }
-  idx = tx.sender_idx;
-  return idx != kNoEpIdx;
+  return tx.sender_idx;
+}
+
+RadioMedium::LinkPower RadioMedium::link_power(
+    std::uint32_t fi, std::uint32_t oi, double tx_dbm, Vec2 from, Vec2 to,
+    std::uint64_t from_id, std::uint64_t to_id) const {
+  if (fi == kNoEpIdx || oi == kNoEpIdx || dense_n_ == 0) {
+    ++batch_stats_.fallback_queries;
+    const double dbm = model_.received_dbm(tx_dbm, from, to, from_id, to_id);
+    return {dbm, dbm_to_mw(dbm)};
+  }
+  DenseLink& e = dense_[static_cast<std::size_t>(fi) * dense_n_ + oi];
+  if (e.valid && e.tx_dbm == tx_dbm && e.from == from && e.to == to) {
+    ++batch_stats_.memo_hits;
+  } else {
+    ++batch_stats_.memo_misses;
+    e.tx_dbm = tx_dbm;
+    e.from = from;
+    e.to = to;
+    // PathLossModel::received_dbm/received_mw's own expressions, so the
+    // memo returns the oracle's bits.
+    e.rx.dbm = model_.received_dbm(tx_dbm, from, to, from_id, to_id);
+    e.rx.mw = dbm_to_mw(e.rx.dbm);
+    e.valid = true;
+  }
+  return e.rx;
 }
 
 void RadioMedium::resolve_one(const LinkQuery& q, LinkResult& r) const {
-  const DenseLink* e = nullptr;
-  if (dense_n_ != 0) {
-    const auto a = ep_index_.find(q.from_id);
-    if (a != ep_index_.end()) {
-      const auto b = ep_index_.find(q.to_id);
-      if (b != ep_index_.end()) {
-        e = &dense_fill(a->second, b->second, q.tx_power_dbm, q.from, q.to,
-                        q.from_id, q.to_id);
-      }
-    }
-  }
-  if (e != nullptr) {
-    r.rx_dbm = e->rx_dbm;
-    r.rx_mw = e->rx_mw;
-  } else {
-    ++batch_stats_.fallback_queries;
-    r.rx_dbm =
-        model_.received_dbm(q.tx_power_dbm, q.from, q.to, q.from_id, q.to_id);
-    r.rx_mw =
-        model_.received_mw(q.tx_power_dbm, q.from, q.to, q.from_id, q.to_id);
-  }
+  const auto index = [this](std::uint64_t id) {
+    const auto it = ep_index_.find(id);
+    return it == ep_index_.end() ? kNoEpIdx : it->second;
+  };
+  const LinkPower p = link_power(index(q.from_id), index(q.to_id),
+                                 q.tx_power_dbm, q.from, q.to, q.from_id,
+                                 q.to_id);
+  r.rx_dbm = p.dbm;
+  r.rx_mw = p.mw;
   r.overlap = channel_overlap(q.tx_channel, q.rx_channel);
   const int sep = q.tx_channel < q.rx_channel ? q.rx_channel - q.tx_channel
                                               : q.tx_channel - q.rx_channel;
@@ -580,8 +529,8 @@ void RadioMedium::resolve_links(std::span<const LinkQuery> queries,
 void RadioMedium::finish_batched(const Transmission& tx) {
   ensure_ep_map();
   refresh_endpoint_cache();
-  std::uint32_t sidx = kNoEpIdx;
-  SenderSweep* sw = tx_sender_index(tx, sidx) ? &sweeps_[sidx] : nullptr;
+  const std::uint32_t sidx = tx_sender_index(tx);
+  SenderSweep* sw = sidx != kNoEpIdx ? &sweeps_[sidx] : nullptr;
   const bool replay = sw != nullptr && sw->valid && sw->epoch == ep_epoch_ &&
                       sw->power_dbm == tx.power_dbm &&
                       sw->channel == tx.channel && sw->pos == tx.sender_pos;
@@ -590,54 +539,15 @@ void RadioMedium::finish_batched(const Transmission& tx) {
     scratch_passers_ = sw->passers;
   } else {
     ++batch_stats_.sweep_misses;
-    // Candidates: the grid cells around the sender, sorted into attach
-    // order. The exact distance check runs against the snapshot, which
-    // refresh_endpoint_cache() guarantees agrees with current positions.
-    rebuild_grid();
+    // Every endpoint in attach order (the oracle's delivery order), culled
+    // against the snapshot, which refresh_endpoint_cache() guarantees
+    // agrees with current positions.
     const double radius = cull_radius_m(tx.power_dbm);
     const double r2 = radius * radius;
-    // Grid cells hold positions as of grid_time_; widen the search ring by
-    // the worst-case displacement since then. The distance check below
-    // still uses the unpadded radius.
-    const double ring = radius + grid_drift_m_;
     const Vec2 pos = tx.sender_pos;
-    scratch_candidates_.clear();
-    // A degenerate radius (overflow/NaN from extreme model params) or one
-    // spanning more cells than there are radios means the grid can't win:
-    // take every endpoint (still exact).
-    bool full_scan = !(ring < 1e7);
-    CellCoord c0, c1;
-    if (!full_scan) {
-      c0 = cell_of({pos.x - ring, pos.y - ring}, kCellSizeM);
-      c1 = cell_of({pos.x + ring, pos.y + ring}, kCellSizeM);
-      const std::uint64_t span_x = static_cast<std::uint64_t>(c1.x - c0.x) + 1;
-      const std::uint64_t span_y = static_cast<std::uint64_t>(c1.y - c0.y) + 1;
-      full_scan = span_x * span_y >= endpoints_.size();
-    }
-    if (full_scan) {
-      for (std::uint32_t i = 0; i < endpoints_.size(); ++i) {
-        scratch_candidates_.push_back(i);
-      }
-    } else {
-      // cell_key is monotonic in (x, y), so for each x-column the cells
-      // [c0.y .. c1.y] are one contiguous key range: one binary search per
-      // column instead of one per cell.
-      for (std::int32_t cx = c0.x; cx <= c1.x; ++cx) {
-        const std::uint64_t klo = cell_key({cx, c0.y});
-        const std::uint64_t khi = cell_key({cx, c1.y});
-        auto it = std::lower_bound(
-            grid_.begin(), grid_.end(), klo,
-            [](const auto& entry, std::uint64_t k) { return entry.first < k; });
-        for (; it != grid_.end() && it->first <= khi; ++it) {
-          scratch_candidates_.push_back(it->second);
-        }
-      }
-      // Attach order == the oracle's delivery order.
-      std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
-    }
     batch_queries_.clear();
     batch_idx_.clear();
-    for (const std::uint32_t idx : scratch_candidates_) {
+    for (std::uint32_t idx = 0; idx < ep_cache_.size(); ++idx) {
       const EpSnap& s = ep_cache_[idx];
       const Vec2 d = s.pos - pos;
       if (d.norm2() > r2) continue;  // provably below sensitivity
@@ -733,8 +643,7 @@ double RadioMedium::gather_interference(const RadioEndpoint& ep,
   // memo index of this receiver and of each interferer's sender is read
   // through the epoch-checked memos, never carried across the fan-out.
   ensure_ep_map();
-  const std::uint32_t oi =
-      dense_n_ != 0 ? observer_index(ep, cfg.id) : kNoEpIdx;
+  const std::uint32_t oi = observer_index(ep, cfg.id);
   const Vec2 rx_pos = ep.position();
   double total_mw = 0.0;
   for (const FrameTerm& t : frame_terms_) {
@@ -747,16 +656,10 @@ double RadioMedium::gather_interference(const RadioEndpoint& ep,
     const int sep = other.channel >= cfg.channel ? other.channel - cfg.channel
                                                  : cfg.channel - other.channel;
     if (sep >= 5) continue;
-    double p_mw;
-    std::uint32_t fi;
-    if (oi != kNoEpIdx && tx_sender_index(other, fi)) {
-      p_mw = dense_fill(fi, oi, other.power_dbm, other.sender_pos, rx_pos,
-                        other.sender_id, cfg.id)
-                 .rx_mw;
-    } else {
-      p_mw = model_.received_mw(other.power_dbm, other.sender_pos, rx_pos,
-                                other.sender_id, cfg.id);
-    }
+    const double p_mw =
+        link_power(tx_sender_index(other), oi, other.power_dbm,
+                   other.sender_pos, rx_pos, other.sender_id, cfg.id)
+            .mw;
     total_mw += p_mw * overlap_lin_[static_cast<std::size_t>(sep)] * t.frac;
   }
   return total_mw;
@@ -853,16 +756,10 @@ double RadioMedium::energy_at_batched(Vec2 pos, int channel,
     const double ch = overlap_lin_[static_cast<std::size_t>(sep)];
     if (ch <= 0.0) continue;
     if (tx->end < valid_until) valid_until = tx->end;
-    double p_mw;
-    std::uint32_t fi;
-    if (oi != kNoEpIdx && dense_n_ != 0 && tx_sender_index(*tx, fi)) {
-      p_mw = dense_fill(fi, oi, tx->power_dbm, tx->sender_pos, pos,
-                        tx->sender_id, observer_id)
-                 .rx_mw;
-    } else {
-      p_mw = model_.received_mw(tx->power_dbm, tx->sender_pos, pos,
-                                tx->sender_id, observer_id);
-    }
+    const double p_mw =
+        link_power(tx_sender_index(*tx), oi, tx->power_dbm, tx->sender_pos,
+                   pos, tx->sender_id, observer_id)
+            .mw;
     total_mw += p_mw * ch;
   }
   const double result = mw_to_dbm(total_mw);
@@ -918,16 +815,10 @@ sim::Time RadioMedium::carrier_idle_at(const RadioEndpoint& ep) const {
       if (sep >= 5) continue;
       const double ch = overlap_lin_[static_cast<std::size_t>(sep)];
       if (ch <= 0.0) continue;
-      double p_mw;
-      std::uint32_t fi;
-      if (oi != kNoEpIdx && dense_n_ != 0 && tx_sender_index(*tx, fi)) {
-        p_mw = dense_fill(fi, oi, tx->power_dbm, tx->sender_pos, pos,
-                          tx->sender_id, cfg.id)
-                   .rx_mw;
-      } else {
-        p_mw = model_.received_mw(tx->power_dbm, tx->sender_pos, pos,
-                                  tx->sender_id, cfg.id);
-      }
+      const double p_mw =
+          link_power(tx_sender_index(*tx), oi, tx->power_dbm, tx->sender_pos,
+                     pos, tx->sender_id, cfg.id)
+              .mw;
       idle_terms_.push_back({tx->end, p_mw, ch});
     }
   } else {
@@ -997,7 +888,6 @@ void RadioMedium::restore(snap::SectionReader& r) {
   // Drop all finished-transmission logs and derived indices; they can never
   // affect a post-restore delivery (see header note).
   history_.clear();
-  grid_valid_ = false;
   ep_map_valid_ = false;
   ep_cache_valid_ = false;
   in_flight_.clear();

@@ -10,21 +10,20 @@
 //
 // Two implementations, chosen by Options::batch:
 //  - Production (batch on, the default): frame-end fan-out and CCA resolve
-//    link budgets through a dense per-pair memo and per-sender sweep cache.
-//    When a sender's sweep must be rebuilt, a uniform spatial hash grid
-//    over endpoint positions culls receivers by a conservative sensitivity
-//    radius instead of scanning every attached endpoint. Shadowing is
-//    bounded (see PathLossModel::shadowing_bound_db), so the cull is exact:
-//    a culled receiver provably cannot clear its sensitivity threshold.
-//    Positions are pure functions of time, so the grid is rebuilt lazily
-//    and may age while no endpoint can have moved more than one cell edge.
+//    link budgets through a dense per-pair memo, the medium's one
+//    link-budget cache, and replay a per-sender sweep cache. When a
+//    sender's sweep must be rebuilt it visits every endpoint in attach
+//    order and culls by a conservative sensitivity radius before resolving
+//    links. Shadowing is bounded (see PathLossModel::shadowing_bound_db),
+//    so the cull is exact: a culled receiver provably cannot clear its
+//    sensitivity threshold.
 //  - Oracle (batch off): the exhaustive scalar reference. Every frame end
-//    visits every attached endpoint, and every interference, half-duplex
-//    and CCA question scans the whole transmission history.
-// Candidate sets are always re-sorted into attach/id order before use, so
-// delivery order and floating-point summation order — and therefore
-// MediumStats and every downstream metric — are bit-identical between the
-// two (asserted by env_test, property_test and kernel_bench).
+//    visits every attached endpoint, every interference, half-duplex and
+//    CCA question scans the whole transmission history, and every link
+//    budget is computed uncached.
+// Both deliver in attach/id order and sum floating-point terms in the same
+// order, so MediumStats and every downstream metric are bit-identical
+// between the two (asserted by env_test, property_test and kernel_bench).
 #pragma once
 
 #include <algorithm>
@@ -36,7 +35,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "env/geometry.hpp"
@@ -90,8 +88,9 @@ class RadioEndpoint {
   /// Invoked at the end of every frame whose RSSI clears sensitivity.
   virtual void on_frame(const FrameDelivery& delivery) = 0;
   /// Hard bound on how fast this endpoint can move (see
-  /// MobilityModel::max_speed_mps). Lets the medium's spatial grid age
-  /// instead of rebuilding at every timestamp; infinity is always safe.
+  /// MobilityModel::max_speed_mps). A world whose bounds are all zero
+  /// snapshots its endpoints once instead of at every timestamp; infinity
+  /// is always safe.
   virtual double max_speed_mps() const {
     return std::numeric_limits<double>::infinity();
   }
@@ -141,7 +140,7 @@ struct MediumStats {
 struct RadioMediumOptions {
   /// The production path: frame-end fan-out and CCA resolve link budgets
   /// through resolve_links() — one sweep over a dense per-pair memo with
-  /// per-sender sweep caching and a spatial-grid cull — instead of one
+  /// per-sender sweep caching and a range cull — instead of one uncached
   /// model call per (endpoint, frame). Off = the exhaustive scalar oracle
   /// (kept for equivalence testing and the bench speedup gate). Results
   /// are bit-identical either way (asserted by env_test).
@@ -231,7 +230,7 @@ class RadioMedium {
   /// Resolves `queries.size()` link budgets in one pass. Results land in
   /// `results` (which must be at least as long). Queries whose endpoints
   /// are both attached hit the dense per-pair memo; others fall back to the
-  /// path-loss model's open-addressed memo. Values are bit-identical to
+  /// uncached path-loss model. Values are bit-identical to
   /// per-call scalar resolution from the same inputs (asserted by
   /// env_test's batch-equivalence property suite).
   void resolve_links(std::span<const LinkQuery> queries,
@@ -244,7 +243,8 @@ class RadioMedium {
     std::uint64_t queries = 0;           ///< link queries across all calls
     std::uint64_t memo_hits = 0;         ///< dense-memo guard matches
     std::uint64_t memo_misses = 0;       ///< dense-memo recomputes
-    std::uint64_t fallback_queries = 0;  ///< endpoints not in the dense memo
+    std::uint64_t fallback_queries = 0;  ///< link budgets the dense memo
+                                         ///< could not serve (uncached)
     std::uint64_t sweep_hits = 0;        ///< frame fan-outs replayed from a
                                          ///< cached per-sender sweep
     std::uint64_t sweep_misses = 0;      ///< fan-outs that rebuilt the sweep
@@ -264,7 +264,7 @@ class RadioMedium {
   const PathLossModel& path_loss() const { return model_; }
   const Options& options() const { return options_; }
 
-  /// Publishes pull-style metrics (path-loss memo hit/miss counters) to the
+  /// Publishes pull-style metrics (shadowing memo hit/miss counters) to the
   /// world's registry, if one is attached. The live counters (transmissions,
   /// deliveries, losses) are pushed as they happen and need no call here.
   void publish_metrics();
@@ -272,12 +272,9 @@ class RadioMedium {
   /// Must be called if an endpoint's position or radio config changes in a
   /// way its max_speed_mps() bound does not cover (e.g. a teleport via
   /// StaticMobility::set_position, or a sensitivity/channel change).
-  /// attach/detach call this automatically. Also drops the batch path's
-  /// endpoint snapshot and per-sender sweep caches.
-  void invalidate_positions() {
-    grid_valid_ = false;
-    ep_cache_valid_ = false;
-  }
+  /// attach/detach call this automatically. Drops the batch path's
+  /// endpoint snapshot and, if a value changed, its per-sender sweeps.
+  void invalidate_positions() { ep_cache_valid_ = false; }
 
   // --- checkpoint/restore (see src/snap) ------------------------------------
   // In-flight transmissions hold frame-end events and opaque payload
@@ -380,7 +377,6 @@ class RadioMedium {
   /// Channel bucket: clamps any int channel into cca_activity_seq_.
   static std::size_t channel_bucket(int channel);
 
-  void rebuild_grid() const;
   double cull_radius_m(double tx_power_dbm) const;
 
   // --- batch path (Options::batch) ----------------------------------------
@@ -392,22 +388,28 @@ class RadioMedium {
   }
   void rebuild_ep_map() const;
   /// Snapshots every endpoint's position + config at the current timestamp
-  /// (skipped entirely when no endpoint can move). Bumps ep_epoch_ — which
-  /// invalidates the per-sender sweeps — only when a value actually changed.
+  /// (skipped entirely when no endpoint can move) and the minimum
+  /// sensitivity the range cull reads. Bumps ep_epoch_ — which invalidates
+  /// the per-sender sweeps — only when a value actually changed.
   void refresh_endpoint_cache() const;
-  /// Resolves one query through the dense memo (or the model fallback).
+  /// Resolves one query through link_power.
   void resolve_one(const LinkQuery& q, LinkResult& r) const;
-  /// The sender's endpoint index, memoized on the transmission record.
-  /// Returns false when the sender is not attached (dense memo unusable).
-  bool tx_sender_index(const Transmission& tx, std::uint32_t& idx) const;
-  struct DenseLink;
-  /// Returns the dense memo entry for the directed pair (fi -> oi) with
-  /// rx_dbm/rx_mw valid, recomputing if the guards mismatch.
-  DenseLink& dense_fill(std::uint32_t fi, std::uint32_t oi, double tx_dbm,
-                        Vec2 from, Vec2 to, std::uint64_t from_id,
-                        std::uint64_t to_id) const;
+  /// The sender's endpoint index, memoized on the transmission record;
+  /// kNoEpIdx when the sender is not attached.
+  std::uint32_t tx_sender_index(const Transmission& tx) const;
   /// Sentinel endpoint index: "not attached / dense memo unusable".
   static constexpr std::uint32_t kNoEpIdx = 0xffffffffu;
+  struct LinkPower {
+    double dbm;
+    double mw;
+  };
+  /// Received power over the directed link from endpoint fi to endpoint
+  /// oi, in dBm and mW: the dense memo's entry (recomputed if its guards
+  /// mismatch) when both ends are indexed, else the uncached model. The
+  /// one place the production path chooses between the two.
+  LinkPower link_power(std::uint32_t fi, std::uint32_t oi, double tx_dbm,
+                       Vec2 from, Vec2 to, std::uint64_t from_id,
+                       std::uint64_t to_id) const;
   /// The observer's endpoint index, memoized on the endpoint itself
   /// (epoch-validated). Caller must have run ensure_ep_map().
   std::uint32_t observer_index(const RadioEndpoint& ep,
@@ -455,25 +457,11 @@ class RadioMedium {
 
   static constexpr std::size_t kChannelBuckets = 15;  // 0..14, 1..13 typical
 
-  // Spatial index: (cell key, endpoint index) pairs sorted by key, rebuilt
-  // flat so steady-state queries never allocate. The grid is allowed to age
-  // while every endpoint's possible displacement (max speed bound * elapsed
-  // time) stays under one cell edge; queries pad the cull radius by that
-  // drift, so staleness never costs exactness — only extra candidates.
-  mutable std::vector<std::pair<std::uint64_t, std::uint32_t>> grid_;
-  mutable std::vector<std::uint32_t> scratch_candidates_;
-  mutable sim::Time grid_time_ = sim::Time::zero();
-  mutable bool grid_valid_ = false;
-  mutable double min_sensitivity_dbm_ = 0.0;    // refreshed on rebuild
-  mutable double grid_speed_bound_mps_ = 0.0;   // max over endpoints
-  mutable double grid_drift_m_ = 0.0;           // pad for the current query
-  static constexpr double kCellSizeM = 16.0;  // grid cell edge
-
   // --- batch-path caches (all derived data; see ensure_ep_map /
   // refresh_endpoint_cache) ------------------------------------------------
   /// Dense memo rows/cols are endpoint indices; above this endpoint count
-  /// the O(n^2) table is not worth its memory and queries fall back to the
-  /// model's open-addressed memo.
+  /// the O(n^2) table is not worth its memory and link budgets are computed
+  /// uncached.
   static constexpr std::size_t kDenseMemoMaxEndpoints = 512;
 
   /// Per-endpoint snapshot: position + the config fields the fan-out needs,
@@ -494,9 +482,8 @@ class RadioMedium {
     double tx_dbm = 0.0;
     Vec2 from;
     Vec2 to;
-    double rx_dbm = 0.0;
-    double rx_mw = 0.0;
-    std::uint8_t state = 0;  // 0 empty, 1 rx_dbm valid, 2 rx_mw too
+    LinkPower rx{0.0, 0.0};
+    bool valid = false;
   };
   /// Memoized energy_at() answer for one observer. In-flight energy at a
   /// fixed position is piecewise-constant in time: it only changes when an
@@ -561,6 +548,7 @@ class RadioMedium {
   mutable bool ep_cache_valid_ = false;
   mutable sim::Time ep_cache_time_;
   mutable double ep_speed_bound_mps_ = 0.0;
+  mutable double min_sensitivity_dbm_ = 0.0;  // over the snapshot
   mutable std::uint64_t ep_epoch_ = 0;  // bumps when any snapshot changes
   mutable std::vector<LinkQuery> batch_queries_;
   mutable std::vector<LinkResult> batch_results_;

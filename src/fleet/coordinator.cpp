@@ -292,6 +292,19 @@ FleetReport Coordinator::run() {
     }
   };
 
+  // A shard id a worker names is outside bytes: one past the fleet fails
+  // the run before any state changes.
+  const auto worker_shard = [&](std::size_t w, std::uint64_t shard_id,
+                                const char* frame) -> ShardState& {
+    if (shard_id >= shards.size()) {
+      throw FleetError("worker " + std::to_string(w) + " sent " + frame +
+                       " for shard " + std::to_string(shard_id) +
+                       " of a " + std::to_string(shards.size()) +
+                       "-shard fleet");
+    }
+    return shards[shard_id];
+  };
+
   const auto dispatch = [&](std::size_t w, const Frame& f) {
     WorkerSlot& slot = workers[w];
     switch (f.type) {
@@ -302,7 +315,7 @@ FleetReport Coordinator::run() {
         (void)r.u64();  // cadence index (informational)
         const std::span<const std::uint8_t> blob = r.bytes();
         r.expect_end();
-        ShardState& s = shards[shard_id];
+        ShardState& s = worker_shard(w, shard_id, "kCheckpoint");
         s.blob.assign(blob.begin(), blob.end());
         s.has_blob = true;
         s.captured_ns = captured;
@@ -328,7 +341,7 @@ FleetReport Coordinator::run() {
         const bool ok = r.u8() != 0;
         const std::span<const std::uint8_t> blob = r.bytes();
         r.expect_end();
-        ShardState& s = shards[shard_id];
+        ShardState& s = worker_shard(w, shard_id, "kMigrated");
         if (!ok || !s.migrating) {
           s.migrating = false;
           break;
@@ -344,7 +357,7 @@ FleetReport Coordinator::run() {
         const std::uint64_t shard_id = r.u64();
         (void)r.u8();  // fresh flag
         r.expect_end();
-        ShardState& s = shards[shard_id];
+        ShardState& s = worker_shard(w, shard_id, "kRestored");
         if (s.migrating) {
           s.migrating = false;
           const std::uint64_t latency =
@@ -365,13 +378,16 @@ FleetReport Coordinator::run() {
       case MsgType::kResult: {
         WireReader r(f.body);
         const std::uint64_t shard_id = r.u64();
-        ShardState& s = shards[shard_id];
-        s.fp = r.u64();
-        s.events = r.u64();
-        s.result_now_ns = r.i64();
+        const std::uint64_t fp = r.u64();
+        const std::uint64_t events = r.u64();
+        const std::int64_t result_now = r.i64();
         const bool has_metrics = r.u8() != 0;
         const std::span<const std::uint8_t> metrics = r.bytes();
         r.expect_end();
+        ShardState& s = worker_shard(w, shard_id, "kResult");
+        s.fp = fp;
+        s.events = events;
+        s.result_now_ns = result_now;
         if (has_metrics) {
           s.metrics_payload.assign(metrics.begin(), metrics.end());
         }

@@ -26,7 +26,7 @@ class ByteWriter {
   }
   void bytes(std::span<const std::byte> b) {
     u32(static_cast<std::uint32_t>(b.size()));
-    raw(b.data(), b.size());
+    buf_.insert(buf_.end(), b.begin(), b.end());
   }
 
   const std::vector<std::byte>& data() const { return buf_; }

@@ -25,6 +25,18 @@ std::string canonical_num(double v) {
   return buf;
 }
 
+std::string render(const Expr& e);
+
+// "(lhs op rhs)", appended left to right.
+std::string render_binary(const Expr& e, const char* op) {
+  std::string out = "(";
+  out += render(*e.lhs);
+  out += op;
+  out += render(*e.rhs);
+  out += ')';
+  return out;
+}
+
 std::string render(const Expr& e) {
   switch (e.op) {
     case ExprOp::kNum:
@@ -34,17 +46,21 @@ std::string render(const Expr& e) {
     case ExprOp::kIndex:
       return "i";
     case ExprOp::kAdd:
-      return "(" + render(*e.lhs) + " + " + render(*e.rhs) + ")";
+      return render_binary(e, " + ");
     case ExprOp::kSub:
-      return "(" + render(*e.lhs) + " - " + render(*e.rhs) + ")";
+      return render_binary(e, " - ");
     case ExprOp::kMul:
-      return "(" + render(*e.lhs) + " * " + render(*e.rhs) + ")";
+      return render_binary(e, " * ");
     case ExprOp::kDiv:
-      return "(" + render(*e.lhs) + " / " + render(*e.rhs) + ")";
+      return render_binary(e, " / ");
     case ExprOp::kMod:
-      return "(" + render(*e.lhs) + " % " + render(*e.rhs) + ")";
-    case ExprOp::kNeg:
-      return "(-" + render(*e.lhs) + ")";
+      return render_binary(e, " % ");
+    case ExprOp::kNeg: {
+      std::string out = "(-";
+      out += render(*e.lhs);
+      out += ')';
+      return out;
+    }
   }
   throw ScnError("corrupt expression opcode in dump");
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Runs scripts/check_bench_json.py on the committed BENCH_*.json artifacts,
 which must pass when checked as themselves (--reference) and be refused
-otherwise, on mutants of them, each of which must be rejected, and on a
-metrics export whose only distribution kind is "hdr".
+otherwise, on mutants of them, each of which must be rejected, on a
+metrics export whose only distribution kind is "hdr", and on metrics at the
+intentional layer (accepted) and at an unknown one (refused).
 
 Usage: check_bench_json_test.py   (ctest registers it as check_bench_json)
 """
@@ -135,6 +136,28 @@ def check_metrics_export(tmp, failures):
                             f"{result.stderr.strip()}")
 
 
+# diag/monitor.cpp's diag.monitor.samples sits at the intentional layer;
+# a layer obs::layer_label never emits is refused.
+MONITOR_SAMPLES = {"layer": "intentional", "kind": "counter", "value": 42}
+
+
+def check_metric_layers(tmp, failures):
+    for layer, accepted in (("intentional", True), ("spiritual", False)):
+        path = os.path.join(tmp, f"metrics_layer_{layer}.json")
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump({"diag": {"diag.monitor.samples":
+                                dict(MONITOR_SAMPLES, layer=layer)}}, f)
+        result = run_checker([path])
+        if accepted and result.returncode != 0:
+            failures.append(f"metrics/layer {layer}: rejected: "
+                            f"{result.stderr.strip()}")
+        elif (not accepted and
+              f"unknown LPC layer '{layer}'" not in result.stderr):
+            failures.append(f"metrics/layer {layer}: not rejected for its "
+                            f"layer: {result.returncode} "
+                            f"{result.stderr.strip()}")
+
+
 def main():
     failures = []
     committed = [os.path.join(ROOT, f"BENCH_{b}.json") for b in BENCHES]
@@ -148,6 +171,7 @@ def main():
                         f"{result.stderr.strip()}")
     with tempfile.TemporaryDirectory() as tmp:
         check_metrics_export(tmp, failures)
+        check_metric_layers(tmp, failures)
         for bench, mutate, reason in MUTANTS:
             doc = copy.deepcopy(load(bench))
             mutate(doc)

@@ -167,6 +167,15 @@ PathLossModel flat_model() {
   return PathLossModel(p);
 }
 
+// Appends the six MediumStats counters to a bit-exact trace.
+void push_stats(std::vector<std::uint64_t>& trace, const MediumStats& ms) {
+  for (const std::uint64_t v :
+       {ms.transmissions, ms.deliveries_attempted, ms.deliveries_decodable,
+        ms.losses_sinr, ms.losses_half_duplex, ms.losses_rx_off}) {
+    trace.push_back(v);
+  }
+}
+
 TEST(RadioMedium, DeliversToNearbyReceiver) {
   sim::World w(1);
   RadioMedium medium(w, flat_model());
@@ -333,12 +342,12 @@ TEST(RadioMedium, DetachDuringFanOutSkipsOnlyTheDetachedRadio) {
   }
 }
 
-// The production path's spatial-grid cull is a pure acceleration: with the
-// same seed and traffic, MediumStats, every per-receiver delivery (RSSI and
-// SINR to the last bit), and every CCA answer must equal the exhaustive
-// oracle. Shadowing stays enabled so the conservative cull bound is what's
-// actually under test: a cull radius that is too small fails here.
-TEST(RadioMedium, SpatialIndexMatchesExhaustiveScanBitForBit) {
+// The production path's range cull is a pure acceleration: with the same
+// seed and traffic, MediumStats, every per-receiver delivery (RSSI and SINR
+// to the last bit), and every CCA answer must equal the exhaustive oracle.
+// Shadowing stays enabled so the conservative cull bound is what's actually
+// under test: a cull radius that is too small fails here.
+TEST(RadioMedium, RangeCullMatchesExhaustiveScanBitForBit) {
   PathLossModel::Params mp;
   mp.seed = 99;  // shadowing on (default sigma)
 
@@ -384,11 +393,7 @@ TEST(RadioMedium, SpatialIndexMatchesExhaustiveScanBitForBit) {
     w.sim().run();
 
     std::vector<std::uint64_t> summary;
-    const MediumStats& ms = medium.stats();
-    summary.insert(summary.end(),
-                   {ms.transmissions, ms.deliveries_attempted,
-                    ms.deliveries_decodable, ms.losses_sinr,
-                    ms.losses_half_duplex, ms.losses_rx_off});
+    push_stats(summary, medium.stats());
     for (const auto& r : radios) {
       summary.push_back(r->deliveries.size());
       for (const FrameDelivery& d : r->deliveries) {
@@ -458,11 +463,7 @@ std::vector<std::uint64_t> run_traffic_scenario(RadioMedium::Options opt) {
   w.sim().run();
 
   std::vector<std::uint64_t> summary;
-  const MediumStats& ms = medium.stats();
-  summary.insert(summary.end(),
-                 {ms.transmissions, ms.deliveries_attempted,
-                  ms.deliveries_decodable, ms.losses_sinr,
-                  ms.losses_half_duplex, ms.losses_rx_off});
+  push_stats(summary, medium.stats());
   for (const auto& r : radios) {
     summary.push_back(r->deliveries.size());
     for (const FrameDelivery& d : r->deliveries) {
@@ -588,11 +589,7 @@ std::vector<std::uint64_t> run_fanout_edge_scenario(RadioMedium::Options opt) {
   w.sim().run();
 
   std::vector<std::uint64_t> summary;
-  const MediumStats& ms = medium.stats();
-  summary.insert(summary.end(),
-                 {ms.transmissions, ms.deliveries_attempted,
-                  ms.deliveries_decodable, ms.losses_sinr,
-                  ms.losses_half_duplex, ms.losses_rx_off});
+  push_stats(summary, medium.stats());
   for (const auto& r : radios) {
     summary.push_back(r->deliveries.size());
     for (const FrameDelivery& d : r->deliveries) {
@@ -607,22 +604,18 @@ std::vector<std::uint64_t> run_fanout_edge_scenario(RadioMedium::Options opt) {
   return summary;
 }
 
-// A world for the spatial grid's drift pad. The grid ages while no radio
-// can have moved a cell edge, and the production cull pads its search ring
-// by that worst-case drift. Two radios sit just outside the cells the
-// unpadded ring covers when the grid is built, then close in on the sender
-// before its next frame ends, while the grid is still aged: only the pad
-// makes them candidates. Every radio declares its speed bound (a
-// TestRadio's is infinite, which would rebuild the grid at every frame
-// end), and far-off fillers keep the ring's cell count under the endpoint
-// count, so the grid is really used. Returns MediumStats, every delivery
-// and the behaviour digest.
-std::vector<std::uint64_t> run_aging_grid_scenario(RadioMedium::Options opt) {
+// A world whose movers close in on a static sender between two of its
+// frames. Both movers are out of range at the first frame end and in range
+// at the second, so the second fan-out must rebuild the sender's sweep
+// from a fresh endpoint snapshot: a sweep or snapshot kept across the
+// motion, or a cull radius that is too small, drops them. Far-off fillers
+// sit outside every cull.
+// Returns MediumStats, every delivery and the behaviour digest.
+std::vector<std::uint64_t> run_closing_movers_scenario(
+    RadioMedium::Options opt) {
   sim::World w(3);
   RadioMedium medium(w, flat_model(), opt);
   // -20 dBm against -90 dBm sensitivity: a 10 m range, cull radius 10.1 m.
-  // The sender sits on a cell edge (16 m cells), so the unpadded ring
-  // covers x in [80, 112) and y in [80, 128).
   const sim::Time stop = sim::Time::ms(60);
   std::vector<std::unique_ptr<MovingTestRadio>> radios;
   const auto add = [&](Vec2 pos, Vec2 vel) {
@@ -631,12 +624,11 @@ std::vector<std::uint64_t> run_aging_grid_scenario(RadioMedium::Options opt) {
     medium.attach(radios.back().get());
   };
   add({100.0, 104.0}, {0, 0});          // the sender
-  add({113.0, 104.0}, {-100.0, 0.0});   // x cell 7; 8.6 m off at 54 ms
-  add({112.5, 108.0}, {-90.0, -40.0});  // x cell 7; 7.9 m off at 54 ms
+  add({113.0, 104.0}, {-100.0, 0.0});   // 12.6 m off at 4 ms, 7.6 at 54
+  add({112.5, 108.0}, {-90.0, -40.0});  // 12.7 m off at 4 ms, 7.9 at 54
   add({96.0, 104.0}, {0, 0});           // always in range
   for (int i = 0; i < 12; ++i) add({400.0 + 20.0 * i, 400.0}, {0, 0});
-  // The first frame end builds the grid at 4 ms; the second one, at 54 ms,
-  // finds it aged by 5 m of drift.
+  // Frame ends at 4 ms and 54 ms.
   for (const int ms : {0, 50}) {
     w.sim().schedule_at(sim::Time::ms(ms), [&medium, &radios] {
       medium.transmit(*radios[0], 8'000, 2e6, -20.0, nullptr);
@@ -649,11 +641,7 @@ std::vector<std::uint64_t> run_aging_grid_scenario(RadioMedium::Options opt) {
   EXPECT_EQ(radios[3]->deliveries.size(), 2u);
 
   std::vector<std::uint64_t> summary;
-  const MediumStats& ms = medium.stats();
-  summary.insert(summary.end(),
-                 {ms.transmissions, ms.deliveries_attempted,
-                  ms.deliveries_decodable, ms.losses_sinr,
-                  ms.losses_half_duplex, ms.losses_rx_off});
+  push_stats(summary, medium.stats());
   for (const auto& r : radios) {
     summary.push_back(r->deliveries.size());
     for (const FrameDelivery& d : r->deliveries) {
@@ -666,8 +654,8 @@ std::vector<std::uint64_t> run_aging_grid_scenario(RadioMedium::Options opt) {
   return summary;
 }
 
-// The production path (spatial-grid cull, dense per-pair memo, per-sender
-// sweep cache, per-frame interferer list and SINR memo, CCA energy cache)
+// The production path (range cull, dense per-pair memo, per-sender sweep
+// cache, per-frame interferer list and SINR memo, CCA energy cache)
 // is an acceleration only: same seed and traffic, same bits out as the
 // exhaustive oracle.
 TEST(RadioMedium, BatchPathMatchesScalarBitForBit) {
@@ -675,7 +663,7 @@ TEST(RadioMedium, BatchPathMatchesScalarBitForBit) {
   const std::pair<const char*, Scenario> scenarios[] = {
       {"traffic scenario", run_traffic_scenario},
       {"fan-out edge scenario", run_fanout_edge_scenario},
-      {"aging grid scenario", run_aging_grid_scenario}};
+      {"closing movers scenario", run_closing_movers_scenario}};
   for (const auto& [name, scenario] : scenarios) {
     SCOPED_TRACE(name);
     const auto trace_for = [scenario](bool batch) {
@@ -774,8 +762,8 @@ TEST(RadioMedium, CarrierIdleAtIsTheExactIdleEdge) {
 }
 
 // resolve_links answers must be bit-identical to per-call scalar model
-// evaluation, for attached pairs (dense memo), unattached ids (fallback),
-// and repeat queries (memo hits).
+// evaluation, for attached pairs (dense memo), unattached ids (the uncached
+// model), and repeat queries (memo hits).
 TEST(RadioMedium, ResolveLinksMatchesScalarModelBitForBit) {
   PathLossModel::Params mp;
   mp.seed = 42;  // shadowing on
@@ -805,7 +793,7 @@ TEST(RadioMedium, ResolveLinksMatchesScalarModelBitForBit) {
       q.to_id = b.cfg_.id;
       q.tx_channel = a.cfg_.channel;
       q.rx_channel = b.cfg_.channel;
-    } else {  // unattached ids: model-memo fallback path
+    } else {  // unattached ids: uncached-model fallback path
       q.from = {rng.uniform(0.0, 80.0), rng.uniform(0.0, 80.0)};
       q.to = {rng.uniform(0.0, 80.0), rng.uniform(0.0, 80.0)};
       q.from_id = 900 + static_cast<std::uint64_t>(n);
@@ -819,7 +807,7 @@ TEST(RadioMedium, ResolveLinksMatchesScalarModelBitForBit) {
   std::vector<LinkResult> results(queries.size());
   medium.resolve_links(queries, results);
 
-  PathLossModel ref(mp);  // fresh memo; same params -> same values
+  PathLossModel ref(mp);  // fresh shadowing memo; same params -> same values
   for (std::size_t i = 0; i < queries.size(); ++i) {
     const LinkQuery& q = queries[i];
     const LinkResult& r = results[i];

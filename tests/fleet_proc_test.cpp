@@ -412,6 +412,31 @@ TEST(FleetProc, EmptyScenarioThrowsBeforeSpawningWorkers) {
   }
 }
 
+// A shard id in a worker's frame is checked against the fleet before it
+// indexes anything: each frame type that names a shard, sent by a worker
+// with an id past the fleet, fails the run with a typed error naming it.
+TEST(FleetProc, ForgedShardIdFailsRunWithTypedError) {
+  for (const char* frame : {"kCheckpoint", "kMigrated", "kRestored",
+                            "kResult"}) {
+    FleetOptions opt;
+    opt.workers = 1;
+    opt.shards = 2;
+    opt.seed = 7;
+    opt.scenario = room_blob();
+    opt.heartbeat_timeout_ms = 60000;
+    opt.worker_argv = {AROMA_FORGED_WORKER, frame};
+    try {
+      Coordinator(opt).run();
+      ADD_FAILURE() << frame << " with a forged shard id accepted";
+    } catch (const FleetError& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string(frame) +
+                                           " for shard 1000000 of a 2-shard"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Multi-process fleet runs. Expected fingerprints come from the in-process
 // scn::run_fleet of the same scenario, shards and seed.

@@ -282,8 +282,10 @@ TEST(Analyzer, ReportRendersAllLayerSections) {
   const auto report = analyzer.analyze(smart_projector_case_study());
   const std::string text = report.render();
   for (Layer l : kAllLayers) {
-    EXPECT_NE(text.find("[" + std::string(to_string(l)) + " layer]"),
-              std::string::npos);
+    std::string heading = "[";
+    heading += to_string(l);
+    heading += " layer]";
+    EXPECT_NE(text.find(heading), std::string::npos);
   }
   EXPECT_NE(text.find("must be in harmony with"), std::string::npos);
 }

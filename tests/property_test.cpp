@@ -376,15 +376,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KernelEquivalence,
 
 // --- Property: the production medium computes what the oracle does --------
 //
-// The same traffic through the production medium (grid cull, memos, caches)
-// and the exhaustive oracle must produce bit-identical MediumStats and
-// per-node delivery counts: culling may only skip receivers that provably
-// hear nothing.
+// The same traffic through the production medium (range cull, memos,
+// caches) and the exhaustive oracle must produce bit-identical MediumStats
+// and per-node delivery counts: culling may only skip receivers that
+// provably hear nothing.
 
 class MediumIndexEquivalence : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(MediumIndexEquivalence, GridAndExhaustiveScansAgreeBitForBit) {
+TEST_P(MediumIndexEquivalence, BatchAndExhaustiveScansAgreeBitForBit) {
   const auto run = [&](bool batch) {
     env::Environment::Params params;
     params.arena = {{0, 0}, {120, 120}};

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -656,10 +657,17 @@ INSTANTIATE_TEST_SUITE_P(
 
 class ScnShardGolden : public ::testing::TestWithParam<std::string> {};
 
+// The scenarios behind perfbench's workloads. Their media resolve every
+// link budget through the dense per-pair memo, never the uncached model.
+const std::set<std::string> kPerfbenchScenarios = {
+    "hospital_ward", "smart_projector", "stadium"};
+
 // Each library scenario's shards 0 and 1 at seeds 2026 and 7, run to
 // completion: the behaviour-digest fingerprint is pinned, so a change that
 // alters any frame, delivery outcome, ping, registration, goal or viewer
 // update fails here, while one that only saves kernel events does not.
+// The perfbench scenarios' shard 0 at seed 2026 also pins that the radio
+// medium's production path served them from its dense memo.
 TEST_P(ScnShardGolden, BehaviourFingerprintPinned) {
   const std::string name = GetParam();
   const scn::Scenario s = compile_library(name);
@@ -671,6 +679,12 @@ TEST_P(ScnShardGolden, BehaviourFingerprintPinned) {
       });
       scn::ScenarioInstance inst(s, shard, sim::shard_seed(seed, shard));
       inst.run();
+      if (seed == 2026 && shard == 0 && kPerfbenchScenarios.contains(name)) {
+        const env::RadioMedium::BatchStats& bs =
+            inst.environment().medium().batch_stats();
+        EXPECT_EQ(bs.fallback_queries, 0u) << name;
+        EXPECT_GT(bs.memo_hits, 0u) << name;
+      }
       const std::string line = "shard " + name + " " + std::to_string(seed) +
                                " " + std::to_string(shard) + " " +
                                hex64(inst.fingerprint());

@@ -451,7 +451,10 @@ struct MetricFlattener : obs::MetricsRegistry::Visitor {
     std::string line = "h " + i.name + " =";
     for (std::size_t b = 0; b < obs::HdrHistogram::kBucketCount; ++b) {
       if (h.bucket(b) != 0) {
-        line += " " + std::to_string(b) + ":" + std::to_string(h.bucket(b));
+        line += ' ';
+        line += std::to_string(b);
+        line += ':';
+        line += std::to_string(h.bucket(b));
       }
     }
     lines.push_back(line);
